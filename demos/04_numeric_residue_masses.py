@@ -20,6 +20,8 @@ labels = LabelFunction.equal(datum)
 for q in (2, 3):
     report = shift_and_collect(datum, labels, q)
     print(f"A1 at q={q}: global = {report.global_mass:.12f}")
+    print(f"  resolution = {report.resolution} nodes per circle, "
+          f"error estimate = {report.error_estimate:.1e}")
     print(f"  continuous = {report.continuous:.12f}")
     for entry in report.point_masses:
         print(f"  {entry.label}: {entry.value:.12f}")
@@ -30,6 +32,8 @@ datum = RootDatum.from_type("B2", "Q")
 labels = LabelFunction.equal(datum)
 report = shift_and_collect(datum, labels, 2)
 print(f"\nB2 at q=2: global = {report.global_mass:.10f}")
+print(f"  resolution = {report.resolution} nodes per circle, "
+      f"error estimate = {report.error_estimate:.1e}")
 print(f"  continuous = {report.continuous:.10f}")
 for entry in report.coset_masses + report.point_masses:
     print(f"  {entry.label}: {entry.value:.10f}")

@@ -320,11 +320,11 @@ def check_residue(args) -> int:
     from .residue import shift_and_collect
     datum, labels = resolve_datum(args)
     qval = parse_q(args.q) or F(2)
-    rep = shift_and_collect(datum, labels, qval)
-    tol = args.tol if args.tol is not None else rep.tolerance
+    rep = shift_and_collect(datum, labels, qval, tolerance=args.tol)
+    tol = rep.tolerance
     rows = [{"part": "global", "value": rep.global_mass},
             {"part": "continuous", "value": rep.continuous}]
-    ok = abs(rep.global_mass - 1.0) < 100 * tol
+    ok = abs(rep.global_mass - 1.0) <= tol
     for e in rep.coset_masses + rep.point_masses:
         rows.append({"part": e.label, "value": e.value})
         if e.value < -tol:

@@ -6,6 +6,19 @@ All contour geometry (ring positions, crossing points, candidate poles)
 is exact rational data in log-radius coordinates; floating point enters
 only through the trapezoidal quadrature, which is spectrally accurate for
 these analytic integrands.
+
+Resolution.  On a contour at natural-log distance d from the nearest pole
+ring the N-node trapezoid error decays like e^{-N d} (Trefethen and
+Weideman, SIAM Rev. 56, 2014).  Each torus integral therefore starts at
+the power of two N >= 2 ln(1/tol)/d + 16 and evaluates the endpoint grid
+theta_k = 2 pi k/N once, which yields both the N-node mean and the mean
+over the nested N/2 grid (every other node).  Their difference is the
+error of the N/2 grid; under geometric decay the N-node error is about
+its square.  N is accepted once the difference is at most the tolerance,
+doubled otherwise, and a contour that still misses the tolerance at 2^14
+nodes raises ValueError.  A report's `resolution` is the largest N used
+and its `error_estimate` the largest half-grid difference among the
+integrals it used.
 """
 
 from __future__ import annotations
@@ -94,24 +107,46 @@ def net_pole_order(divisors, point, exclude_ring=None) -> int:
 # -- quadrature -----------------------------------------------------------------
 
 
+MAX_NODES = 1 << 14  # nodes per circle at which a contour must converge
+# grid points per kernel evaluation: each complex temporary takes 256 KiB,
+# so the kernel's few live arrays stay within a 2 MiB L2 cache
+BLOCK_POINTS = 1 << 14
+
+
 def torus_integral(fn, radii, nodes: int):
-    """Mean of fn over the product of circles of the given radii, sampled
-    on offset (midpoint) grids; this is the integral against the
-    normalized holomorphic extension of Haar measure."""
-    grids = []
-    for rho in radii:
-        theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
-        grids.append(rho * np.exp(1j * theta))
+    """Means of fn over the product of circles of the given radii, on the
+    endpoint grid theta_k = 2 pi k / nodes and on its nested half grid
+    (every other node in each coordinate), from one evaluation; this is
+    the integral against the normalized holomorphic extension of Haar
+    measure.  Returns (mean on the full grid, mean on the half grid)."""
+    if nodes % 2:
+        raise ValueError("the nested half grid needs an even node count")
+    circle = np.exp(np.arange(nodes) * (2j * np.pi / nodes))
     if len(radii) == 1:
-        return complex(np.mean(fn(grids[0])))
-    z1 = grids[0]
-    z2 = grids[1]
-    total = 0.0 + 0.0j
-    block = max(1, (1 << 22) // nodes)
-    for start in range(0, nodes, block):
-        part = fn(z1[start:start + block, None], z2[None, :])
-        total += part.sum()
-    return complex(total / (nodes * nodes))
+        vals = fn(radii[0] * circle)
+        return complex(vals.mean()), complex(vals[::2].mean())
+    z1 = radii[0] * circle
+    z2 = (radii[1] * circle)[None, :]
+    # an even number of rows per block keeps the half grid aligned
+    rows = max(2, BLOCK_POINTS // nodes) & ~1
+    total = half = 0j
+    for start in range(0, nodes, rows):
+        part = fn(z1[start:start + rows, None], z2)
+        total += complex(part.sum())
+        half += complex(part[::2, ::2].sum())
+    return total / nodes ** 2, 4 * half / nodes ** 2
+
+
+def _power(powers, a):
+    """z^a from the cache {1: z, ...} of powers of one coordinate, built
+    by repeated products."""
+    if a not in powers:
+        if a == -1:
+            powers[a] = 1 / powers[1]
+        else:
+            step = 1 if a > 0 else -1
+            powers[a] = _power(powers, a - step) * _power(powers, step)
+    return powers[a]
 
 
 class Integrand:
@@ -122,40 +157,37 @@ class Integrand:
         self.qval = float(qval)
         self.divisors = kernel_divisors(datum, labels)
         self.scale = float(qval) ** (-float(labels.q_w0_exponent()))
-        self.num = [(d.vec, self._dval(d)) for d in self.divisors
-                    if d.sign < 0]
-        self.den = [(d.vec, self._dval(d)) for d in self.divisors
-                    if d.sign > 0]
+        # monomial -> (numerator d values, denominator d values)
+        self.factors = {}
+        for d in self.divisors:
+            num, den = self.factors.setdefault(d.vec, ([], []))
+            (num if d.sign < 0 else den).append(self._dval(d))
 
     def _dval(self, d: Divisor):
         phase = np.exp(2j * np.pi * float(d.u0))
         return phase * self.qval ** float(d.r0)
 
     def __call__(self, *zs):
-        num = None
-        den = None
-        pows = {}
-
-        def mono(vec):
-            if vec not in pows:
-                acc = 1
-                for z, a in zip(zs, vec):
-                    if a:
-                        acc = acc * z ** a
-                pows[vec] = acc
-            return pows[vec]
-
-        for vec, d in self.num:
-            f = 1 - d * mono(vec)
-            num = f if num is None else num * f
-        for vec, d in self.den:
-            f = 1 - d * mono(vec)
-            den = f if den is None else den * f
-        if num is None:
-            num = 1.0
-        if den is None:
-            den = 1.0
-        return self.scale * num / den
+        """The kernel at the broadcast of the coordinate arrays zs."""
+        zs = [np.asarray(z, dtype=complex) for z in zs]
+        num = np.ones(np.broadcast_shapes(*(z.shape for z in zs)),
+                      dtype=complex)
+        den = num.copy()
+        powers = [{1: z} for z in zs]
+        for vec, (nvals, dvals) in self.factors.items():
+            mono = None
+            for pw, a in zip(powers, vec):
+                if a:
+                    p = _power(pw, a)
+                    mono = p if mono is None else mono * p
+            for acc, vals in ((num, nvals), (den, dvals)):
+                for d in vals:
+                    f = mono * -d
+                    f += 1
+                    acc *= f
+        num /= den
+        num *= self.scale
+        return num
 
 
 # -- exact contour geometry -------------------------------------------------------
@@ -272,7 +304,8 @@ class MassEntry:
 class LocalMassReport:
     qval: float
     tolerance: float
-    nodes: int
+    resolution: int  # largest node count per circle used
+    error_estimate: float  # largest half-grid difference of an integral
     global_mass: float
     continuous: float
     coset_masses: list
@@ -294,7 +327,8 @@ class LocalMassReport:
                        for e in self.coset_masses + self.point_masses],
             "closure_error": self.closure_error,
             "tolerance": self.tolerance,
-            "resolution": self.nodes,
+            "resolution": self.resolution,
+            "error_estimate": self.error_estimate,
         }
 
 
@@ -312,7 +346,11 @@ class ResidueEngine:
         self.rings = ring_lines(self.divisors)
         self.tolerance = tolerance if tolerance is not None else \
             (1e-8 if datum.rank == 1 else 1e-6)
+        if not self.tolerance > 0:
+            raise ValueError("the quadrature tolerance must be positive")
         self._nodes = nodes
+        self.resolution = 0
+        self.error_estimate = 0.0
         self.max_imag = 0.0
         self._iq = float(self.qval)
         self._cosets = residual_cosets(datum, labels)
@@ -363,10 +401,11 @@ class ResidueEngine:
                         targets.setdefault(d.ring(), set()).add((pt.r, k))
         return targets
 
-    def nodes_for(self, ell, extra_gap=None):
-        if self._nodes is not None:
-            return self._nodes
-        # distance (natural log) from the contour to the nearest pole ring
+    def nodes_for(self, ell):
+        """Starting node count per circle on the contour at log-radii ell:
+        the trapezoid error decays like e^{-N d} at natural-log distance d
+        from the nearest pole ring, so this N puts the half grid's error
+        near the tolerance and the full grid's near its square."""
         best = None
         for (p, rho) in self.rings:
             val = sum(F(pi) * ell[i] for i, pi in enumerate(p))
@@ -374,21 +413,36 @@ class ResidueEngine:
                 sum(abs(x) for x in p)))
             if best is None or dist < best:
                 best = dist
-        if extra_gap is not None:
-            best = min(best if best is not None else extra_gap, extra_gap)
         if best is None or best <= 0:
             raise ValueError("contour touches a pole ring")
         dist_nat = best * log(self._iq)
-        n = int(44.0 / dist_nat) + 16
-        size = 64
+        n = 2.0 * log(1.0 / self.tolerance) / dist_nat + 16
+        size = 16
         while size < n:
             size *= 2
-        return min(size, 1 << 14)
+        return min(size, MAX_NODES)
 
     def integral(self, ell, nodes=None):
+        """Real part of the torus integral on the contour at log-radii
+        ell.  Without a fixed node count, N doubles from nodes_for(ell)
+        until the half-grid difference is within the tolerance."""
         radii = [self._iq ** float(x) for x in ell]
-        n = nodes if nodes is not None else self.nodes_for(ell)
-        val = torus_integral(self.fn, radii, n)
+        fixed = nodes if nodes is not None else self._nodes
+        n = fixed if fixed is not None else self.nodes_for(ell)
+        while True:
+            val, half = torus_integral(self.fn, radii, n)
+            est = abs(val - half)
+            if fixed is not None or est <= self.tolerance:
+                break
+            if n >= MAX_NODES:
+                raise ValueError(
+                    f"torus integral on the contour log_q|t| = "
+                    f"{tuple(str(x) for x in ell)} has half-grid error "
+                    f"{est:.3g} at {n} nodes, above the tolerance "
+                    f"{self.tolerance:g}")
+            n *= 2
+        self.resolution = max(self.resolution, n)
+        self.error_estimate = max(self.error_estimate, est)
         self.max_imag = max(self.max_imag, abs(val.imag))
         return val.real
 
@@ -452,7 +506,8 @@ class ResidueEngine:
         total = continuous + sum(e.value for e in masses)
         report = LocalMassReport(
             qval=float(self.qval), tolerance=self.tolerance,
-            nodes=self._nodes or 0, global_mass=global_val,
+            resolution=self.resolution, error_estimate=self.error_estimate,
+            global_mass=global_val,
             continuous=continuous, coset_masses=[], point_masses=masses,
             closure_error=abs(global_val - total), max_imag=self.max_imag)
         return report
@@ -545,7 +600,8 @@ class ResidueEngine:
             sum(e.value for e in point_masses)
         return LocalMassReport(
             qval=float(self.qval), tolerance=self.tolerance,
-            nodes=self._nodes or 0, global_mass=global_val,
+            resolution=self.resolution, error_estimate=self.error_estimate,
+            global_mass=global_val,
             continuous=continuous, coset_masses=coset_masses,
             point_masses=point_masses,
             closure_error=abs(global_val - total), max_imag=self.max_imag)
@@ -673,22 +729,17 @@ def _merge_entries(entries):
 
 
 def shift_and_collect(datum: RootDatum, labels: LabelFunction, qval,
-                      nodes=None) -> LocalMassReport:
+                      nodes=None, tolerance=None) -> LocalMassReport:
     """Decompose the global contour integral into the unit-torus part,
     codimension-one tempered contributions, and point masses."""
-    return ResidueEngine(datum, labels, qval, nodes=nodes).collect()
+    return ResidueEngine(datum, labels, qval, nodes=nodes,
+                         tolerance=tolerance).collect()
 
 
 def global_unit_integral(datum, labels, qval, nodes=2048):
     """Integral of the kernel form over the unit torus."""
     eng = ResidueEngine(datum, labels, qval, nodes=nodes)
     return eng.integral(tuple(F(0) for _ in range(datum.rank)), nodes=nodes)
-
-
-def global_start_integral(datum, labels, qval, nodes=None):
-    """Integral over the deep-negative start contour (the trace mass)."""
-    eng = ResidueEngine(datum, labels, qval, nodes=nodes)
-    return eng.integral(start_log_radii(datum, labels))
 
 
 def vanishing_cycle_check(datum, labels, qval, point: TorusPoint,

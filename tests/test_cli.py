@@ -78,6 +78,47 @@ def test_check_residue_a1():
     assert abs(mass - 1 / 3) < 1e-8
 
 
+def test_check_residue_tol_sizes_the_grid(monkeypatch):
+    import heckeplan.residue as residue
+    seen = []
+    collect = residue.shift_and_collect
+
+    def spy(*args, **kwargs):
+        rep = collect(*args, **kwargs)
+        seen.append(rep)
+        return rep
+
+    monkeypatch.setattr(residue, "shift_and_collect", spy)
+    code, out = run_cli("check", "--suite", "residue", "--type", "A1",
+                        "--q", "2", "--tol", "1e-10", "--format", "json")
+    assert code == 0
+    assert seen[0].tolerance == 1e-10
+    assert seen[0].error_estimate <= 1e-10
+    rows = json.loads(out)["rows"]
+    mass = next(r["value"] for r in rows
+                if r["part"].startswith("dim0"))
+    assert abs(mass - 1 / 3) < 1e-10
+    code, _ = run_cli("check", "--suite", "residue", "--type", "A1",
+                      "--tol", "0")
+    assert code == 2
+
+
+def test_check_residue_global_mass_within_tol(monkeypatch):
+    # a global mass 10 tolerances off fails the check
+    import heckeplan.residue as residue
+    collect = residue.shift_and_collect
+
+    def shifted(*args, **kwargs):
+        rep = collect(*args, **kwargs)
+        rep.global_mass += 10 * rep.tolerance
+        return rep
+
+    monkeypatch.setattr(residue, "shift_and_collect", shifted)
+    code, _ = run_cli("check", "--suite", "residue", "--type", "A1",
+                      "--q", "2", "--tol", "1e-10", "--format", "json")
+    assert code == 1
+
+
 def test_tables_poincare_g2():
     code, out = run_cli("tables", "--which", "poincare", "--type", "G2",
                         "--q", "2", "--truncate", "40", "--format", "json")

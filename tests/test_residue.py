@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heckeplan.residue import (
+    MAX_NODES,
     Integrand,
     ResidueEngine,
     global_unit_integral,
@@ -13,22 +15,37 @@ from heckeplan.residue import (
     vanishing_cycle_check,
 )
 from heckeplan.residual import TorusPoint, steinberg_point
-from heckeplan.rootdata import LabelFunction, RootDatum
+from heckeplan.rootdata import LabelFunction, RootDatum, random_label_vector
 
 F = Fraction
 
 
 def test_torus_integral_constant():
-    assert abs(torus_integral(lambda z: np.ones_like(z), [1.0], 64) - 1) == 0
-    val = torus_integral(lambda a, b: np.ones_like(a * b), [1.0, 1.0], 32)
+    val, _ = torus_integral(lambda z: np.ones_like(z), [1.0], 64)
+    assert abs(val - 1) == 0
+    val, _ = torus_integral(lambda a, b: np.ones_like(a * b), [1.0, 1.0], 32)
     assert abs(val - 1) < 1e-15
 
 
 def test_torus_integral_character_orthogonality():
     # mean of z^k over the circle is 0 for k != 0
     for k in (1, -2, 5):
-        val = torus_integral(lambda z: z ** k, [1.0], 128)
+        val, _ = torus_integral(lambda z: z ** k, [1.0], 128)
         assert abs(val) < 1e-12
+
+
+def test_torus_integral_nested_half_grid():
+    # z^(N/2) averages to 0 on the N-node grid and to 1 on its half grid
+    n = 64
+    full, half = torus_integral(lambda z: z ** (n // 2), [1.0], n)
+    assert abs(full) < 1e-12 and abs(half - 1) < 1e-12
+    # 512 nodes per circle span several blocks of rows
+    n = 512
+    full, half = torus_integral(lambda a, b: a ** (n // 2) + b ** (n // 2),
+                                [1.0, 1.0], n)
+    assert abs(full) < 1e-12 and abs(half - 2) < 1e-12
+    with pytest.raises(ValueError):
+        torus_integral(lambda z: z, [1.0], 63)
 
 
 def test_rank1_masses_q2_q3():
@@ -160,3 +177,79 @@ def test_integrand_matches_exact_kernel():
     scale = 2.0 ** float(-labels.q_w0_exponent())
     expected = complex(sym.evaluate(2.0)) * scale
     assert abs(val - expected) < 1e-10 * abs(expected)
+
+
+def test_report_resolution_and_error_estimate():
+    d = RootDatum.from_type("A1", "Q")
+    labels = LabelFunction.equal(d)
+    rep = shift_and_collect(d, labels, 2)
+    assert 0 < rep.resolution <= MAX_NODES
+    assert 0 <= rep.error_estimate <= rep.tolerance == 1e-8
+    data = rep.to_json()
+    assert data["resolution"] == rep.resolution
+    assert data["error_estimate"] == rep.error_estimate
+    # a tighter tolerance is met by the reported estimate too
+    tight = shift_and_collect(d, labels, 2, tolerance=1e-13)
+    assert tight.error_estimate <= 1e-13
+    assert tight.resolution >= rep.resolution
+    # an explicit node count is used as given, without doubling
+    fixed = shift_and_collect(d, labels, 2, nodes=48)
+    assert fixed.resolution == 48
+
+
+def test_node_cap_raises():
+    # no grid reaches 1e-30: the engine names the contour and refuses
+    d = RootDatum.from_type("A1", "Q")
+    labels = LabelFunction.equal(d)
+    eng = ResidueEngine(d, labels, 2, tolerance=1e-30)
+    with pytest.raises(ValueError, match="contour"):
+        eng.integral((F(-1, 2),))
+    with pytest.raises(ValueError, match=str(MAX_NODES)):
+        eng.collect()
+
+
+def _plain_kernel(fn, *zs):
+    """prod (1 - d z^vec)^(-sign) over the kernel divisors, term by term."""
+    out = fn.scale
+    for div in fn.divisors:
+        d = np.exp(2j * np.pi * float(div.u0)) * fn.qval ** float(div.r0)
+        mono = 1
+        for z, a in zip(zs, div.vec):
+            mono = mono * z ** a
+        factor = 1 - d * mono
+        out = out / factor if div.sign > 0 else out * factor
+    return out
+
+
+KERNEL_CASES = [(tag, lattice, seed)
+                for tag, lattice in (("A1", "Q"), ("A2", "P"), ("B2", "Q"),
+                                     ("G2", "Q"))
+                for seed in (None, 5, 17)]
+
+
+@pytest.mark.parametrize("tag,lattice,seed", KERNEL_CASES)
+def test_integrand_matches_plain_product(tag, lattice, seed):
+    d = RootDatum.from_type(tag, lattice)
+    labels = LabelFunction.equal(d) if seed is None else \
+        LabelFunction.from_affine_nodes(
+            d, random_label_vector(d, random.Random(seed)))
+    fn = Integrand(d, labels, F(3))
+    rng = np.random.default_rng(seed)
+
+    def points(shape):
+        radius = np.exp(rng.uniform(-1.5, 1.5, shape))
+        return radius * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+    if d.rank == 1:
+        # the circle of torus_integral and the small circle around a point
+        shapes = [[(64,)], [(7,)]]
+    else:
+        # vanishing_cycle_check's paired 1-D arrays, a single point, and
+        # the broadcast row block of torus_integral
+        shapes = [[(64,), (64,)], [(1, 1), (1, 1)], [(6, 1), (1, 40)]]
+    for shape in shapes:
+        zs = [points(s) for s in shape]
+        got = fn(*zs)
+        want = _plain_kernel(fn, *zs)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
