@@ -86,8 +86,6 @@ def build_parser():
 def parse_q(text):
     if text is None:
         return None
-    if "." in text:
-        return F(text)
     return F(text)
 
 

@@ -245,6 +245,33 @@ def solve_unique(a: RatMatrix, b: RatVector) -> RatVector | None:
     return s.point if s.kind == "unique" else None
 
 
+def int_rank(rows) -> int:
+    """Rank over Q of integer rows, by fraction-free elimination."""
+    m = [[int(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    cols = len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead = m[r][c]
+        for i in range(r + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c]
+                m[i] = [lead * x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
 def mat_inverse(a: RatMatrix) -> RatMatrix:
     n = len(a)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from math import isqrt, lcm, prod
 
 from .lattice import (
+    int_rank,
     integer_kernel,
-    mat_inverse,
     quotient_dual_elements,
     saturate,
     solve_unique,
@@ -23,6 +24,7 @@ from .lattice import (
 from .rootdata import (
     LabelFunction,
     RootDatum,
+    _distinct_rows,
     parabolic_classes,
     restrict_labels,
     root_permutations,
@@ -102,25 +104,14 @@ class TorusPoint:
 def inverse_transpose_matrices(datum: RootDatum):
     """(A^{-1})^T for every Weyl matrix A, as integer tuples; the point
     image of w with matrix A has functional vectors (A^{-1})^T u."""
-    cached = getattr(datum, "_invt_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    for a in datum.weyl_matrices():
-        inv = mat_inverse([[Fraction(c) for c in row] for row in a])
-        out.append(tuple(tuple(int(inv[j][i]) for j in range(datum.rank))
-                         for i in range(datum.rank)))
-    datum._invt_cache = out
-    return out
+    return [tuple(map(tuple, m)) for m in _np_invt(datum).tolist()]
 
 
 def _np_invt(datum):
-    import numpy as np
-    cached = getattr(datum, "_np_invt_cache", None)
-    if cached is None:
-        cached = np.array(inverse_transpose_matrices(datum), dtype=np.int64)
-        datum._np_invt_cache = cached
-    return cached
+    """The int64 stack of inverse transposes, built with the Weyl group."""
+    if datum._weyl_invt is None:
+        datum.weyl_elements()
+    return datum._weyl_invt
 
 
 def _orbit_rows(datum, point):
@@ -128,7 +119,6 @@ def _orbit_rows(datum, point):
     plus the scale factors; integer arithmetic keeps everything exact and
     the common scaling preserves lexicographic order."""
     import numpy as np
-    from math import lcm
     n = datum.rank
     du = lcm(1, *(x.denominator for x in point.u)) if n else 1
     dr = lcm(1, *(x.denominator for x in point.r)) if n else 1
@@ -149,10 +139,9 @@ def _row_to_point(row, n, du, dr) -> TorusPoint:
 
 
 def orbit_of_point(datum: RootDatum, point: TorusPoint):
-    import numpy as np
     rows, du, dr = _orbit_rows(datum, point)
-    unique = np.unique(rows, axis=0)
-    return {_row_to_point(row, datum.rank, du, dr) for row in unique}
+    return {_row_to_point(row, datum.rank, du, dr)
+            for row in rows[_distinct_rows(rows)]}
 
 
 def _support_tables(datum):
@@ -321,7 +310,7 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
             continue
         seen.add(rep)
         r_s1 = [r for r in datum.r1 if rep.value_of(r.vec)[0] == 0]
-        if _int_rank([r.vec for r in r_s1]) < n:
+        if int_rank([r.vec for r in r_s1]) < n:
             continue
         r_s0 = []
         for r in datum.roots:
@@ -340,37 +329,10 @@ def _span_basis(datum):
     return _independent_subset([r.vec for r in datum.positive_roots])
 
 
-def _int_rank(rows) -> int:
-    """Rank over Q of an integer matrix (fraction-free elimination)."""
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [lead * x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
 def _independent_subset(vecs):
     chosen = []
     for v in vecs:
-        if _int_rank(chosen + [list(v)]) == len(chosen) + 1:
+        if int_rank(chosen + [list(v)]) == len(chosen) + 1:
             chosen.append(list(v))
     return chosen
 
@@ -422,25 +384,24 @@ def graded_residual_points(datum, subsystem, klabels, rank=None):
     Returns exact split-exponent vectors (tuples of Fractions), deduped.
     """
     import numpy as np
-    from math import lcm
     n = rank if rank is not None else datum.rank
     positives = [r for r in subsystem if r.height > 0]
-    if _int_rank([r.vec for r in positives]) < n:
+    if int_rank([r.vec for r in positives]) < n:
         return []
     candidates = _candidate_gammas(positives, klabels, n)
-    vecs = np.array([r.vec for r in subsystem], dtype=np.int64)
+    # alpha(gamma) = k_alpha as integers: vals / dg = knum / kden, in
+    # Python integers (dtype=object) so that no label size can wrap
+    vecs = np.array([r.vec for r in subsystem], dtype=object)
     kvals = [klabels[_abs_vec(r)] for r in subsystem]
+    kden = lcm(1, *(k.denominator for k in kvals))
+    knum = np.array([k.numerator * (kden // k.denominator) for k in kvals],
+                    dtype=object)
     kept = {}
     for gamma in candidates:
         dg = lcm(1, *(x.denominator for x in gamma))
-        g_int = np.array([x.numerator * (dg // x.denominator)
-                          for x in gamma], dtype=np.int64)
-        vals = vecs @ g_int
-        poles = 0
-        for j, kv in enumerate(kvals):
-            ks = kv * dg
-            if ks.denominator == 1 and vals[j] == ks.numerator:
-                poles += 1
+        vals = vecs @ np.array([x.numerator * (dg // x.denominator)
+                                for x in gamma], dtype=object)
+        poles = int((vals * kden == knum * dg).sum())
         zeros = int((vals == 0).sum())
         i = poles - zeros
         if i >= n:
@@ -452,71 +413,83 @@ def graded_residual_points(datum, subsystem, klabels, rank=None):
     return sorted(kept)
 
 
-def _graded_index(subsystem, klabels, gamma):
-    poles = zeros = 0
-    for r in subsystem:
-        val = sum(Fraction(v) * gamma[i] for i, v in enumerate(r.vec))
-        if val == klabels[_abs_vec(r)]:
-            poles += 1
-        if val == 0:
-            zeros += 1
-    return poles - zeros
-
-
 def _abs_vec(root):
     return root.vec if root.height > 0 else tuple(-v for v in root.vec)
 
 
+GRADED_BLOCK = 1 << 11      # n-subsets solved per batch of the graded search
+INT64_SAFE = 1 << 62        # bound on every int64 intermediate
+
+
 def _candidate_gammas(positives, klabels, n):
-    """Solutions of n independent equations alpha(gamma) = k_alpha; uses a
-    float pass to propose solutions for large searches, then verifies and
-    re-solves exactly."""
-    m = len(positives)
-    combos = list(combinations(range(m), n))
-    if len(combos) <= 4000:
-        out = set()
-        for combo in combos:
-            rows = [[Fraction(v) for v in positives[i].vec] for i in combo]
-            rhs = [klabels[positives[i].vec] for i in combo]
-            sol = solve_unique(rows, rhs)
-            if sol is not None:
-                out.add(tuple(sol))
-        return sorted(out)
-    return _candidate_gammas_float(positives, klabels, combos, n)
+    """Solutions of n independent equations alpha(gamma) = k_alpha, over
+    every n-subset of the positive roots, exactly: by Cramer's rule,
+    gamma_j = det(A_j) / (det(A) * den) with A_j the matrix A whose column
+    j is the labels times their common denominator den.  The subsets run
+    in blocks of GRADED_BLOCK; each block drops its singular A first.
 
-
-def _candidate_gammas_float(positives, klabels, combos, n):
+    Every minor of a Cramer matrix is at most H = the product of the n
+    largest row norms (Hadamard), so Bareiss's intermediates stay below
+    2 H^2.  When that could pass 2^62 the same elimination runs on Python
+    integers (dtype=object)."""
     import numpy as np
-    from math import lcm
-    vecs = np.array([p.vec for p in positives], dtype=float)
-    rhs_all = np.array([float(klabels[p.vec]) for p in positives])
-    idx = np.array(combos)
-    mats = vecs[idx]                     # (ncombo, n, n)
-    rhs = rhs_all[idx]                   # (ncombo, n)
-    dets = np.linalg.det(mats)
-    good = np.abs(dets) > 0.5            # integer determinants
-    sols = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    proposals = set()
-    for row in sols:
-        proposals.add(tuple(Fraction(x).limit_denominator(200000)
-                            for x in row))
-    out = set()
-    roots_int = np.array([p.vec for p in positives], dtype=np.int64)
-    for gamma in proposals:
-        # exact verification on scaled integers: gamma solves at least n
-        # independent equations alpha(gamma) = k_alpha
-        dg = lcm(1, *(x.denominator for x in gamma))
-        g_int = np.array([x.numerator * (dg // x.denominator)
-                          for x in gamma], dtype=np.int64)
-        vals = roots_int @ g_int
-        sat = []
-        for j, p in enumerate(positives):
-            kv = klabels[p.vec] * dg
-            if kv.denominator == 1 and vals[j] == kv.numerator:
-                sat.append(p.vec)
-        if len(sat) >= n and _int_rank(sat) >= n:
-            out.add(gamma)
-    return sorted(out)
+    vecs = [list(p.vec) for p in positives]
+    labels = [klabels[p.vec] for p in positives]
+    den = lcm(1, *(k.denominator for k in labels))
+    kint = [int(k * den) for k in labels]
+    norms = sorted((sum(x * x for x in v) + k * k
+                    for v, k in zip(vecs, kint)), reverse=True)
+    h2 = prod(max(1, x) for x in norms[:n])
+    exact = 2 * h2 < INT64_SAFE and (isqrt(h2) + 1) * den < INT64_SAFE
+    dtype = np.int64 if exact else object
+    rows = np.array(vecs, dtype=dtype)
+    kcol = np.array(kint, dtype=dtype)
+    found = set()
+    subsets = combinations(range(len(positives)), n)
+    while block := list(islice(subsets, GRADED_BLOCK)):
+        block = np.array(block, dtype=np.intp)
+        det = _bareiss_det(rows[block])
+        block, det = block[det != 0], det[det != 0]
+        mats, rhs = rows[block], kcol[block]
+        sign = np.where(det < 0, -1, 1)
+        frac = np.empty((len(det), n + 1), dtype=dtype)
+        for j in range(n):
+            cramer = mats.copy()
+            cramer[:, :, j] = rhs
+            frac[:, j] = _bareiss_det(cramer) * sign
+        frac[:, n] = det * sign * den
+        frac //= np.gcd.reduce(frac, axis=1)[:, None]
+        found.update(map(tuple, frac[_distinct_rows(frac)].tolist()))
+    return sorted(tuple(Fraction(x, row[-1]) for x in row[:-1])
+                  for row in found)
+
+
+def _bareiss_det(m):
+    """Determinants of a stack (count, n, n) of integer matrices by
+    Bareiss's fraction-free elimination with row pivoting, in place (the
+    stack is overwritten).  Every division is exact; an int64 stack must
+    keep its intermediates below 2^63 (see _candidate_gammas), a
+    dtype=object stack is exact on any input."""
+    import numpy as np
+    count, n = m.shape[0], m.shape[1]
+    at = np.arange(count)
+    sign = np.ones(count, dtype=m.dtype)
+    prev = np.ones(count, dtype=m.dtype)
+    for k in range(n - 1):
+        nonzero = m[:, k:, k] != 0
+        piv = k + nonzero.argmax(axis=1)
+        top = m[at, piv]
+        m[at, piv] = m[at, k]
+        m[at, k] = top
+        sign[piv != k] *= -1
+        p = m[:, k, k]
+        block = m[:, k + 1:, k + 1:]
+        block *= p[:, None, None]
+        block -= m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
+        block //= prev[:, None, None]
+        # a zero pivot left the trailing block zero; keep dividing by 1
+        prev = np.where(p == 0, 1, p)
+    return sign * m[:, n - 1, n - 1]
 
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
@@ -556,10 +529,6 @@ class ResidualCoset:
     def dim(self):
         return len(self.point.u) - len(self.support)
 
-    def tempered_radii(self):
-        """Split exponents of every coordinate on the tempered form."""
-        return self.point.r
-
     def to_json(self) -> dict:
         return {
             "parabolic": list(self.support),
@@ -594,16 +563,6 @@ def _k_group_elements(datum, combo):
     return out
 
 
-def _min_k_translate(point, k_elements):
-    best = None
-    for ku in k_elements:
-        cand = TorusPoint(tuple((a + b) % 1 for a, b in zip(point.u, ku)),
-                          point.r)
-        if best is None or cand.key() < best.key():
-            best = cand
-    return best
-
-
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
     """All residual cosets up to W0: lift residual points of each standard
     parabolic quotient datum and dedupe orbits canonically."""
@@ -622,14 +581,14 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
 
     orbits = {}
     for pc, point in raw:
-        (sig_support, sig_point), orbit_members = _coset_orbit_signature(
-            datum, pc.roots, point)
-        key = (sig_support, sig_point.key())
+        forms, dr = _coset_orbit(datum, pc.roots, point)
+        sig_support, row, du = min(forms)
+        base = _row_to_point(row, datum.rank, du, dr)
+        key = (sig_support, base.key())
         if key in orbits:
             continue
         std_roots = parabolic_subsystem_roots(datum, sig_support)
         k_std = _k_group_elements(datum, sig_support)
-        base = _min_k_translate(sig_point, k_std)
         poles, zeros = threshold_hits(datum, labels, base, roots=std_roots)
         idx = len(poles) - len(zeros)
         codim = len(sig_support)
@@ -646,7 +605,7 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
             k_l=len(k_std),
             pole_roots=poles,
             zero_roots=zeros,
-            orbit_size=len(orbit_members),
+            orbit_size=len(forms),
         )
         orbits[key] = coset
     out = sorted(orbits.values(),
@@ -654,32 +613,42 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
     return out
 
 
-def _coset_orbit_signature(datum, support_roots, point):
-    """Canonical signature of the W0-orbit of the coset (support, point),
-    plus the set of orbit members in standard form."""
+def _coset_orbit(datum, support_roots, point):
+    """The W0-orbit of the coset through `point` whose constant roots are
+    `support_roots`, in standard form and in the order of first occurrence
+    over the Weyl elements.
+
+    An image counts when its support is a standard parabolic subsystem
+    `combo`; its standard form is its lexicographically least K_L
+    translate.  Returns ([(combo, row, du)], dr): each row is the integer
+    tuple u + r, with u in units of 1/du (one du per combo) and r in units
+    of 1/dr, as _orbit_rows has it."""
     import numpy as np
     table, index = _support_tables(datum)
-    perms = root_permutations(datum)
     rows, du, dr = _orbit_rows(datum, point)
     n = datum.rank
-    members = set()
-    best = None
-    if support_roots:
-        sup_idx = np.array([index[r.vec] for r in support_roots],
-                           dtype=np.int32)
-        images = np.sort(perms[:, sup_idx], axis=1)
-    else:
-        images = None
-    for g in range(len(perms)):
-        combo = table.get(tuple(images[g]) if images is not None else ())
-        if combo is None:
-            continue
-        p_img = _row_to_point(rows[g], n, du, dr)
-        rep = _min_k_translate(p_img, _k_group_elements(datum, combo))
-        members.add((combo, rep.key()))
-        if best is None or (combo, rep.key()) < (best[0], best[1].key()):
-            best = (combo, rep)
-    return best, members
+    sup = np.array([index[r.vec] for r in support_roots], dtype=np.intp)
+    images = np.sort(root_permutations(datum)[:, sup], axis=1).tolist()
+    groups = {}
+    for g, img in enumerate(images):
+        combo = table.get(tuple(img))
+        if combo is not None:
+            groups.setdefault(combo, []).append(g)
+    found = []
+    for combo, gs in groups.items():
+        k_elems = _k_group_elements(datum, combo)
+        d = lcm(du, *(x.denominator for ku in k_elems for x in ku))
+        k_rows = np.array([[x.numerator * (d // x.denominator) for x in ku]
+                           for ku in k_elems], dtype=np.int64)
+        translates = ((rows[gs][:, None, :n] * (d // du) + k_rows[None]) % d
+                      ).reshape(-1, n)
+        owner = np.repeat(np.arange(len(gs)), len(k_rows))
+        least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
+        forms = np.concatenate([translates[least], rows[gs, n:]], axis=1)
+        for first in _distinct_rows(forms).tolist():
+            found.append((gs[first], combo, tuple(forms[first].tolist()), d))
+    found.sort(key=lambda f: f[0])
+    return [f[1:] for f in found], dr
 
 
 # -- classification suite ------------------------------------------------------
@@ -711,34 +680,6 @@ class SuiteReport:
                            for c in self.checks]}
 
 
-def _all_coset_members(datum, cosets):
-    """Expand orbit representatives into all cosets (support, point)."""
-    import numpy as np
-    table, index = _support_tables(datum)
-    perms = root_permutations(datum)
-    members = []
-    for coset in cosets:
-        rows, du, dr = _orbit_rows(datum, coset.point)
-        if coset.support_roots:
-            sup_idx = np.array([index[r.vec] for r in coset.support_roots],
-                               dtype=np.int32)
-            images = np.sort(perms[:, sup_idx], axis=1)
-        else:
-            images = None
-        seen = set()
-        for g in range(len(perms)):
-            combo = table.get(tuple(images[g]) if images is not None else ())
-            if combo is None:
-                continue
-            p_img = _row_to_point(rows[g], datum.rank, du, dr)
-            rep = _min_k_translate(p_img, _k_group_elements(datum, combo))
-            key = (combo, rep.key())
-            if key not in seen:
-                seen.add(key)
-                members.append((combo, rep, coset))
-    return members
-
-
 def classification_suite(datum: RootDatum, labels: LabelFunction,
                          check_nonintersection=False) -> SuiteReport:
     """Run the structural checks on the full enumeration: index equals
@@ -754,7 +695,12 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
         return SuiteReport(datum.typename, [CheckResult(
             "index-equals-codimension", False, str(exc), [exc.witness])])
 
-    members = _all_coset_members(datum, cosets)
+    # every coset of every orbit, in standard form
+    members = []
+    for coset in cosets:
+        forms, dr = _coset_orbit(datum, coset.support_roots, coset.point)
+        members.extend((combo, _row_to_point(row, datum.rank, du, dr), coset)
+                       for combo, row, du in forms)
 
     # nested cosets sharing a center must coincide
     bad = []
@@ -915,9 +861,6 @@ def _tempered_intersections(datum, members):
     for (c1, p1, rep1), (c2, p2, rep2) in combinations(members, 2):
         if rep1 is rep2:
             continue
-        if p1.r != p2.r:
-            # split parts of tempered points equal the base split part
-            pass
         if _tempered_meet(datum, c1, p1, c2, p2):
             bad.append(((c1, p1), (c2, p2)))
     return bad

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .lattice import (
     identity_matrix,
+    int_rank,
     integer_kernel,
     mat_inverse,
     mat_mul,
@@ -108,7 +109,10 @@ class RootDatum:
                 raise ValueError("pairing <alpha, alpha^vee> must be 2")
         self._generate_roots()
         self._weyl_cache = None
-        self._wmat_cache = None
+        # int64 stacks (|W0|, rank, rank) in weyl_elements() order: the
+        # Weyl matrices A and their inverse transposes A^{-T}
+        self._weyl_mats = None
+        self._weyl_invt = None
 
     # -- construction ---------------------------------------------------
 
@@ -270,37 +274,55 @@ class RootDatum:
     # -- Weyl group -------------------------------------------------------
 
     def weyl_elements(self):
-        """All elements of W0 as WeylElement, sorted by (length, word)."""
+        """All elements of W0 as WeylElement, sorted by (length, word).
+
+        Breadth-first on int64 stacks, one length at a time: the frontier
+        is sorted by word, each generator s_i is tried on each frontier
+        element in that order, and the first product found keeps its word
+        (i,) + word.  A product of length l +- 1 is new exactly when it is
+        not in the previous level.  The inverse transposes come along,
+        since (s_i A)^{-T} = s_i^T A^{-T} for the involution s_i.
+        """
+        import numpy as np
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.rank > 5:
             raise ValueError("rank cap exceeded for full Weyl enumeration")
-        gens = [self.simple_reflection_matrix(i) for i in range(self.n_simple)]
-        ident = tuple(tuple(int(i == j) for j in range(self.rank))
-                      for i in range(self.rank))
-        seen = {ident: ()}
-        frontier = [(ident, ())]
-        while frontier:
-            nxt = []
-            for mat, word in sorted(frontier, key=lambda t: t[1]):
-                for i, g in enumerate(gens):
-                    prod = tuple(tuple(sum(g[r][k] * mat[k][c]
-                                           for k in range(self.rank))
-                                       for c in range(self.rank))
-                                 for r in range(self.rank))
-                    if prod not in seen:
-                        seen[prod] = (i,) + word
-                        nxt.append((prod, (i,) + word))
-            frontier = nxt
-        elems = [WeylElement(m, w, self) for m, w in seen.items()]
-        elems.sort(key=lambda e: (e.length, e.word))
-        self._weyl_cache = elems
-        return elems
+        n = self.rank
+        gens = np.array([self.simple_reflection_matrix(i)
+                         for i in range(self.n_simple)],
+                        dtype=np.int64).reshape(self.n_simple, n, n)
+        gens_t = gens.transpose(0, 2, 1)
+        mats = [np.eye(n, dtype=np.int64)[None]]
+        invts = [mats[0]]
+        words = [()]
+        level_words = [()]
+        previous = np.zeros((0, n * n), dtype=np.int64)
+        while level_words and len(gens):
+            prods = (gens[None] @ mats[-1][:, None]).reshape(-1, n * n)
+            new = _distinct_rows(np.concatenate([previous, prods]))
+            new = new[new >= len(previous)] - len(previous)
+            j, gi = np.divmod(new, len(gens))
+            cand = [(i,) + level_words[k]
+                    for k, i in zip(j.tolist(), gi.tolist())]
+            by_word = sorted(range(len(cand)), key=cand.__getitem__)
+            level_words = [cand[t] for t in by_word]
+            words.extend(level_words)
+            j, gi, pick = j[by_word], gi[by_word], new[by_word]
+            previous = mats[-1].reshape(-1, n * n)
+            mats.append(prods.reshape(-1, n, n)[pick])
+            invts.append(gens_t[gi] @ invts[-1][j])
+        mats = np.concatenate(mats)
+        invts = np.concatenate(invts)
+        if not (mats @ invts.transpose(0, 2, 1) == np.eye(n)).all():
+            raise RuntimeError("inverse transposes do not invert W0")
+        self._weyl_mats, self._weyl_invt = mats, invts
+        self._weyl_cache = [WeylElement(tuple(map(tuple, m)), w, self)
+                            for m, w in zip(mats.tolist(), words)]
+        return self._weyl_cache
 
     def weyl_matrices(self):
-        if self._wmat_cache is None:
-            self._wmat_cache = [e.matrix for e in self.weyl_elements()]
-        return self._wmat_cache
+        return [e.matrix for e in self.weyl_elements()]
 
     def longest_element(self):
         return self.weyl_elements()[-1]
@@ -321,6 +343,17 @@ class RootDatum:
             return cls.from_type(data["type"], data["lattice"])
         basis = [[Fraction(x) for x in row] for row in data["basis_in_alpha"]]
         return cls.from_type(data["type"], basis)
+
+
+def _distinct_rows(rows):
+    """Ascending indices of the first occurrence of each distinct row of
+    an integer array (a stable lexsort: np.unique(axis=0) loads numpy.ma)."""
+    import numpy as np
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 @dataclass
@@ -654,33 +687,6 @@ class ParabolicClass:
         return u, r
 
 
-def _int_rank_rows(rows) -> int:
-    """Rank over Q of integer rows, by fraction-free elimination."""
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [lead * x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
 def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:
     """R_P = QP intersected with R0 for a subset P of simple roots
     (cached on the datum)."""
@@ -694,10 +700,10 @@ def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:
         cache[indices] = []
         return []
     span_rows = [list(datum.simple_roots[i]) for i in indices]
-    rank = _int_rank_rows(span_rows)
+    rank = int_rank(span_rows)
     out = []
     for r in datum.roots:
-        if _int_rank_rows(span_rows + [list(r.vec)]) == rank:
+        if int_rank(span_rows + [list(r.vec)]) == rank:
             out.append(r)
     cache[indices] = out
     return out
@@ -741,21 +747,28 @@ def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
 
 def root_permutations(datum: RootDatum):
     """For each Weyl element the permutation it induces on the sorted
-    root list, as a numpy array (cached on the datum)."""
+    root list, as a numpy array (cached on the datum).
+
+    A root r is keyed by <radix, r>, radix the powers of 2b + 1 for b the
+    largest root entry, so distinct roots get distinct keys; the keys of
+    the images A r are (radix A) r, looked up among the sorted keys."""
     import numpy as np
     cached = getattr(datum, "_rootperm_cache", None)
     if cached is not None:
         return cached
-    index = {r.vec: k for k, r in enumerate(datum.roots)}
-    perms = []
-    for a in datum.weyl_matrices():
-        perm = []
-        for r in datum.roots:
-            img = tuple(sum(a[i][j] * r.vec[j] for j in range(datum.rank))
-                        for i in range(datum.rank))
-            perm.append(index[img])
-        perms.append(perm)
-    cached = np.array(perms, dtype=np.int32)
+    if datum._weyl_mats is None:
+        datum.weyl_elements()
+    roots = np.array([r.vec for r in datum.roots],
+                     dtype=np.int64).reshape(-1, datum.rank)
+    base = 2 * int(np.abs(roots).max(initial=0)) + 1
+    radix = base ** np.arange(datum.rank, dtype=np.int64)
+    keys = roots @ radix
+    order = np.argsort(keys)
+    image_keys = (radix @ datum._weyl_mats) @ roots.T
+    pos = np.searchsorted(keys[order], image_keys).clip(max=len(keys) - 1)
+    if len(keys) and not (keys[order][pos] == image_keys).all():
+        raise RuntimeError("a Weyl image of a root is not a root")
+    cached = order[pos].astype(np.int32)
     datum._rootperm_cache = cached
     return cached
 
@@ -763,10 +776,10 @@ def root_permutations(datum: RootDatum):
 def parabolic_classes(datum: RootDatum) -> list[ParabolicClass]:
     """Standard parabolic subsets up to W0-conjugacy (one representative
     per class, including the empty set and all of F0); cached."""
+    import numpy as np
     cached = getattr(datum, "_parclass_cache", None)
     if cached is not None:
         return cached
-    import numpy as np
     from itertools import combinations
     n = datum.n_simple
     perms = root_permutations(datum)

@@ -362,11 +362,6 @@ class QLaurent:
         res.terms = {k + Fraction(e): c for k, c in self.terms.items()}
         return res
 
-    def scale_exponents(self, eps) -> "QLaurent":
-        res = QLaurent()
-        res.terms = {k * Fraction(eps): c for k, c in self.terms.items()}
-        return res
-
     def min_exponent(self):
         return min(self.terms) if self.terms else Fraction(0)
 

@@ -53,6 +53,17 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_classification_jobs_output_identical():
+    # two worker processes must print exactly what one process prints
+    argv = ("check", "--suite", "classification", "--type", "B2",
+            "--format", "json")
+    code1, out1 = run_cli(*argv, "--jobs", "1")
+    code2, out2 = run_cli(*argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert len(json.loads(out1)["rows"]) == 8
+    assert out2 == out1
+
+
 def test_check_scaling():
     code, out = run_cli("check", "--suite", "scaling", "--type", "B2",
                         "--eps", "2", "--format", "json")
