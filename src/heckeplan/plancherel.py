@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lattice import solve_unique
 from .residual import (
     ResidualCoset,
     TorusPoint,
     canonical_point,
-    dominant_split_representative,
     orbit_of_point,
     point_index,
-    residual_points,
+    residual_points,  # noqa: F401 (benchmarks/test_harness.py traces it here)
     steinberg_point,
 )
 from .rootdata import (
@@ -349,27 +349,22 @@ def subregular_c_reference(n: int) -> QRational:
 
 
 def fdim_subregular_c(n: int, qval=None) -> FormalDimensionReport:
-    """Locate the subregular residual point of the type-C_n datum with the
-    full weight lattice, assemble its mass with the known rational
-    constants, and compare exactly with the closed form (sign recorded)."""
+    """Solve for the real subregular point of the type-C_n datum with the
+    full weight lattice from its dominant simple-root values (q, ..., q,
+    1, q), check that it is residual, assemble its mass with the known
+    rational constants, and compare exactly with the closed form (sign
+    recorded)."""
     if n < 3:
         raise ValueError("the subregular family needs n >= 3")
     datum = RootDatum.from_type(f"C{n}", "P")
     labels = LabelFunction.equal(datum)
     target = tuple([F(1)] * (n - 2) + [F(0), F(1)])
-    found = None
-    for p in residual_points(datum, labels):
-        if any(x != 0 for x in p.u):
-            continue
-        dom = dominant_split_representative(datum, p)
-        vals = tuple(sum(F(v) * dom.r[i] for i, v in enumerate(
-            datum.simple_roots[j])) for j in range(n))
-        if vals == target:
-            found = dom
-            break
-    if found is None:
-        raise RuntimeError("subregular residual point not found")
-    density = m_point(datum, labels, found)
+    r = solve_unique([[F(c) for c in a] for a in datum.simple_roots],
+                     list(target))
+    found = TorusPoint.make([0] * n, r)
+    if point_index(datum, labels, found) != n:
+        raise RuntimeError("the subregular point is not residual")
+    density = m_point(datum, labels, found, check_residual=False)
     sign_n = 1 if n % 2 == 0 else -1
     # |W0 r| kappa-bar = (-1)^n (n+2)/4 and the residual degree is 1/(n+2)
     assembled = QRational.constant(F(sign_n, 4)) * density

@@ -1,17 +1,23 @@
 """Enumeration and classification of residual points and residual cosets.
 
 Torus points are exact: coordinate i holds (u_i in Q/Z, r_i in Q) with the
-meaning x(t) = e^{2 pi i <x,u>} q^{<x,r>}.  A point is residual when its
-pole-minus-zero count against the label thresholds equals the rank; cosets
-are lifted from residual points of parabolic quotient data.
+meaning x(t) = e^{2 pi i <x,u>} q^{<x,r>}, stored as one denominator D and
+integer numerators (u mod D, r) in lowest terms.  Character values go
+through one integer pairing, `TorusPoint.pairing`; Weyl images are integer
+rows over D, on int64 stacks when a bound allows and on Python integers
+otherwise.  A point is residual when its pole-minus-zero count against the
+label thresholds equals the rank; cosets are lifted from residual points of
+parabolic quotient data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .lattice import (
     int_rank,
@@ -26,6 +32,8 @@ from .rootdata import (
     RootDatum,
     _distinct_rows,
     parabolic_classes,
+    parabolic_subsystem_roots,
+    reflection_closure,
     restrict_labels,
     root_permutations,
 )
@@ -41,58 +49,123 @@ class TheoremViolation(AssertionError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+def _numerators(values):
+    """(D, numerators) of a sequence of ints and Fractions over their
+    least common denominator D."""
+    den = lcm(1, *(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 class TorusPoint:
-    u: tuple  # Fractions mod 1
-    r: tuple  # Fractions
+    """An exact torus point: `den` > 0 and the integer numerator tuples
+    `un` (entries in [0, den)) and `rn`, in lowest terms.  `u` and `r`
+    are the same coordinates as Fraction tuples, built on first use."""
+
+    def __init__(self, u, r):
+        """The point with rational coordinates u (taken mod 1) and r."""
+        self.den, nums = _numerators([Fraction(x) for x in (*u, *r)])
+        self.un = tuple(x % self.den for x in nums[:len(u)])
+        self.rn = tuple(nums[len(u):])
+
+    @classmethod
+    def from_numerators(cls, den, un, rn) -> "TorusPoint":
+        """The point (un mod den, rn) / den for integers den > 0, un, rn,
+        brought to lowest terms."""
+        g = gcd(den, *un, *rn)
+        if g > 1:
+            den //= g
+            un = [x // g for x in un]
+            rn = [x // g for x in rn]
+        pt = cls.__new__(cls)
+        pt.den = den
+        pt.un = tuple(x % den for x in un)
+        pt.rn = tuple(rn)
+        return pt
 
     @classmethod
     def make(cls, u, r) -> "TorusPoint":
-        return cls(tuple(Fraction(x) % 1 for x in u),
-                   tuple(Fraction(x) for x in r))
+        return cls(u, r)
 
     @classmethod
     def identity(cls, rank: int) -> "TorusPoint":
-        z = tuple(Fraction(0) for _ in range(rank))
-        return cls(z, z)
+        return cls.from_numerators(1, (0,) * rank, (0,) * rank)
+
+    @cached_property
+    def u(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.un)
+
+    @cached_property
+    def r(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.rn)
+
+    def __eq__(self, other):
+        return isinstance(other, TorusPoint) and self.den == other.den \
+            and self.un == other.un and self.rn == other.rn
+
+    def __hash__(self):
+        return hash((self.den, self.un, self.rn))
+
+    def __repr__(self):
+        return f"TorusPoint(u={self.u!r}, r={self.r!r})"
+
+    def pairing(self, vec):
+        """(<vec,u> mod 1, <vec,r>) as integer numerators over `den`: the
+        character vec takes the value e^{2 pi i un/den} q^{rn/den}."""
+        return (sum(map(mul, vec, self.un)) % self.den,
+                sum(map(mul, vec, self.rn)))
+
+    def takes(self, vec, u0, r0) -> bool:
+        """Whether the character vec takes the value e^{2 pi i u0} q^{r0}
+        at the point (u0, r0 rational)."""
+        un, rn = self.pairing(vec)
+        return rn * r0.denominator == r0.numerator * self.den and \
+            (un * u0.denominator - u0.numerator * self.den) % \
+            (self.den * u0.denominator) == 0
+
+    def agrees_on(self, other: "TorusPoint", vecs) -> bool:
+        """Whether every character in vecs takes the same value at both
+        points."""
+        d1, d2 = self.den, other.den
+        for vec in vecs:
+            u1, r1 = self.pairing(vec)
+            u2, r2 = other.pairing(vec)
+            if r1 * d2 != r2 * d1 or (u1 * d2 - u2 * d1) % (d1 * d2):
+                return False
+        return True
 
     def value_of(self, vec):
-        """(u, r) of the character value x(t) = e^{2 pi i u} q^r."""
-        u = sum(Fraction(v) * self.u[i] for i, v in enumerate(vec)) % 1
-        r = sum(Fraction(v) * self.r[i] for i, v in enumerate(vec))
-        return u, r
+        """(u, r) of the character value x(t) = e^{2 pi i u} q^r, as
+        Fractions."""
+        un, rn = self.pairing(vec)
+        return Fraction(un, self.den), Fraction(rn, self.den)
 
     def inverse(self) -> "TorusPoint":
-        return TorusPoint(tuple((-x) % 1 for x in self.u),
-                          tuple(-x for x in self.r))
+        return TorusPoint.from_numerators(
+            self.den, [-x for x in self.un], [-x for x in self.rn])
 
     def star(self) -> "TorusPoint":
         """The conjugate-inverse t* (split exponents negated)."""
-        return TorusPoint(self.u, tuple(-x for x in self.r))
-
-    def unitary_part(self) -> "TorusPoint":
-        return TorusPoint(self.u, tuple(Fraction(0) for _ in self.r))
+        return TorusPoint.from_numerators(self.den, self.un,
+                                          [-x for x in self.rn])
 
     def split_part(self) -> "TorusPoint":
-        return TorusPoint(tuple(Fraction(0) for _ in self.u), self.r)
-
-    def mul(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(tuple((a + b) % 1 for a, b in zip(self.u, other.u)),
-                          tuple(a + b for a, b in zip(self.r, other.r)))
+        return TorusPoint.from_numerators(self.den, (0,) * len(self.un),
+                                          self.rn)
 
     def transform(self, inv_t):
         """Image under the Weyl element whose inverse-transpose matrix on X
-        is inv_t (rows act on the functional coordinates)."""
-        n = len(self.u)
-        u = tuple(sum(inv_t[i][j] * self.u[j] for j in range(n)) % 1
-                  for i in range(n))
-        r = tuple(sum(inv_t[i][j] * self.r[j] for j in range(n))
-                  for i in range(n))
-        return TorusPoint(u, r)
+        is inv_t (rows act on the functional coordinates); a non-square
+        inv_t maps to a torus of another rank."""
+        return TorusPoint.from_numerators(
+            self.den, [sum(map(mul, row, self.un)) for row in inv_t],
+            [sum(map(mul, row, self.rn)) for row in inv_t])
 
     def scale_split(self, eps) -> "TorusPoint":
         eps = Fraction(eps)
-        return TorusPoint(self.u, tuple(x * eps for x in self.r))
+        return TorusPoint.from_numerators(
+            self.den * eps.denominator,
+            [x * eps.denominator for x in self.un],
+            [x * eps.numerator for x in self.rn])
 
     def key(self):
         return (self.u, self.r)
@@ -101,47 +174,59 @@ class TorusPoint:
 # -- Weyl action helpers ------------------------------------------------------
 
 
+INT64_SAFE = 1 << 62        # bound on every int64 intermediate
+
+
 def inverse_transpose_matrices(datum: RootDatum):
     """(A^{-1})^T for every Weyl matrix A, as integer tuples; the point
     image of w with matrix A has functional vectors (A^{-1})^T u."""
-    return [tuple(map(tuple, m)) for m in _np_invt(datum).tolist()]
+    return [tuple(map(tuple, m)) for m in _weyl_action(datum)[0].tolist()]
 
 
-def _np_invt(datum):
-    """The int64 stack of inverse transposes, built with the Weyl group."""
+def _weyl_action(datum):
+    """(the int64 stack of inverse transposes of W0, its largest row
+    1-norm), built with the Weyl group."""
     if datum._weyl_invt is None:
         datum.weyl_elements()
-    return datum._weyl_invt
+    return datum._weyl_invt, datum._weyl_invt_norm
 
 
-def _orbit_rows(datum, point):
-    """All orbit images as integer rows (u scaled mod du, then r scaled),
-    plus the scale factors; integer arithmetic keeps everything exact and
-    the common scaling preserves lexicographic order."""
+def _graded_action(datum, roots):
+    """(inverse transposes, largest row 1-norm) of the subgroup generated
+    by the reflections in the given roots, as `_weyl_action` has them."""
     import numpy as np
     n = datum.rank
-    du = lcm(1, *(x.denominator for x in point.u)) if n else 1
-    dr = lcm(1, *(x.denominator for x in point.r)) if n else 1
-    u_int = np.array([x.numerator * (du // x.denominator) for x in point.u],
-                     dtype=np.int64)
-    r_int = np.array([x.numerator * (dr // x.denominator) for x in point.r],
-                     dtype=np.int64)
-    mats = _np_invt(datum)
-    imgs_u = (mats @ u_int) % du if du > 1 else (mats @ u_int) * 0
-    imgs_r = mats @ r_int
-    return np.concatenate([imgs_u, imgs_r], axis=1), du, dr
+    vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
+        [r.vec for r in roots], [r.coroot for r in roots]))
+    gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
+    _, invts, _ = reflection_closure(gens, n)
+    return invts, int(np.abs(invts).sum(axis=2).max(initial=0))
 
 
-def _row_to_point(row, n, du, dr) -> TorusPoint:
-    u = tuple(Fraction(int(x), du) % 1 for x in row[:n])
-    r = tuple(Fraction(int(x), dr) for x in row[n:])
-    return TorusPoint(u, r)
+def _orbit_rows(point, invts, norm):
+    """The images of the point under a stack of inverse transposes whose
+    largest row 1-norm is `norm`, as integer rows over point.den: the u
+    numerators reduced mod den, then the r numerators.  The common
+    denominator preserves lexicographic order.  An entry of an image is
+    at most norm * max(den, |r numerators|), so the product runs on int64
+    below 2^62 and on Python integers (dtype=object) above it."""
+    import numpy as np
+    if norm * max(point.den, *map(abs, point.rn)) >= INT64_SAFE:
+        invts = invts.astype(object)
+    vecs = np.array([point.un, point.rn], dtype=invts.dtype).T
+    imgs = invts @ vecs
+    return np.concatenate([imgs[:, :, 0] % point.den, imgs[:, :, 1]], axis=1)
+
+
+def _row_to_point(row, den) -> TorusPoint:
+    n = len(row) // 2
+    return TorusPoint.from_numerators(den, row[:n], row[n:])
 
 
 def orbit_of_point(datum: RootDatum, point: TorusPoint):
-    rows, du, dr = _orbit_rows(datum, point)
-    return {_row_to_point(row, datum.rank, du, dr)
-            for row in rows[_distinct_rows(rows)]}
+    rows = _orbit_rows(point, *_weyl_action(datum))
+    return {_row_to_point(row, point.den)
+            for row in rows[_distinct_rows(rows)].tolist()}
 
 
 def _support_tables(datum):
@@ -150,12 +235,10 @@ def _support_tables(datum):
     cached = getattr(datum, "_supidx_cache", None)
     if cached is not None:
         return cached
-    from itertools import combinations as _comb
-    from .rootdata import parabolic_subsystem_roots
     index = {r.vec: k for k, r in enumerate(datum.roots)}
     table = {}
     for size in range(datum.n_simple + 1):
-        for combo in _comb(range(datum.n_simple), size):
+        for combo in combinations(range(datum.n_simple), size):
             key = tuple(sorted(index[r.vec] for r in
                                parabolic_subsystem_roots(datum, combo)))
             table.setdefault(key, combo)
@@ -167,23 +250,23 @@ def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     """Deterministic orbit representative: lexicographically minimal
     (u vector, then r vector)."""
     import numpy as np
-    rows, du, dr = _orbit_rows(datum, point)
+    rows = _orbit_rows(point, *_weyl_action(datum))
     idx = np.lexsort(rows.T[::-1])
-    return _row_to_point(rows[idx[0]], datum.rank, du, dr)
+    return _row_to_point(rows[idx[0]].tolist(), point.den)
 
 
 def dominant_split_representative(datum: RootDatum, point: TorusPoint):
     """Orbit member whose split exponent vector is dominant (all simple
     roots pair >= 0); ties broken by the lexicographically minimal u."""
     import numpy as np
-    rows, du, dr = _orbit_rows(datum, point)
+    rows = _orbit_rows(point, *_weyl_action(datum))
     n = datum.rank
     simple = np.array([list(v) for v in datum.simple_roots], dtype=np.int64)
     pair = rows[:, n:] @ simple.T
     ok = np.all(pair >= 0, axis=1)
     good = rows[ok]
     idx = np.lexsort(good.T[::-1])
-    return _row_to_point(good[idx[0]], n, du, dr)
+    return _row_to_point(good[idx[0]].tolist(), point.den)
 
 
 # -- pole/zero thresholds and the index ---------------------------------------
@@ -193,15 +276,19 @@ def threshold_hits(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
                    roots=None):
     """(pole_roots, zero_roots) among the given roots (default all of R0):
     a root alpha is a pole hit when alpha(t) equals q^a or -q^b for its
-    label exponents, and a zero hit when alpha(t) = +-1."""
+    label exponents, and a zero hit when alpha(t) = +-1.  In numerators
+    over D = point.den: u is 0 or D/2, and r is 0 or a D, b D."""
+    den = point.den
     poles, zeros = [], []
     for root in (roots if roots is not None else datum.roots):
-        u, r = point.value_of(root.vec)
-        a = labels.pole_exponent(root.vec)
-        b = labels.minus_pole_exponent(root.vec)
-        if (u == 0 and r == a) or (u == Fraction(1, 2) and r == b):
+        un, rn = point.pairing(root.vec)
+        if un and 2 * un != den:
+            continue
+        a, b = labels.thresholds[root.vec]
+        c = a if un == 0 else b
+        if rn * c.denominator == c.numerator * den:
             poles.append(root)
-        if r == 0 and (u == 0 or u == Fraction(1, 2)):
+        if rn == 0:
             zeros.append(root)
     return poles, zeros
 
@@ -214,7 +301,6 @@ def point_index(datum, labels, point, roots=None) -> int:
 def coset_index(datum, labels, support_indices, point) -> int:
     """Index i_L of the coset through `point` with parabolic support given
     by simple-root indices (the roots constant on the coset)."""
-    from .rootdata import parabolic_subsystem_roots
     roots = parabolic_subsystem_roots(datum, support_indices)
     return point_index(datum, labels, point, roots)
 
@@ -309,17 +395,10 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         if rep in seen:
             continue
         seen.add(rep)
-        r_s1 = [r for r in datum.r1 if rep.value_of(r.vec)[0] == 0]
+        r_s1 = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
         if int_rank([r.vec for r in r_s1]) < n:
             continue
-        r_s0 = []
-        for r in datum.roots:
-            uval = rep.value_of(r.vec)[0]
-            if datum.doubled[r.vec]:
-                if uval in (0, Fraction(1, 2)):
-                    r_s0.append(r)
-            elif uval == 0:
-                r_s0.append(r)
+        r_s0 = [r for r in datum.roots if _in_graded_system(datum, r, rep)]
         out.append(UnitaryCandidate(rep, r_s1, r_s0))
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
@@ -366,14 +445,9 @@ def graded_labels(datum, labels, cand: UnitaryCandidate) -> dict:
     """Exponent k_alpha (of q) for each root of the graded system: the
     positive-pole exponent when alpha(s) = 1 and the negative-pole exponent
     when alpha(s) = -1."""
-    out = {}
-    for r in cand.r_s0:
-        uval = cand.point.value_of(r.vec)[0]
-        if uval == 0:
-            out[r.vec] = labels.pole_exponent(r.vec)
-        else:
-            out[r.vec] = labels.minus_pole_exponent(r.vec)
-    return out
+    pt = cand.point
+    return {r.vec: labels.thresholds[r.vec][0 if pt.pairing(r.vec)[0] == 0
+                                            else 1] for r in cand.r_s0}
 
 
 def graded_residual_points(datum, subsystem, klabels, rank=None):
@@ -392,15 +466,12 @@ def graded_residual_points(datum, subsystem, klabels, rank=None):
     # alpha(gamma) = k_alpha as integers: vals / dg = knum / kden, in
     # Python integers (dtype=object) so that no label size can wrap
     vecs = np.array([r.vec for r in subsystem], dtype=object)
-    kvals = [klabels[_abs_vec(r)] for r in subsystem]
-    kden = lcm(1, *(k.denominator for k in kvals))
-    knum = np.array([k.numerator * (kden // k.denominator) for k in kvals],
-                    dtype=object)
+    kden, knum = _numerators([klabels[_abs_vec(r)] for r in subsystem])
+    knum = np.array(knum, dtype=object)
     kept = {}
     for gamma in candidates:
-        dg = lcm(1, *(x.denominator for x in gamma))
-        vals = vecs @ np.array([x.numerator * (dg // x.denominator)
-                                for x in gamma], dtype=object)
+        dg, nums = _numerators(gamma)
+        vals = vecs @ np.array(nums, dtype=object)
         poles = int((vals * kden == knum * dg).sum())
         zeros = int((vals == 0).sum())
         i = poles - zeros
@@ -418,7 +489,6 @@ def _abs_vec(root):
 
 
 GRADED_BLOCK = 1 << 11      # n-subsets solved per batch of the graded search
-INT64_SAFE = 1 << 62        # bound on every int64 intermediate
 
 
 def _candidate_gammas(positives, klabels, n):
@@ -434,9 +504,7 @@ def _candidate_gammas(positives, klabels, n):
     integers (dtype=object)."""
     import numpy as np
     vecs = [list(p.vec) for p in positives]
-    labels = [klabels[p.vec] for p in positives]
-    den = lcm(1, *(k.denominator for k in labels))
-    kint = [int(k * den) for k in labels]
+    den, kint = _numerators([klabels[p.vec] for p in positives])
     norms = sorted((sum(x * x for x in v) + k * k
                     for v, k in zip(vecs, kint)), reverse=True)
     h2 = prod(max(1, x) for x in norms[:n])
@@ -542,9 +610,11 @@ class ResidualCoset:
         }
 
 
-def _k_group_elements(datum, combo):
-    """Elements of K_L = T_L cap T^L (as u-vectors) for the standard
-    parabolic subset `combo`; cached on the datum."""
+def _k_group(datum, combo):
+    """(low, den, elements) for the standard parabolic subset `combo`:
+    low is a basis of the saturated lattice spanned by its simple roots,
+    and the elements of K_L = T_L cap T^L are integer u-vectors over den;
+    cached on the datum."""
     cache = getattr(datum, "_kgroup_cache", None)
     if cache is None:
         cache = datum._kgroup_cache = {}
@@ -553,42 +623,42 @@ def _k_group_elements(datum, combo):
         return cache[combo]
     n = datum.rank
     if not combo:
-        out = [tuple(Fraction(0) for _ in range(n))]
+        entry = ([], 1, [(0,) * n])
     else:
         low = saturate([list(datum.simple_roots[i]) for i in combo], n)
         up = integer_kernel([list(datum.simple_coroots[i]) for i in combo])
-        cols = transpose(low + up)
-        out = quotient_dual_elements(cols, n)
-    cache[combo] = out
-    return out
+        elems = quotient_dual_elements(transpose(low + up), n)
+        den, nums = _numerators([x for ku in elems for x in ku])
+        entry = (low, den, [tuple(nums[i:i + n])
+                            for i in range(0, len(nums), n)])
+    cache[combo] = entry
+    return entry
 
 
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
     """All residual cosets up to W0: lift residual points of each standard
     parabolic quotient datum and dedupe orbits canonically."""
     classes = parabolic_classes(datum)
-    from .rootdata import parabolic_subsystem_roots
-
     raw = []
     for pc in classes:
         if not pc.indices:
             raw.append((pc, TorusPoint.identity(datum.rank)))
             continue
         sub_labels = restrict_labels(labels, pc)
-        for sub_pt in residual_points(pc.sub_datum, sub_labels):
-            u, r = pc.embed_point_vectors(sub_pt.u, sub_pt.r)
-            raw.append((pc, TorusPoint.make(u, r)))
+        # pull T_P points back to T along X -> X_P
+        embed = transpose(pc.y_basis)
+        raw.extend((pc, sub_pt.transform(embed))
+                   for sub_pt in residual_points(pc.sub_datum, sub_labels))
 
     orbits = {}
     for pc, point in raw:
-        forms, dr = _coset_orbit(datum, pc.roots, point)
-        sig_support, row, du = min(forms)
-        base = _row_to_point(row, datum.rank, du, dr)
-        key = (sig_support, base.key())
+        forms = _coset_orbit(datum, pc.roots, point)
+        sig_support, row, den = min(forms)
+        base = _row_to_point(row, den)
+        key = (sig_support, base)
         if key in orbits:
             continue
         std_roots = parabolic_subsystem_roots(datum, sig_support)
-        k_std = _k_group_elements(datum, sig_support)
         poles, zeros = threshold_hits(datum, labels, base, roots=std_roots)
         idx = len(poles) - len(zeros)
         codim = len(sig_support)
@@ -601,8 +671,8 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
             support_roots=std_roots,
             point=base,
             index=idx,
-            center=base.split_part().r,
-            k_l=len(k_std),
+            center=base.r,
+            k_l=len(_k_group(datum, sig_support)[2]),
             pole_roots=poles,
             zero_roots=zeros,
             orbit_size=len(forms),
@@ -620,12 +690,12 @@ def _coset_orbit(datum, support_roots, point):
 
     An image counts when its support is a standard parabolic subsystem
     `combo`; its standard form is its lexicographically least K_L
-    translate.  Returns ([(combo, row, du)], dr): each row is the integer
-    tuple u + r, with u in units of 1/du (one du per combo) and r in units
-    of 1/dr, as _orbit_rows has it."""
+    translate.  Returns [(combo, row, den)]: each row is the integer tuple
+    u + r over den (one den per combo), as _orbit_rows has it."""
     import numpy as np
     table, index = _support_tables(datum)
-    rows, du, dr = _orbit_rows(datum, point)
+    invts, norm = _weyl_action(datum)
+    rows = _orbit_rows(point, invts, norm)
     n = datum.rank
     sup = np.array([index[r.vec] for r in support_roots], dtype=np.intp)
     images = np.sort(root_permutations(datum)[:, sup], axis=1).tolist()
@@ -634,21 +704,23 @@ def _coset_orbit(datum, support_roots, point):
         combo = table.get(tuple(img))
         if combo is not None:
             groups.setdefault(combo, []).append(g)
+    peak = norm * max(point.den, *map(abs, point.rn))
     found = []
     for combo, gs in groups.items():
-        k_elems = _k_group_elements(datum, combo)
-        d = lcm(du, *(x.denominator for ku in k_elems for x in ku))
-        k_rows = np.array([[x.numerator * (d // x.denominator) for x in ku]
-                           for ku in k_elems], dtype=np.int64)
-        translates = ((rows[gs][:, None, :n] * (d // du) + k_rows[None]) % d
-                      ).reshape(-1, n)
+        _, kden, k_elems = _k_group(datum, combo)
+        d = lcm(point.den, kden)
+        scale = d // point.den
+        own = rows[gs] * scale if peak * scale < INT64_SAFE else \
+            rows[gs].astype(object) * scale
+        k_rows = np.array(k_elems, dtype=own.dtype) * (d // kden)
+        translates = ((own[:, None, :n] + k_rows[None]) % d).reshape(-1, n)
         owner = np.repeat(np.arange(len(gs)), len(k_rows))
         least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
-        forms = np.concatenate([translates[least], rows[gs, n:]], axis=1)
+        forms = np.concatenate([translates[least], own[:, n:]], axis=1)
         for first in _distinct_rows(forms).tolist():
             found.append((gs[first], combo, tuple(forms[first].tolist()), d))
     found.sort(key=lambda f: f[0])
-    return [f[1:] for f in found], dr
+    return [f[1:] for f in found]
 
 
 # -- classification suite ------------------------------------------------------
@@ -686,6 +758,7 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     codimension, nested cosets have distinct centers, conjugate-inverse
     points stay in the graded orbit, split exponents lie in the label
     half-group, and order two on doubled summands."""
+    import numpy as np
     checks = []
     try:
         cosets = residual_cosets(datum, labels)
@@ -695,25 +768,8 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
         return SuiteReport(datum.typename, [CheckResult(
             "index-equals-codimension", False, str(exc), [exc.witness])])
 
-    # every coset of every orbit, in standard form
-    members = []
-    for coset in cosets:
-        forms, dr = _coset_orbit(datum, coset.support_roots, coset.point)
-        members.extend((combo, _row_to_point(row, datum.rank, du, dr), coset)
-                       for combo, row, du in forms)
-
-    # nested cosets sharing a center must coincide
-    bad = []
-    by_center = {}
-    for combo, pt, _ in members:
-        by_center.setdefault(pt.r, []).append((combo, pt))
-    for center, group in by_center.items():
-        for (c1, p1), (c2, p2) in combinations(group, 2):
-            if (c1, p1.key()) == (c2, p2.key()):
-                continue
-            if _coset_contains(datum, c1, p1, c2, p2) or \
-               _coset_contains(datum, c2, p2, c1, p1):
-                bad.append((c1, p1, c2, p2))
+    members = _coset_members(datum, cosets)
+    bad = _nested_coset_violations(datum, members)
     checks.append(CheckResult("nested-cosets-distinct-centers", not bad,
                               f"{len(members)} cosets compared",
                               bad[:3]))
@@ -722,27 +778,31 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
 
     # conjugate-inverse stays in the orbit of the graded reflection group
     bad = []
+    actions = {}
     for pt in points:
-        sub = [r for r in datum.roots if _in_graded_system(datum, r, pt)]
-        group = _reflection_subgroup_inv_t(datum, sub)
-        orbit = {pt.transform(m) for m in group}
-        if pt.star() not in orbit:
+        gens = tuple(r for r in datum.positive_roots
+                     if _in_graded_system(datum, r, pt))
+        if gens not in actions:
+            actions[gens] = _graded_action(datum, gens)
+        rows = _orbit_rows(pt, *actions[gens])
+        star = pt.star()
+        if not (rows == np.array(star.un + star.rn, dtype=rows.dtype)
+                ).all(axis=1).any():
             bad.append(pt)
     checks.append(CheckResult("conjugate-inverse-in-graded-orbit", not bad,
                               f"{len(points)} point orbit(s)", bad[:3]))
 
-    # split exponents lie in the half-group generated by the labels
-    gens = set()
+    # split exponents lie in the half-group g Z generated by the labels
+    g = Fraction(0)
     for f0, f1 in labels.pairs.values():
-        gens.add(Fraction(f0, 2))
-        gens.add(Fraction(f1, 2))
-    gens.discard(Fraction(0))
+        g = _frac_gcd(_frac_gcd(g, Fraction(f0, 2)), Fraction(f1, 2))
     bad = []
     for pt in points:
         for root in datum.roots:
-            _, rexp = pt.value_of(root.vec)
-            if not _in_fraction_group(rexp, gens):
-                bad.append((pt, root.vec, rexp))
+            rn = pt.pairing(root.vec)[1]
+            if rn and not (g and rn * g.denominator %
+                           (pt.den * g.numerator) == 0):
+                bad.append((pt, root.vec, Fraction(rn, pt.den)))
     checks.append(CheckResult("split-exponents-in-label-group", not bad,
                               "", bad[:3]))
 
@@ -755,8 +815,7 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
             if not any(datum.doubled[r.vec] for r in comp_roots):
                 continue
             for r in comp_roots:
-                uval = pt.value_of(r.vec)[0]
-                if (2 * uval) % 1 != 0:
+                if 2 * pt.pairing(r.vec)[0] % pt.den:
                     bad.append((pt, r.vec))
     checks.append(CheckResult("order-two-on-doubled-summands", not bad,
                               "", bad[:3]))
@@ -768,91 +827,56 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
 
 
+def _coset_members(datum, cosets):
+    """Every coset of every orbit, in standard form: (combo, point,
+    orbit representative)."""
+    return [(combo, _row_to_point(row, den), coset)
+            for coset in cosets
+            for combo, row, den in _coset_orbit(
+                datum, coset.support_roots, coset.point)]
+
+
+def _nested_coset_violations(datum, members):
+    """Pairs (c1, p1, c2, p2) of distinct cosets among the members (combo,
+    point, orbit) that share a center and of which one contains the
+    other: nested cosets sharing a center must coincide."""
+    bad = []
+    by_center = {}
+    for combo, pt, _ in members:
+        by_center.setdefault(pt.split_part(), []).append((combo, pt))
+    for group in by_center.values():
+        for (c1, p1), (c2, p2) in combinations(group, 2):
+            if (c1, p1) == (c2, p2):
+                continue
+            if _coset_contains(datum, c1, p1, c2, p2) or \
+               _coset_contains(datum, c2, p2, c1, p1):
+                bad.append((c1, p1, c2, p2))
+    return bad
+
+
 def _coset_contains(datum, combo_small, pt_small, combo_big, pt_big):
     """Whether the coset (combo_small, pt_small) is contained in the bigger
-    one; requires the bigger support to sit inside the smaller."""
-    from .rootdata import parabolic_subsystem_roots
-    small_roots = {r.vec for r in parabolic_subsystem_roots(datum, combo_small)}
-    big_roots = {r.vec for r in parabolic_subsystem_roots(datum, combo_big)}
-    if not big_roots <= small_roots:
-        return False
-    if len(combo_big) > len(combo_small):
-        return False
-    low = saturate([list(datum.simple_roots[i]) for i in combo_big],
-                   datum.rank) if combo_big else []
-    for x in low:
-        if pt_small.value_of(x) != pt_big.value_of(x):
-            return False
-    return True
+    one: R_big is inside R_small, which for standard parabolic subsets
+    means combo_big is a subset of combo_small, and the two points agree
+    on the saturated lattice spanned by R_big."""
+    return set(combo_big) <= set(combo_small) and \
+        pt_small.agrees_on(pt_big, _k_group(datum, combo_big)[0])
 
 
 def _in_graded_system(datum, root, point):
-    uval = point.value_of(root.vec)[0]
+    """Whether alpha(s) = 1 for the unitary part s, or alpha(s) = -1 on a
+    doubled root."""
+    un = point.pairing(root.vec)[0]
     if datum.doubled[root.vec]:
-        return uval in (0, Fraction(1, 2))
-    return uval == 0
-
-
-def _reflection_subgroup_inv_t(datum, roots):
-    """Inverse-transpose matrices of the subgroup generated by the
-    reflections in the given roots; inverses are tracked through the
-    closure (generators are involutions), cached per root set."""
-    cache = getattr(datum, "_refl_cache", None)
-    if cache is None:
-        cache = datum._refl_cache = {}
-    key = frozenset(r.vec for r in roots)
-    if key in cache:
-        return cache[key]
-    n = datum.rank
-    gens = set()
-    for r in roots:
-        mat = tuple(tuple(int(i == j) - r.vec[i] * r.coroot[j]
-                          for j in range(n)) for i in range(n))
-        gens.add(mat)
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    group = {ident: ident}  # element -> inverse
-    frontier = [ident]
-
-    def mul(a, b):
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                           for j in range(n)) for i in range(n))
-
-    while frontier:
-        nxt = []
-        for m in frontier:
-            minv = group[m]
-            for g in gens:
-                prod = mul(g, m)
-                if prod not in group:
-                    group[prod] = mul(minv, g)  # (g m)^{-1} = m^{-1} g
-                    nxt.append(prod)
-        frontier = nxt
-    out = [tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
-           for inv in group.values()]
-    cache[key] = out
-    return out
-
-
-def _in_fraction_group(x: Fraction, gens) -> bool:
-    if x == 0:
-        return True
-    if not gens:
-        return False
-    g = Fraction(0)
-    for v in gens:
-        g = _frac_gcd(g, v)
-    return (x / g).denominator == 1
+        return 2 * un % point.den == 0
+    return un == 0
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    den = a.denominator * b.denominator
-    return Fraction(num, den)
+    """The generator of aZ + bZ (non-negative)."""
+    return Fraction(gcd(a.numerator * b.denominator,
+                        b.numerator * a.denominator),
+                    a.denominator * b.denominator)
 
 
 def _tempered_intersections(datum, members):
@@ -868,35 +892,16 @@ def _tempered_intersections(datum, members):
 
 def _tempered_meet(datum, c1, p1, c2, p2):
     """Whether r1 T^{L1}_u meets r2 T^{L2}_u (exact)."""
-    n = datum.rank
     # every point of L^temp has the split exponent vector of the base
-    if p1.r != p2.r:
+    if p1.split_part() != p2.split_part():
         return False
     # unitary parts: (u1 + U1) meets (u2 + U2) in (Q/Z)^n iff u1 - u2 lies
     # in U1 + U2, where U_i = Ann(_L_i X) is the unitary part of T^{L_i};
     # by Q/Z-duality U1 + U2 = Ann(_L_1 X cap _L_2 X).
-    low1 = saturate([list(datum.simple_roots[i]) for i in c1], n) if c1 else []
-    low2 = saturate([list(datum.simple_roots[i]) for i in c2], n) if c2 else []
-    target = [(a - b) % 1 for a, b in zip(p1.u, p2.u)]
-    return _annihilator_sum_contains(datum, low1, low2, target)
-
-
-def _annihilator_sum_contains(datum, low1, low2, target):
-    """Whether target (in (Q/Z)^n) lies in Ann(low1) + Ann(low2), where
-    Ann(S) = {u : <x,u> in Z for all x in S}."""
-    # Ann(low1) + Ann(low2) = Ann(span_Z(low1) cap span_Z(low2)) for
-    # saturated sublattices; compute the intersection lattice.
-    n = datum.rank
+    low1, low2 = _k_group(datum, c1)[0], _k_group(datum, c2)[0]
     if not low1 or not low2:
         return True  # one annihilator is everything
-    inter = _lattice_intersection(low1, low2, n)
-    if not inter:
-        return True
-    for x in inter:
-        val = sum(Fraction(v) * target[i] for i, v in enumerate(x)) % 1
-        if val != 0:
-            return False
-    return True
+    return p1.agrees_on(p2, _lattice_intersection(low1, low2, datum.rank))
 
 
 def _lattice_intersection(rows1, rows2, n):
@@ -940,19 +945,20 @@ def kl_real_point_check(datum: RootDatum, labels: LabelFunction):
     if f == 0:
         return True, []
     points = residual_points(datum, labels)
-    real_points = [p for p in points if all(x == 0 for x in p.u)]
+    real_points = [p for p in points if not any(p.un)]
     vectors = []
     ok = True
     for p in real_points:
         dom = dominant_split_representative(datum, p)
-        vals = [sum(Fraction(v) * dom.r[i] for i, v in enumerate(
-            datum.simple_roots[j])) / f for j in range(datum.n_simple)]
-        vectors.append(tuple(vals))
+        vals = tuple(dom.value_of(a)[1] / f for a in datum.simple_roots)
+        vectors.append(vals)
         if any(v not in (0, 1) for v in vals):
             ok = False
-        for root in datum.roots:
-            if (dom.value_of(root.vec)[1] / f).denominator != 1:
-                ok = False
+        # every root value is an integral power of q^f
+        unit = dom.den * f.numerator
+        if any(dom.pairing(root.vec)[1] * f.denominator % unit
+               for root in datum.roots):
+            ok = False
     return ok, sorted(vectors)
 
 
@@ -963,15 +969,12 @@ def casselman_tempered(weights, datum: RootDatum) -> bool:
     """All weights satisfy |x(t)| <= 1 for x in X+ (label base q > 1):
     split exponents pair <= 0 with the dominant cone generators and are
     zero on the central directions."""
-    rays = datum.fundamental_coweight_rays()
+    rays = _integral_rays(datum)
     central = datum.central_lattice()
     for t in weights:
-        for ray in rays:
-            if sum(Fraction(c) * t.r[i] for i, c in enumerate(ray)) > 0:
-                return False
-        for z in central:
-            if sum(Fraction(c) * t.r[i] for i, c in enumerate(z)) != 0:
-                return False
+        if any(t.pairing(ray)[1] > 0 for ray in rays) or \
+                any(t.pairing(z)[1] for z in central):
+            return False
     return True
 
 
@@ -980,12 +983,14 @@ def casselman_discrete(weights, datum: RootDatum) -> bool:
     central lattice and strictly negative pairings on the cone."""
     if datum.central_lattice():
         return False
-    rays = datum.fundamental_coweight_rays()
-    for t in weights:
-        for ray in rays:
-            if sum(Fraction(c) * t.r[i] for i, c in enumerate(ray)) >= 0:
-                return False
-    return True
+    rays = _integral_rays(datum)
+    return all(t.pairing(ray)[1] < 0 for t in weights for ray in rays)
+
+
+def _integral_rays(datum):
+    """The generating rays of the dominant cone, each scaled by a positive
+    integer to an integer vector, so that pairings keep their signs."""
+    return [_numerators(ray)[1] for ray in datum.fundamental_coweight_rays()]
 
 
 # -- special points -------------------------------------------------------------

@@ -85,13 +85,7 @@ def kernel_divisors(datum, labels):
 
 def divisors_through(divisors, point: TorusPoint):
     """Divisors vanishing at an exact point: 1 = d theta_vec(t)."""
-    hits = []
-    for d in divisors:
-        u = (d.u0 + sum(F(v) * point.u[i] for i, v in enumerate(d.vec))) % 1
-        r = d.r0 + sum(F(v) * point.r[i] for i, v in enumerate(d.vec))
-        if u == 0 and r == 0:
-            hits.append(d)
-    return hits
+    return [d for d in divisors if point.takes(d.vec, -d.u0, -d.r0)]
 
 
 def net_pole_order(divisors, point, exclude_ring=None) -> int:
@@ -367,7 +361,6 @@ class ResidueEngine:
         of every codimension-one residual coset lying on a kernel divisor.
         Only divisors constant on the coset (direction parallel to the
         support) count."""
-        from .residual import _np_invt
         targets = {}
         invt = inverse_transpose_list(self.datum)
         mats = self.datum.weyl_matrices()
@@ -393,11 +386,7 @@ class ResidueEngine:
                         gd = gcd(gd, abs(v))
                     if tuple(v // gd for v in d.vec) not in directions:
                         continue
-                    u = (d.u0 + sum(F(v) * pt.u[i]
-                                    for i, v in enumerate(d.vec))) % 1
-                    r = d.r0 + sum(F(v) * pt.r[i]
-                                   for i, v in enumerate(d.vec))
-                    if u == 0 and r == 0:
+                    if pt.takes(d.vec, -d.u0, -d.r0):
                         targets.setdefault(d.ring(), set()).add((pt.r, k))
         return targets
 

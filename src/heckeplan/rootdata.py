@@ -110,9 +110,11 @@ class RootDatum:
         self._generate_roots()
         self._weyl_cache = None
         # int64 stacks (|W0|, rank, rank) in weyl_elements() order: the
-        # Weyl matrices A and their inverse transposes A^{-T}
+        # Weyl matrices A and their inverse transposes A^{-T}, and the
+        # largest row 1-norm of A^{-T}, which bounds |A^{-T} v| / max|v|
         self._weyl_mats = None
         self._weyl_invt = None
+        self._weyl_invt_norm = None
 
     # -- construction ---------------------------------------------------
 
@@ -274,15 +276,8 @@ class RootDatum:
     # -- Weyl group -------------------------------------------------------
 
     def weyl_elements(self):
-        """All elements of W0 as WeylElement, sorted by (length, word).
-
-        Breadth-first on int64 stacks, one length at a time: the frontier
-        is sorted by word, each generator s_i is tried on each frontier
-        element in that order, and the first product found keeps its word
-        (i,) + word.  A product of length l +- 1 is new exactly when it is
-        not in the previous level.  The inverse transposes come along,
-        since (s_i A)^{-T} = s_i^T A^{-T} for the involution s_i.
-        """
+        """All elements of W0 as WeylElement, sorted by (length, word),
+        generated by `reflection_closure` on the simple reflections."""
         import numpy as np
         if self._weyl_cache is not None:
             return self._weyl_cache
@@ -292,31 +287,10 @@ class RootDatum:
         gens = np.array([self.simple_reflection_matrix(i)
                          for i in range(self.n_simple)],
                         dtype=np.int64).reshape(self.n_simple, n, n)
-        gens_t = gens.transpose(0, 2, 1)
-        mats = [np.eye(n, dtype=np.int64)[None]]
-        invts = [mats[0]]
-        words = [()]
-        level_words = [()]
-        previous = np.zeros((0, n * n), dtype=np.int64)
-        while level_words and len(gens):
-            prods = (gens[None] @ mats[-1][:, None]).reshape(-1, n * n)
-            new = _distinct_rows(np.concatenate([previous, prods]))
-            new = new[new >= len(previous)] - len(previous)
-            j, gi = np.divmod(new, len(gens))
-            cand = [(i,) + level_words[k]
-                    for k, i in zip(j.tolist(), gi.tolist())]
-            by_word = sorted(range(len(cand)), key=cand.__getitem__)
-            level_words = [cand[t] for t in by_word]
-            words.extend(level_words)
-            j, gi, pick = j[by_word], gi[by_word], new[by_word]
-            previous = mats[-1].reshape(-1, n * n)
-            mats.append(prods.reshape(-1, n, n)[pick])
-            invts.append(gens_t[gi] @ invts[-1][j])
-        mats = np.concatenate(mats)
-        invts = np.concatenate(invts)
-        if not (mats @ invts.transpose(0, 2, 1) == np.eye(n)).all():
-            raise RuntimeError("inverse transposes do not invert W0")
+        mats, invts, words = reflection_closure(gens, n)
         self._weyl_mats, self._weyl_invt = mats, invts
+        self._weyl_invt_norm = int(np.abs(invts).sum(axis=2).max(
+            initial=0))
         self._weyl_cache = [WeylElement(tuple(map(tuple, m)), w, self)
                             for m, w in zip(mats.tolist(), words)]
         return self._weyl_cache
@@ -354,6 +328,47 @@ def _distinct_rows(rows):
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return np.sort(order[first])
+
+
+def reflection_closure(gens, n):
+    """The group generated by the reflections in the int64 stack `gens`
+    (k, n, n), with the inverse transposes and a word for each element:
+    (mats, invts, words), both stacks int64 (order, n, n), sorted by
+    (length, word).
+
+    Breadth-first, one length at a time: the frontier is sorted by word,
+    each generator g_i is tried on each frontier element in that order,
+    and the first product found keeps its word (i,) + word.  Every
+    generator has determinant -1, so a product of length l is of length
+    l +- 1, and it is new exactly when it is not in the previous level.
+    The inverse transposes come along, since (g A)^{-T} = g^T A^{-T} for
+    the involution g."""
+    import numpy as np
+    gens_t = gens.transpose(0, 2, 1)
+    mats = [np.eye(n, dtype=np.int64)[None]]
+    invts = [mats[0]]
+    words = [()]
+    level_words = [()]
+    previous = np.zeros((0, n * n), dtype=np.int64)
+    while level_words and len(gens):
+        prods = (gens[None] @ mats[-1][:, None]).reshape(-1, n * n)
+        new = _distinct_rows(np.concatenate([previous, prods]))
+        new = new[new >= len(previous)] - len(previous)
+        j, gi = np.divmod(new, len(gens))
+        cand = [(i,) + level_words[k]
+                for k, i in zip(j.tolist(), gi.tolist())]
+        by_word = sorted(range(len(cand)), key=cand.__getitem__)
+        level_words = [cand[t] for t in by_word]
+        words.extend(level_words)
+        j, gi, pick = j[by_word], gi[by_word], new[by_word]
+        previous = mats[-1].reshape(-1, n * n)
+        mats.append(prods.reshape(-1, n, n)[pick])
+        invts.append(gens_t[gi] @ invts[-1][j])
+    mats = np.concatenate(mats)
+    invts = np.concatenate(invts)
+    if not (mats @ invts.transpose(0, 2, 1) == np.eye(n)).all():
+        raise RuntimeError("inverse transposes do not invert the group")
+    return mats, invts, words
 
 
 @dataclass
@@ -482,6 +497,9 @@ class LabelFunction:
             if not datum.doubled[r.vec] and f0 != f1:
                 raise ValueError("f1 must equal f0 on non-doubled roots")
         self.node_values = node_values
+        # root vec -> (a, b): alpha(t) = q^a and -q^b are its pole values
+        self.thresholds = {vec: ((f0 + f1) / 2, (f1 - f0) / 2)
+                           for vec, (f0, f1) in self.pairs.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -560,14 +578,12 @@ class LabelFunction:
     def pole_exponent(self, vec) -> Fraction:
         """a with alpha(L) = q^a the positive pole value, i.e. the exponent
         of q_{alpha^vee/2}^{1/2} q_{alpha^vee}."""
-        f0, f1 = self.pairs[vec]
-        return (f0 + f1) / 2
+        return self.thresholds[vec][0]
 
     def minus_pole_exponent(self, vec) -> Fraction:
         """b with alpha(L) = -q^b the negative pole value, i.e. the exponent
         of q_{alpha^vee/2}^{1/2}."""
-        f0, f1 = self.pairs[vec]
-        return (f1 - f0) / 2
+        return self.thresholds[vec][1]
 
     def is_trivial(self) -> bool:
         return all(f0 == 0 and f1 == 0 for f0, f1 in self.pairs.values())
@@ -676,15 +692,6 @@ class ParabolicClass:
     y_basis: list             # rows: basis of Y_P in Y coordinates
     vec_map: dict             # sub root vec -> parent root vec
     orbit_size: int           # number of standard subsets conjugate to this one
-
-    def embed_point_vectors(self, u_sub, r_sub):
-        """Pull back a T_P point (u, r) to T along X -> X_P."""
-        n = len(self.y_basis[0]) if self.y_basis else 0
-        u = tuple(sum(Fraction(self.y_basis[j][i]) * u_sub[j]
-                      for j in range(len(self.y_basis))) % 1 for i in range(n))
-        r = tuple(sum(Fraction(self.y_basis[j][i]) * r_sub[j]
-                      for j in range(len(self.y_basis))) for i in range(n))
-        return u, r
 
 
 def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:

@@ -608,9 +608,7 @@ def _poly_gcd_q(a, b):
 
 def character_value(vec, point) -> QLaurent:
     """Value of theta_x at a torus point, as a one-term Laurent sum."""
-    u = sum(Fraction(v) * point.u[i] for i, v in enumerate(vec)) % 1
-    r = sum(Fraction(v) * point.r[i] for i, v in enumerate(vec))
-    return QLaurent.point_value(u, r)
+    return QLaurent.point_value(*point.value_of(vec))
 
 
 def c_factor_descriptors(datum, labels, r1_root):
@@ -668,16 +666,13 @@ def omega_factor_descriptors(datum, labels):
 
 def factor_value(desc, point) -> QLaurent:
     vec, u0, r0 = desc
-    u = (u0 + sum(Fraction(v) * point.u[i] for i, v in enumerate(vec))) % 1
-    r = r0 + sum(Fraction(v) * point.r[i] for i, v in enumerate(vec))
-    return ONE - QLaurent.point_value(u, r)
+    u, r = point.value_of(vec)
+    return ONE - QLaurent.point_value((u0 + u) % 1, r0 + r)
 
 
 def factor_vanishes(desc, point) -> bool:
     vec, u0, r0 = desc
-    u = (u0 + sum(Fraction(v) * point.u[i] for i, v in enumerate(vec))) % 1
-    r = r0 + sum(Fraction(v) * point.r[i] for i, v in enumerate(vec))
-    return u == 0 and r == 0
+    return point.takes(vec, -u0, -r0)
 
 
 def c_alpha(datum, labels, r1_root, point):

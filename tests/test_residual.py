@@ -306,3 +306,40 @@ def test_casselman_unitary_tempered_not_discrete():
     w = TorusPoint.make([F(1, 3), F(1, 5)], [0, 0])
     assert casselman_tempered([w], d)
     assert not casselman_discrete([w], d)
+
+
+# -- the nested-coset check ------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q")])
+def test_nested_coset_check_reports_contained_member(tag, lattice):
+    from heckeplan.residual import _coset_members, _nested_coset_violations
+    d = RootDatum.from_type(tag, lattice)
+    labels = LabelFunction.equal(d)
+    members = _coset_members(d, residual_cosets(d, labels))
+    assert _nested_coset_violations(d, members) == []
+    injected = 0
+    for combo, pt, coset in members:
+        if not combo:
+            continue
+        # the coset through the same point with a proper sub-support
+        # contains this one and shares its center
+        bigger = combo[:-1]
+        bad = _nested_coset_violations(d, members + [(bigger, pt, coset)])
+        pairs = [{(c1, p1), (c2, p2)} for c1, p1, c2, p2 in bad]
+        assert {(combo, pt), (bigger, pt)} in pairs
+        assert all((bigger, pt) in pair for pair in pairs)
+        injected += 1
+    assert injected >= 3
+
+
+@pytest.mark.parametrize("tag,lattice", [("D4", "Q"), ("D4", "P"),
+                                         ("D5", "Q")])
+def test_classification_suite_passes_type_d(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    report = classification_suite(d, LabelFunction.equal(d))
+    assert report.passed, report.to_json()
+    assert [c.name for c in report.checks] == [
+        "index-equals-codimension", "nested-cosets-distinct-centers",
+        "conjugate-inverse-in-graded-orbit", "split-exponents-in-label-group",
+        "order-two-on-doubled-summands"]
