@@ -20,7 +20,9 @@ GOLDEN = Path(__file__).with_name("golden.json")
 
 SMALL_TYPES = ("A2", "B2", "G2", "A3", "B3", "C3", "D4")
 LARGE_DATA = (("B4", "P"), ("C4", "P"), ("F4", "Q"), ("D5", "Q"))
-DENSITY_DATA = (("B2", "Q"), ("B2", "P"), ("G2", "Q"))
+DENSITY_DATA = (("B2", "Q"), ("B2", "P"), ("G2", "Q"), ("A3", "Q"),
+                ("B3", "P"))
+POINCARE_TYPES = ("A2", "B2", "G2")
 
 
 def _enumerate(tag, lattice, labels):
@@ -45,6 +47,9 @@ def cases():
     for tag, lattice in DENSITY_DATA:
         out.append(("tables", "--which", "density", "--type", tag,
                     "--lattice", lattice, "--q", "2", "--format", "json"))
+    for tag in POINCARE_TYPES:
+        out.append(("tables", "--which", "poincare", "--type", tag,
+                    "--q", "2", "--format", "json"))
     for n in (3, 4):
         out.append(("tables", "--which", "fdim", "--n", str(n),
                     "--format", "json"))
