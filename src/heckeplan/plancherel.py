@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .lattice import solve_unique
 from .residual import (
@@ -214,31 +215,65 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
                        lmax: int, with_layers=False):
     """Direct sum of q(w)^{-1} over affine elements of length <= lmax, by
     breadth-first enumeration of the affine Coxeter group, times the
-    number of length-zero elements."""
+    number of length-zero elements.
+
+    An element (w, x) is the flat integer tuple of the rows of the
+    augmented matrix [w | x], and its exponent is an integer over the
+    common denominator of the generator exponents."""
     qval = F(qval)
-    gens = _affine_generators(datum)
+    n = datum.rank
     gen_exp = affine_generator_exponents(datum, labels)
-    ident = AffineElement.from_weyl(datum.weyl_elements()[0])
-    seen = {ident: F(0)}
+    den = lcm(*(F(e).denominator for e in gen_exp))
+    steps = [(_changed_rows(g), int(ge * den))
+             for g, ge in zip(_affine_generators(datum), gen_exp)]
+    w = datum.weyl_elements()[0].matrix
+    ident = tuple(c for row in w for c in (*row, 0))
+    seen = {ident: 0}
+    powers = {}
     frontier = [ident]
     total = _q_power(qval, F(0))
     layer_counts = [1]
+    width = n + 1
     for _ in range(lmax):
         nxt = []
         for e in frontier:
             base = seen[e]
-            for g, ge in zip(gens, gen_exp):
-                f = g * e
+            for rows, ge in steps:
+                # (g, a) * (w, x) = (g w, g x + a), row by changed row
+                f = list(e)
+                for at, nz, shift in rows:
+                    for c in range(width):
+                        f[at + c] = sum(a * e[k + c] for k, a in nz)
+                    f[at + n] += shift
+                f = tuple(f)
                 if f not in seen:
-                    seen[f] = base + ge
+                    exp = base + ge
+                    seen[f] = exp
                     nxt.append(f)
-                    total += _q_power(qval, -(base + ge))
+                    p = powers.get(exp)
+                    if p is None:
+                        p = powers[exp] = _q_power(qval, F(-exp, den))
+                    total += p
         frontier = nxt
         layer_counts.append(len(nxt))
     total = datum.weight_index() * total
     if with_layers:
         return total, layer_counts
     return total
+
+
+def _changed_rows(gen: AffineElement):
+    """The rows that left multiplication by gen changes in a flat [w | x]
+    tuple: (offset, [(offset of row k, g_rk) for g_rk != 0], a_r)."""
+    n = len(gen.matrix)
+    out = []
+    for r, row in enumerate(gen.matrix):
+        if any(c != int(r == k) for k, c in enumerate(row)) or \
+                gen.translation[r]:
+            out.append((r * (n + 1),
+                        [(k * (n + 1), c) for k, c in enumerate(row) if c],
+                        gen.translation[r]))
+    return out
 
 
 def _affine_generators(datum):

@@ -6,13 +6,22 @@ A value of a character at a torus point is e^{2pi i u} q^r with u in Q/Z
 and r in Q; sums and quotients of such values live in Q(zeta_N)(q^{1/D}),
 represented here as Laurent dictionaries keyed by rational exponents with
 ``Cyclo`` coefficients.
+
+A ``Cyclo`` is stored as its order N, a tuple of integer numerators over
+the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) and one positive
+denominator, in lowest terms.  Phi_N is monic with integer coefficients,
+so a product is an integer convolution (Kronecker substitution for long
+operands) reduced by integer steps: first x^N = 1, then division by
+Phi_N, kept in sparse form.  Fractions appear only in `Cyclo.coeffs`,
+built on demand for text output and for rational coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, pi, sin
+from itertools import chain, zip_longest
+from math import cos, gcd, lcm, pi, sin
 
 
 # -- cyclotomic numbers -------------------------------------------------------
@@ -20,165 +29,255 @@ from math import cos, pi, sin
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    # (x^n - 1) / prod_{d | n, d < n} Phi_d
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    """The n-th cyclotomic polynomial as sparse (index, coefficient) pairs,
+    low to high.  It is monic with integer coefficients."""
+    # (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact integer division
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_poly(d)
-            poly = _poly_div_exact(poly, list(phi_d))
-    return tuple(poly)
+            deg, low = _phi_low(d)
+            out = [0] * (len(poly) - deg)
+            for i in range(len(out) - 1, -1, -1):
+                c = out[i] = poly[i + deg]
+                if c:
+                    for j, a in low:
+                        poly[i + j] -= c * a
+            poly = out
+    return tuple((i, c) for i, c in enumerate(poly) if c)
 
 
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
+@lru_cache(maxsize=None)
+def _phi_low(n: int):
+    """(deg Phi_n, the pairs of Phi_n below its leading term)."""
+    pairs = cyclotomic_poly(n)
+    return pairs[-1][0], pairs[:-1]
+
+
+def _reduce(p: list, n: int) -> list:
+    """The integer coefficient list p reduced mod Phi_n in place, trailing
+    zeros trimmed."""
+    if len(p) > n:  # x^n = 1 mod Phi_n
+        for k in range(n, len(p)):
+            p[k % n] += p[k]
+        del p[n:]
+    deg, low = _phi_low(n)
+    for i in range(len(p) - 1, deg - 1, -1):
+        c = p[i]
         if c:
-            for j, dc in enumerate(den):
-                num[i + j] -= c * dc
+            off = i - deg
+            for j, a in low:
+                p[off + j] -= c * a
+    del p[deg:]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+# below this many coefficient products a convolution runs as a double loop:
+# with small coefficients the two cost the same near 16 x 16 (CPython 3.11)
+_KRONECKER_MIN = 256
+
+
+def _conv(a, b) -> list:
+    """Product of two integer coefficient sequences."""
+    la, lb = len(a), len(b)
+    if la * lb < _KRONECKER_MIN:
+        return _poly_mul(a, b)
+    # Kronecker substitution: evaluate both at 2^(8w), multiply the two
+    # integers, read the signed base-2^(8w) digits back off the product
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(la, lb).bit_length())
+    w = bits // 8 + 1  # bytes per digit, so that every |c| < 2^(8w-1)
+    size = la + lb - 1
+    prod = _pack(a, w) * _pack(b, w)
+    half = 1 << (8 * w - 1)
+    digits = (prod + int.from_bytes((b"\0" * (w - 1) + b"\x80") * size,
+                                    "little")).to_bytes(size * w, "little")
+    return [int.from_bytes(digits[i:i + w], "little") - half
+            for i in range(0, size * w, w)]
+
+
+def _pack(a, w: int) -> int:
+    """sum of a[k] 2^(8wk) for integers |a[k]| < 2^(8w)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(w, "little") for c in a)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(w, "little") for c in a)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _make(n: int, num, den: int) -> "Cyclo":
+    """The element num/den of Q(zeta_n), num reduced and trimmed, den > 0."""
+    out = object.__new__(Cyclo)
+    out._set(n, num, den)
     return out
 
 
-def _poly_mod(poly, mod):
-    poly = list(poly)
-    dm = len(mod) - 1
-    while len(poly) > dm:
-        c = poly[-1] / mod[-1]
-        if c:
-            off = len(poly) - 1 - dm
-            for j in range(dm + 1):
-                poly[off + j] -= c * mod[j]
-        poly.pop()
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _lift_num(num: tuple, n: int, m: int) -> tuple:
+    """Numerators of an element of Q(zeta_n) in the power basis of
+    Q(zeta_m), for n | m."""
+    if len(num) <= 1 or m == n:
+        return num
+    step = m // n
+    p = [0] * ((len(num) - 1) * step + 1)
+    p[::step] = num
+    return tuple(_reduce(p, m))
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple:
+    """Normalized traces mu(d)/phi(d) over Q of zeta_n^k, d = n/gcd(n, k)
+    its order: phi(d) is the degree of Phi_d and mu(d), the sum of the
+    primitive d-th roots of unity, is minus its next coefficient."""
+    out = []
+    for k in range(_phi_low(n)[0]):
+        deg, low = _phi_low(n // gcd(n, k))
+        out.append(Fraction(-dict(low).get(deg - 1, 0), deg))
+    return tuple(out)
 
 
 class Cyclo:
-    """An element of Q(zeta_N), as a polynomial in zeta_N mod Phi_N."""
+    """An element of Q(zeta_N): integer numerators `num` of the power basis
+    1, zeta_N, ..., zeta_N^(phi(N)-1), reduced mod Phi_N and with trailing
+    zeros trimmed, over one positive denominator `den`, in lowest terms.
+    This form is unique for a given N, so equal elements of one field have
+    equal (num, den)."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den", "_coeffs")
 
     def __init__(self, n: int, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(n, _reduce([c.numerator * (den // c.denominator)
+                              for c in cs], n), den)
+
+    def _set(self, n: int, num, den: int):
+        """Store num/den (num reduced and trimmed) in lowest terms."""
+        if not num:
+            den = 1
+        elif den > 1:
+            g = gcd(den, *num)
+            if g > 1:
+                num = [c // g for c in num]
+                den //= g
         self.n = n
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.num = tuple(num)
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions (built on first use)."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coeffs
 
     @classmethod
     def from_rational(cls, x) -> "Cyclo":
-        return cls(1, [Fraction(x)])
+        x = Fraction(x)
+        return _make(1, [x.numerator] if x else [], x.denominator)
 
     @classmethod
     def root_of_unity(cls, u: Fraction) -> "Cyclo":
         """e^{2 pi i u} for rational u."""
         u = Fraction(u) % 1
-        n = u.denominator
-        k = u.numerator
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        return cls(n, _poly_mod(poly, list(cyclotomic_poly(n))))
+        return _make(u.denominator, _root_num(u.numerator, u.denominator), 1)
 
     def lift(self, m: int) -> "Cyclo":
         if m == self.n:
             return self
         assert m % self.n == 0
-        step = m // self.n
-        poly = [Fraction(0)] * (len(self.coeffs) * step)
-        for k, c in enumerate(self.coeffs):
-            poly[k * step] += c
-        return Cyclo(m, _poly_mod(poly, list(cyclotomic_poly(m))))
+        return _make(m, _lift_num(self.num, self.n, m), self.den)
 
-    def _pair(self, other):
-        if not isinstance(other, Cyclo):
-            other = Cyclo.from_rational(other)
-        m = self.n * other.n // _gcd(self.n, other.n)
-        return self.lift(m), other.lift(m), m
+    def _pair(self, other: "Cyclo"):
+        """(self.num, other.num, m): numerators in Q(zeta_m), m the lcm of
+        the two orders."""
+        n1, n2 = self.n, other.n
+        if n1 == n2:
+            return self.num, other.num, n1
+        m = n1 * n2 // gcd(n1, n2)
+        return _lift_num(self.num, n1, m), _lift_num(other.num, n2, m), m
+
+    # a rational operand is taken at order 1, so the result keeps the
+    # order of the Cyclo operand
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return Cyclo(self.n, [Fraction(other)])
-            cs = list(self.coeffs)
-            cs[0] += other
-            return Cyclo(self.n, cs)
+        if other.__class__ is not Cyclo:
+            other = Cyclo.from_rational(other)
         a, b, m = self._pair(other)
-        size = max(len(a.coeffs), len(b.coeffs))
-        cs = [Fraction(0)] * size
-        for i, c in enumerate(a.coeffs):
-            cs[i] += c
-        for i, c in enumerate(b.coeffs):
-            cs[i] += c
-        return Cyclo(m, cs)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            num = [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
+            da *= fa
+        while num and not num[-1]:
+            num.pop()
+        return _make(m, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, [-c for c in self.coeffs])
+        return _make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclo)
-                       else Cyclo.from_rational(-Fraction(other)))
+        if other.__class__ is not Cyclo:
+            other = Cyclo.from_rational(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return Cyclo.from_rational(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.n, [c * other for c in self.coeffs])
-        if self.n == other.n == 1:
-            if not self.coeffs or not other.coeffs:
-                return Cyclo(1, [])
-            return Cyclo(1, [self.coeffs[0] * other.coeffs[0]])
+        if other.__class__ is not Cyclo:
+            other = Cyclo.from_rational(other)
         a, b, m = self._pair(other)
-        if not a.coeffs or not b.coeffs:
-            return Cyclo(m, [])
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        prod[i + j] += ca * cb
-        return Cyclo(m, _poly_mod(prod, list(cyclotomic_poly(m))))
+        if not a or not b:
+            return _make(m, [], 1)
+        if len(a) == 1:
+            num = [a[0] * y for y in b]
+        elif len(b) == 1:
+            num = [x * b[0] for x in a]
+        else:
+            num = _reduce(_conv(a, b), m)
+        return _make(m, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero")
-        mod = list(cyclotomic_poly(self.n))
+        mod = _dense_phi(self.n)
         # extended Euclid: s * self + t * Phi = gcd (a unit)
         r0, r1 = mod, list(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             r1 = _trim(r1)
             if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return Cyclo(self.n, _poly_mod(inv, mod))
+                return Cyclo(self.n, [c / r1[0] for c in s1])
             q, r = _poly_divmod(r0, r1)
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
             r0, r1 = r1, r
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^{-1}."""
-        out = Cyclo(self.n, [])
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * Cyclo.root_of_unity(Fraction(-k, self.n))
-        return out if isinstance(out, Cyclo) else Cyclo.from_rational(out)
+        if len(self.num) <= 1:
+            return self
+        n = self.n
+        p = [0] * n
+        for k, c in enumerate(self.num):
+            p[-k % n] = c
+        return _make(n, _reduce(p, n), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1 or self.n == 1
+        return len(self.num) <= 1
 
     def rational_value(self) -> Fraction:
-        if self.n == 1 or len(self.coeffs) <= 1:
-            return self.coeffs[0] if self.coeffs else Fraction(0)
+        if len(self.num) <= 1:
+            return Fraction(self.num[0], self.den) if self.num else Fraction(0)
         raise ValueError("not rational")
 
     def __eq__(self, other):
@@ -186,19 +285,28 @@ class Cyclo:
             other = Cyclo.from_rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
+        # lifting keeps the denominator, and a rational is its constant
+        # term at every order
+        if self.den != other.den:
+            return False
+        if self.n == other.n or len(self.num) <= 1 or len(other.num) <= 1:
+            return self.num == other.num
         a, b, _ = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a == b
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.rational_value())
-        return hash((self.n, self.coeffs))
+        # the normalized trace: it does not depend on the order N the value
+        # is stored at, and it is the value itself for a rational
+        weights = _trace_weights(self.n)
+        return hash(sum((c * w for c, w in zip(self.num, weights)),
+                        Fraction(0)) / self.den)
 
     def __complex__(self):
         z = complex(0)
-        for k, c in enumerate(self.coeffs):
+        den = self.den
+        for k, c in enumerate(self.num):
             ang = 2 * pi * k / self.n
-            z += float(c) * complex(cos(ang), sin(ang))
+            z += (c / den) * complex(cos(ang), sin(ang))
         return z
 
     def __repr__(self):
@@ -206,6 +314,20 @@ class Cyclo:
             return str(self.rational_value())
         return " + ".join(f"{c}*z{self.n}^{k}"
                           for k, c in enumerate(self.coeffs) if c)
+
+
+@lru_cache(maxsize=None)
+def _root_num(k: int, n: int) -> tuple:
+    """Numerators of zeta_n^k, 0 <= k < n."""
+    p = [0] * k + [1]
+    return tuple(_reduce(p, n))
+
+
+def _dense_phi(n: int) -> list:
+    p = [Fraction(0)] * (_phi_low(n)[0] + 1)
+    for i, c in cyclotomic_poly(n):
+        p[i] = Fraction(c)
+    return p
 
 
 def _trim(p):
@@ -216,7 +338,7 @@ def _trim(p):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -250,17 +372,7 @@ def _poly_divmod(a, b):
     return q, a
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- Laurent series in q^(1/D) ------------------------------------------------
-
-
-ZERO_C = Cyclo(1, [])
-ONE_C = Cyclo(1, [Fraction(1)])
 
 
 class QLaurent:
@@ -296,7 +408,8 @@ class QLaurent:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO_C) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -320,19 +433,24 @@ class QLaurent:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        # exponents as integers over one common denominator while summing
+        den = lcm(*(e.denominator for e in chain(self.terms, other.terms)))
+        right = [(e.numerator * (den // e.denominator), c)
+                 for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
+            k1 = e1.numerator * (den // e1.denominator)
+            for k2, c2 in right:
+                k = k1 + k2
                 p = c1 * c2
-                s = out.get(e)
+                s = out.get(k)
                 s = p if s is None else s + p
                 if s.is_zero():
-                    out.pop(e, None)
+                    out.pop(k, None)
                 else:
-                    out[e] = s
+                    out[k] = s
         res = QLaurent()
-        res.terms = out
+        res.terms = {Fraction(k, den): c for k, c in out.items()}
         return res
 
     __rmul__ = __mul__
@@ -355,7 +473,7 @@ class QLaurent:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash(tuple(sorted((e, c.coeffs) for e, c in self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def shift(self, e) -> "QLaurent":
         res = QLaurent()
@@ -539,13 +657,11 @@ class QRational:
         if self.num.is_zero():
             return QRational(QLaurent(), ONE)
         exps = list(self.num.terms) + list(self.den.terms)
-        lcm = 1
-        for e in exps:
-            lcm = lcm * e.denominator // _gcd(lcm, e.denominator)
+        scale = lcm(*(e.denominator for e in exps))
         shift = min(min(self.num.terms), min(self.den.terms))
-        num = {int((e - shift) * lcm): c.rational_value()
+        num = {int((e - shift) * scale): c.rational_value()
                for e, c in self.num.terms.items()}
-        den = {int((e - shift) * lcm): c.rational_value()
+        den = {int((e - shift) * scale): c.rational_value()
                for e, c in self.den.terms.items()}
         np = _dense(num)
         dp = _dense(den)
@@ -562,7 +678,7 @@ class QRational:
         kden = next(i for i, c in enumerate(dp) if c != 0)
         k = min(knum, kden)
         np, dp = np[k:], dp[k:]
-        back = Fraction(1, lcm)
+        back = Fraction(1, scale)
         new_num = QLaurent({Fraction(i) * back: c
                             for i, c in enumerate(np) if c})
         new_den = QLaurent({Fraction(i) * back: c

@@ -6,8 +6,9 @@ exact computation with Fractions."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from heckeplan.rootdata import (
     random_label_vector,
     root_permutations,
 )
+from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
 
 
 def _random_stack(rng, n, count, span):
@@ -394,3 +396,260 @@ def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
     assert [(combo, _row_to_point(row, den)) for combo, row, den in large] \
         == [(combo, _row_to_point(row, den).scale_split(big))
             for combo, row, den in small]
+
+
+# -- the integer cyclotomic kernel against the Fraction class it replaced -------
+
+
+@lru_cache(maxsize=None)
+def _ref_cyclotomic_poly(n):
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _ref_poly_div_exact(poly, _ref_cyclotomic_poly(d))
+    return tuple(poly)
+
+
+def _ref_poly_div_exact(num, den):
+    num = list(num)
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        out[i] = c
+        if c:
+            for j, dc in enumerate(den):
+                num[i + j] -= c * dc
+    return out
+
+
+def _ref_poly_mod(poly, mod):
+    poly = list(poly)
+    dm = len(mod) - 1
+    while len(poly) > dm:
+        c = poly[-1] / mod[-1]
+        if c:
+            off = len(poly) - 1 - dm
+            for j in range(dm + 1):
+                poly[off + j] -= c * mod[j]
+        poly.pop()
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+class _RefCyclo:
+    """Q(zeta_N) as Fraction coefficients mod Phi_N, reduced by Fraction
+    long division: the previous implementation of `Cyclo`."""
+
+    def __init__(self, n, coeffs):
+        self.n = n
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_rational(cls, x):
+        return cls(1, [Fraction(x)])
+
+    @classmethod
+    def root_of_unity(cls, u):
+        u = Fraction(u) % 1
+        n, k = u.denominator, u.numerator
+        poly = [Fraction(0)] * k + [Fraction(1)]
+        return cls(n, _ref_poly_mod(poly, _ref_cyclotomic_poly(n)))
+
+    def lift(self, m):
+        if m == self.n:
+            return self
+        step = m // self.n
+        poly = [Fraction(0)] * (len(self.coeffs) * step)
+        for k, c in enumerate(self.coeffs):
+            poly[k * step] += c
+        return _RefCyclo(m, _ref_poly_mod(poly, _ref_cyclotomic_poly(m)))
+
+    def _pair(self, other):
+        if not isinstance(other, _RefCyclo):
+            other = _RefCyclo.from_rational(other)
+        m = lcm(self.n, other.n)
+        return self.lift(m), other.lift(m), m
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not self.coeffs:
+                return _RefCyclo(self.n, [Fraction(other)])
+            cs = list(self.coeffs)
+            cs[0] += other
+            return _RefCyclo(self.n, cs)
+        a, b, m = self._pair(other)
+        cs = [Fraction(0)] * max(len(a.coeffs), len(b.coeffs))
+        for i, c in enumerate(a.coeffs):
+            cs[i] += c
+        for i, c in enumerate(b.coeffs):
+            cs[i] += c
+        return _RefCyclo(m, cs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefCyclo(self.n, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _RefCyclo)
+                       else _RefCyclo.from_rational(-Fraction(other)))
+
+    def __rsub__(self, other):
+        return _RefCyclo.from_rational(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _RefCyclo(self.n, [c * other for c in self.coeffs])
+        a, b, m = self._pair(other)
+        if not a.coeffs or not b.coeffs:
+            return _RefCyclo(m, [])
+        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, ca in enumerate(a.coeffs):
+            if ca:
+                for j, cb in enumerate(b.coeffs):
+                    if cb:
+                        prod[i + j] += ca * cb
+        return _RefCyclo(m, _ref_poly_mod(prod, _ref_cyclotomic_poly(m)))
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        out = _RefCyclo(self.n, [])
+        for k, c in enumerate(self.coeffs):
+            if c:
+                out = out + c * _RefCyclo.root_of_unity(Fraction(-k, self.n))
+        return out
+
+    def is_rational(self):
+        return len(self.coeffs) <= 1 or self.n == 1
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _RefCyclo.from_rational(other)
+        a, b, _ = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def __repr__(self):
+        if self.is_rational():
+            return str(self.coeffs[0] if self.coeffs else Fraction(0))
+        return " + ".join(f"{c}*z{self.n}^{k}"
+                          for k, c in enumerate(self.coeffs) if c)
+
+
+CYCLO_ORDERS = (1, 2, 3, 4, 6, 7, 12, 14, 77, 1001)
+
+
+def _same_cyclo(new, ref):
+    assert new.n == ref.n
+    assert new.coeffs == ref.coeffs
+    assert repr(new) == repr(ref)
+    # the encoding: integers reduced mod Phi_n and trimmed, in lowest terms
+    deg = cyclotomic_poly(new.n)[-1][0]
+    assert len(new.num) <= deg and all(type(c) is int for c in new.num)
+    assert not new.num or new.num[-1] != 0
+    assert new.den == 1 if not new.num else gcd(new.den, *new.num) == 1
+
+
+def _random_cyclo_pair(rng, n, terms, top=None):
+    """The same random sum of c * zeta_n^k in both classes, at order n."""
+    new, ref = Cyclo(n, []), _RefCyclo(n, [])
+    for _ in range(terms):
+        u = Fraction(rng.randrange(top or n), n)
+        c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 35)))
+        new = new + c * Cyclo.root_of_unity(u)
+        ref = ref + c * _RefCyclo.root_of_unity(u)
+    _same_cyclo(new, ref)
+    return new, ref
+
+
+@pytest.mark.parametrize("n", CYCLO_ORDERS)
+def test_cyclo_matches_fraction_reference(n):
+    rng = random.Random(n)
+    # at 1001 the Fraction reference needs seconds per dense product, so
+    # the exponents stay where a product overshoots phi(1001) = 720 by
+    # a little more than 100
+    terms, top = (3, 420) if n == 1001 else (6, None)
+    for _ in range(4 if n == 1001 else 12):
+        a, ra = _random_cyclo_pair(rng, n, rng.randint(0, terms), top)
+        b, rb = _random_cyclo_pair(rng, n, rng.randint(1, terms), top)
+        for new, ref in ((a + b, ra + rb), (a * b, ra * rb),
+                         (a - b, ra - rb), (-a, -ra),
+                         (a.conjugate(), ra.conjugate()),
+                         (a * Fraction(-2, 3), ra * Fraction(-2, 3)),
+                         (Fraction(5, 7) + a, Fraction(5, 7) + ra),
+                         (3 - a, 3 - ra)):
+            _same_cyclo(new, ref)
+        assert (a == b) == (ra == rb)
+        assert a * b == b * a and (a + b) - b == a and a - a == 0
+        if n < 1001:
+            for m in (2 * n, 3 * n):
+                _same_cyclo(a.lift(m), ra.lift(m))
+                assert a.lift(m) == a and hash(a.lift(m)) == hash(a)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (4, 6), (6, 14), (3, 7),
+                                   (12, 14), (7, 77), (77, 13), (11, 91)])
+def test_cyclo_mixed_orders_match_fraction_reference(n1, n2):
+    rng = random.Random(n1 * n2)
+    # the lcm is 1001 for the last two pairs: low exponents keep the
+    # reference's products there below degree phi(1001)
+    top1, top2 = (n1, n2) if lcm(n1, n2) < 1001 else (n1 // 3, n2 // 3)
+    for _ in range(6):
+        a, ra = _random_cyclo_pair(rng, n1, rng.randint(0, 4), top1)
+        b, rb = _random_cyclo_pair(rng, n2, rng.randint(0, 4), top2)
+        for new, ref in ((a + b, ra + rb), (a * b, ra * rb),
+                         (b - a, rb - ra), (a.lift(lcm(n1, n2)),
+                                            ra.lift(lcm(n1, n2)))):
+            _same_cyclo(new, ref)
+        assert (a == b) == (ra == rb)
+
+
+def test_cyclo_cancellation_and_rationals_at_higher_order():
+    # up to order 77: the reference sums all 1001 roots too slowly
+    for n in CYCLO_ORDERS[1:-1]:
+        z, rz = Cyclo.root_of_unity(Fraction(1, n)), \
+            _RefCyclo.root_of_unity(Fraction(1, n))
+        # the sum of all n-th roots of unity cancels to 0 at order n
+        total, ref = Cyclo(n, []), _RefCyclo(n, [])
+        power, rpower = Cyclo.from_rational(1), _RefCyclo.from_rational(1)
+        for _ in range(n):
+            total, ref = total + power, ref + rpower
+            power, rpower = power * z, rpower * rz
+        _same_cyclo(total, ref)
+        assert total.is_zero() and total.n == n
+        # z + z^-1 - z^-1 is z; 2 cos(2 pi / n) stored at order n
+        w, rw = z + z.conjugate(), rz + rz.conjugate()
+        _same_cyclo(w, rw)
+        _same_cyclo(w - z.conjugate(), rw - rz.conjugate())
+        assert w - z.conjugate() == z
+        _same_cyclo(z * 0, rz * 0)
+        assert (z * 0).n == n and (z - z).n == n
+    # rational values stored at n > 1
+    for n, value in ((6, 1), (4, 0), (3, -1), (2, -2)):
+        z = Cyclo.root_of_unity(Fraction(1, n))
+        rz = _RefCyclo.root_of_unity(Fraction(1, n))
+        x, rx = z + z.conjugate(), rz + rz.conjugate()
+        _same_cyclo(x, rx)
+        assert x.n == n and x.is_rational() and x == value
+        assert x.rational_value() == value and hash(x) == hash(value)
+        half, rhalf = x * Fraction(1, 2) + 1, rx * Fraction(1, 2) + 1
+        _same_cyclo(half, rhalf)
+        assert half.n == n and half.den == (2 if value % 2 else 1)
+
+
+def test_kronecker_convolution_matches_double_loop():
+    # both paths of _conv, coefficients of either sign past 2^64
+    rng = random.Random(29)
+    for _ in range(300):
+        bits = rng.choice((1, 7, 8, 31, 64, 200))
+        a, b = ([rng.randint(-2 ** bits, 2 ** bits)
+                 for _ in range(rng.randint(1, 70))] for _ in range(2))
+        expected = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        assert _conv(a, b) == expected

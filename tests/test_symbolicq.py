@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 from heckeplan.residual import TorusPoint
 from heckeplan.rootdata import LabelFunction, RootDatum
@@ -139,6 +140,20 @@ def test_omega_kernel_pole_order_a1():
     assert order == 0 and not val.is_zero()
 
 
+def test_cyclo_and_qlaurent_hash_agree_with_equality():
+    # equal values stored at different orders hash alike
+    z = Cyclo.root_of_unity(F(1, 6))
+    w = z.lift(12)
+    assert z == w and hash(z) == hash(w) and len({z, w}) == 1
+    one = z + z.conjugate()  # 2 cos(pi/3) = 1, stored at order 6
+    assert one.n == 6 and one == 1 and hash(one) == hash(1)
+    assert len({one, Cyclo.from_rational(1), F(1)}) == 1
+    a = QLaurent({F(1, 2): z, 0: 3})
+    b = QLaurent({0: 3, F(1, 2): w})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(QLaurent({1: one})) == hash(QLaurent.monomial(1))
+
+
 def test_omega_kernel_w0_invariance():
     # c(t) c(t^{-1}) is W0-invariant.  Full cross-multiplied equality on a
     # couple of exact points per type, plus the exact factor-value
@@ -152,25 +167,35 @@ def test_omega_kernel_w0_invariance():
         labels = LabelFunction.equal(d)
         mats = inverse_transpose_matrices(d)
         num_d, den_d = omega_factor_descriptors(d, labels)
+        # every factor value (u0 + <vec,u> mod 1, r0 + <vec,r>) as integer
+        # numerators over scale = lcm(descriptor denominators, point den);
+        # an image point's den divides its preimage's
+        desc_den = lcm(*(x.denominator for _, u0, r0 in num_d + den_d
+                         for x in (u0, r0)))
+        num_i, den_i = ([(vec, int(u0 * desc_den), int(r0 * desc_den))
+                         for vec, u0, r0 in descs]
+                        for descs in (num_d, den_d))
 
-        def fingerprint(pt):
+        def fingerprint(pt, scale):
+            step, lift = scale // pt.den, scale // desc_den
+
             def vals(descs):
                 out = []
                 for vec, u0, r0 in descs:
-                    u = (u0 + sum(F(v) * pt.u[i]
-                                  for i, v in enumerate(vec))) % 1
-                    r = r0 + sum(F(v) * pt.r[i] for i, v in enumerate(vec))
-                    out.append((u, r))
+                    un, rn = pt.pairing(vec)
+                    out.append(((u0 * lift + un * step) % scale,
+                                r0 * lift + rn * step))
                 return sorted(out)
-            return vals(num_d), vals(den_d)
+            return vals(num_i), vals(den_i)
 
         for k in range(50):
             t = TorusPoint.make(
                 [F(rng.randint(0, 5), 6) for _ in range(d.rank)],
                 [F(rng.randint(-12, 12), 5) for _ in range(d.rank)])
-            base_fp = fingerprint(t)
+            scale = lcm(desc_den, t.den)
+            base_fp = fingerprint(t, scale)
             for m in mats:
-                assert fingerprint(t.transform(m)) == base_fp
+                assert fingerprint(t.transform(m), scale) == base_fp
             if k < 2 and d.rank <= 2:
                 base, order = omega_kernel(d, labels, t)
                 if base is None:
