@@ -360,7 +360,8 @@ def table_poincare(args) -> int:
                                        with_layers=True)
     bound = poincare_tail_bound(datum, labels, qval, args.truncate, layers)
     exact = res.product.evaluate(qval)
-    diff = abs(float(exact) - float(total))
+    # exact is complex when an exponent of q has no exact root at qval
+    diff = abs(complex(exact) - complex(total))
     rows = [{
         "product": str(res.product.canonical()),
         "product_at_q": str(exact),

@@ -81,29 +81,13 @@ def m_point(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
     return QRational(w0 * num, den)
 
 
-def _span_membership(datum, support_roots):
-    """R1 roots lying in the rational span of the support."""
-    from .lattice import rref
-    if not support_roots:
-        return set()
-    span = [[F(c) for c in r.vec] for r in support_roots]
-    _, piv = rref(span)
-    rank = len(piv)
-    out = set()
-    for r in datum.r1:
-        _, piv2 = rref(span + [[F(c) for c in r.vec]])
-        if len(piv2) == rank:
-            out.add(r.vec)
-    return out
-
-
 def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     """Density of the coset at a point of its tempered form.  Factors that
     are identically zero on the coset (constant roots hitting the zero of
     their factor) are omitted; other factors may still vanish at special
     points of the tempered form, where the value is zero when the
     numerator order wins and no continuous value exists otherwise."""
-    constant = _span_membership(datum, coset.support_roots)
+    constant = datum.parabolics[coset.support].r1_vecs
     num = ONE
     den = ONE
     num_zero = den_zero = 0
@@ -147,7 +131,7 @@ def _sub_w0_exponent(datum, labels, support_roots):
 def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
     """Point density of the base point within its own support datum
     (the factor m_L(t) / m^L(t), constant along the tempered form)."""
-    constant = _span_membership(datum, coset.support_roots)
+    constant = datum.parabolics[coset.support].r1_vecs
     num = ONE
     den = ONE
     for r in datum.r1:
@@ -171,7 +155,7 @@ def m_upper(datum, labels, coset: ResidualCoset, t: TorusPoint):
 
     Returns (value, singular): value None when some complement c-factor
     has a pole or zero at t."""
-    constant = _span_membership(datum, coset.support_roots)
+    constant = datum.parabolics[coset.support].r1_vecs
     exp = labels.q_w0_exponent() - _sub_w0_exponent(datum, labels,
                                                     coset.support_roots)
     value = QRational(QLaurent.monomial(-exp), ONE)
@@ -226,7 +210,7 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
     den = lcm(*(F(e).denominator for e in gen_exp))
     steps = [(_changed_rows(g), int(ge * den))
              for g, ge in zip(_affine_generators(datum), gen_exp)]
-    w = datum.weyl_elements()[0].matrix
+    w = datum.weyl[0].matrix
     ident = tuple(c for row in w for c in (*row, 0))
     seen = {ident: 0}
     powers = {}
@@ -341,7 +325,7 @@ def plancherel_point_mass(datum: RootDatum, labels: LabelFunction,
     if canonical_point(datum, point) != canonical_point(datum, st):
         raise ValueError("mass formula implemented for the special point "
                          "orbit only")
-    if len(orbit_of_point(datum, st)) != len(datum.weyl_elements()):
+    if len(orbit_of_point(datum, st)) != len(datum.weyl):
         raise ValueError("special point is not regular")
     m = m_point(datum, labels, st)
     sign = 1 if datum.rank % 2 == 0 else -1

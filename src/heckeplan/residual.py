@@ -22,8 +22,6 @@ from operator import mul
 from .lattice import (
     int_rank,
     integer_kernel,
-    quotient_dual_elements,
-    saturate,
     solve_unique,
     transpose,
 )
@@ -35,7 +33,6 @@ from .rootdata import (
     parabolic_subsystem_roots,
     reflection_closure,
     restrict_labels,
-    root_permutations,
 )
 
 
@@ -180,20 +177,12 @@ INT64_SAFE = 1 << 62        # bound on every int64 intermediate
 def inverse_transpose_matrices(datum: RootDatum):
     """(A^{-1})^T for every Weyl matrix A, as integer tuples; the point
     image of w with matrix A has functional vectors (A^{-1})^T u."""
-    return [tuple(map(tuple, m)) for m in _weyl_action(datum)[0].tolist()]
-
-
-def _weyl_action(datum):
-    """(the int64 stack of inverse transposes of W0, its largest row
-    1-norm), built with the Weyl group."""
-    if datum._weyl_invt is None:
-        datum.weyl_elements()
-    return datum._weyl_invt, datum._weyl_invt_norm
+    return [tuple(map(tuple, m)) for m in datum.weyl.invts.tolist()]
 
 
 def _graded_action(datum, roots):
     """(inverse transposes, largest row 1-norm) of the subgroup generated
-    by the reflections in the given roots, as `_weyl_action` has them."""
+    by the reflections in the given roots, as `WeylGroup` has them."""
     import numpy as np
     n = datum.rank
     vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
@@ -224,33 +213,16 @@ def _row_to_point(row, den) -> TorusPoint:
 
 
 def orbit_of_point(datum: RootDatum, point: TorusPoint):
-    rows = _orbit_rows(point, *_weyl_action(datum))
+    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
     return {_row_to_point(row, point.den)
             for row in rows[_distinct_rows(rows)].tolist()}
-
-
-def _support_tables(datum):
-    """(table, root_index): table maps the sorted root-index tuple of a
-    standard parabolic subsystem to its simple subset (cached)."""
-    cached = getattr(datum, "_supidx_cache", None)
-    if cached is not None:
-        return cached
-    index = {r.vec: k for k, r in enumerate(datum.roots)}
-    table = {}
-    for size in range(datum.n_simple + 1):
-        for combo in combinations(range(datum.n_simple), size):
-            key = tuple(sorted(index[r.vec] for r in
-                               parabolic_subsystem_roots(datum, combo)))
-            table.setdefault(key, combo)
-    datum._supidx_cache = (table, index)
-    return datum._supidx_cache
 
 
 def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     """Deterministic orbit representative: lexicographically minimal
     (u vector, then r vector)."""
     import numpy as np
-    rows = _orbit_rows(point, *_weyl_action(datum))
+    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
     idx = np.lexsort(rows.T[::-1])
     return _row_to_point(rows[idx[0]].tolist(), point.den)
 
@@ -259,7 +231,7 @@ def dominant_split_representative(datum: RootDatum, point: TorusPoint):
     """Orbit member whose split exponent vector is dominant (all simple
     roots pair >= 0); ties broken by the lexicographically minimal u."""
     import numpy as np
-    rows = _orbit_rows(point, *_weyl_action(datum))
+    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
     n = datum.rank
     simple = np.array([list(v) for v in datum.simple_roots], dtype=np.int64)
     pair = rows[:, n:] @ simple.T
@@ -359,17 +331,20 @@ def _r1_components(datum, simples):
 def unitary_candidates(datum: RootDatum) -> CandidateSet:
     """W0-orbit representatives of unitary points s whose rank of
     {alpha in R1 : alpha(s) = 1} is full: the vertices of the fundamental
-    alcove of the R1 affine arrangement, one per orbit."""
+    alcove of the R1 affine arrangement, one per orbit.  They depend on
+    the datum only; `RootDatum.unitary_candidates` holds them."""
     n = datum.rank
-    if not datum.roots or len(_span_basis(datum)) < n:
+    # the simple roots are independent, so the roots span X over Q exactly
+    # when there are rank of them
+    if not datum.roots or datum.n_simple < n:
         return CandidateSet([], rank_deficient=True)
     simples = _r1_simple_basis(datum)
     comps = _r1_components(datum, simples)
+    coords = _r1_root_coords(datum, simples)
     per_component_vertices = []
     for comp in comps:
         comp_simples = [simples[i] for i in comp]
         # highest root of the component, in simple coordinates of R1
-        coords = _r1_root_coords(datum, simples)
         best, marks = None, None
         for r, cs in coords.items():
             if any(cs[i] for i in comp) and all(
@@ -402,18 +377,6 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         out.append(UnitaryCandidate(rep, r_s1, r_s0))
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
-
-
-def _span_basis(datum):
-    return _independent_subset([r.vec for r in datum.positive_roots])
-
-
-def _independent_subset(vecs):
-    chosen = []
-    for v in vecs:
-        if int_rank(chosen + [list(v)]) == len(chosen) + 1:
-            chosen.append(list(v))
-    return chosen
 
 
 def _r1_root_coords(datum, simples):
@@ -562,7 +525,7 @@ def _bareiss_det(m):
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
     """All residual points up to W0, as canonical orbit representatives."""
-    cands = unitary_candidates(datum)
+    cands = datum.unitary_candidates
     if cands.rank_deficient:
         return []
     found = set()
@@ -610,31 +573,6 @@ class ResidualCoset:
         }
 
 
-def _k_group(datum, combo):
-    """(low, den, elements) for the standard parabolic subset `combo`:
-    low is a basis of the saturated lattice spanned by its simple roots,
-    and the elements of K_L = T_L cap T^L are integer u-vectors over den;
-    cached on the datum."""
-    cache = getattr(datum, "_kgroup_cache", None)
-    if cache is None:
-        cache = datum._kgroup_cache = {}
-    combo = tuple(sorted(combo))
-    if combo in cache:
-        return cache[combo]
-    n = datum.rank
-    if not combo:
-        entry = ([], 1, [(0,) * n])
-    else:
-        low = saturate([list(datum.simple_roots[i]) for i in combo], n)
-        up = integer_kernel([list(datum.simple_coroots[i]) for i in combo])
-        elems = quotient_dual_elements(transpose(low + up), n)
-        den, nums = _numerators([x for ku in elems for x in ku])
-        entry = (low, den, [tuple(nums[i:i + n])
-                            for i in range(0, len(nums), n)])
-    cache[combo] = entry
-    return entry
-
-
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
     """All residual cosets up to W0: lift residual points of each standard
     parabolic quotient datum and dedupe orbits canonically."""
@@ -652,14 +590,14 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
 
     orbits = {}
     for pc, point in raw:
-        forms = _coset_orbit(datum, pc.roots, point)
+        forms = _coset_orbit(datum, pc.indices, point)
         sig_support, row, den = min(forms)
         base = _row_to_point(row, den)
         key = (sig_support, base)
         if key in orbits:
             continue
-        std_roots = parabolic_subsystem_roots(datum, sig_support)
-        poles, zeros = threshold_hits(datum, labels, base, roots=std_roots)
+        std = datum.parabolics[sig_support]
+        poles, zeros = threshold_hits(datum, labels, base, roots=std.roots)
         idx = len(poles) - len(zeros)
         codim = len(sig_support)
         if idx != codim:
@@ -668,11 +606,11 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
                 {"support": sig_support, "point": base, "index": idx})
         coset = ResidualCoset(
             support=sig_support,
-            support_roots=std_roots,
+            support_roots=std.roots,
             point=base,
             index=idx,
             center=base.r,
-            k_l=len(_k_group(datum, sig_support)[2]),
+            k_l=len(std.k_elems),
             pole_roots=poles,
             zero_roots=zeros,
             orbit_size=len(forms),
@@ -683,36 +621,36 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
     return out
 
 
-def _coset_orbit(datum, support_roots, point):
+def _coset_orbit(datum, support, point):
     """The W0-orbit of the coset through `point` whose constant roots are
-    `support_roots`, in standard form and in the order of first occurrence
-    over the Weyl elements.
+    R_support, for a standard parabolic subset `support`, in standard form
+    and in the order of first occurrence over the Weyl elements.
 
     An image counts when its support is a standard parabolic subsystem
     `combo`; its standard form is its lexicographically least K_L
     translate.  Returns [(combo, row, den)]: each row is the integer tuple
     u + r over den (one den per combo), as _orbit_rows has it."""
     import numpy as np
-    table, index = _support_tables(datum)
-    invts, norm = _weyl_action(datum)
-    rows = _orbit_rows(point, invts, norm)
+    norm = datum.weyl.invt_norm
+    rows = _orbit_rows(point, datum.weyl.invts, norm)
     n = datum.rank
-    sup = np.array([index[r.vec] for r in support_roots], dtype=np.intp)
-    images = np.sort(root_permutations(datum)[:, sup], axis=1).tolist()
+    sup = list(datum.parabolics[support].key)
+    images = np.sort(datum.root_permutations[:, sup], axis=1).tolist()
+    by_key = datum.parabolic_by_key
     groups = {}
     for g, img in enumerate(images):
-        combo = table.get(tuple(img))
-        if combo is not None:
-            groups.setdefault(combo, []).append(g)
+        image = by_key.get(tuple(img))
+        if image is not None:
+            groups.setdefault(image.indices, []).append(g)
     peak = norm * max(point.den, *map(abs, point.rn))
     found = []
     for combo, gs in groups.items():
-        _, kden, k_elems = _k_group(datum, combo)
-        d = lcm(point.den, kden)
+        entry = datum.parabolics[combo]
+        d = lcm(point.den, entry.k_den)
         scale = d // point.den
         own = rows[gs] * scale if peak * scale < INT64_SAFE else \
             rows[gs].astype(object) * scale
-        k_rows = np.array(k_elems, dtype=own.dtype) * (d // kden)
+        k_rows = np.array(entry.k_elems, dtype=own.dtype) * (d // entry.k_den)
         translates = ((own[:, None, :n] + k_rows[None]) % d).reshape(-1, n)
         owner = np.repeat(np.arange(len(gs)), len(k_rows))
         least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
@@ -833,7 +771,7 @@ def _coset_members(datum, cosets):
     return [(combo, _row_to_point(row, den), coset)
             for coset in cosets
             for combo, row, den in _coset_orbit(
-                datum, coset.support_roots, coset.point)]
+                datum, coset.support, coset.point)]
 
 
 def _nested_coset_violations(datum, members):
@@ -860,7 +798,7 @@ def _coset_contains(datum, combo_small, pt_small, combo_big, pt_big):
     means combo_big is a subset of combo_small, and the two points agree
     on the saturated lattice spanned by R_big."""
     return set(combo_big) <= set(combo_small) and \
-        pt_small.agrees_on(pt_big, _k_group(datum, combo_big)[0])
+        pt_small.agrees_on(pt_big, datum.parabolics[combo_big].lattice)
 
 
 def _in_graded_system(datum, root, point):
@@ -898,7 +836,7 @@ def _tempered_meet(datum, c1, p1, c2, p2):
     # unitary parts: (u1 + U1) meets (u2 + U2) in (Q/Z)^n iff u1 - u2 lies
     # in U1 + U2, where U_i = Ann(_L_i X) is the unitary part of T^{L_i};
     # by Q/Z-duality U1 + U2 = Ann(_L_1 X cap _L_2 X).
-    low1, low2 = _k_group(datum, c1)[0], _k_group(datum, c2)[0]
+    low1, low2 = datum.parabolics[c1].lattice, datum.parabolics[c2].lattice
     if not low1 or not low2:
         return True  # one annihilator is everything
     return p1.agrees_on(p2, _lattice_intersection(low1, low2, datum.rank))

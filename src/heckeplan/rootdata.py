@@ -7,6 +7,17 @@ basis of ``Y``, so the canonical pairing is the dot product.  Everything
 is generated from a Cartan matrix plus a lattice choice, which keeps all
 coordinates integral for any lattice between the root lattice Q and the
 weight lattice P.
+
+Everything a datum derives from itself is a `functools.cached_property`
+on `RootDatum`, computed on first use: the Weyl group with its int64
+matrix stacks, the root permutations, the parabolic table, the parabolic
+classes and the unitary candidates.  The parabolic table has one entry per
+standard parabolic subset P of the simple roots (all 2^n), built in one
+pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
+coordinates `alpha` are supported on P, so no rank is computed; each entry
+also holds the sorted root-index key of R_P, the saturated lattice of P,
+the group K_L of a coset with support R_P, and the standard
+representative of the W0-class of P.
 """
 
 from __future__ import annotations
@@ -14,14 +25,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import lcm
 
 from .lattice import (
     identity_matrix,
-    int_rank,
     integer_kernel,
     mat_inverse,
     mat_mul,
     mat_vec,
+    quotient_dual_elements,
     rational_det,
     saturate,
     solve_unique,
@@ -108,13 +122,6 @@ class RootDatum:
             if sum(x * y for x, y in zip(a, av)) != 2:
                 raise ValueError("pairing <alpha, alpha^vee> must be 2")
         self._generate_roots()
-        self._weyl_cache = None
-        # int64 stacks (|W0|, rank, rank) in weyl_elements() order: the
-        # Weyl matrices A and their inverse transposes A^{-T}, and the
-        # largest row 1-norm of A^{-T}, which bounds |A^{-T} v| / max|v|
-        self._weyl_mats = None
-        self._weyl_invt = None
-        self._weyl_invt_norm = None
 
     # -- construction ---------------------------------------------------
 
@@ -275,12 +282,12 @@ class RootDatum:
 
     # -- Weyl group -------------------------------------------------------
 
-    def weyl_elements(self):
-        """All elements of W0 as WeylElement, sorted by (length, word),
-        generated by `reflection_closure` on the simple reflections."""
+    def weyl_elements(self) -> "WeylGroup":
+        """Generate W0 by `reflection_closure` on the simple reflections:
+        its elements as WeylElement, sorted by (length, word), with their
+        int64 stacks.  Each call generates the group anew; `weyl` holds
+        it once generated."""
         import numpy as np
-        if self._weyl_cache is not None:
-            return self._weyl_cache
         if self.rank > 5:
             raise ValueError("rank cap exceeded for full Weyl enumeration")
         n = self.rank
@@ -288,18 +295,118 @@ class RootDatum:
                          for i in range(self.n_simple)],
                         dtype=np.int64).reshape(self.n_simple, n, n)
         mats, invts, words = reflection_closure(gens, n)
-        self._weyl_mats, self._weyl_invt = mats, invts
-        self._weyl_invt_norm = int(np.abs(invts).sum(axis=2).max(
-            initial=0))
-        self._weyl_cache = [WeylElement(tuple(map(tuple, m)), w, self)
-                            for m, w in zip(mats.tolist(), words)]
-        return self._weyl_cache
+        return WeylGroup([WeylElement(tuple(map(tuple, m)), w, self)
+                          for m, w in zip(mats.tolist(), words)], mats, invts)
+
+    @cached_property
+    def weyl(self) -> "WeylGroup":
+        """W0, generated on first use by `weyl_elements`."""
+        return self.weyl_elements()
 
     def weyl_matrices(self):
-        return [e.matrix for e in self.weyl_elements()]
+        return [e.matrix for e in self.weyl]
 
     def longest_element(self):
-        return self.weyl_elements()[-1]
+        return self.weyl[-1]
+
+    @cached_property
+    def root_permutations(self):
+        """For each Weyl element the permutation it induces on the sorted
+        root list, as an int32 array (|W0|, |R0|).
+
+        A root r is keyed by <radix, r>, radix the powers of 2b + 1 for b
+        the largest root entry, so distinct roots get distinct keys; the
+        keys of the images A r are (radix A) r, looked up among the sorted
+        keys."""
+        import numpy as np
+        roots = np.array([r.vec for r in self.roots],
+                         dtype=np.int64).reshape(-1, self.rank)
+        base = 2 * int(np.abs(roots).max(initial=0)) + 1
+        radix = base ** np.arange(self.rank, dtype=np.int64)
+        keys = roots @ radix
+        order = np.argsort(keys)
+        image_keys = (radix @ self.weyl.mats) @ roots.T
+        pos = np.searchsorted(keys[order], image_keys).clip(max=len(keys) - 1)
+        if len(keys) and not (keys[order][pos] == image_keys).all():
+            raise RuntimeError("a Weyl image of a root is not a root")
+        return order[pos].astype(np.int32)
+
+    # -- standard parabolic subsets ----------------------------------------
+
+    @cached_property
+    def parabolics(self) -> dict[tuple, "Parabolic"]:
+        """The parabolic table: every standard parabolic subset P (a
+        sorted tuple of simple-root indices, by size and then
+        lexicographically) -> its Parabolic entry."""
+        import numpy as np
+        n = self.n_simple
+        subsets = [c for size in range(n + 1)
+                   for c in combinations(range(n), size)]
+
+        def supported(alpha, combo):
+            return all(a == 0 for i, a in enumerate(alpha) if i not in combo)
+
+        roots = {c: [r for r in self.roots if supported(r.alpha, c)]
+                 for c in subsets}
+        index = {r.vec: k for k, r in enumerate(self.roots)}
+        keys = {c: tuple(sorted(index[r.vec] for r in roots[c]))
+                for c in subsets}
+        # W0-classes: the images of R_P that are some R_Q, Q standard
+        subset_of_key = {key: c for c, key in keys.items()}
+        rep = {}
+        for combo in subsets:
+            if combo in rep:
+                continue
+            images = np.sort(self.root_permutations[:, list(keys[combo])],
+                             axis=1).tolist() if combo else [[]]
+            for img in images:
+                member = subset_of_key.get(tuple(img))
+                if member is not None:
+                    rep[member] = combo
+        return {c: Parabolic(
+            indices=c, roots=roots[c], key=keys[c],
+            r1_vecs=frozenset(r.vec for r in self.r1 if supported(r.alpha, c)),
+            rep=rep[c], **self._k_group(c)) for c in subsets}
+
+    def _k_group(self, combo):
+        """The saturated lattice of the simple roots in `combo` and K_L =
+        T_L cap T^L for a coset L with R_L = R_combo, as Parabolic fields."""
+        n = self.rank
+        if not combo:
+            return {"lattice": [], "k_den": 1, "k_elems": [(0,) * n]}
+        low = saturate([list(self.simple_roots[i]) for i in combo], n)
+        up = integer_kernel([list(self.simple_coroots[i]) for i in combo])
+        elems = quotient_dual_elements(transpose(low + up), n)
+        den = lcm(1, *(x.denominator for ku in elems for x in ku))
+        return {"lattice": low, "k_den": den,
+                "k_elems": [tuple(int(x * den) for x in ku) for ku in elems]}
+
+    @cached_property
+    def parabolic_by_key(self) -> dict[tuple, "Parabolic"]:
+        """The parabolic table keyed by the sorted root-index key of R_P."""
+        return {p.key: p for p in self.parabolics.values()}
+
+    @cached_property
+    def parabolic_classes(self) -> list["ParabolicClass"]:
+        """Standard parabolic subsets up to W0-conjugacy: the quotient
+        datum of each class representative, including the empty set and
+        all of F0, with the size of its class."""
+        sizes = {}
+        for p in self.parabolics.values():
+            sizes[p.rep] = sizes.get(p.rep, 0) + 1
+        classes = []
+        for combo, size in sizes.items():
+            pc = parabolic_quotient(self, combo)
+            pc.orbit_size = size
+            classes.append(pc)
+        return classes
+
+    @cached_property
+    def unitary_candidates(self):
+        """The unitary candidates of `residual.unitary_candidates`, which
+        depend on the datum only."""
+        from .residual import unitary_candidates
+        return unitary_candidates(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -403,6 +510,19 @@ class WeylElement:
         return out
 
 
+class WeylGroup(list):
+    """The elements of W0 (WeylElement, sorted by (length, word)) with the
+    int64 stacks (|W0|, rank, rank) in the same order of their matrices A
+    and of the inverse transposes A^{-T}, and the largest row 1-norm of
+    A^{-T}, which bounds |A^{-T} v| / max|v|."""
+
+    def __init__(self, elements, mats, invts):
+        super().__init__(elements)
+        self.mats = mats
+        self.invts = invts
+        self.invt_norm = int(abs(invts).sum(axis=2).max(initial=0))
+
+
 @dataclass(frozen=True)
 class AffineElement:
     """Element (w, x) of W = W0 x| X acting by v -> w(v) + x."""
@@ -455,13 +575,10 @@ def norm_n(datum: RootDatum, elem: AffineElement):
     x = elem.translation
     if not datum.positive_roots:
         central = [Fraction(c) for c in x]
+    elif datum.n_simple == datum.rank:
+        # the simple coroots are independent: the datum is semisimple
+        return Fraction(length)
     else:
-        from .lattice import rref
-        mat = [[Fraction(av[j]) for j in range(datum.rank)]
-               for av in datum.simple_coroots]
-        _, pivots = rref(mat)
-        if len(pivots) == datum.rank:
-            return Fraction(length)
         central = _central_projection(datum, x)
     sq = sum(Fraction(c) * Fraction(c) for c in central)
     if sq == 0:
@@ -684,6 +801,20 @@ def affine_generator_exponents(datum: RootDatum, labels: LabelFunction):
 # -- parabolic subsystems ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Parabolic:
+    """One entry of the parabolic table: a standard parabolic subset P of
+    the simple roots and what the cosets L with R_L = R_P are built from."""
+    indices: tuple            # P, sorted simple-root indices
+    roots: list               # R_P: the roots with alpha supported on P
+    key: tuple                # sorted indices of R_P in datum.roots
+    r1_vecs: frozenset        # the roots of R1 with alpha supported on P
+    lattice: list             # basis rows of span(P) cap X
+    k_den: int                # K_L = T_L cap T^L, as integer u-vectors
+    k_elems: list             # over k_den
+    rep: tuple                # the standard representative of P's W0-class
+
+
 @dataclass
 class ParabolicClass:
     indices: tuple            # subset of simple-root indices (standard rep)
@@ -695,25 +826,8 @@ class ParabolicClass:
 
 
 def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:
-    """R_P = QP intersected with R0 for a subset P of simple roots
-    (cached on the datum)."""
-    indices = tuple(sorted(indices))
-    cache = getattr(datum, "_parroot_cache", None)
-    if cache is None:
-        cache = datum._parroot_cache = {}
-    if indices in cache:
-        return cache[indices]
-    if not indices:
-        cache[indices] = []
-        return []
-    span_rows = [list(datum.simple_roots[i]) for i in indices]
-    rank = int_rank(span_rows)
-    out = []
-    for r in datum.roots:
-        if int_rank(span_rows + [list(r.vec)]) == rank:
-            out.append(r)
-    cache[indices] = out
-    return out
+    """R_P = QP intersected with R0 for a subset P of simple roots."""
+    return datum.parabolics[tuple(sorted(indices))].roots
 
 
 def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
@@ -753,72 +867,15 @@ def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
 
 
 def root_permutations(datum: RootDatum):
-    """For each Weyl element the permutation it induces on the sorted
-    root list, as a numpy array (cached on the datum).
-
-    A root r is keyed by <radix, r>, radix the powers of 2b + 1 for b the
-    largest root entry, so distinct roots get distinct keys; the keys of
-    the images A r are (radix A) r, looked up among the sorted keys."""
-    import numpy as np
-    cached = getattr(datum, "_rootperm_cache", None)
-    if cached is not None:
-        return cached
-    if datum._weyl_mats is None:
-        datum.weyl_elements()
-    roots = np.array([r.vec for r in datum.roots],
-                     dtype=np.int64).reshape(-1, datum.rank)
-    base = 2 * int(np.abs(roots).max(initial=0)) + 1
-    radix = base ** np.arange(datum.rank, dtype=np.int64)
-    keys = roots @ radix
-    order = np.argsort(keys)
-    image_keys = (radix @ datum._weyl_mats) @ roots.T
-    pos = np.searchsorted(keys[order], image_keys).clip(max=len(keys) - 1)
-    if len(keys) and not (keys[order][pos] == image_keys).all():
-        raise RuntimeError("a Weyl image of a root is not a root")
-    cached = order[pos].astype(np.int32)
-    datum._rootperm_cache = cached
-    return cached
+    """The permutations of the sorted root list by W0, as
+    `RootDatum.root_permutations` holds them."""
+    return datum.root_permutations
 
 
 def parabolic_classes(datum: RootDatum) -> list[ParabolicClass]:
-    """Standard parabolic subsets up to W0-conjugacy (one representative
-    per class, including the empty set and all of F0); cached."""
-    import numpy as np
-    cached = getattr(datum, "_parclass_cache", None)
-    if cached is not None:
-        return cached
-    from itertools import combinations
-    n = datum.n_simple
-    perms = root_permutations(datum)
-    index = {r.vec: k for k, r in enumerate(datum.roots)}
-    subset_idx = {}
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            subset_idx[combo] = tuple(sorted(
-                index[r.vec] for r in parabolic_subsystem_roots(datum, combo)))
-    lookup = {}
-    for combo, key in subset_idx.items():
-        lookup.setdefault(key, set()).add(combo)
-    classes = []
-    assigned = {}
-    for combo in sorted(subset_idx, key=lambda c: (len(c), c)):
-        if combo in assigned:
-            continue
-        orbit = set()
-        base = np.array(subset_idx[combo], dtype=np.int32)
-        if len(base):
-            images = np.sort(perms[:, base], axis=1)
-            for g in range(len(perms)):
-                orbit |= lookup.get(tuple(images[g]), set())
-        else:
-            orbit = {()}
-        for member in orbit:
-            assigned[member] = combo
-        pc = parabolic_quotient(datum, combo)
-        pc.orbit_size = len(orbit)
-        classes.append(pc)
-    datum._parclass_cache = classes
-    return classes
+    """The standard parabolic subsets up to W0-conjugacy, as
+    `RootDatum.parabolic_classes` holds them."""
+    return datum.parabolic_classes
 
 
 def restrict_labels(labels: LabelFunction, pc: ParabolicClass) -> LabelFunction:

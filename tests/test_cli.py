@@ -139,6 +139,25 @@ def test_tables_poincare_g2():
     assert row["product_at_q"] == "189/31"
 
 
+def _seeded_b2_labels(seed):
+    import random
+    from heckeplan.rootdata import RootDatum, random_label_vector
+    values = random_label_vector(RootDatum.from_type("B2", "Q"),
+                                 random.Random(seed))
+    return ",".join(str(v) for v in values)
+
+
+@pytest.mark.parametrize("tag,labels", [("A1", "2,3/2"),
+                                        ("B2", _seeded_b2_labels(1))])
+def test_tables_poincare_at_q_without_exact_roots(tag, labels):
+    # half-integer exponents of q = 5/2 have no exact rational value, so
+    # the product is evaluated as a complex number
+    code, out = run_cli("tables", "--which", "poincare", "--type", tag,
+                        "--labels", labels, "--q", "5/2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["within_bound"]
+
+
 def test_tables_fdim():
     code, out = run_cli("tables", "--which", "fdim", "--family",
                         "subregular-C", "--n", "3", "--format", "json")

@@ -14,8 +14,12 @@ import numpy as np
 import pytest
 
 from heckeplan.lattice import (
+    int_rank,
+    integer_kernel,
     mat_inverse,
+    quotient_dual_elements,
     rational_det,
+    saturate,
     solve_unique,
     transpose,
 )
@@ -28,7 +32,6 @@ from heckeplan.residual import (
     _in_graded_system,
     _orbit_rows,
     _row_to_point,
-    _weyl_action,
     canonical_point,
     graded_labels,
     inverse_transpose_matrices,
@@ -155,6 +158,43 @@ def test_root_permutations_match_elementwise(tag, lattice):
     assert perms.shape == (len(d.weyl_elements()), len(d.roots))
     for g, w in enumerate(d.weyl_elements()):
         assert tuple(perms[g].tolist()) == w.root_permutation()
+
+
+# -- the parabolic table against the rank tests and lattices it replaced -------
+
+
+TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
+               "C3", "C4", "C5", "D3", "D4", "D5", "G2", "F4"]
+
+
+def _in_span(rows, roots):
+    """The roots in the rational span of the rows, by comparing ranks."""
+    rank = int_rank(rows)
+    return [r for r in roots if int_rank(rows + [list(r.vec)]) == rank]
+
+
+@pytest.mark.parametrize("lattice", ["Q", "P"])
+@pytest.mark.parametrize("tag", TABLE_TYPES)
+def test_parabolic_table_matches_span_ranks_and_lattices(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    n = d.rank
+    index = {r.vec: k for k, r in enumerate(d.roots)}
+    assert len(d.parabolics) == 2 ** d.n_simple
+    for combo, entry in d.parabolics.items():
+        rows = [list(d.simple_roots[i]) for i in combo]
+        assert entry.indices == combo
+        assert parabolic_subsystem_roots(d, combo) == _in_span(rows, d.roots)
+        assert entry.r1_vecs == {r.vec for r in _in_span(rows, d.r1)}
+        assert entry.key == tuple(sorted(index[r.vec] for r in entry.roots))
+        if combo:
+            low = saturate(rows, n)
+            up = integer_kernel([list(d.simple_coroots[i]) for i in combo])
+            elems = quotient_dual_elements(transpose(low + up), n)
+        else:
+            low, elems = [], [(Fraction(0),) * n]
+        assert entry.lattice == low
+        assert [tuple(Fraction(x, entry.k_den) for x in ku)
+                for ku in entry.k_elems] == elems
 
 
 # -- the integer pairing primitive and what is built on it ----------------------
@@ -333,7 +373,7 @@ def test_graded_orbit_matches_tuple_closure(tag, lattice):
 def test_orbit_rows_leave_int64_when_the_bound_requires():
     # an image entry is at most norm * max(den, |r numerators|)
     d = RootDatum.from_type("B3", "P")
-    invts, norm = _weyl_action(d)
+    invts, norm = d.weyl.invts, d.weyl.invt_norm
     edge = 2 ** 62 // norm
     for big, wide in ((edge - 1, False), (edge + 1, True),
                       (10 ** 19 + 1, True)):
@@ -380,19 +420,19 @@ def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
     # rows of a point with denominator 1 are its orbit rows times 3: an
     # orbit that fits int64 can leave it there
     d = RootDatum.from_type("A3", "P")
-    _, norm = _weyl_action(d)
-    roots = parabolic_subsystem_roots(d, (0, 1))
+    norm = d.weyl.invt_norm
+    support = (0, 1)
     big = 2 ** 62 // norm - 1
 
     def widest(r):
         return max(abs(x) for _, row, _ in _coset_orbit(
-            d, roots, TorusPoint([0] * 3, r)) for x in row[3:])
+            d, support, TorusPoint([0] * 3, r)) for x in row[3:])
 
     point = TorusPoint([0] * 3, max(product((-1, 0, 1), repeat=3),
                                     key=widest))
     assert widest(point.r) * big >= 2 ** 63
-    small = _coset_orbit(d, roots, point)
-    large = _coset_orbit(d, roots, point.scale_split(big))
+    small = _coset_orbit(d, support, point)
+    large = _coset_orbit(d, support, point.scale_split(big))
     assert [(combo, _row_to_point(row, den)) for combo, row, den in large] \
         == [(combo, _row_to_point(row, den).scale_split(big))
             for combo, row, den in small]

@@ -227,3 +227,26 @@ def test_serialization_roundtrip():
     d2, labels2 = datum_labels_from_json(text)
     assert d2.typename == d.typename
     assert labels2.pairs == labels.pairs
+
+
+# the attributes RootDatum.__init__ sets; everything else it derives is a
+# cached_property
+DATUM_ATTRIBUTES = {"rank", "n_simple", "simple_roots", "simple_coroots",
+                    "typename", "lattice", "basis_in_alpha", "roots",
+                    "positive_roots", "root_by_vec", "coroot_by_vec",
+                    "doubled", "r1", "r1_positive"}
+
+
+def test_datum_holds_no_state_outside_cached_properties():
+    from functools import cached_property
+
+    from heckeplan.plancherel import density_table
+    from heckeplan.residual import classification_suite
+    d = RootDatum.from_type("B2", "P")
+    labels = LabelFunction.equal(d)
+    assert classification_suite(d, labels).passed
+    assert density_table(d, labels, qval=2)
+    cached = {name for name, attr in vars(RootDatum).items()
+              if isinstance(attr, cached_property)}
+    assert {"weyl", "parabolics", "unitary_candidates"} <= set(vars(d))
+    assert set(vars(d)) <= DATUM_ATTRIBUTES | cached
