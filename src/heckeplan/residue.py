@@ -19,13 +19,25 @@ doubled otherwise, and a contour that still misses the tolerance at 2^14
 nodes raises ValueError.  A report's `resolution` is the largest N used
 and its `error_estimate` the largest half-grid difference among the
 integrals it used.
+
+Evaluation.  The kernel is a product of factors 1 - d z^vec, and vec = c p
+for a primitive direction p, so a factor depends on the grid point only
+through w = z^p.  At node (k1, k2) of a rank-2 grid, z^p = r^p omega^(p.k)
+with omega = e^{2 pi i/N} and the exponent taken mod N.  Each direction's
+factor is therefore a table of N values on one circle, built once per
+integral; the two axis tables enter as an outer pair, each skew table is
+read through a strided (N, N) view of the table tiled |p1| + |p2| + 1
+times, and the sum runs over blocks of rows.  The half grid reads every
+other entry of the same tables.  This is the same trapezoid sum as
+evaluating the kernel at all N^2 points, in O(N) kernel evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log
+from functools import cached_property
+from math import gcd, log
 
 import numpy as np
 
@@ -46,6 +58,15 @@ F = Fraction
 # -- divisor bookkeeping --------------------------------------------------------
 
 
+def direction(vec):
+    """(p, c) with vec = c p, p primitive and sign-canonical (its first
+    nonzero entry positive)."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec), g
+
+
 @dataclass(frozen=True)
 class Divisor:
     """One factor (1 - d theta_vec) with d = e^{2 pi i u0} q^{r0}."""
@@ -54,22 +75,13 @@ class Divisor:
     r0: Fraction
     sign: int  # +1 denominator (pole of the kernel), -1 numerator (zero)
 
+    @cached_property
     def ring(self):
         """(primitive direction, radius per primitive unit) of the radial
         projection of the vanishing locus theta_vec = 1/d, which satisfies
         <vec, log-radii> = -r0; the direction is sign-canonical."""
-        g = 0
-        for v in self.vec:
-            g = gcd(g, abs(v))
-        p = tuple(v // g for v in self.vec)
-        rho = -self.r0 / g
-        for v in p:
-            if v != 0:
-                if v < 0:
-                    p = tuple(-x for x in p)
-                    rho = -rho
-                break
-        return p, rho
+        p, c = direction(self.vec)
+        return p, -self.r0 / c
 
 
 def kernel_divisors(datum, labels):
@@ -91,8 +103,7 @@ def divisors_through(divisors, point: TorusPoint):
 def net_pole_order(divisors, point, exclude_ring=None) -> int:
     total = 0
     for d in divisors_through(divisors, point):
-        if exclude_ring is not None and d.ring()[0] == exclude_ring[0] \
-                and d.ring()[1] == exclude_ring[1]:
+        if d.ring == exclude_ring:
             continue
         total += d.sign
     return total
@@ -102,8 +113,8 @@ def net_pole_order(divisors, point, exclude_ring=None) -> int:
 
 
 MAX_NODES = 1 << 14  # nodes per circle at which a contour must converge
-# grid points per kernel evaluation: each complex temporary takes 256 KiB,
-# so the kernel's few live arrays stay within a 2 MiB L2 cache
+# grid points per block of the rank-2 sum: the block buffer takes 256 KiB,
+# so it stays in a 2 MiB L2 cache next to the direction tables it reads
 BLOCK_POINTS = 1 << 14
 
 
@@ -112,28 +123,63 @@ def torus_integral(fn, radii, nodes: int):
     endpoint grid theta_k = 2 pi k / nodes and on its nested half grid
     (every other node in each coordinate), from one evaluation; this is
     the integral against the normalized holomorphic extension of Haar
-    measure.  Returns (mean on the full grid, mean on the half grid)."""
+    measure.  Returns (mean on the full grid, mean on the half grid).
+
+    At rank 1 fn is evaluated on the circle.  At rank 2 fn is a product
+    over primitive directions p (an `Integrand`): at node (k1, k2) the
+    character z^p is r^p omega^(p.k), omega = e^{2 pi i/nodes}, so each
+    direction's factor is a table of `nodes` values on the circle, read
+    at (p1 k1 + p2 k2) mod nodes."""
     if nodes % 2:
         raise ValueError("the nested half grid needs an even node count")
     circle = np.exp(np.arange(nodes) * (2j * np.pi / nodes))
     if len(radii) == 1:
         vals = fn(radii[0] * circle)
         return complex(vals.mean()), complex(vals[::2].mean())
-    z1 = radii[0] * circle
-    z2 = (radii[1] * circle)[None, :]
-    # an even number of rows per block keeps the half grid aligned
-    rows = max(2, BLOCK_POINTS // nodes) & ~1
-    total = half = 0j
-    for start in range(0, nodes, rows):
-        part = fn(z1[start:start + rows, None], z2)
-        total += complex(part.sum())
-        half += complex(part[::2, ::2].sum())
-    return total / nodes ** 2, 4 * half / nodes ** 2
+    tables = {p: fn.factor(p, radii[0] ** p[0] * radii[1] ** p[1] * circle)
+              for p in fn.directions}
+    ones = np.ones(nodes, dtype=complex)
+    rows_t = tables.pop((1, 0), ones)
+    cols_t = tables.pop((0, 1), ones)
+    skews = [_skew_view(table, p) for p, table in tables.items()]
+    if not skews:
+        total = rows_t.sum() * cols_t.sum()
+        half = rows_t[::2].sum() * cols_t[::2].sum()
+    else:
+        # an even number of rows per block keeps the half grid aligned
+        rows = max(2, BLOCK_POINTS // nodes) & ~1
+        buf = np.empty((rows, nodes), dtype=complex)
+        total = half = 0j
+        for start in range(0, nodes, rows):
+            band = slice(start, start + rows)
+            block = buf[:len(rows_t[band])]
+            np.multiply(skews[0][band], cols_t, out=block)
+            for view in skews[1:]:
+                block *= view[band]
+            # row sums first, then one product per row: no BLAS call,
+            # whose threads can stall a small reduction
+            total += (rows_t[band] * block.sum(axis=1)).sum()
+            half += (rows_t[band][::2] * block[::2, ::2].sum(axis=1)).sum()
+    return (complex(fn.scale * total / nodes ** 2),
+            complex(fn.scale * 4 * half / nodes ** 2))
+
+
+def _skew_view(table, p):
+    """The read-only (N, N) view [k1, k2] -> table[(p1 k1 + p2 k2) mod N]
+    of a direction's table, strided over the table tiled |p1| + |p2| + 1
+    times: it starts on the tile where the least index p.k lands."""
+    n = len(table)
+    tiled = np.tile(table, abs(p[0]) + abs(p[1]) + 1)
+    offset = n * (max(-p[0], 0) + max(-p[1], 0))
+    step = tiled.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        tiled[offset:], shape=(n, n), strides=(p[0] * step, p[1] * step),
+        writeable=False)
 
 
 def _power(powers, a):
-    """z^a from the cache {1: z, ...} of powers of one coordinate, built
-    by repeated products."""
+    """w^a from the cache {1: w, ...} of powers of one array, built by
+    repeated products."""
     if a not in powers:
         if a == -1:
             powers[a] = 1 / powers[1]
@@ -144,44 +190,59 @@ def _power(powers, a):
 
 
 class Integrand:
-    """Compiled numeric kernel dt/(q(w0) c c-bar) for a fixed numeric q."""
+    """Compiled numeric kernel dt/(q(w0) c c-bar) for a fixed numeric q.
+
+    A factor 1 - d z^vec depends on z only through the character w = z^p
+    of the primitive direction p of vec = c p.  `directions` groups the
+    factors by p, as {c: (numerator d values, denominator d values)}, and
+    `factor(p, w)` is the product of one direction's factors at w."""
 
     def __init__(self, datum, labels, qval):
         self.rank = datum.rank
         self.qval = float(qval)
         self.divisors = kernel_divisors(datum, labels)
         self.scale = float(qval) ** (-float(labels.q_w0_exponent()))
-        # monomial -> (numerator d values, denominator d values)
-        self.factors = {}
+        self.directions = {}
         for d in self.divisors:
-            num, den = self.factors.setdefault(d.vec, ([], []))
+            p, c = direction(d.vec)
+            num, den = self.directions.setdefault(p, {}).setdefault(
+                c, ([], []))
             (num if d.sign < 0 else den).append(self._dval(d))
 
     def _dval(self, d: Divisor):
         phase = np.exp(2j * np.pi * float(d.u0))
         return phase * self.qval ** float(d.r0)
 
-    def __call__(self, *zs):
-        """The kernel at the broadcast of the coordinate arrays zs."""
-        zs = [np.asarray(z, dtype=complex) for z in zs]
-        num = np.ones(np.broadcast_shapes(*(z.shape for z in zs)),
-                      dtype=complex)
+    def factor(self, p, w):
+        """prod (1 - d w^c)^(-/+1) over the factors along direction p, at
+        the array w of values of z^p."""
+        num = np.ones(w.shape, dtype=complex)
         den = num.copy()
-        powers = [{1: z} for z in zs]
-        for vec, (nvals, dvals) in self.factors.items():
-            mono = None
-            for pw, a in zip(powers, vec):
-                if a:
-                    p = _power(pw, a)
-                    mono = p if mono is None else mono * p
+        powers = {1: w}
+        for c, (nvals, dvals) in self.directions[p].items():
+            wc = _power(powers, c)
             for acc, vals in ((num, nvals), (den, dvals)):
                 for d in vals:
-                    f = mono * -d
+                    f = wc * -d
                     f += 1
                     acc *= f
         num /= den
-        num *= self.scale
         return num
+
+    def __call__(self, *zs):
+        """The kernel at the broadcast of the coordinate arrays zs."""
+        zs = [np.asarray(z, dtype=complex) for z in zs]
+        out = np.full(np.broadcast_shapes(*(z.shape for z in zs)),
+                      self.scale, dtype=complex)
+        powers = [{1: z} for z in zs]
+        for p in self.directions:
+            w = None
+            for pw, a in zip(powers, p):
+                if a:
+                    za = _power(pw, a)
+                    w = za if w is None else w * za
+            out *= self.factor(p, w)
+        return out
 
 
 # -- exact contour geometry -------------------------------------------------------
@@ -214,8 +275,7 @@ def ring_lines(divisors):
     rings = {}
     for d in divisors:
         if d.sign > 0:
-            p, rho = d.ring()
-            rings.setdefault((p, rho), []).append(d)
+            rings.setdefault(d.ring, []).append(d)
     return rings
 
 
@@ -249,7 +309,7 @@ def ring_candidates_rank1(divisors, key):
     """Exact points on a rank-1 pole ring: solutions of theta_vec = d."""
     points = []
     for d in divisors:
-        if d.sign <= 0 or d.ring() != key:
+        if d.sign <= 0 or d.ring != key:
             continue
         a = d.vec[0]
         # theta^a = 1/d  <=>  value (u, r) with a u = -u0, a r = -r0
@@ -262,24 +322,24 @@ def ring_candidates_rank1(divisors, key):
 
 def ring_candidates_rank2(divisors, key1, key2):
     """Exact points where a divisor on ring key1 meets one on ring key2:
-    solve the 2x2 monomial system for every divisor pair."""
-    from .lattice import solve_unique
+    for each divisor pair, A r = -r0 and A u = k - u0 for k in
+    [0, |det A|)^2, A the 2x2 matrix of their monomials, solved once by
+    its integer adjugate."""
     out = set()
-    div1 = [d for d in divisors if d.sign > 0 and d.ring() == key1]
-    div2 = [d for d in divisors if d.sign > 0 and d.ring() == key2]
+    div1 = [d for d in divisors if d.sign > 0 and d.ring == key1]
+    div2 = [d for d in divisors if d.sign > 0 and d.ring == key2]
     for d1 in div1:
         for d2 in div2:
-            amat = [list(d1.vec), list(d2.vec)]
-            det = d1.vec[0] * d2.vec[1] - d1.vec[1] * d2.vec[0]
+            (a, b), (c, e) = d1.vec, d2.vec
+            det = a * e - b * c
             if det == 0:
                 continue
-            rsol = solve_unique([[F(x) for x in row] for row in amat],
-                                [-d1.r0, -d2.r0])
+            adj = ((e, -b), (-c, a))
+            rsol = [(x * -d1.r0 + y * -d2.r0) / det for x, y in adj]
             for k1 in range(abs(det)):
                 for k2 in range(abs(det)):
-                    usol = solve_unique(
-                        [[F(x) for x in row] for row in amat],
-                        [-d1.u0 + k1, -d2.u0 + k2])
+                    usol = [(x * (k1 - d1.u0) + y * (k2 - d2.u0)) / det
+                            for x, y in adj]
                     out.add(TorusPoint.make(usol, rsol))
     return sorted(out, key=TorusPoint.key)
 
@@ -372,22 +432,12 @@ class ResidueEngine:
                 img_dir = tuple(sum(a[i][j] * base_dir[j]
                                     for j in range(self.datum.rank))
                                 for i in range(self.datum.rank))
-                g = 0
-                for v in img_dir:
-                    g = gcd(g, abs(v))
-                pdir = tuple(v // g for v in img_dir)
-                directions = {pdir, tuple(-x for x in pdir)}
+                pdir = direction(img_dir)[0]
                 pt = coset.point.transform(ait)
                 for d in self.divisors:
-                    if d.sign <= 0:
-                        continue
-                    gd = 0
-                    for v in d.vec:
-                        gd = gcd(gd, abs(v))
-                    if tuple(v // gd for v in d.vec) not in directions:
-                        continue
-                    if pt.takes(d.vec, -d.u0, -d.r0):
-                        targets.setdefault(d.ring(), set()).add((pt.r, k))
+                    if d.sign > 0 and d.ring[0] == pdir and \
+                            pt.takes(d.vec, -d.u0, -d.r0):
+                        targets.setdefault(d.ring, set()).add((pt.r, k))
         return targets
 
     def nodes_for(self, ell):

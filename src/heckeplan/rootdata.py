@@ -10,8 +10,8 @@ weight lattice P.
 
 Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
-matrix stacks, the root permutations, the parabolic table, the parabolic
-classes and the unitary candidates.  The parabolic table has one entry per
+matrix stacks, the W0-orbits of the coroots, the root permutations, the
+parabolic table, the parabolic classes and the unitary candidates.  The parabolic table has one entry per
 standard parabolic subset P of the simple roots (all 2^n), built in one
 pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
 coordinates `alpha` are supported on P, so no rank is computed; each entry
@@ -308,6 +308,22 @@ class RootDatum:
 
     def longest_element(self):
         return self.weyl[-1]
+
+    @cached_property
+    def coroot_orbits(self) -> dict[tuple, int]:
+        """Coroot vector -> id of its W0-orbit in Y, the ids numbered in
+        the order in which `roots` first meets each orbit.  W0 acts on Y
+        by the transposes A^T, which run over the inverse transposes."""
+        import numpy as np
+        orbit_of = {}
+        orbits = 0
+        for r in self.roots:
+            if r.coroot not in orbit_of:
+                images = np.array(r.coroot, dtype=np.int64) @ self.weyl.mats
+                orbit_of.update(dict.fromkeys(map(tuple, images.tolist()),
+                                              orbits))
+                orbits += 1
+        return orbit_of
 
     @cached_property
     def root_permutations(self):
@@ -642,7 +658,7 @@ class LabelFunction:
         if len(values) != datum.n_simple + 1:
             raise ValueError("expected one value per affine node")
         f_aff, f_simple = values[0], values[1:]
-        orbits = cls._coroot_orbits(datum)
+        orbits = datum.coroot_orbits
         class_value = {}
 
         def put(key, value):
@@ -667,22 +683,6 @@ class LabelFunction:
                 f1 = f0
             pairs[r.vec] = (f0, f1)
         return cls(datum, pairs, node_values=[str(v) for v in values])
-
-    @staticmethod
-    def _coroot_orbits(datum):
-        """Map coroot vector -> orbit id under W0 (acting on Y)."""
-        orbit_of = {}
-        next_id = 0
-        mats = [transpose(m) for m in datum.weyl_matrices()]
-        for r in datum.roots:
-            if r.coroot in orbit_of:
-                continue
-            for m in mats:
-                img = tuple(sum(m[i][j] * r.coroot[j] for j in range(datum.rank))
-                            for i in range(datum.rank))
-                orbit_of[img] = next_id
-            next_id += 1
-        return orbit_of
 
     # -- derived exponents --------------------------------------------------
 
@@ -759,7 +759,7 @@ def affine_node_class_keys(datum: RootDatum):
     comps = datum.components()
     if len(comps) != 1:
         raise ValueError("irreducible datum required")
-    orbits = LabelFunction._coroot_orbits(datum)
+    orbits = datum.coroot_orbits
     theta_vee = datum.highest_coroot(comps[0])
     keys = [(orbits[theta_vee], 0)]
     for i in range(datum.n_simple):

@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heckeplan import residue
 from heckeplan.residue import (
     MAX_NODES,
     Integrand,
     ResidueEngine,
     global_unit_integral,
+    kernel_divisors,
+    ring_candidates_rank2,
+    ring_lines,
     shift_and_collect,
     start_log_radii,
     torus_integral,
@@ -20,11 +24,27 @@ from heckeplan.rootdata import LabelFunction, RootDatum, random_label_vector
 F = Fraction
 
 
+class DirectionTables:
+    """A rank-2 integrand in the form torus_integral reads: the product
+    over primitive directions p of factor(p, z^p), times `scale`."""
+
+    scale = 1.0
+
+    def __init__(self, factors):
+        self.directions = factors  # p -> function of the values of z^p
+
+    def factor(self, p, w):
+        return self.directions[p](w)
+
+
 def test_torus_integral_constant():
     val, _ = torus_integral(lambda z: np.ones_like(z), [1.0], 64)
     assert abs(val - 1) == 0
-    val, _ = torus_integral(lambda a, b: np.ones_like(a * b), [1.0, 1.0], 32)
-    assert abs(val - 1) < 1e-15
+    # on an axis, and on a skew direction read through its strided view
+    for p in ((1, 0), (1, 1)):
+        val, _ = torus_integral(DirectionTables({p: np.ones_like}),
+                                [1.0, 1.0], 32)
+        assert abs(val - 1) < 1e-15
 
 
 def test_torus_integral_character_orthogonality():
@@ -39,11 +59,19 @@ def test_torus_integral_nested_half_grid():
     n = 64
     full, half = torus_integral(lambda z: z ** (n // 2), [1.0], n)
     assert abs(full) < 1e-12 and abs(half - 1) < 1e-12
-    # 512 nodes per circle span several blocks of rows
+    # (z^p)^(N/2) is (-1)^(p.k) on the grid, +1 on the half grid, for an
+    # axis and skew directions; 512 nodes per circle span several blocks
+    # of rows
     n = 512
-    full, half = torus_integral(lambda a, b: a ** (n // 2) + b ** (n // 2),
-                                [1.0, 1.0], n)
-    assert abs(full) < 1e-12 and abs(half - 2) < 1e-12
+    for p in ((1, 0), (0, 1), (1, 1), (1, -2), (2, -3)):
+        mode = DirectionTables({p: lambda w: w ** (n // 2)})
+        full, half = torus_integral(mode, [1.0, 1.0], n)
+        assert abs(full) < 1e-12 and abs(half - 1) < 1e-12
+    # an axis mode times a constant skew table goes through the blocks too
+    mode = DirectionTables({(0, 1): lambda w: w ** (n // 2),
+                            (1, 1): np.ones_like})
+    full, half = torus_integral(mode, [1.0, 1.0], n)
+    assert abs(full) < 1e-12 and abs(half - 1) < 1e-12
     with pytest.raises(ValueError):
         torus_integral(lambda z: z, [1.0], 63)
 
@@ -245,7 +273,7 @@ def test_integrand_matches_plain_product(tag, lattice, seed):
         shapes = [[(64,)], [(7,)]]
     else:
         # vanishing_cycle_check's paired 1-D arrays, a single point, and
-        # the broadcast row block of torus_integral
+        # a broadcast grid
         shapes = [[(64,), (64,)], [(1, 1), (1, 1)], [(6, 1), (1, 40)]]
     for shape in shapes:
         zs = [points(s) for s in shape]
@@ -253,3 +281,98 @@ def test_integrand_matches_plain_product(tag, lattice, seed):
         want = _plain_kernel(fn, *zs)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _labels(d, seed):
+    return LabelFunction.equal(d) if seed is None else \
+        LabelFunction.from_affine_nodes(
+            d, random_label_vector(d, random.Random(seed)))
+
+
+ORACLE_CASES = [(tag, lattice, seed)
+                for tag, lattice in (("A2", "Q"), ("A2", "P"), ("B2", "Q"),
+                                     ("B2", "P"), ("C2", "P"), ("G2", "Q"),
+                                     ("G2", "P"))
+                for seed in (None, 7)]
+
+
+@pytest.mark.parametrize("tag,lattice,seed", ORACLE_CASES)
+def test_torus_integral_matches_the_broadcast_kernel(tag, lattice, seed):
+    # the direction-table sum equals the mean of the kernel evaluated at
+    # every grid point: skew directions with a negative entry, multiples
+    # such as B2/P's 2(1,-1), a node count that is not a power of two,
+    # and several blocks of rows
+    d = RootDatum.from_type(tag, lattice)
+    fn = Integrand(d, _labels(d, seed), F(3))
+    radii = [3.0 ** -0.3141, 3.0 ** 0.2718]
+    for n in (16, 48, 512):
+        full, half = torus_integral(fn, radii, n)
+        circle = np.exp(np.arange(n) * (2j * np.pi / n))
+        grid = fn((radii[0] * circle)[:, None], (radii[1] * circle)[None, :])
+        np.testing.assert_allclose(
+            [full, half], [grid.mean(), grid[::2, ::2].mean()], rtol=1e-12)
+
+
+def _ring_candidates_by_solver(divisors, key1, key2):
+    """The rank-2 ring candidates by one exact solve per right-hand side."""
+    from heckeplan.lattice import solve_unique
+    out = set()
+    div1 = [d for d in divisors if d.sign > 0 and d.ring == key1]
+    div2 = [d for d in divisors if d.sign > 0 and d.ring == key2]
+    for d1 in div1:
+        for d2 in div2:
+            amat = [[F(x) for x in d1.vec], [F(x) for x in d2.vec]]
+            det = d1.vec[0] * d2.vec[1] - d1.vec[1] * d2.vec[0]
+            if det == 0:
+                continue
+            rsol = solve_unique(amat, [-d1.r0, -d2.r0])
+            for k1 in range(abs(det)):
+                for k2 in range(abs(det)):
+                    usol = solve_unique(amat, [-d1.u0 + k1, -d2.u0 + k2])
+                    out.add(TorusPoint.make(usol, rsol))
+    return sorted(out, key=TorusPoint.key)
+
+
+@pytest.mark.parametrize("tag,lattice,seed",
+                         [(tag, lattice, seed)
+                          for tag in ("A2", "B2", "C2", "G2")
+                          for lattice in ("Q", "P") for seed in (None, 11)])
+def test_ring_candidates_rank2_match_the_solver(tag, lattice, seed):
+    d = RootDatum.from_type(tag, lattice)
+    divisors = kernel_divisors(d, _labels(d, seed))
+    rings = list(ring_lines(divisors))
+    found = 0
+    for key1 in rings:
+        for key2 in rings:
+            if key1 != key2:
+                got = ring_candidates_rank2(divisors, key1, key2)
+                assert got == _ring_candidates_by_solver(divisors, key1, key2)
+                found += len(got)
+    assert found
+
+
+def test_every_contour_goes_through_torus_integral(monkeypatch):
+    # the benchmark times and counts the quadrature by wrapping
+    # residue.torus_integral and reading its (fn, radii, nodes)
+    calls = []
+    contours = set()
+    quadrature = residue.torus_integral
+    integral = ResidueEngine.integral
+
+    def counted(fn, radii, nodes):
+        calls.append((fn, tuple(radii), nodes))
+        return quadrature(fn, radii, nodes)
+
+    def traced_integral(self, ell, nodes=None):
+        contours.add(tuple(self._iq ** float(x) for x in ell))
+        return integral(self, ell, nodes)
+
+    monkeypatch.setattr(residue, "torus_integral", counted)
+    monkeypatch.setattr(ResidueEngine, "integral", traced_integral)
+    d = RootDatum.from_type("B2", "Q")
+    rep = shift_and_collect(d, LabelFunction.equal(d), 2)
+    assert contours and {radii for _, radii, _ in calls} == contours
+    for fn, radii, nodes in calls:
+        assert isinstance(fn, Integrand) and len(radii) == 2
+        assert nodes % 2 == 0 and nodes <= MAX_NODES
+    assert max(nodes for _, _, nodes in calls) == rep.resolution

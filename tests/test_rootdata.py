@@ -250,3 +250,30 @@ def test_datum_holds_no_state_outside_cached_properties():
               if isinstance(attr, cached_property)}
     assert {"weyl", "parabolics", "unitary_candidates"} <= set(vars(d))
     assert set(vars(d)) <= DATUM_ATTRIBUTES | cached
+
+
+ORBIT_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
+               "C3", "C4", "C5", "D3", "D4", "D5", "G2", "F4"]
+
+
+def _coroot_orbits_by_loop(datum):
+    """The W0-orbits of the coroots by Python mat-vecs with the transpose
+    of every Weyl matrix, numbered as `roots` first meets them."""
+    orbit_of = {}
+    next_id = 0
+    for r in datum.roots:
+        if r.coroot in orbit_of:
+            continue
+        for m in datum.weyl_matrices():
+            img = tuple(sum(m[j][i] * r.coroot[j] for j in range(datum.rank))
+                        for i in range(datum.rank))
+            orbit_of[img] = next_id
+        next_id += 1
+    return orbit_of
+
+
+@pytest.mark.parametrize("lattice", ["Q", "P"])
+@pytest.mark.parametrize("tag", ORBIT_TYPES)
+def test_coroot_orbits_match_the_weyl_loop(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    assert d.coroot_orbits == _coroot_orbits_by_loop(d)
