@@ -2,7 +2,10 @@
 quotients, and affine solving over the rationals.
 
 Matrices are plain lists of rows; integer matrices hold ints, rational
-ones hold ``fractions.Fraction``.  Everything here is exact -- no floats.
+ones hold ``fractions.Fraction``.  Every linear system is solved by one
+routine, `gauss_jordan`: fraction-free elimination of a numpy stack of
+integer augmented matrices.  The Fraction-valued solvers scale their
+rows to integers and call it.  Everything here is exact -- no floats.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
+from operator import mul
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -146,6 +151,28 @@ def torsion_order(sublattice_generators: IntMatrix, ambient_rank: int):
     return order
 
 
+def quotient_dual_numerators(generators: IntMatrix, ambient_rank: int):
+    """The character group of Z^n / (column span of the generators), which
+    must be finite, as integers: (den, elements) with den the lcm of the
+    Smith diagonal and each element u in (Q/Z)^n given by the integer
+    vector den * u with entries in [0, den).  Elements are sorted and
+    start with 0."""
+    n = ambient_rank
+    if n == 0:
+        return 1, [()]
+    d, u, _ = smith_normal_form(generators)
+    diag = [abs(d[i][i]) for i in range(min(len(d), len(d[0])))]
+    if len([x for x in diag if x != 0]) < n:
+        raise ValueError("quotient is infinite")
+    den = lcm(*diag[:n])
+    # u = U^T w for w_j = c_j / diag_j, c_j in [0, diag_j)
+    scaled = [[x * (den // diag[j]) for j, x in enumerate(row)]
+              for row in transpose(u)]
+    out = {tuple(sum(map(mul, row, combo)) % den for row in scaled)
+           for combo in product(*(range(x) for x in diag[:n]))}
+    return den, sorted(out)
+
+
 def quotient_dual_elements(generators: IntMatrix, ambient_rank: int):
     """All u in (Q/Z)^n pairing integrally with every generator column.
 
@@ -153,22 +180,106 @@ def quotient_dual_elements(generators: IntMatrix, ambient_rank: int):
     be finite.  Elements are returned as tuples of Fractions in [0, 1),
     sorted, starting with 0.
     """
-    n = ambient_rank
-    if n == 0:
-        return [()]
-    d, u, _ = smith_normal_form(generators)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    if len([x for x in diag if x != 0]) < n:
-        raise ValueError("quotient is infinite")
-    ranges = [range(abs(x)) for x in diag[:n]]
-    out = set()
-    ut = transpose(u)
-    for combo in product(*ranges):
-        w = [Fraction(c, abs(diag[i])) for i, c in enumerate(combo)]
-        vec = tuple((sum(Fraction(ut[i][j]) * w[j] for j in range(n))) % 1
-                    for i in range(n))
-        out.add(vec)
-    return sorted(out)
+    den, elems = quotient_dual_numerators(generators, ambient_rank)
+    return [tuple(Fraction(x, den) for x in e) for e in elems]
+
+
+# -- the one exact solver: fraction-free Gauss-Jordan elimination ------------
+
+
+INT64_SAFE = 1 << 62        # bound on every int64 intermediate
+
+
+def _hadamard_square(aug):
+    """A bound on the square of every minor of every matrix in the integer
+    stack: the product of the largest squared row norms, as many as a
+    minor has rows, taken position by position over the stack."""
+    import numpy as np
+    if aug.dtype != object and aug.shape[2] < 64 and \
+            -(1 << 28) < aug.min(initial=0) and aug.max(initial=0) < 1 << 28:
+        sq = np.einsum("ijk,ijk->ij", aug, aug)
+    else:
+        sq = (aug.astype(object) ** 2).sum(axis=2)
+    top = np.sort(sq, axis=1)[:, ::-1].max(axis=0, initial=0)
+    return prod(max(1, int(x)) for x in top[:min(aug.shape[1:])])
+
+
+def gauss_jordan(aug, cols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968)
+    of a stack of integer augmented matrices [A | B], shape (count, rows,
+    cols + k), pivoting in the first `cols` columns only.
+
+    Returns (red, pivot, pivots).  `pivots` (count, cols) marks the pivot
+    columns of A; the t-th pivot row of red holds its pivot in the t-th
+    marked column, and every pivot of a matrix equals pivot[i].  So red /
+    pivot is the reduced row echelon form of [A | B] over A's columns, and
+    x = red[t, cols + j] / pivot on the pivot columns (zero elsewhere)
+    solves A x = B_j unless a row past the rank has a nonzero entry in
+    B_j.  Rows are swapped with a sign change, so a square invertible A
+    ends with pivot det(A).
+
+    Every entry is a minor of [A | B] at every step, so each division is
+    exact and every intermediate is below twice the Hadamard bound
+    squared: the stack runs on int64 while that is below 2^62 and on
+    Python integers (dtype=object) above it.  The returned arrays have
+    that dtype."""
+    import numpy as np
+    a = np.asarray(aug)
+    count, rows = a.shape[:2]
+    a = a.astype(np.int64 if 2 * _hadamard_square(a) < INT64_SAFE
+                 else object)
+    at = np.arange(count)
+    row_index = np.arange(rows)
+    pivot = np.ones(count, dtype=a.dtype)
+    pivots = np.zeros((count, cols), dtype=bool)
+    rank = np.zeros(count, dtype=np.intp)
+    for c in range(cols):
+        free = (a[:, :, c] != 0) & (row_index >= rank[:, None])
+        has = free.any(axis=1)
+        if not has.any():
+            continue
+        # swap the pivot row up to row r, negating the row moved down, so
+        # that the pivots keep the sign of the determinant
+        r = np.minimum(rank, rows - 1)
+        src = np.where(has, free.argmax(axis=1), r)
+        top = a[at, src]
+        if (src != r).any():
+            a[at, src] = -a[at, r]
+            a[at, r] = top
+        # every row: (p row - f top) / previous pivot, and the pivot row
+        # put back; a matrix without a pivot in this column is left as it is
+        p = np.where(has, top[:, c], 1)
+        f = a[:, :, c] * has[:, None]
+        a *= p[:, None, None]
+        a -= f[:, :, None] * top[:, None, :]
+        a //= np.where(has, pivot, 1)[:, None, None]
+        a[at, r] = top
+        pivot = np.where(has, p, pivot)
+        pivots[:, c] = has
+        rank += has
+    return a, pivot, pivots
+
+
+def _eliminate_rational(m, cols):
+    """gauss_jordan on one rational augmented matrix, given as rows of ints
+    or Fractions: each row is first scaled to integers by the lcm of its
+    denominators, which changes neither the solutions nor the echelon
+    form.  Returns (red rows as Python ints, pivot, pivot columns, the
+    product of the row scales).  The Fraction-valued wrappers below are
+    its only callers."""
+    import numpy as np
+    scale = 1
+    rows = []
+    for row in m:
+        row = [Fraction(x) for x in row]
+        s = lcm(1, *(x.denominator for x in row))
+        scale *= s
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+    width = len(rows[0]) if rows else cols
+    aug = np.array(rows, dtype=object).reshape(1, len(rows), width)
+    red, pivot, pivots = gauss_jordan(aug, cols)
+    return (red[0].tolist(), int(pivot[0]),
+            np.flatnonzero(pivots[0]).tolist(), scale)
 
 
 @dataclass
@@ -181,35 +292,6 @@ class SolutionSet:
     basis: list[RatVector] | None = None
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
 def solve_affine(a: RatMatrix, b: RatVector) -> SolutionSet:
     """Exact solution set of A x = b over Q.
 
@@ -217,24 +299,23 @@ def solve_affine(a: RatMatrix, b: RatVector) -> SolutionSet:
     >>> s.kind, s.point
     ('unique', [Fraction(0, 1), Fraction(0, 1)])
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+    cols = len(a[0]) if a else 0
+    red, pivot, pcols, _ = _eliminate_rational(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
+    if any(row[cols] for row in red[len(pcols):]):
         return SolutionSet("empty")
     point = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        point[c] = red[r][cols]
-    free = [c for c in range(cols) if c not in pivots]
+    for t, c in enumerate(pcols):
+        point[c] = Fraction(red[t][cols], pivot)
+    free = [c for c in range(cols) if c not in pcols]
     if not free:
         return SolutionSet("unique", point=point)
     basis = []
     for f in free:
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
+        for t, c in enumerate(pcols):
+            vec[c] = Fraction(-red[t][f], pivot)
         basis.append(vec)
     return SolutionSet("affine", point=point, basis=basis)
 
@@ -246,40 +327,31 @@ def solve_unique(a: RatMatrix, b: RatVector) -> RatVector | None:
 
 
 def int_rank(rows) -> int:
-    """Rank over Q of integer rows, by fraction-free elimination."""
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
+    """Rank over Q of integer rows.
+
+    >>> int_rank([[1, 2], [2, 4], [0, 1]])
+    2
+    """
+    import numpy as np
+    if not rows:
         return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [lead * x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    m = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    return int(gauss_jordan(m[None], m.shape[1])[2].sum())
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
+    """The inverse of a square rational matrix, as Fractions.
+
+    >>> mat_inverse([[2, 1], [1, 1]])
+    [[Fraction(1, 1), Fraction(-1, 1)], [Fraction(-1, 1), Fraction(2, 1)]]
+    """
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    red, pivot, pcols, _ = _eliminate_rational(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)], n)
+    if len(pcols) != n:
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
+    return [[Fraction(x, pivot) for x in row[n:]] for row in red]
 
 
 def integer_kernel(m: IntMatrix) -> list[list[int]]:
@@ -308,15 +380,19 @@ def saturate(vectors: list[list[int]], ambient_rank: int) -> list[list[int]]:
 
 def lattice_index(sub_basis: list[list[int]], ambient_basis: list[list[int]]) -> int:
     """Index [L : M] of one full-rank lattice inside another, both given by
-    basis rows in common coordinates."""
-    amb = [[Fraction(x) for x in row] for row in ambient_basis]
-    coords = []
-    for v in sub_basis:
-        sol = solve_unique(transpose(amb), [Fraction(x) for x in v])
-        if sol is None:
-            raise ValueError("bases not compatible")
-        coords.append(sol)
-    det = rational_det(coords)
+    basis rows in common coordinates.
+
+    >>> lattice_index([[2, 0], [1, 3]], [[1, 0], [0, 1]])
+    6
+    """
+    k = len(ambient_basis)
+    red, pivot, pcols, _ = _eliminate_rational(
+        [list(col) + list(v) for col, v in zip(transpose(ambient_basis),
+                                                 transpose(sub_basis))], k)
+    if len(pcols) != k or any(any(row[k:]) for row in red[k:]):
+        raise ValueError("bases not compatible")
+    # the coordinates of the sub basis are red[:k, k:] / pivot
+    det = rational_det([row[k:] for row in red[:k]]) / pivot ** k
     if det == 0:
         raise ValueError("sublattice not full rank")
     if det.denominator != 1:
@@ -325,24 +401,11 @@ def lattice_index(sub_basis: list[list[int]], ambient_basis: list[list[int]]) ->
 
 
 def rational_det(a: RatMatrix) -> Fraction:
+    """The determinant of a square rational matrix.
+
+    >>> rational_det([[1, 2], [3, 4]])
+    Fraction(-2, 1)
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+    _, pivot, pcols, scale = _eliminate_rational(a, n)
+    return Fraction(pivot if len(pcols) == n else 0, scale)

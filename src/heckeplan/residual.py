@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .lattice import (
-    int_rank,
+    INT64_SAFE,
+    gauss_jordan,
     integer_kernel,
     solve_unique,
     transpose,
@@ -169,9 +170,6 @@ class TorusPoint:
 
 
 # -- Weyl action helpers ------------------------------------------------------
-
-
-INT64_SAFE = 1 << 62        # bound on every int64 intermediate
 
 
 def inverse_transpose_matrices(datum: RootDatum):
@@ -333,6 +331,7 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     {alpha in R1 : alpha(s) = 1} is full: the vertices of the fundamental
     alcove of the R1 affine arrangement, one per orbit.  They depend on
     the datum only; `RootDatum.unitary_candidates` holds them."""
+    import numpy as np
     n = datum.rank
     # the simple roots are independent, so the roots span X over Q exactly
     # when there are rank of them
@@ -343,7 +342,6 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     coords = _r1_root_coords(datum, simples)
     per_component_vertices = []
     for comp in comps:
-        comp_simples = [simples[i] for i in comp]
         # highest root of the component, in simple coordinates of R1
         best, marks = None, None
         for r, cs in coords.items():
@@ -351,54 +349,63 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
                     cs[i] == 0 for i in range(len(simples)) if i not in comp):
                 if best is None or sum(cs) > sum(marks):
                     best, marks = r, cs
-        verts = [tuple(Fraction(0) for _ in range(n))]
-        for i in comp:
-            verts.append(_fundamental_covertex(datum, comp_simples,
-                                               comp.index(i), marks[i]))
-        per_component_vertices.append(verts)
+        per_component_vertices.append(
+            [tuple(Fraction(0) for _ in range(n))] + _fundamental_covertices(
+                datum, [simples[i] for i in comp], [marks[i] for i in comp]))
     # products over components
     candidates = set()
     from itertools import product
     for choice in product(*per_component_vertices):
         u = tuple(sum(v[i] for v in choice) % 1 for i in range(n))
         candidates.add(u)
-    out = []
-    seen = set()
+    reps = {}
     for u in sorted(candidates):
-        pt = TorusPoint.make(u, [0] * n)
-        rep = canonical_point(datum, pt)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        r_s1 = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
-        if int_rank([r.vec for r in r_s1]) < n:
-            continue
-        r_s0 = [r for r in datum.roots if _in_graded_system(datum, r, rep)]
-        out.append(UnitaryCandidate(rep, r_s1, r_s0))
+        rep = canonical_point(datum, TorusPoint.make(u, [0] * n))
+        if rep not in reps:
+            reps[rep] = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
+    # the ranks of every R1(s), padded with zero rows, from one stack
+    stack = np.zeros((len(reps), max(map(len, reps.values())), n),
+                     dtype=np.int64)
+    for i, r_s1 in enumerate(reps.values()):
+        stack[i, :len(r_s1)] = [r.vec for r in r_s1]
+    full = gauss_jordan(stack, n)[2].all(axis=1).tolist()
+    out = [UnitaryCandidate(rep, r_s1, [r for r in datum.roots
+                                        if _in_graded_system(datum, r, rep)])
+           for (rep, r_s1), ok in zip(reps.items(), full) if ok]
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
 
 
 def _r1_root_coords(datum, simples):
-    mat = transpose([[Fraction(c) for c in s.vec] for s in simples])
-    out = {}
-    for r in datum.r1_positive:
-        sol = solve_unique(mat, [Fraction(c) for c in r.vec])
-        out[r] = [int(c) for c in sol]
-    return out
+    """Simple-root coordinates in R1 of every positive root of R1, from
+    one solve with all the roots as right-hand sides."""
+    import numpy as np
+    k = len(simples)
+    pos = datum.r1_positive
+    aug = np.array([[s.vec[t] for s in simples] + [r.vec[t] for r in pos]
+                    for t in range(datum.rank)], dtype=np.int64)
+    red, pivot, _ = gauss_jordan(aug[None], k)
+    cols = (red[0, :k, k:] // pivot[0]).T.tolist()
+    return dict(zip(pos, cols))
 
 
-def _fundamental_covertex(datum, comp_simples, idx, mark):
-    """omega_i^vee / m_i for the component: the vector v in the coroot span
-    with <alpha_j, v> = delta_{ij}/m_i on the component simples."""
+def _fundamental_covertices(datum, comp_simples, marks):
+    """omega_i^vee / m_i for each simple root i of the component: the
+    vector v in the coroot span with <alpha_j, v> = delta_ij / m_i on the
+    component simples.  One solve of the Cartan matrix C of the component
+    against the identity gives C^{-1} = num / pivot, and v_i is the sum
+    of num[j][i] coroot_j over pivot * m_i."""
+    import numpy as np
     k = len(comp_simples)
-    span = [[Fraction(c) for c in s.coroot] for s in comp_simples]
-    rows = [[sum(Fraction(s.vec[t]) * span[j][t] for t in range(datum.rank))
-             for j in range(k)] for s in comp_simples]
-    rhs = [Fraction(int(j == idx), mark) for j in range(k)]
-    sol = solve_unique(rows, rhs)
-    return tuple(sum(sol[j] * span[j][t] for j in range(k))
-                 for t in range(datum.rank))
+    cartan = [[sum(map(mul, s.vec, t.coroot)) for t in comp_simples]
+              for s in comp_simples]
+    aug = np.array([row + [int(i == j) for j in range(k)]
+                    for i, row in enumerate(cartan)], dtype=np.int64)
+    red, pivot, _ = gauss_jordan(aug[None], k)
+    num, pivot = red[0, :, k:].tolist(), int(pivot[0])
+    return [tuple(Fraction(sum(num[j][i] * comp_simples[j].coroot[t]
+                               for j in range(k)), pivot * marks[i])
+                  for t in range(datum.rank)) for i in range(k)]
 
 
 # -- graded residual points ----------------------------------------------------
@@ -422,105 +429,81 @@ def graded_residual_points(datum, subsystem, klabels, rank=None):
     """
     import numpy as np
     n = rank if rank is not None else datum.rank
-    positives = [r for r in subsystem if r.height > 0]
-    if int_rank([r.vec for r in positives]) < n:
+    gammas = _candidate_gammas([r for r in subsystem if r.height > 0],
+                               klabels, n)
+    if not len(gammas):
         return []
-    candidates = _candidate_gammas(positives, klabels, n)
-    # alpha(gamma) = k_alpha as integers: vals / dg = knum / kden, in
-    # Python integers (dtype=object) so that no label size can wrap
-    vecs = np.array([r.vec for r in subsystem], dtype=object)
+    # alpha(gamma) = k_alpha as integers, for every root and candidate at
+    # once: vals / dg = knum / kden
+    vecs = np.array([r.vec for r in subsystem], dtype=np.int64)
     kden, knum = _numerators([klabels[_abs_vec(r)] for r in subsystem])
-    knum = np.array(knum, dtype=object)
-    kept = {}
-    for gamma in candidates:
-        dg, nums = _numerators(gamma)
-        vals = vecs @ np.array(nums, dtype=object)
-        poles = int((vals * kden == knum * dg).sum())
-        zeros = int((vals == 0).sum())
-        i = poles - zeros
-        if i >= n:
-            if i > n:
-                raise TheoremViolation(
-                    "index exceeds codimension",
-                    {"gamma": gamma, "index": i, "rank": n})
-            kept[gamma] = i
-    return sorted(kept)
+    nums, dg = gammas[:, :n], gammas[:, n]
+    peak = int(np.abs(vecs).sum(axis=1).max()) * \
+        max(1, int(np.abs(nums).max()))
+    if max(peak * kden, max(map(abs, knum)) * int(dg.max())) >= INT64_SAFE:
+        vecs, nums, dg = (x.astype(object) for x in (vecs, nums, dg))
+    knum = np.array(knum, dtype=vecs.dtype)
+    vals = vecs @ nums.T
+    index = (vals * kden == knum[:, None] * dg[None]).sum(axis=0) - \
+        (vals == 0).sum(axis=0)
+    over = index > n
+    if over.any():
+        gamma, i = min((_gamma(row, n), int(i)) for row, i in zip(
+            gammas[over].tolist(), index[over].tolist()))
+        raise TheoremViolation("index exceeds codimension",
+                               {"gamma": gamma, "index": i, "rank": n})
+    return sorted(_gamma(row, n) for row in gammas[index == n].tolist())
+
+
+def _gamma(row, n):
+    """The split exponents of an integer candidate row (num..., den)."""
+    return tuple(Fraction(x, row[n]) for x in row[:n])
 
 
 def _abs_vec(root):
     return root.vec if root.height > 0 else tuple(-v for v in root.vec)
 
 
-GRADED_BLOCK = 1 << 11      # n-subsets solved per batch of the graded search
+# n-subsets solved per batch of the graded search; a block of 1024 keeps the
+# elimination's temporaries small enough that peak memory does not grow
+GRADED_BLOCK = 1 << 10
 
 
 def _candidate_gammas(positives, klabels, n):
-    """Solutions of n independent equations alpha(gamma) = k_alpha, over
-    every n-subset of the positive roots, exactly: by Cramer's rule,
-    gamma_j = det(A_j) / (det(A) * den) with A_j the matrix A whose column
-    j is the labels times their common denominator den.  The subsets run
-    in blocks of GRADED_BLOCK; each block drops its singular A first.
+    """The solutions of n independent equations alpha(gamma) = k_alpha,
+    over every n-subset of the positive roots, exactly: an array of the
+    distinct integer rows (gamma * den..., den) in lowest terms with
+    den > 0, in no particular order.
 
-    Every minor of a Cramer matrix is at most H = the product of the n
-    largest row norms (Hadamard), so Bareiss's intermediates stay below
-    2 H^2.  When that could pass 2^62 the same elimination runs on Python
-    integers (dtype=object)."""
+    With D the common denominator of the labels, each n-subset is one
+    augmented matrix [A | D k]; the subsets run in blocks of GRADED_BLOCK
+    through one `gauss_jordan` pass each.  An invertible A ends with
+    pivot det(A), and its last column holds det(A) D gamma."""
     import numpy as np
-    vecs = [list(p.vec) for p in positives]
     den, kint = _numerators([klabels[p.vec] for p in positives])
-    norms = sorted((sum(x * x for x in v) + k * k
-                    for v, k in zip(vecs, kint)), reverse=True)
-    h2 = prod(max(1, x) for x in norms[:n])
-    exact = 2 * h2 < INT64_SAFE and (isqrt(h2) + 1) * den < INT64_SAFE
-    dtype = np.int64 if exact else object
-    rows = np.array(vecs, dtype=dtype)
-    kcol = np.array(kint, dtype=dtype)
-    found = set()
+    rows = np.array([list(p.vec) + [k] for p, k in zip(positives, kint)],
+                    dtype=np.int64 if max(map(abs, kint), default=0) <
+                    INT64_SAFE else object).reshape(len(positives), n + 1)
+    found = []
     subsets = combinations(range(len(positives)), n)
     while block := list(islice(subsets, GRADED_BLOCK)):
         block = np.array(block, dtype=np.intp)
-        det = _bareiss_det(rows[block])
-        block, det = block[det != 0], det[det != 0]
-        mats, rhs = rows[block], kcol[block]
-        sign = np.where(det < 0, -1, 1)
-        frac = np.empty((len(det), n + 1), dtype=dtype)
-        for j in range(n):
-            cramer = mats.copy()
-            cramer[:, :, j] = rhs
-            frac[:, j] = _bareiss_det(cramer) * sign
-        frac[:, n] = det * sign * den
+        red, pivot, pivots = gauss_jordan(rows[block], n)
+        full = pivots.all(axis=1)
+        red, pivot = red[full], pivot[full]
+        if red.dtype != object and \
+                int(np.abs(pivot).max(initial=0)) * den >= INT64_SAFE:
+            red, pivot = red.astype(object), pivot.astype(object)
+        frac = np.empty((len(pivot), n + 1), dtype=red.dtype)
+        frac[:, :n] = red[:, np.arange(n), n]
+        frac[:, n] = pivot * den
+        frac *= np.where(pivot < 0, -1, 1)[:, None]
         frac //= np.gcd.reduce(frac, axis=1)[:, None]
-        found.update(map(tuple, frac[_distinct_rows(frac)].tolist()))
-    return sorted(tuple(Fraction(x, row[-1]) for x in row[:-1])
-                  for row in found)
-
-
-def _bareiss_det(m):
-    """Determinants of a stack (count, n, n) of integer matrices by
-    Bareiss's fraction-free elimination with row pivoting, in place (the
-    stack is overwritten).  Every division is exact; an int64 stack must
-    keep its intermediates below 2^63 (see _candidate_gammas), a
-    dtype=object stack is exact on any input."""
-    import numpy as np
-    count, n = m.shape[0], m.shape[1]
-    at = np.arange(count)
-    sign = np.ones(count, dtype=m.dtype)
-    prev = np.ones(count, dtype=m.dtype)
-    for k in range(n - 1):
-        nonzero = m[:, k:, k] != 0
-        piv = k + nonzero.argmax(axis=1)
-        top = m[at, piv]
-        m[at, piv] = m[at, k]
-        m[at, k] = top
-        sign[piv != k] *= -1
-        p = m[:, k, k]
-        block = m[:, k + 1:, k + 1:]
-        block *= p[:, None, None]
-        block -= m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
-        block //= prev[:, None, None]
-        # a zero pivot left the trailing block zero; keep dividing by 1
-        prev = np.where(p == 0, 1, p)
-    return sign * m[:, n - 1, n - 1]
+        found.append(frac[_distinct_rows(frac)])
+    if not found:
+        return np.zeros((0, n + 1), dtype=np.int64)
+    found = np.concatenate(found)
+    return found[_distinct_rows(found)]
 
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
@@ -712,7 +695,8 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
                               f"{len(members)} cosets compared",
                               bad[:3]))
 
-    points = residual_points(datum, labels)
+    # the residual points are the dim-0 cosets, already canonical and sorted
+    points = [c.point for c in cosets if c.dim == 0]
 
     # conjugate-inverse stays in the orbit of the graded reflection group
     bad = []

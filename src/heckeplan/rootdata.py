@@ -28,15 +28,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .lattice import (
-    identity_matrix,
+    gauss_jordan,
     integer_kernel,
     mat_inverse,
-    mat_mul,
     mat_vec,
-    quotient_dual_elements,
-    rational_det,
+    quotient_dual_numerators,
     saturate,
     solve_unique,
     transpose,
@@ -94,6 +93,26 @@ def parse_type(tag: str) -> tuple[str, int]:
     return family, n
 
 
+def _integer_rows(rows):
+    """(D, B): rational rows as integer rows B over one denominator D > 0."""
+    den = lcm(1, *(Fraction(x).denominator for row in rows for x in row))
+    return den, [[int(Fraction(x) * den) for x in row] for row in rows]
+
+
+def _inverse_numerators(rows):
+    """(num, det): the inverse of a square integer matrix is num / det,
+    from one `gauss_jordan` solve against the identity."""
+    import numpy as np
+    n = len(rows)
+    aug = np.array([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(rows)],
+                   dtype=object).reshape(1, n, 2 * n)
+    red, pivot, pivots = gauss_jordan(aug, n)
+    if not pivots.all():
+        raise ValueError("matrix not invertible")
+    return red[0, :, n:].tolist(), int(pivot[0])
+
+
 @dataclass(frozen=True)
 class Root:
     vec: Vec           # coordinates in the X basis
@@ -134,9 +153,11 @@ class RootDatum:
         if lattice == "Q":
             basis_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         elif lattice == "P":
-            minv = mat_inverse([[Fraction(x) for x in row] for row in m])
-            # fundamental weight i in alpha coords solves <w_i, a_j^vee> = d_ij
-            basis_rows = transpose(minv)
+            # fundamental weight i in alpha coords solves <w_i, a_j^vee> =
+            # d_ij: the basis rows are the columns of M^{-1}
+            num, pivot = _inverse_numerators(m)
+            basis_rows = [[Fraction(num[j][i], pivot) for j in range(n)]
+                          for i in range(n)]
         else:
             basis_rows = [[Fraction(x) for x in row] for row in lattice]
         return cls._from_cartan(m, basis_rows, f"{family}{n}",
@@ -145,22 +166,25 @@ class RootDatum:
 
     @classmethod
     def _from_cartan(cls, m, basis_rows, typename, lattice_tag):
+        """The datum whose X has the given basis rows in simple-root
+        coordinates, B / D for an integer matrix B and D > 0: the simple
+        roots are the rows of D B^{-1} and the simple coroot i has the
+        coordinates (B M^T)[k][i] / D."""
         n = len(m)
-        binv = mat_inverse([[Fraction(x) for x in row] for row in basis_rows])
+        den, rows = _integer_rows(basis_rows)
+        num, pivot = _inverse_numerators(rows)
         simple_roots = []
         for j in range(n):
-            unit = [Fraction(int(k == j)) for k in range(n)]
-            coords = mat_vec(transpose(binv), unit)
-            if any(c.denominator != 1 for c in coords):
+            coords = [den * x for x in num[j]]
+            if any(c % pivot for c in coords):
                 raise ValueError("lattice does not contain the root lattice Q")
-            simple_roots.append(tuple(int(c) for c in coords))
+            simple_roots.append(tuple(c // pivot for c in coords))
         simple_coroots = []
         for i in range(n):
-            coords = [sum(Fraction(basis_rows[k][j]) * m[i][j] for j in range(n))
-                      for k in range(n)]
-            if any(c.denominator != 1 for c in coords):
+            coords = [sum(map(mul, rows[k], m[i])) for k in range(n)]
+            if any(c % den for c in coords):
                 raise ValueError("lattice is not contained in the weight lattice P")
-            simple_coroots.append(tuple(int(c) for c in coords))
+            simple_coroots.append(tuple(c // den for c in coords))
         return cls(simple_roots, simple_coroots, typename=typename,
                    lattice=lattice_tag, basis_in_alpha=basis_rows)
 
@@ -235,28 +259,34 @@ class RootDatum:
         return out
 
     def highest_coroot(self, comp: list[int]) -> Vec:
-        """Highest coroot of an irreducible component (dominance order)."""
-        best = None
-        for r in self.positive_roots:
-            if any(r.alpha[i] for i in comp) and \
-               all(r.alpha[i] == 0 for i in range(self.n_simple) if i not in comp):
-                if best is None or self._coroot_height(r) > self._coroot_height(best):
-                    best = r
-        return best.coroot
-
-    def _coroot_height(self, r: Root) -> Fraction:
-        sol = solve_unique(
-            [[Fraction(self.simple_coroots[j][k]) for j in range(self.n_simple)]
-             for k in range(self.rank)],
-            [Fraction(c) for c in r.coroot])
-        return sum(sol)
+        """Highest coroot of an irreducible component: the first coroot of
+        greatest height in simple-coroot coordinates, all heights from one
+        solve."""
+        import numpy as np
+        cands = [r for r in self.positive_roots
+                 if any(r.alpha[i] for i in comp) and
+                 all(r.alpha[i] == 0 for i in range(self.n_simple)
+                     if i not in comp)]
+        k = self.n_simple
+        aug = np.array([[c[t] for c in self.simple_coroots] +
+                        [r.coroot[t] for r in cands]
+                        for t in range(self.rank)], dtype=np.int64)
+        red, pivot, _ = gauss_jordan(aug[None], k)
+        # the heights are these sums over the pivot
+        sums = red[0, :k, k:].sum(axis=0) * (1 if pivot[0] > 0 else -1)
+        return cands[int(sums.argmax())].coroot
 
     def weight_index(self) -> int:
         """The index [X : Q], i.e. |Omega| for semisimple data."""
         if self.basis_in_alpha is None:
             raise ValueError("unknown lattice basis")
-        return abs(int(1 / rational_det(self.basis_in_alpha))) if \
-            rational_det(self.basis_in_alpha) != 0 else 0
+        # the basis rows B / D have determinant det(B) / D^n
+        den, rows = _integer_rows(self.basis_in_alpha)
+        try:
+            det = _inverse_numerators(rows)[1]
+        except ValueError:
+            return 0
+        return abs(int(Fraction(den ** len(rows), det)))
 
     def fundamental_coweight_rays(self):
         """Generating rays of the dominant cone X+ (rational vectors)."""
@@ -392,10 +422,8 @@ class RootDatum:
             return {"lattice": [], "k_den": 1, "k_elems": [(0,) * n]}
         low = saturate([list(self.simple_roots[i]) for i in combo], n)
         up = integer_kernel([list(self.simple_coroots[i]) for i in combo])
-        elems = quotient_dual_elements(transpose(low + up), n)
-        den = lcm(1, *(x.denominator for ku in elems for x in ku))
-        return {"lattice": low, "k_den": den,
-                "k_elems": [tuple(int(x * den) for x in ku) for ku in elems]}
+        den, elems = quotient_dual_numerators(transpose(low + up), n)
+        return {"lattice": low, "k_den": den, "k_elems": elems}
 
     @cached_property
     def parabolic_by_key(self) -> dict[tuple, "Parabolic"]:
@@ -832,6 +860,7 @@ def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:
 
 def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
     """The root datum R_P = (X_P, Y_P, R_P, R_P^vee, P) for a standard P."""
+    import numpy as np
     indices = tuple(sorted(indices))
     roots = parabolic_subsystem_roots(datum, indices)
     if not indices:
@@ -841,18 +870,17 @@ def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
     y_rows = saturate([list(datum.simple_coroots[i]) for i in indices],
                       datum.rank)
     k = len(y_rows)
-    sub_simples = []
-    sub_coroots = []
-    for i in indices:
-        sub_simples.append(tuple(
-            sum(datum.simple_roots[i][t] * y_rows[j][t]
-                for t in range(datum.rank)) for j in range(k)))
-        sol = solve_unique(
-            transpose([[Fraction(c) for c in row] for row in y_rows]),
-            [Fraction(c) for c in datum.simple_coroots[i]])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise RuntimeError("coroot not integral in the saturated basis")
-        sub_coroots.append(tuple(int(c) for c in sol))
+    sub_simples = [tuple(sum(map(mul, datum.simple_roots[i], row))
+                         for row in y_rows) for i in indices]
+    # the coroots of P in the saturated basis, from one solve
+    aug = np.array([[row[t] for row in y_rows] +
+                    [datum.simple_coroots[i][t] for i in indices]
+                    for t in range(datum.rank)], dtype=np.int64)
+    red, pivot, pivots = gauss_jordan(aug[None], k)
+    num, pivot = red[0], int(pivot[0])
+    if not pivots.all() or num[k:, k:].any() or (num[:k, k:] % pivot).any():
+        raise RuntimeError("coroot not integral in the saturated basis")
+    sub_coroots = [tuple(c) for c in (num[:k, k:] // pivot).T.tolist()]
     sub = RootDatum(sub_simples, sub_coroots,
                     typename=f"{datum.typename}|{list(indices)}", lattice="sub")
     vec_map = {}

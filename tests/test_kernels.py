@@ -1,31 +1,39 @@
-"""Integer kernels of the enumeration: Bareiss determinants, the exact
-graded candidate search, the inverse-transpose stack, the root
-permutations, the integer torus-point encoding with its pairing, the
-threshold hits and the graded reflection orbit, each against the plain
-exact computation with Fractions."""
+"""Integer kernels of the enumeration: the fraction-free Gauss-Jordan
+solver and the graded candidate search built on it, the inverse-transpose
+stack, the root permutations, the integer torus-point encoding with its
+pairing, the threshold hits and the graded reflection orbit, each against
+the plain exact computation with Fractions."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import gcd, lcm
+from itertools import combinations, islice, product
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
 
+from heckeplan import cli
 from heckeplan.lattice import (
+    _eliminate_rational,
+    gauss_jordan,
     int_rank,
     integer_kernel,
+    lattice_index,
     mat_inverse,
     quotient_dual_elements,
     rational_det,
     saturate,
-    solve_unique,
+    solve_affine,
     transpose,
 )
 from heckeplan.residual import (
+    GRADED_BLOCK,
+    TheoremViolation,
     TorusPoint,
-    _bareiss_det,
+    _abs_vec,
     _candidate_gammas,
     _coset_orbit,
     _graded_action,
@@ -34,6 +42,7 @@ from heckeplan.residual import (
     _row_to_point,
     canonical_point,
     graded_labels,
+    graded_residual_points,
     inverse_transpose_matrices,
     orbit_of_point,
     point_index,
@@ -45,12 +54,178 @@ from heckeplan.residual import (
 )
 from heckeplan.rootdata import (
     LabelFunction,
+    Root,
     RootDatum,
     parabolic_subsystem_roots,
     random_label_vector,
     root_permutations,
 )
 from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
+
+
+# -- the Fraction elimination and the Cramer search that the integer solver
+# replaced, kept here as oracles ---------------------------------------------
+
+
+def _fraction_rref(m):
+    """Reduced row echelon form over Q by Fraction row operations, pivoting
+    in every column; returns (rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _fraction_solve(a, b):
+    """(kind, point, kernel basis) of A x = b from the Fraction rref."""
+    cols = len(a[0]) if a else 0
+    red, pivots = _fraction_rref([list(row) + [b[i]]
+                                  for i, row in enumerate(a)])
+    if cols in pivots:
+        return "empty", None, None
+    point = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        point[c] = red[r][cols]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        basis.append(vec)
+    return ("affine" if free else "unique"), point, (basis or None)
+
+
+def _fraction_det(m):
+    """Determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _stack_dets(mats, dtype):
+    """Determinants of a stack of square matrices from gauss_jordan."""
+    n = len(mats[0])
+    red, pivot, pivots = gauss_jordan(np.array(mats, dtype=dtype), n)
+    return red, np.where(pivots.all(axis=1), pivot, 0)
+
+
+def _bareiss_det(m):
+    """Determinants of a stack of integer matrices by Bareiss's elimination
+    with row pivoting, in place: the determinant kernel of the Cramer
+    search."""
+    count, n = m.shape[0], m.shape[1]
+    at = np.arange(count)
+    sign = np.ones(count, dtype=m.dtype)
+    prev = np.ones(count, dtype=m.dtype)
+    for k in range(n - 1):
+        piv = k + (m[:, k:, k] != 0).argmax(axis=1)
+        top = m[at, piv]
+        m[at, piv] = m[at, k]
+        m[at, k] = top
+        sign[piv != k] *= -1
+        p = m[:, k, k]
+        block = m[:, k + 1:, k + 1:]
+        block *= p[:, None, None]
+        block -= m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
+        block //= prev[:, None, None]
+        prev = np.where(p == 0, 1, p)
+    return sign * m[:, n - 1, n - 1]
+
+
+def _cramer_gammas(positives, klabels, n):
+    """The graded candidates by Cramer's rule, gamma_j = det(A_j) / (det(A)
+    den), on Bareiss determinants of blocks of n-subsets, on int64 below
+    the Hadamard bound and on Python integers above it: sorted Fraction
+    tuples."""
+    vecs = [list(p.vec) for p in positives]
+    den = lcm(1, *(klabels[p.vec].denominator for p in positives))
+    kint = [int(klabels[p.vec] * den) for p in positives]
+    norms = sorted((sum(x * x for x in v) + k * k
+                    for v, k in zip(vecs, kint)), reverse=True)
+    h2 = 1
+    for x in norms[:n]:
+        h2 *= max(1, x)
+    exact = 2 * h2 < 2 ** 62 and (isqrt(h2) + 1) * den < 2 ** 62
+    dtype = np.int64 if exact else object
+    rows = np.array(vecs, dtype=dtype)
+    kcol = np.array(kint, dtype=dtype)
+    found = set()
+    subsets = combinations(range(len(positives)), n)
+    while block := list(islice(subsets, GRADED_BLOCK)):
+        block = np.array(block, dtype=np.intp)
+        det = _bareiss_det(rows[block])
+        block, det = block[det != 0], det[det != 0]
+        mats, rhs = rows[block], kcol[block]
+        frac = np.empty((len(det), n + 1), dtype=dtype)
+        for j in range(n):
+            cramer = mats.copy()
+            cramer[:, :, j] = rhs
+            frac[:, j] = _bareiss_det(cramer)
+        frac[:, n] = det * den
+        found.update(map(tuple, frac.tolist()))
+    return sorted({tuple(Fraction(x, row[-1]) for x in row[:-1])
+                   for row in found})
+
+
+def _cramer_graded_points(subsystem, klabels, n):
+    """graded_residual_points as the per-candidate Fraction loop over the
+    Cramer candidates, raising at the first candidate (in sorted order)
+    whose index exceeds n."""
+    positives = [r for r in subsystem if r.height > 0]
+    kept = []
+    for gamma in _cramer_gammas(positives, klabels, n):
+        vals = [sum(Fraction(v) * g for v, g in zip(r.vec, gamma))
+                for r in subsystem]
+        poles = sum(v == klabels[_abs_vec(r)] for v, r in zip(vals, subsystem))
+        i = poles - sum(v == 0 for v in vals)
+        if i > n:
+            raise TheoremViolation("index exceeds codimension",
+                                   {"gamma": gamma, "index": i, "rank": n})
+        if i == n:
+            kept.append(gamma)
+    return kept
+
+
+def _rows_to_gammas(rows, n):
+    """Sorted Fraction tuples of candidate rows (num..., den), checking that
+    each row is distinct and in lowest terms with den > 0."""
+    rows = rows.tolist()
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert all(row[n] > 0 and gcd(*row) == 1 for row in rows)
+    return sorted(tuple(Fraction(x, row[n]) for x in row[:n]) for row in rows)
+
+
+# -- the fraction-free Gauss-Jordan solver ------------------------------------
 
 
 def _random_stack(rng, n, count, span):
@@ -74,10 +249,11 @@ def _random_stack(rng, n, count, span):
 def test_bareiss_matches_rational_det(n):
     rng = random.Random(100 + n)
     mats = _random_stack(rng, n, 200, 3)
-    got = _bareiss_det(np.array(mats, dtype=np.int64))
-    assert got.dtype == np.int64
-    want = [rational_det(m) for m in mats]
+    red, got = _stack_dets(mats, np.int64)
+    assert got.dtype == red.dtype == np.int64
+    want = [_fraction_det(m) for m in mats]
     assert [Fraction(int(x)) for x in got] == want
+    assert [rational_det(m) for m in mats] == want
     assert any(w == 0 for w in want) and any(w != 0 for w in want)
 
 
@@ -86,32 +262,139 @@ def test_bareiss_object_stack_is_exact_past_int64():
     mats = [[[rng.randint(10 ** 6 - 50, 10 ** 6 + 50) * rng.choice([-1, 1])
               for _ in range(5)] for _ in range(5)] for _ in range(40)]
     mats.append([[10 ** 6] * 5] * 5)       # singular
-    got = _bareiss_det(np.array(mats, dtype=object))
-    want = [rational_det(m) for m in mats]
+    red, got = _stack_dets(mats, np.int64)
+    assert red.dtype == object
+    want = [_fraction_det(m) for m in mats]
     assert [Fraction(x) for x in got] == want
     assert max(abs(w) for w in want) > 2 ** 63
 
 
-def _brute_gammas(positives, klabels, n):
-    out = set()
-    for combo in combinations(range(len(positives)), n):
-        rows = [[Fraction(v) for v in positives[i].vec] for i in combo]
-        sol = solve_unique(rows, [klabels[positives[i].vec] for i in combo])
-        if sol is not None:
-            out.add(tuple(sol))
-    return sorted(out)
+def _random_system(rng, rows, cols, k, span, kind):
+    """An augmented matrix [A | B] of the given kind: square, consistent
+    with more rows than columns, singular, or inconsistent."""
+    a = [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+    if kind in ("singular", "inconsistent") and rows > 1:
+        a[-1] = [2 * x - y for x, y in zip(a[0], a[1 % rows])]
+    b = [[rng.randint(-span, span) for _ in range(k)] for _ in range(rows)]
+    if kind == "tall":
+        # B = A X for an integer X, so every system is consistent
+        x = [[rng.randint(-span, span) for _ in range(k)]
+             for _ in range(cols)]
+        b = [[sum(a[i][t] * x[t][j] for t in range(cols)) for j in range(k)]
+             for i in range(rows)]
+    if kind == "inconsistent":
+        b[-1] = [2 * x - y + 1 for x, y in zip(b[0], b[1 % rows])]
+    return [ra + rb for ra, rb in zip(a, b)]
 
 
-def _graded_problems(tag, lattice):
+SYSTEM_SHAPES = [("square", 3, 3, 1), ("square", 5, 5, 4),
+                 ("tall", 6, 3, 2), ("tall", 5, 2, 3),
+                 ("singular", 4, 4, 2), ("inconsistent", 4, 4, 2),
+                 ("inconsistent", 5, 3, 1), ("square", 1, 1, 1)]
+
+
+@pytest.mark.parametrize("kind,rows,cols,k", SYSTEM_SHAPES)
+@pytest.mark.parametrize("span", [3, 10 ** 12, 2 ** 70])
+def test_gauss_jordan_matches_fraction_rref(kind, rows, cols, k, span):
+    rng = random.Random(hash((kind, rows, cols, k, span)) % 1000)
+    # every kind in one stack, so that the ranks split inside a column
+    kinds = [kind] * 30 + ["singular", "square"] * 5
+    mats = [_random_system(rng, rows, cols, k, span,
+                           kd if rows == cols or kd == kind else kind)
+            for kd in kinds]
+    width = cols + k
+    for pivot_cols in (cols, width):
+        red, pivot, pivots = gauss_jordan(
+            np.array(mats, dtype=object), pivot_cols)
+        assert red.dtype == (np.int64 if span == 3 else object)
+        for m, rd, p, pv in zip(mats, red.tolist(), pivot.tolist(),
+                                pivots.tolist()):
+            pcols = [c for c in range(pivot_cols) if pv[c]]
+            if pivot_cols == width:
+                want, want_pivots = _fraction_rref(m)
+                assert pcols == want_pivots
+                assert [[Fraction(x, p) for x in row] for row in rd] == want
+                continue
+            rank = len(pcols)
+            assert all(rd[t][c] == (p if c == pcols[t] else 0)
+                       for t in range(rank) for c in pcols)
+            assert not any(any(row[:cols]) for row in rd[rank:])
+            for j in range(k):
+                kind_j, point, basis = _fraction_solve(
+                    [row[:cols] for row in m], [row[cols + j] for row in m])
+                consistent = not any(row[cols + j] for row in rd[rank:])
+                assert consistent == (kind_j != "empty")
+                if consistent:
+                    got = [Fraction(0)] * cols
+                    for t, c in enumerate(pcols):
+                        got[c] = Fraction(rd[t][cols + j], p)
+                    assert got == point
+                    assert solve_affine([row[:cols] for row in m],
+                                        [row[cols + j] for row in m]) \
+                        .basis == basis
+
+
+def test_gauss_jordan_dtype_follows_the_hadamard_bound():
+    # 2 x 2 with rows of norm^2 h: the bound is 2 h^2 against 2^62
+    for big, wide in ((2 ** 14, False), (2 ** 31, True), (2 ** 70, True)):
+        red, pivot, _ = gauss_jordan(
+            np.array([[[big, 1, big], [1, big, 1]]], dtype=object), 2)
+        assert (red.dtype == object) == wide
+        assert int(pivot[0]) == big * big - 1
+
+
+def test_fraction_wrappers_match_the_fraction_elimination():
+    rng = random.Random(19)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3 and n > 1:
+            m[-1] = [2 * x for x in m[0]]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(n)]
+        kind, point, basis = _fraction_solve(m, b)
+        s = solve_affine(m, b)
+        assert (s.kind, s.point, s.basis) == (kind, point, basis)
+        assert rational_det(m) == _fraction_det(m)
+        assert int_rank([[x.numerator for x in row] for row in m]) == \
+            len(_fraction_rref([[x.numerator for x in row] for row in m])[1])
+        if _fraction_det(m):
+            inv, _ = _fraction_rref([list(row) + [int(i == j)
+                                                  for j in range(n)]
+                                     for i, row in enumerate(m)])
+            assert mat_inverse(m) == [row[n:] for row in inv]
+        else:
+            with pytest.raises(ValueError):
+                mat_inverse(m)
+    assert lattice_index([[2, 1], [0, 3]], [[1, 0], [0, 1]]) == 6
+    assert lattice_index([[4, 2], [0, 6]], [[2, 1], [0, 3]]) == 4
+
+
+# -- the graded candidate search ----------------------------------------------
+
+
+def _graded_problems(tag, lattice, seeded=2):
     d = RootDatum.from_type(tag, lattice)
     rng = random.Random(11)
     label_sets = [LabelFunction.equal(d)] + [
         LabelFunction.from_affine_nodes(d, random_label_vector(d, rng))
-        for _ in range(2)]
+        for _ in range(seeded)]
     for labels in label_sets:
         for cand in unitary_candidates(d).points:
-            positives = [r for r in cand.r_s0 if r.height > 0]
-            yield d, positives, graded_labels(d, labels, cand)
+            yield d, cand, graded_labels(d, labels, cand)
+
+
+def _brute_gammas(positives, klabels, n):
+    """Every n-subset solved by the Fraction elimination."""
+    out = set()
+    for combo in combinations(range(len(positives)), n):
+        rows = [list(positives[i].vec) for i in combo]
+        kind, point, _ = _fraction_solve(
+            rows, [klabels[positives[i].vec] for i in combo])
+        if kind == "unique":
+            out.add(tuple(point))
+    return sorted(out)
 
 
 @pytest.mark.parametrize("tag,lattice", [("A2", "Q"), ("G2", "Q"),
@@ -119,25 +402,98 @@ def _graded_problems(tag, lattice):
                                          ("D4", "P")])
 def test_candidate_gammas_match_every_subset_solve(tag, lattice):
     problems = 0
-    for d, positives, kl in _graded_problems(tag, lattice):
+    for d, cand, kl in _graded_problems(tag, lattice):
+        positives = [r for r in cand.r_s0 if r.height > 0]
         if len(positives) < d.rank:
             continue
         got = _candidate_gammas(positives, kl, d.rank)
-        assert got == _brute_gammas(positives, kl, d.rank)
+        assert _rows_to_gammas(got, d.rank) == \
+            _brute_gammas(positives, kl, d.rank)
         problems += 1
     assert problems >= 3
 
 
 def test_candidate_gammas_past_int64_stay_exact():
-    # labels near 10^18 push the Bareiss intermediates past int64, so the
-    # search runs on Python integers and must still agree exactly
+    # labels near 10^18 push the elimination past int64, so the search runs
+    # on Python integers and must still agree exactly
     d = RootDatum.from_type("B3", "P")
     cand = unitary_candidates(d).points[0]
     positives = [r for r in cand.r_s0 if r.height > 0]
     kl = {r.vec: Fraction(10 ** 18 + 7 * k, 10 ** 6 + 3)
           for k, r in enumerate(positives)}
     got = _candidate_gammas(positives, kl, d.rank)
-    assert got and got == _brute_gammas(positives, kl, d.rank)
+    assert got.dtype == object
+    assert len(got) and _rows_to_gammas(got, d.rank) == \
+        _brute_gammas(positives, kl, d.rank)
+
+
+@pytest.mark.parametrize("tag,lattice,seeded", [
+    ("A2", "Q", 2), ("G2", "Q", 2), ("B3", "P", 2), ("C3", "P", 2),
+    ("D4", "P", 1), ("D5", "Q", 1)])
+def test_candidate_search_matches_the_cramer_search(tag, lattice, seeded):
+    problems = blocks = 0
+    for d, cand, kl in _graded_problems(tag, lattice, seeded):
+        n = d.rank
+        positives = [r for r in cand.r_s0 if r.height > 0]
+        if len(positives) < n:
+            continue
+        assert _rows_to_gammas(_candidate_gammas(positives, kl, n), n) == \
+            _cramer_gammas(positives, kl, n)
+        assert graded_residual_points(d, cand.r_s0, kl) == \
+            _cramer_graded_points(cand.r_s0, kl, n)
+        problems += 1
+        blocks += len(list(combinations(positives, n))) > GRADED_BLOCK
+    assert problems >= 3
+    if tag == "D5":
+        assert blocks        # D5 runs its search in several blocks
+    # labels near 10^18 take every step onto Python integers
+    big = {vec: k * (10 ** 18 + 3) / 7 for vec, k in kl.items()}
+    got = _candidate_gammas(positives, big, n)
+    assert got.dtype == object
+    assert _rows_to_gammas(got, n) == _cramer_gammas(positives, big, n)
+    assert graded_residual_points(d, cand.r_s0, big) == \
+        _cramer_graded_points(cand.r_s0, big, n)
+
+
+def test_index_violation_names_the_first_candidate_in_sorted_order():
+    # rank 1: alpha, 2 alpha, 3 alpha and 6 alpha with labels 1, 2, 1, 2
+    # put two poles at gamma = 1 (alpha, 2 alpha) and at gamma = 1/3
+    # (3 alpha, 6 alpha): both exceed the rank, and 1/3 sorts first
+    roots = [Root((m,), (2,), (m,)) for m in (1, 2, 3, 6)]
+    subsystem = roots + [Root((-r.vec[0],), (-2,), (-r.alpha[0],))
+                         for r in roots]
+    kl = dict(zip([r.vec for r in roots], map(Fraction, (1, 2, 1, 2))))
+    with pytest.raises(TheoremViolation) as want:
+        _cramer_graded_points(subsystem, kl, 1)
+    with pytest.raises(TheoremViolation) as got:
+        graded_residual_points(None, subsystem, kl, rank=1)
+    assert got.value.witness == want.value.witness == {
+        "gamma": (Fraction(1, 3),), "index": 2, "rank": 1}
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("tag,lattice", [("D4", "P"), ("B3", "P")])
+def test_enumeration_makes_no_fraction_solve(monkeypatch, tag, lattice):
+    # every Fraction-valued solve (solve_affine, solve_unique, mat_inverse,
+    # rational_det, lattice_index) enters the integer solver through
+    # lattice._eliminate_rational; the enumeration path must not
+    calls = []
+
+    def counted(m, cols):
+        calls.append(len(m))
+        return _eliminate_rational(m, cols)
+
+    monkeypatch.setattr("heckeplan.lattice._eliminate_rational", counted)
+    d = RootDatum.from_type(tag, lattice)
+    labels = ",".join(map(str, random_label_vector(d, random.Random(5))))
+    solve_affine([[1]], [1])
+    assert calls == [1]
+    calls.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["enumerate", "--type", tag, "--lattice", lattice,
+                         "--labels", labels, "--format", "json"]) == 0
+    assert out.getvalue() and calls == []
 
 
 @pytest.mark.parametrize("tag,lattice", [("G2", "Q"), ("B3", "P"),

@@ -1,6 +1,8 @@
+import doctest
 import random
 from fractions import Fraction
 
+import heckeplan.lattice
 from heckeplan.lattice import (
     INFINITE,
     identity_matrix,
@@ -122,3 +124,9 @@ def test_integer_kernel():
 
 def test_lattice_index():
     assert lattice_index([[2, 0], [0, 1]], identity_matrix(2)) == 2
+
+
+def test_lattice_docstring_examples():
+    # the examples in the solver's docstrings are its API description
+    result = doctest.testmod(heckeplan.lattice)
+    assert result.failed == 0 and result.attempted >= 8

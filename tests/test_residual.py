@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from heckeplan.residual import (
     trivial_point,
     unitary_candidates,
 )
-from heckeplan.rootdata import LabelFunction, RootDatum
+from heckeplan.rootdata import LabelFunction, RootDatum, random_label_vector
 
 F = Fraction
 
@@ -333,9 +334,7 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     assert injected >= 3
 
 
-@pytest.mark.parametrize("tag,lattice", [("D4", "Q"), ("D4", "P"),
-                                         ("D5", "Q")])
-def test_classification_suite_passes_type_d(tag, lattice):
+def _assert_suite_passes(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     report = classification_suite(d, LabelFunction.equal(d))
     assert report.passed, report.to_json()
@@ -343,3 +342,30 @@ def test_classification_suite_passes_type_d(tag, lattice):
         "index-equals-codimension", "nested-cosets-distinct-centers",
         "conjugate-inverse-in-graded-orbit", "split-exponents-in-label-group",
         "order-two-on-doubled-summands"]
+
+
+@pytest.mark.parametrize("tag,lattice", [("D4", "Q"), ("D4", "P"),
+                                         ("D5", "Q"), ("D5", "P")])
+def test_classification_suite_passes_type_d(tag, lattice):
+    _assert_suite_passes(tag, lattice)
+
+
+@pytest.mark.parametrize("tag,lattice", [("B5", "Q"), ("C5", "P")])
+def test_classification_suite_passes_rank_five_b_and_c(tag, lattice):
+    _assert_suite_passes(tag, lattice)
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
+                                         ("G2", "Q"), ("D4", "Q"),
+                                         ("F4", "Q")])
+def test_dim_zero_cosets_are_the_residual_points(tag, lattice):
+    # classification_suite reads its residual points off the cosets
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(29)
+    label_sets = [LabelFunction.equal(d)] + [
+        LabelFunction.from_affine_nodes(d, random_label_vector(d, rng))
+        for _ in range(2)]
+    for labels in label_sets:
+        cosets = residual_cosets(d, labels)
+        points = [c.point for c in cosets if c.dim == 0]
+        assert points and points == residual_points(d, labels)

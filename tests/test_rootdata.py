@@ -241,10 +241,13 @@ def test_datum_holds_no_state_outside_cached_properties():
     from functools import cached_property
 
     from heckeplan.plancherel import density_table
-    from heckeplan.residual import classification_suite
+    from heckeplan.residual import classification_suite, residual_points
     d = RootDatum.from_type("B2", "P")
     labels = LabelFunction.equal(d)
     assert classification_suite(d, labels).passed
+    # the suite reads its points off the cosets, which are enumerated on
+    # the quotient data; residual_points runs on the datum itself
+    assert residual_points(d, labels)
     assert density_table(d, labels, qval=2)
     cached = {name for name, attr in vars(RootDatum).items()
               if isinstance(attr, cached_property)}
