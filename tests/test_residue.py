@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from heckeplan import residue
+from heckeplan.cli import main
 from heckeplan.residue import (
     MAX_NODES,
     Integrand,
@@ -376,3 +382,84 @@ def test_every_contour_goes_through_torus_integral(monkeypatch):
         assert isinstance(fn, Integrand) and len(radii) == 2
         assert nodes % 2 == 0 and nodes <= MAX_NODES
     assert max(nodes for _, _, nodes in calls) == rep.resolution
+
+
+# -- frozen engine decisions ----------------------------------------------------
+
+RESIDUE_REFERENCE = Path(__file__).with_name("residue_reference.json")
+
+REFERENCE_DATA = [(tag, lattice, q)
+                  for tag, lattice in (("A1", "Q"), ("A1", "P"), ("A2", "Q"),
+                                       ("B2", "Q"), ("C2", "Q"))
+                  for q in ("2", "3", "4", "5/2")]
+
+
+def _run_residue_check(tag, lattice, q):
+    """(exit code, stdout, stderr) of `check --suite residue`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--suite", "residue", "--type", tag,
+                     "--lattice", lattice, "--q", q, "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def record_engine_decisions(tag, lattice, q):
+    """The decisions of one residue check: its exit code, every contour
+    that `ResidueEngine.integral` evaluates, in order, as its exact
+    log-radii and the node count it settled on ("-3/8,1/4 n=256"), and
+    the printed parts and values."""
+    contours = []
+    counts = []
+    quadrature = residue.torus_integral
+    integral = ResidueEngine.integral
+
+    def counted(fn, radii, nodes):
+        counts.append(nodes)
+        return quadrature(fn, radii, nodes)
+
+    def traced(self, ell, nodes=None):
+        value = integral(self, ell, nodes)
+        contours.append(f"{','.join(map(str, ell))} n={counts[-1]}")
+        return value
+
+    with mock.patch.object(residue, "torus_integral", counted), \
+            mock.patch.object(ResidueEngine, "integral", traced):
+        code, out, _ = _run_residue_check(tag, lattice, q)
+    rows = json.loads(out)["rows"]
+    return {"code": code, "contours": contours,
+            "parts": [r["part"] for r in rows],
+            "values": [r["value"] for r in rows]}
+
+
+@pytest.mark.parametrize("tag,lattice,q", REFERENCE_DATA)
+def test_engine_decisions_match_the_frozen_reference(tag, lattice, q):
+    # frozen from the engine before its Weyl images, ring pairings and
+    # contour routines moved onto the package kernels
+    want = json.loads(RESIDUE_REFERENCE.read_text())[f"{tag}/{lattice} q={q}"]
+    got = record_engine_decisions(tag, lattice, q)
+    assert got["code"] == want["code"] == 0
+    assert got["contours"] == want["contours"]
+    assert got["parts"] == want["parts"]
+    assert len(got["values"]) == len(want["values"])
+    for a, b in zip(got["values"], want["values"]):
+        assert abs(a - b) <= 1e-12, (a, b)
+
+
+@pytest.mark.parametrize("tag,lattice,reason", [
+    ("A2", "P", "several residual orbits at one crossing"),
+    ("B2", "P", "several residual orbits at one crossing"),
+    ("C2", "P", "several residual orbits at one crossing"),
+    ("G2", "P", "could not find a clean axis path"),
+])
+def test_unsupported_data_fail_with_a_named_reason(tag, lattice, reason):
+    code, out, err = _run_residue_check(tag, lattice, "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {reason}")
+
+
+if __name__ == "__main__":
+    # prints the reference of the current code; the committed file is
+    # only ever replaced on purpose
+    print(json.dumps({f"{t}/{lat} q={q}": record_engine_decisions(t, lat, q)
+                      for t, lat, q in REFERENCE_DATA}, indent=1,
+                     sort_keys=True))
