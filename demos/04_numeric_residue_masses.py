@@ -41,8 +41,8 @@ print(f"  closure error = {report.closure_error:.2e}")
 
 # a one-dimensional intersection with index 0 carries no local mass,
 # while a residual coset does
-quiet = TorusPoint.make([0, Fraction(1, 2)], [Fraction(7, 3), 0])
-loud = TorusPoint.make([0, 0], [Fraction(7, 3), 1])
+quiet = TorusPoint([0, Fraction(1, 2)], [Fraction(7, 3), 0])
+loud = TorusPoint([0, 0], [Fraction(7, 3), 1])
 print("\ninner integral on the cancelled locus:",
       vanishing_cycle_check(datum, labels, 2, quiet, direction=(0, 1)))
 print("inner integral on a residual coset:",

@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .rootdata import (
@@ -52,8 +53,8 @@ def build_parser():
                         choices=["text", "json", "csv", "tex"])
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("HPK_JOBS", "1")),
-                        help="parallel worker processes for batch suites")
+                        help="parallel worker processes for batch suites "
+                             "(default: $HPK_JOBS, else 1)")
         sp.add_argument("--tol", type=float, default=None,
                         help="numeric tolerance override")
 
@@ -81,6 +82,12 @@ def build_parser():
     t.add_argument("--n", type=int, default=3,
                    help="rank parameter for fdim tables")
     return p
+
+
+@cache
+def _parser():
+    """The one parser `main` reads every argument list with."""
+    return build_parser()
 
 
 def parse_q(text):
@@ -255,9 +262,11 @@ def check_classification(args) -> int:
                 values = random_label_vector(datum, rng)
                 tasks.append((tag, lattice, [str(v) for v in values],
                               args.seed))
-    if args.jobs > 1:
+    jobs = args.jobs if args.jobs is not None else \
+        int(os.environ.get("HPK_JOBS", "1"))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_suite_task, tasks))
     else:
         rows = [_suite_task(t) for t in tasks]
@@ -403,9 +412,8 @@ def table_fdim(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -380,7 +380,7 @@ def fdim_subregular_c(n: int, qval=None) -> FormalDimensionReport:
     target = tuple([F(1)] * (n - 2) + [F(0), F(1)])
     r = solve_unique([[F(c) for c in a] for a in datum.simple_roots],
                      list(target))
-    found = TorusPoint.make([0] * n, r)
+    found = TorusPoint([0] * n, r)
     if point_index(datum, labels, found) != n:
         raise RuntimeError("the subregular point is not residual")
     density = m_point(datum, labels, found, check_residual=False)

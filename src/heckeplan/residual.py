@@ -81,10 +81,6 @@ class TorusPoint:
         return pt
 
     @classmethod
-    def make(cls, u, r) -> "TorusPoint":
-        return cls(u, r)
-
-    @classmethod
     def identity(cls, rank: int) -> "TorusPoint":
         return cls.from_numerators(1, (0,) * rank, (0,) * rank)
 
@@ -360,7 +356,7 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         candidates.add(u)
     reps = {}
     for u in sorted(candidates):
-        rep = canonical_point(datum, TorusPoint.make(u, [0] * n))
+        rep = canonical_point(datum, TorusPoint(u, [0] * n))
         if rep not in reps:
             reps[rep] = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
     # the ranks of every R1(s), padded with zero rows, from one stack
@@ -929,7 +925,7 @@ def steinberg_point(datum: RootDatum, labels: LabelFunction) -> TorusPoint:
     sol = solve_unique(rows, rhs)
     if sol is None:
         raise ValueError("datum is not semisimple")
-    return TorusPoint.make([0] * datum.rank, sol)
+    return TorusPoint([0] * datum.rank, sol)
 
 
 def trivial_point(datum: RootDatum, labels: LabelFunction) -> TorusPoint:

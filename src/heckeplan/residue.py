@@ -37,17 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, log
 
 import numpy as np
 
 from .residual import (
     TorusPoint,
+    _orbit_rows,
+    _row_to_point,
     canonical_point,
-    inverse_transpose_matrices as inverse_transpose_list,
-    point_index,
     residual_cosets,
-    residual_points,
 )
 from .rootdata import LabelFunction, RootDatum
 from .symbolicq import omega_factor_descriptors
@@ -279,24 +279,27 @@ def ring_lines(divisors):
     return rings
 
 
+def _pair(p, ell):
+    """<p, ell> for an integer direction p and exact log-radii ell."""
+    return sum((pi * x for pi, x in zip(p, ell)), F(0))
+
+
 def segment_crossings(rings, start, end):
     """Crossings of ring lines along the straight segment start -> end in
-    log-radius space: list of (s in (0,1), ring-key), exact."""
+    log-radius space: list of (s in [0, 1], ring-key), exact."""
     out = []
     delta = [e - s for s, e in zip(start, end)]
     for key in rings:
         p, rho = key
-        denom = sum(F(pi) * delta[i] for i, pi in enumerate(p))
-        base = sum(F(pi) * start[i] for i, pi in enumerate(p))
+        denom = _pair(p, delta)
+        base = _pair(p, start)
         if denom == 0:
             if base == rho:
                 raise ValueError("segment lies on a pole ring; perturb "
                                  "the path")
             continue
         s = (rho - base) / denom
-        if 0 < s < 1:
-            out.append((s, key))
-        elif s == 0 or s == 1:
+        if 0 <= s <= 1:
             out.append((s, key))
     return out
 
@@ -305,42 +308,27 @@ def _point_on_segment(start, end, s):
     return tuple(a + s * (b - a) for a, b in zip(start, end))
 
 
-def ring_candidates_rank1(divisors, key):
-    """Exact points on a rank-1 pole ring: solutions of theta_vec = d."""
-    points = []
-    for d in divisors:
-        if d.sign <= 0 or d.ring != key:
-            continue
-        a = d.vec[0]
-        # theta^a = 1/d  <=>  value (u, r) with a u = -u0, a r = -r0
-        r = -d.r0 / a
-        for k in range(abs(a)):
-            u = (-(d.u0) + k) / a
-            points.append(TorusPoint.make([u], [r]))
-    return sorted(set(points), key=TorusPoint.key)
-
-
-def ring_candidates_rank2(divisors, key1, key2):
-    """Exact points where a divisor on ring key1 meets one on ring key2:
-    for each divisor pair, A r = -r0 and A u = k - u0 for k in
-    [0, |det A|)^2, A the 2x2 matrix of their monomials, solved once by
-    its integer adjugate."""
+def ring_candidates(divisors, *keys):
+    """Exact points where one divisor on each of the given pole rings
+    vanishes: for each choice of divisors, A r = -r0 and A u = k - u0 for
+    k in [0, |det A|)^n, A the n x n matrix of their monomials (n = 1, 2),
+    solved once by its integer adjugate."""
     out = set()
-    div1 = [d for d in divisors if d.sign > 0 and d.ring == key1]
-    div2 = [d for d in divisors if d.sign > 0 and d.ring == key2]
-    for d1 in div1:
-        for d2 in div2:
-            (a, b), (c, e) = d1.vec, d2.vec
-            det = a * e - b * c
-            if det == 0:
-                continue
-            adj = ((e, -b), (-c, a))
-            rsol = [(x * -d1.r0 + y * -d2.r0) / det for x, y in adj]
-            for k1 in range(abs(det)):
-                for k2 in range(abs(det)):
-                    usol = [(x * (k1 - d1.u0) + y * (k2 - d2.u0)) / det
-                            for x, y in adj]
-                    out.add(TorusPoint.make(usol, rsol))
+    on_ring = [[d for d in divisors if d.sign > 0 and d.ring == key]
+               for key in keys]
+    for ds in product(*on_ring):
+        if len(ds) == 1:
+            det, adj = ds[0].vec[0], ((1,),)
+        else:
+            (a, b), (c, e) = ds[0].vec, ds[1].vec
+            det, adj = a * e - b * c, ((e, -b), (-c, a))
+        if det == 0:
+            continue
+        rsol = [sum(x * -d.r0 for x, d in zip(row, ds)) / det for row in adj]
+        for ks in product(range(abs(det)), repeat=len(ds)):
+            usol = [sum(x * (k - d.u0) for x, k, d in zip(row, ks, ds)) / det
+                    for row in adj]
+            out.add(TorusPoint(usol, rsol))
     return sorted(out, key=TorusPoint.key)
 
 
@@ -408,10 +396,9 @@ class ResidueEngine:
         self.max_imag = 0.0
         self._iq = float(self.qval)
         self._cosets = residual_cosets(datum, labels)
-        self._point_orbit = {}
-        for k, c in enumerate(self._cosets):
-            if c.dim == 0:
-                self._point_orbit[canonical_point(datum, c.point).key()] = k
+        self._point_orbit = {canonical_point(datum, c.point): k
+                             for k, c in enumerate(self._cosets)
+                             if c.dim == 0}
         self._ring_targets = self._tempered_targets()
 
     # -- infrastructure ------------------------------------------------------
@@ -422,37 +409,46 @@ class ResidueEngine:
         Only divisors constant on the coset (direction parallel to the
         support) count."""
         targets = {}
-        invt = inverse_transpose_list(self.datum)
-        mats = self.datum.weyl_matrices()
+        weyl = self.datum.weyl
         for k, coset in enumerate(self._cosets):
             if coset.dim != self.datum.rank - 1 or not coset.support_roots:
                 continue
-            base_dir = coset.support_roots[0].vec
-            for a, ait in zip(mats, invt):
-                img_dir = tuple(sum(a[i][j] * base_dir[j]
-                                    for j in range(self.datum.rank))
-                                for i in range(self.datum.rank))
+            dirs = weyl.mats @ np.array(coset.support_roots[0].vec)
+            rows = _orbit_rows(coset.point, weyl.invts, weyl.invt_norm)
+            for img_dir, row in zip(dirs.tolist(), rows.tolist()):
                 pdir = direction(img_dir)[0]
-                pt = coset.point.transform(ait)
+                pt = _row_to_point(row, coset.point.den)
                 for d in self.divisors:
                     if d.sign > 0 and d.ring[0] == pdir and \
                             pt.takes(d.vec, -d.u0, -d.r0):
                         targets.setdefault(d.ring, set()).add((pt.r, k))
         return targets
 
+    def _orbit_of(self, point):
+        """Index of the dim-0 residual coset whose orbit holds the point,
+        or None."""
+        return self._point_orbit.get(canonical_point(self.datum, point))
+
+    def _mass(self, k, value):
+        """The mass entry of residual orbit k, labelled by its dimension,
+        parabolic and the values of the simple roots at its base point."""
+        c = self._cosets[k]
+        vals = []
+        for i in range(self.datum.n_simple):
+            u, r = c.point.value_of(self.datum.simple_roots[i])
+            vals.append(f"({u},{r})")
+        label = f"dim{c.dim} P={list(c.support)} " + " ".join(vals)
+        return MassEntry(label, c.center, value)
+
     def nodes_for(self, ell):
         """Starting node count per circle on the contour at log-radii ell:
         the trapezoid error decays like e^{-N d} at natural-log distance d
         from the nearest pole ring, so this N puts the half grid's error
         near the tolerance and the full grid's near its square."""
-        best = None
-        for (p, rho) in self.rings:
-            val = sum(F(pi) * ell[i] for i, pi in enumerate(p))
-            dist = abs(float(val - rho)) / max(1.0, float(
-                sum(abs(x) for x in p)))
-            if best is None or dist < best:
-                best = dist
-        if best is None or best <= 0:
+        best = min((abs(float(_pair(p, ell) - rho)) /
+                    max(1.0, float(sum(abs(x) for x in p)))
+                    for p, rho in self.rings), default=0)
+        if best <= 0:
             raise ValueError("contour touches a pole ring")
         dist_nat = best * log(self._iq)
         n = 2.0 * log(1.0 / self.tolerance) / dist_nat + 16
@@ -485,18 +481,47 @@ class ResidueEngine:
         self.max_imag = max(self.max_imag, abs(val.imag))
         return val.real
 
+    def _bracket(self, pos, axis, sign, step):
+        """The integral on the contour moved by step past pos along the
+        axis (the way sign points) minus the one moved back by step: the
+        jump of the shifted integral across whatever lies at pos."""
+        before = list(pos)
+        after = list(pos)
+        before[axis] -= sign * step
+        after[axis] += sign * step
+        return self.integral(tuple(after)) - self.integral(tuple(before))
+
+    def _small_circle(self, point, axis, eps, nodes):
+        """Mean of w fn(z) / z_axis over the circle z_axis = z0 + w,
+        |w| = eps |z0|, with every other coordinate at the point's: the
+        local residue in that coordinate, up to sign."""
+        z0 = [complex(np.exp(2j * np.pi * float(u)) * self._iq ** float(r))
+              for u, r in zip(point.u, point.r)]
+        theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
+        w = abs(z0[axis]) * eps * np.exp(1j * theta)
+        zs = [np.full_like(w, z) for z in z0]
+        zs[axis] = z0[axis] + w
+        return complex(np.mean(w * self.fn(*zs) / zs[axis]))
+
+    def _report(self, global_val, continuous, coset_masses, point_masses):
+        coset_masses = _merge_entries(coset_masses)
+        point_masses = _merge_entries(point_masses)
+        total = continuous + sum(e.value for e in coset_masses) + \
+            sum(e.value for e in point_masses)
+        return LocalMassReport(
+            qval=float(self.qval), tolerance=self.tolerance,
+            resolution=self.resolution, error_estimate=self.error_estimate,
+            global_mass=global_val,
+            continuous=continuous, coset_masses=coset_masses,
+            point_masses=point_masses,
+            closure_error=abs(global_val - total), max_imag=self.max_imag)
+
     # -- rank 1 ---------------------------------------------------------------
 
     def point_residue_rank1(self, point: TorusPoint, eps=1e-2, nodes=512):
         """Minus the residue of the kernel form at an isolated point,
         via a small circle (the mass the shift picks up there)."""
-        z0 = complex(np.exp(2j * np.pi * float(point.u[0])) *
-                     self._iq ** float(point.r[0]))
-        theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
-        w = abs(z0) * eps * np.exp(1j * theta)
-        z = z0 + w
-        vals = w * self.fn(z) / z
-        res = complex(np.mean(vals))
+        res = self._small_circle(point, 0, eps, nodes)
         self.max_imag = max(self.max_imag, abs(res.imag))
         return -res.real
 
@@ -506,50 +531,28 @@ class ResidueEngine:
         if any(s in (0, 1) for s, _ in crossings):
             raise ValueError("pole ring at a contour endpoint")
         global_val = self.integral(ell0)
-        length = abs(ell0[0])
         positions = sorted({_point_on_segment(ell0, (F(0),), s)[0]
                             for s, _ in crossings} | {ell0[0], F(0)})
         min_gap = min(b - a for a, b in zip(positions, positions[1:]))
         step = min(F(1, 8), min_gap / 3)
         point_masses = []
         for s, key in crossings:
-            pos = _point_on_segment(ell0, (F(0),), s)[0]
+            pos = _point_on_segment(ell0, (F(0),), s)
             # the shift moves upward from deep negative toward 0
-            jump = self.integral((pos + step,)) - self.integral((pos - step,))
-            cands = ring_candidates_rank1(self.divisors, key)
-            genuine = [c for c in cands
+            jump = self._bracket(pos, 0, 1, step)
+            genuine = [c for c in ring_candidates(self.divisors, key)
                        if net_pole_order(self.divisors, c) > 0]
-            if not genuine:
+            orbits = [self._orbit_of(c) for c in genuine]
+            if len(orbits) == 1 and orbits[0] is not None:
+                point_masses.append(self._mass(orbits[0], -jump))
                 continue
-            residual = [c for c in genuine
-                        if canonical_point(self.datum, c).key()
-                        in self._point_orbit]
-            if len(residual) == len(genuine) == 1:
-                k = self._point_orbit[
-                    canonical_point(self.datum, residual[0]).key()]
-                point_masses.append(MassEntry(
-                    label=self._coset_label(k),
-                    center=self._cosets[k].center, value=-jump))
-            else:
-                # several candidates on one ring: separate by small circles
-                for c in genuine:
-                    val = self.point_residue_rank1(c)
-                    kkey = canonical_point(self.datum, c).key()
-                    if kkey in self._point_orbit:
-                        k = self._point_orbit[kkey]
-                        point_masses.append(MassEntry(
-                            label=self._coset_label(k),
-                            center=self._cosets[k].center, value=val))
+            # several candidates on one ring: separate by small circles
+            for c, k in zip(genuine, orbits):
+                val = self.point_residue_rank1(c)
+                if k is not None:
+                    point_masses.append(self._mass(k, val))
         continuous = self.integral((F(0),))
-        masses = _merge_entries(point_masses)
-        total = continuous + sum(e.value for e in masses)
-        report = LocalMassReport(
-            qval=float(self.qval), tolerance=self.tolerance,
-            resolution=self.resolution, error_estimate=self.error_estimate,
-            global_mass=global_val,
-            continuous=continuous, coset_masses=[], point_masses=masses,
-            closure_error=abs(global_val - total), max_imag=self.max_imag)
-        return report
+        return self._report(global_val, continuous, [], point_masses)
 
     # -- rank 2 ---------------------------------------------------------------
 
@@ -577,23 +580,21 @@ class ResidueEngine:
         raise ValueError("could not find a clean axis path; centers are "
                          "not radially separated")
 
-    def _bracket_step(self, pos, axis, exclude_key):
-        """Largest safe half-width along the axis that keeps the bracket
-        clear of every other pole ring."""
-        best = F(1, 8)
-        for key in self.rings:
-            if key == exclude_key:
+    def _slab_value(self, slab, pos):
+        """The bracket of the slab's ring at pos, along the slab's axis,
+        with the largest half-width that keeps it clear of every other
+        pole ring.  A slab is (ring key, the point where the main path
+        crosses the ring, the axis of that path segment, its sign)."""
+        key, _, axis, sign = slab
+        step = F(1, 8)
+        for p, rho in self.rings:
+            if (p, rho) == key or p[axis] == 0:
                 continue
-            p, rho = key
-            if p[axis] == 0:
-                continue
-            dist = abs((rho - sum(F(pi) * pos[i] for i, pi in enumerate(p)))
-                       / p[axis])
-            if dist > 0:
-                best = min(best, dist / 3)
-            else:
+            dist = abs((rho - _pair(p, pos)) / p[axis])
+            if dist == 0:
                 raise ValueError("bracket centered on a foreign ring")
-        return best
+            step = min(step, dist / 3)
+        return self._bracket(pos, axis, sign, step)
 
     def collect_rank2(self) -> LocalMassReport:
         ell0 = start_log_radii(self.datum, self.labels)
@@ -601,105 +602,65 @@ class ResidueEngine:
         global_val = self.integral(ell0)
         slabs = []
         for a, b in zip(path, path[1:]):
-            crossings = sorted(segment_crossings(self.rings, a, b))
-            if not crossings:
-                continue
             axis = next(i for i in range(2) if a[i] != b[i])
-            direction = 1 if b[axis] > a[axis] else -1
-            for s, key in crossings:
+            sign = 1 if b[axis] > a[axis] else -1
+            for s, key in sorted(segment_crossings(self.rings, a, b)):
                 pos = _point_on_segment(a, b, s)
-                step = self._bracket_step(pos, axis, key)
-                before = list(pos)
-                after = list(pos)
-                before[axis] -= direction * step
-                after[axis] += direction * step
-                c_disc = self.integral(tuple(after)) - \
-                    self.integral(tuple(before))
-                slabs.append({"key": key, "pos": pos, "axis": axis,
-                              "c_disc": c_disc, "direction": direction})
+                slab = (key, pos, axis, sign)
+                slabs.append((slab, self._slab_value(slab, pos)))
         continuous = self.integral(path[-1])
 
         coset_masses = []
         point_masses = []
-        for slab in slabs:
-            c_temp, jumps = self._walk_slab(slab)
-            key = slab["key"]
-            targets = self._ring_targets.get(key, set())
-            orbit_ids = {k for _, k in targets}
-            label = self._coset_label(next(iter(orbit_ids))) if orbit_ids \
-                else f"ring {key}"
-            center = self._cosets[next(iter(orbit_ids))].center \
-                if orbit_ids else ()
-            coset_masses.append(MassEntry(label, center, -c_temp))
+        for slab, c_disc in slabs:
+            c_temp, jumps = self._walk_slab(slab, c_disc)
+            key = slab[0]
+            orbit_ids = {k for _, k in self._ring_targets.get(key, ())}
+            if orbit_ids:
+                coset_masses.append(self._mass(next(iter(orbit_ids)),
+                                               -c_temp))
+            else:
+                coset_masses.append(MassEntry(f"ring {key}", (), -c_temp))
             point_masses.extend(jumps)
+        return self._report(global_val, continuous, coset_masses,
+                            point_masses)
 
-        coset_masses = _merge_entries(coset_masses)
-        point_masses = _merge_entries(point_masses)
-        total = continuous + sum(e.value for e in coset_masses) + \
-            sum(e.value for e in point_masses)
-        return LocalMassReport(
-            qval=float(self.qval), tolerance=self.tolerance,
-            resolution=self.resolution, error_estimate=self.error_estimate,
-            global_mass=global_val,
-            continuous=continuous, coset_masses=coset_masses,
-            point_masses=point_masses,
-            closure_error=abs(global_val - total), max_imag=self.max_imag)
-
-    def _walk_slab(self, slab):
+    def _walk_slab(self, slab, c_disc):
         """Move the slab contour along its ring line to the tempered
         position, measuring point jumps at genuine crossings."""
-        key = slab["key"]
+        key, start = slab[:2]
         targets = self._ring_targets.get(key)
         if not targets:
             # not a residual ring: its tempered value should vanish where
             # it stands; keep it at the discovery position
-            return slab["c_disc"], []
+            return c_disc, []
         target_radii = {tuple(t) for t, _ in targets}
         if len(target_radii) > 1:
             raise ValueError("ring carries cosets with distinct tempered "
                              "radii; not radially separated")
         target = next(iter(target_radii))
-        start = slab["pos"]
-        axis = slab["axis"]
+        if start == target:
+            return c_disc, []
         # crossings of other rings along the straight walk
-        events = []
-        delta = [t - s for s, t in zip(start, target)]
-        if all(x == 0 for x in delta):
-            return slab["c_disc"], []
-        for other in self.rings:
-            if other == key:
-                continue
-            p, rho = other
-            denom = sum(F(pi) * delta[i] for i, pi in enumerate(p))
-            base = sum(F(pi) * start[i] for i, pi in enumerate(p))
-            if denom == 0:
-                continue
-            s = (rho - base) / denom
-            if 0 < s <= 1:
-                events.append((s, other))
-        events.sort()
+        crossings = segment_crossings([r for r in self.rings if r != key],
+                                      start, target)
         grouped = {}
-        for s, other in events:
-            grouped.setdefault(s, []).append(other)
+        for s, other in sorted(crossings):
+            if s > 0:
+                grouped.setdefault(s, []).append(other)
         events = sorted(grouped.items())
         bounds = sorted(set(grouped) | {F(0), F(1)})
 
         def c_at(s):
-            pos = _point_on_segment(start, target, s)
-            step = self._bracket_step(pos, axis, key)
-            before = list(pos)
-            after = list(pos)
-            before[axis] -= slab["direction"] * step
-            after[axis] += slab["direction"] * step
-            return self.integral(tuple(after)) - self.integral(tuple(before))
+            return self._slab_value(slab, _point_on_segment(start, target, s))
 
         jumps = []
         for s, others in events:
             pos = _point_on_segment(start, target, s)
             on_here = set()
             for other in others:
-                for c in ring_candidates_rank2(self.divisors, key, other):
-                    if all(x == y for x, y in zip(c.r, pos)):
+                for c in ring_candidates(self.divisors, key, other):
+                    if c.r == pos:
                         on_here.add(c)
             genuine = [c for c in sorted(on_here, key=TorusPoint.key)
                        if net_pole_order(self.divisors, c,
@@ -714,17 +675,11 @@ class ResidueEngine:
             gap_hi = bounds[idx + 1] - s
             eps = min(gap_lo, gap_hi) / 3
             jump = c_at(s + eps) - c_at(s - eps)
-            res_orbits = set()
-            for c in genuine:
-                ckey = canonical_point(self.datum, c).key()
-                if ckey in self._point_orbit:
-                    res_orbits.add(self._point_orbit[ckey])
+            res_orbits = {self._orbit_of(c) for c in genuine} - {None}
             if len(res_orbits) > 1:
                 raise ValueError("several residual orbits at one crossing")
             if res_orbits:
-                k = next(iter(res_orbits))
-                jumps.append(MassEntry(self._coset_label(k),
-                                       self._cosets[k].center, jump))
+                jumps.append(self._mass(next(iter(res_orbits)), jump))
         # the tempered value: C is constant past the last interior
         # crossing, and a foreign ring may touch the exact tempered
         # position, so measure just inside the final stretch
@@ -739,14 +694,6 @@ class ResidueEngine:
         else:
             raise ValueError("no clean tempered measurement position")
         return c_temp, jumps
-
-    def _coset_label(self, k):
-        c = self._cosets[k]
-        vals = []
-        for i in range(self.datum.n_simple):
-            u, r = c.point.value_of(self.datum.simple_roots[i])
-            vals.append(f"({u},{r})")
-        return f"dim{c.dim} P={list(c.support)} " + " ".join(vals)
 
     def collect(self) -> LocalMassReport:
         if self.datum.rank == 1:
@@ -789,21 +736,9 @@ def vanishing_cycle_check(datum, labels, qval, point: TorusPoint,
     quadrature accuracy) when the kernel has no pole along the coset, and
     is the local mass density otherwise."""
     eng = ResidueEngine(datum, labels, qval, nodes=nodes)
-    q = float(qval)
     if datum.rank == 1:
         return abs(eng.point_residue_rank1(point, eps=eps, nodes=nodes))
     if direction is None:
-        direction = (0, 1) if datum.rank == 2 else None
-    j = next(i for i in range(datum.rank) if direction[i] != 0)
-    i = 1 - j
-    z0 = [complex(np.exp(2j * np.pi * float(point.u[k])) *
-                  q ** float(point.r[k])) for k in range(2)]
-    theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
-    wj = abs(z0[j]) * eps * np.exp(1j * theta)
-    zj = z0[j] + wj
-    zi = np.full_like(zj, z0[i])
-    if j == 0:
-        vals = (wj / zj) * eng.fn(zj, zi)
-    else:
-        vals = (wj / zj) * eng.fn(zi, zj)
-    return abs(complex(vals.mean()))
+        direction = (0, 1)
+    axis = next(i for i in range(datum.rank) if direction[i] != 0)
+    return abs(eng._small_circle(point, axis, eps, nodes))

@@ -333,9 +333,6 @@ class RootDatum:
         """W0, generated on first use by `weyl_elements`."""
         return self.weyl_elements()
 
-    def weyl_matrices(self):
-        return [e.matrix for e in self.weyl]
-
     def longest_element(self):
         return self.weyl[-1]
 
@@ -542,17 +539,6 @@ class WeylElement:
         index = {r.vec: k for k, r in enumerate(roots)}
         return tuple(index[self.act_vec(r.vec)] for r in roots)
 
-    def inversions(self):
-        """Roots of R_nr,+ sent to negatives (positive representatives)."""
-        out = []
-        for r in self.datum.positive_roots:
-            img = self.act_vec(r.vec)
-            if self.datum.root_by_vec[img].height < 0:
-                out.append(r)
-                if self.datum.doubled[r.vec]:
-                    out.append(self.datum.root_by_vec[r.vec])  # marker for 2a
-        return out
-
 
 class WeylGroup(list):
     """The elements of W0 (WeylElement, sorted by (length, word)) with the
@@ -730,9 +716,6 @@ class LabelFunction:
         of q_{alpha^vee/2}^{1/2}."""
         return self.thresholds[vec][1]
 
-    def is_trivial(self) -> bool:
-        return all(f0 == 0 and f1 == 0 for f0, f1 in self.pairs.values())
-
     def q_w0_exponent(self) -> Fraction:
         """Exponent of q(w0) = prod over R_nr,+ of q_{alpha^vee}."""
         total = Fraction(0)
@@ -892,12 +875,6 @@ def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
     if len(vec_map) != len(sub.roots):
         raise RuntimeError("parabolic quotient roots do not match")
     return ParabolicClass(indices, roots, sub, y_rows, vec_map, 1)
-
-
-def root_permutations(datum: RootDatum):
-    """The permutations of the sorted root list by W0, as
-    `RootDatum.root_permutations` holds them."""
-    return datum.root_permutations
 
 
 def parabolic_classes(datum: RootDatum) -> list[ParabolicClass]:

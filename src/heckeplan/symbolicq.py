@@ -480,9 +480,6 @@ class QLaurent:
         res.terms = {k + Fraction(e): c for k, c in self.terms.items()}
         return res
 
-    def min_exponent(self):
-        return min(self.terms) if self.terms else Fraction(0)
-
     def evaluate(self, qval):
         """Value at a numeric q > 0; exact Fraction when all exponents are
         realizable as exact rational powers and coefficients are rational."""
@@ -784,11 +781,6 @@ def factor_value(desc, point) -> QLaurent:
     vec, u0, r0 = desc
     u, r = point.value_of(vec)
     return ONE - QLaurent.point_value((u0 + u) % 1, r0 + r)
-
-
-def factor_vanishes(desc, point) -> bool:
-    vec, u0, r0 = desc
-    return point.takes(vec, -u0, -r0)
 
 
 def c_alpha(datum, labels, r1_root, point):

@@ -258,7 +258,7 @@ def test_criterion_8_casselman():
         labels = LabelFunction.equal(d)
         st = steinberg_point(d, labels)
         tr = trivial_point(d, labels)
-        unitary = TorusPoint.make(
+        unitary = TorusPoint(
             [F(1, 5 + i) for i in range(d.rank)], [0] * d.rank)
         ok = ok and casselman_discrete([st], d)
         ok = ok and casselman_tempered([st], d)

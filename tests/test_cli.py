@@ -64,6 +64,47 @@ def test_classification_jobs_output_identical():
     assert out2 == out1
 
 
+def test_hpk_jobs_is_read_when_the_batch_runs(monkeypatch):
+    # the parser is built once, so HPK_JOBS set after a first call must
+    # still choose the worker count, and an explicit --jobs still wins
+    import concurrent.futures
+
+    from heckeplan import cli
+    argv = ("check", "--suite", "classification", "--type", "A1",
+            "--format", "json")
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    monkeypatch.delenv("HPK_JOBS", raising=False)
+    code1, out1 = run_cli(*argv)
+    assert workers == []
+
+    def no_second_parser():
+        raise AssertionError("main built its parser again")
+
+    monkeypatch.setattr(cli, "build_parser", no_second_parser)
+    monkeypatch.setenv("HPK_JOBS", "2")
+    code2, out2 = run_cli(*argv)
+    assert workers == [2]
+    code3, out3 = run_cli(*argv, "--jobs", "1")
+    assert workers == [2]
+    assert code1 == code2 == code3 == 0 and out1 == out2 == out3
+
+
 def test_check_scaling():
     code, out = run_cli("check", "--suite", "scaling", "--type", "B2",
                         "--eps", "2", "--format", "json")

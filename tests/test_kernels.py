@@ -58,7 +58,6 @@ from heckeplan.rootdata import (
     RootDatum,
     parabolic_subsystem_roots,
     random_label_vector,
-    root_permutations,
 )
 from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
 
@@ -503,14 +502,14 @@ def test_inverse_transposes_match_exact_inverse(tag, lattice):
     got = inverse_transpose_matrices(d)
     want = [tuple(tuple(int(x) for x in row)
                   for row in transpose(mat_inverse([list(r) for r in a])))
-            for a in d.weyl_matrices()]
+            for a in [e.matrix for e in d.weyl]]
     assert got == want
 
 
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("G2", "Q")])
 def test_root_permutations_match_elementwise(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
-    perms = root_permutations(d)
+    perms = d.root_permutations
     assert perms.shape == (len(d.weyl_elements()), len(d.roots))
     for g, w in enumerate(d.weyl_elements()):
         assert tuple(perms[g].tolist()) == w.root_permutation()

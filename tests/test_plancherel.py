@@ -44,7 +44,7 @@ def test_m_point_rejects_non_residual():
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
     with pytest.raises(ValueError):
-        m_point(d, labels, TorusPoint.make([0], [F(7)]))
+        m_point(d, labels, TorusPoint([0], [F(7)]))
 
 
 def test_m_point_orbit_equivariant():
@@ -228,7 +228,7 @@ def test_m_upper_t_is_inverse_kernel():
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
     t_coset = next(c for c in residual_cosets(d, labels) if c.dim == 2)
-    pt = TorusPoint.make([F(1, 5), F(1, 3)], [0, 0])
+    pt = TorusPoint([F(1, 5), F(1, 3)], [0, 0])
     up, singular = m_upper(d, labels, t_coset, pt)
     assert not singular
     kernel, order = omega_kernel(d, labels, pt)
@@ -244,12 +244,12 @@ def test_m_upper_stabilizer_invariance():
     labels = LabelFunction.equal(d)
     coset = next(c for c in residual_cosets(d, labels) if c.dim == 1)
     from heckeplan.residual import inverse_transpose_matrices
-    pt = TorusPoint.make(
+    pt = TorusPoint(
         [coset.point.u[0] + F(1, 5), coset.point.u[1]], coset.point.r)
     base, s0 = m_upper(d, labels, coset, pt)
     mats = inverse_transpose_matrices(d)
     support_vecs = frozenset(r.vec for r in coset.support_roots)
-    for a, ait in zip(d.weyl_matrices(), mats):
+    for a, ait in zip([e.matrix for e in d.weyl], mats):
         img_support = frozenset(
             tuple(sum(a[i][j] * v[j] for j in range(2)) for i in range(2))
             for v in support_vecs)

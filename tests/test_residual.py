@@ -177,7 +177,7 @@ def test_point_index_a1():
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
     alpha = d.simple_roots[0]
-    t = TorusPoint.make([0], [F(1) / alpha[0]])   # alpha(t) = q
+    t = TorusPoint([0], [F(1) / alpha[0]])   # alpha(t) = q
     assert point_index(d, labels, t) == 1
     assert point_index(d, labels, TorusPoint.identity(1)) == -2
     assert coset_index(d, labels, (), TorusPoint.identity(1)) == 0
@@ -304,7 +304,7 @@ def test_casselman_trivial_not_tempered():
 
 def test_casselman_unitary_tempered_not_discrete():
     d = RootDatum.from_type("B2", "Q")
-    w = TorusPoint.make([F(1, 3), F(1, 5)], [0, 0])
+    w = TorusPoint([F(1, 3), F(1, 5)], [0, 0])
     assert casselman_tempered([w], d)
     assert not casselman_discrete([w], d)
 

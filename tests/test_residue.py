@@ -17,7 +17,7 @@ from heckeplan.residue import (
     ResidueEngine,
     global_unit_integral,
     kernel_divisors,
-    ring_candidates_rank2,
+    ring_candidates,
     ring_lines,
     shift_and_collect,
     start_log_radii,
@@ -160,7 +160,7 @@ def test_vanishing_cycle_rank1():
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
     # alpha(t) = q^2: not a pole of the kernel
-    quiet = vanishing_cycle_check(d, labels, 2, TorusPoint.make([0], [2]))
+    quiet = vanishing_cycle_check(d, labels, 2, TorusPoint([0], [2]))
     assert abs(quiet) < 1e-12
     # control: the special point carries mass
     loud = vanishing_cycle_check(d, labels, 2,
@@ -175,12 +175,12 @@ def test_vanishing_cycle_rank2():
     # the locus alpha_2(t) = -1 is a codimension-1 intersection component
     # with index 0 (pole and zero thresholds cancel): no local mass at a
     # generic sample point on it
-    quiet_pt = TorusPoint.make([0, F(1, 2)], [F(7, 3), 0])
+    quiet_pt = TorusPoint([0, F(1, 2)], [F(7, 3), 0])
     assert coset_index(d, labels, (1,), quiet_pt) == 0
     quiet = vanishing_cycle_check(d, labels, 2, quiet_pt, direction=(0, 1))
     assert abs(quiet) < 1e-8
     # control: a generic point of the residual coset alpha_2(t) = q
-    loud_pt = TorusPoint.make([0, 0], [F(7, 3), 1])
+    loud_pt = TorusPoint([0, 0], [F(7, 3), 1])
     assert coset_index(d, labels, (1,), loud_pt) == 1
     loud = vanishing_cycle_check(d, labels, 2, loud_pt, direction=(0, 1))
     assert abs(loud) > 1e-4
@@ -202,7 +202,7 @@ def test_integrand_matches_exact_kernel():
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
     fn = Integrand(d, labels, F(2))
-    pt = TorusPoint.make([F(1, 3), F(1, 5)], [F(1, 2), F(-3, 2)])
+    pt = TorusPoint([F(1, 3), F(1, 5)], [F(1, 2), F(-3, 2)])
     z = [complex(np.exp(2j * np.pi * float(pt.u[i])) *
                  2.0 ** float(pt.r[i])) for i in range(2)]
     val = fn(np.array([[z[0]]]), np.array([[z[1]]]))[0][0]
@@ -335,7 +335,7 @@ def _ring_candidates_by_solver(divisors, key1, key2):
             for k1 in range(abs(det)):
                 for k2 in range(abs(det)):
                     usol = solve_unique(amat, [-d1.u0 + k1, -d2.u0 + k2])
-                    out.add(TorusPoint.make(usol, rsol))
+                    out.add(TorusPoint(usol, rsol))
     return sorted(out, key=TorusPoint.key)
 
 
@@ -351,10 +351,29 @@ def test_ring_candidates_rank2_match_the_solver(tag, lattice, seed):
     for key1 in rings:
         for key2 in rings:
             if key1 != key2:
-                got = ring_candidates_rank2(divisors, key1, key2)
+                got = ring_candidates(divisors, key1, key2)
                 assert got == _ring_candidates_by_solver(divisors, key1, key2)
                 found += len(got)
     assert found
+
+
+@pytest.mark.parametrize("lattice,seed", [(lattice, seed)
+                                          for lattice in ("Q", "P")
+                                          for seed in (None, 11)])
+def test_ring_candidates_rank1_are_the_roots_of_each_factor(lattice, seed):
+    # on a rank-1 ring the candidates are the |a| solutions of
+    # theta^a = 1/d of each pole factor 1 - d theta^a on it
+    d = RootDatum.from_type("A1", lattice)
+    divisors = kernel_divisors(d, _labels(d, seed))
+    for key in ring_lines(divisors):
+        want = set()
+        for div in divisors:
+            if div.sign > 0 and div.ring == key:
+                a = div.vec[0]
+                want |= {TorusPoint([(k - div.u0) / a], [-div.r0 / a])
+                         for k in range(abs(a))}
+        got = ring_candidates(divisors, key)
+        assert got == sorted(want, key=TorusPoint.key) and got
 
 
 def test_every_contour_goes_through_torus_integral(monkeypatch):

@@ -267,7 +267,7 @@ def _coroot_orbits_by_loop(datum):
     for r in datum.roots:
         if r.coroot in orbit_of:
             continue
-        for m in datum.weyl_matrices():
+        for m in [e.matrix for e in datum.weyl]:
             img = tuple(sum(m[j][i] * r.coroot[j] for j in range(datum.rank))
                         for i in range(datum.rank))
             orbit_of[img] = next_id
