@@ -34,7 +34,7 @@ evaluating the kernel at all N^2 points, in O(N) kernel evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -352,8 +352,11 @@ class LocalMassReport:
     continuous: float
     coset_masses: list
     point_masses: list
-    closure_error: float
     max_imag: float
+    closure_error: float = field(init=False)
+
+    def __post_init__(self):
+        self.closure_error = abs(self.global_mass - self.total())
 
     def total(self):
         return self.continuous + sum(e.value for e in self.coset_masses) + \
@@ -504,17 +507,13 @@ class ResidueEngine:
         return complex(np.mean(w * self.fn(*zs) / zs[axis]))
 
     def _report(self, global_val, continuous, coset_masses, point_masses):
-        coset_masses = _merge_entries(coset_masses)
-        point_masses = _merge_entries(point_masses)
-        total = continuous + sum(e.value for e in coset_masses) + \
-            sum(e.value for e in point_masses)
         return LocalMassReport(
             qval=float(self.qval), tolerance=self.tolerance,
             resolution=self.resolution, error_estimate=self.error_estimate,
-            global_mass=global_val,
-            continuous=continuous, coset_masses=coset_masses,
-            point_masses=point_masses,
-            closure_error=abs(global_val - total), max_imag=self.max_imag)
+            global_mass=global_val, continuous=continuous,
+            coset_masses=_merge_entries(coset_masses),
+            point_masses=_merge_entries(point_masses),
+            max_imag=self.max_imag)
 
     # -- rank 1 ---------------------------------------------------------------
 
