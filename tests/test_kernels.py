@@ -500,9 +500,9 @@ def test_enumeration_makes_no_fraction_solve(monkeypatch, tag, lattice):
 def test_inverse_transposes_match_exact_inverse(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     got = inverse_transpose_matrices(d)
-    want = [tuple(tuple(int(x) for x in row)
-                  for row in transpose(mat_inverse([list(r) for r in a])))
-            for a in [e.matrix for e in d.weyl]]
+    want = [tuple(tuple(int(x) for x in row) for row in
+                  transpose(mat_inverse([list(r) for r in e.matrix])))
+            for e in d.weyl]
     assert got == want
 
 
