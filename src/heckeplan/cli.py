@@ -217,20 +217,27 @@ def cmd_enumerate(args) -> int:
 
 
 def _suite_task(task):
-    tag, lattice, values, seed = task
-    datum = RootDatum.from_type(tag, lattice)
-    if values == "equal":
-        labels = LabelFunction.equal(datum)
-    else:
-        labels = LabelFunction.from_affine_nodes(datum, [F(v) for v in values])
+    """The classification rows of one (type, lattice): the datum is built
+    once and warm for each of its label sets ("equal" or node values)."""
+    tag, lattice, label_sets = task
     from .residual import classification_suite
-    rep = classification_suite(datum, labels)
-    return {"type": tag, "lattice": lattice,
-            "labels": "equal" if values == "equal" else
-            ",".join(str(v) for v in values),
-            "passed": rep.passed,
-            "checks": "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}"
-                                for c in rep.checks)}
+    datum = RootDatum.from_type(tag, lattice)
+    rows = []
+    for values in label_sets:
+        if values == "equal":
+            labels = LabelFunction.equal(datum)
+        else:
+            labels = LabelFunction.from_affine_nodes(
+                datum, [F(v) for v in values])
+        rep = classification_suite(datum, labels)
+        rows.append({"type": tag, "lattice": lattice,
+                     "labels": "equal" if values == "equal" else
+                     ",".join(str(v) for v in values),
+                     "passed": rep.passed,
+                     "checks": "; ".join(
+                         f"{c.name}={'ok' if c.passed else 'FAIL'}"
+                         for c in rep.checks)})
+    return rows
 
 
 def cmd_check(args) -> int:
@@ -257,19 +264,18 @@ def check_classification(args) -> int:
             datum = RootDatum.from_type(tag, lattice)
             if lattice == "P" and datum.weight_index() == 1:
                 continue
-            tasks.append((tag, lattice, "equal", args.seed))
-            for _ in range(3):
-                values = random_label_vector(datum, rng)
-                tasks.append((tag, lattice, [str(v) for v in values],
-                              args.seed))
+            tasks.append((tag, lattice, ["equal"] + [
+                [str(v) for v in random_label_vector(datum, rng)]
+                for _ in range(3)]))
     jobs = args.jobs if args.jobs is not None else \
         int(os.environ.get("HPK_JOBS", "1"))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_suite_task, tasks))
+            batches = list(pool.map(_suite_task, tasks))
     else:
-        rows = [_suite_task(t) for t in tasks]
+        batches = list(map(_suite_task, tasks))
+    rows = [row for batch in batches for row in batch]
     header = base_header_plain(args, "classification invariants")
     emit(rows, header, args)
     return 0 if all(r["passed"] for r in rows) else 1

@@ -176,14 +176,19 @@ def inverse_transpose_matrices(datum: RootDatum):
 
 def _graded_action(datum, roots):
     """(inverse transposes, largest row 1-norm) of the subgroup generated
-    by the reflections in the given roots, as `WeylGroup` has them."""
+    by the reflections in the given roots, as `WeylGroup` has them; the
+    datum's `graded_actions` keeps each one by its tuple of roots."""
     import numpy as np
-    n = datum.rank
-    vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
-        [r.vec for r in roots], [r.coroot for r in roots]))
-    gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
-    _, invts, _ = reflection_closure(gens, n)
-    return invts, int(np.abs(invts).sum(axis=2).max(initial=0))
+    key = tuple(roots)
+    memo = datum.graded_actions
+    if key not in memo:
+        n = datum.rank
+        vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
+            [r.vec for r in key], [r.coroot for r in key]))
+        gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
+        _, invts, _ = reflection_closure(gens, n)
+        memo[key] = invts, int(np.abs(invts).sum(axis=2).max(initial=0))
+    return memo[key]
 
 
 def _orbit_rows(point, invts, norm):
@@ -280,6 +285,14 @@ class UnitaryCandidate:
     r_s1: list                       # roots of R1 with alpha(s) = 1
     r_s0: list                       # roots of R0 supporting the graded system
 
+    @cached_property
+    def subset_inverses(self) -> "SubsetInverses":
+        """The inverses of the graded search's n-subsets of the positive
+        roots of `r_s0`: they depend on the datum only, and
+        `RootDatum.unitary_candidates` holds the candidate."""
+        return _subset_inverses([r for r in self.r_s0 if r.height > 0],
+                                len(self.point.un))
+
 
 @dataclass
 class CandidateSet:
@@ -355,8 +368,7 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         u = tuple(sum(v[i] for v in choice) % 1 for i in range(n))
         candidates.add(u)
     reps = {}
-    for u in sorted(candidates):
-        rep = canonical_point(datum, TorusPoint(u, [0] * n))
+    for rep in _canonical_unitary_points(datum, sorted(candidates)):
         if rep not in reps:
             reps[rep] = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
     # the ranks of every R1(s), padded with zero rows, from one stack
@@ -370,6 +382,25 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
            for (rep, r_s1), ok in zip(reps.items(), full) if ok]
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
+
+
+def _canonical_unitary_points(datum, us):
+    """`canonical_point` of each unitary point u in us (tuples of
+    Fractions): every orbit from one product over a common denominator D,
+    and each least member from one lexsort keyed by its owner."""
+    import numpy as np
+    n, weyl = datum.rank, datum.weyl
+    den, nums = _numerators([x for u in us for x in u])
+    small = weyl.invt_norm * den < INT64_SAFE
+    vecs = np.array(nums, dtype=np.int64 if small else object).reshape(-1, n)
+    invts = weyl.invts if small else weyl.invts.astype(object)
+    # (point, Weyl element, coordinate): invts[w] @ vecs[p] mod D
+    rows = (vecs @ invts.transpose(0, 2, 1) % den).transpose(1, 0, 2)
+    rows = rows.reshape(-1, n)
+    owner = np.repeat(np.arange(len(us)), len(invts))
+    least = np.lexsort((*rows.T[::-1], owner))[::len(invts)]
+    return [TorusPoint.from_numerators(den, row, (0,) * n)
+            for row in rows[least].tolist()]
 
 
 def _r1_root_coords(datum, simples):
@@ -416,17 +447,19 @@ def graded_labels(datum, labels, cand: UnitaryCandidate) -> dict:
                                             else 1] for r in cand.r_s0}
 
 
-def graded_residual_points(datum, subsystem, klabels, rank=None):
+def graded_residual_points(datum, subsystem, klabels, rank=None,
+                           inverses=None):
     """Brute-force search: solve alpha(gamma) = k_alpha on all maximal
     independent subsets of positive subsystem roots, keep gamma whose
     pole-minus-zero count reaches the rank, and assert it never exceeds it.
+    `inverses` are the subsets' `SubsetInverses` if already computed.
 
     Returns exact split-exponent vectors (tuples of Fractions), deduped.
     """
     import numpy as np
     n = rank if rank is not None else datum.rank
     gammas = _candidate_gammas([r for r in subsystem if r.height > 0],
-                               klabels, n)
+                               klabels, n, inverses)
     if not len(gammas):
         return []
     # alpha(gamma) = k_alpha as integers, for every root and candidate at
@@ -460,44 +493,107 @@ def _abs_vec(root):
     return root.vec if root.height > 0 else tuple(-v for v in root.vec)
 
 
-# n-subsets solved per batch of the graded search; a block of 1024 keeps the
-# elimination's temporaries small enough that peak memory does not grow
-GRADED_BLOCK = 1 << 10
+# n-subsets per batch of the graded search, both in the elimination of
+# [A | I] and in each label set's product; [A | I] is about twice as wide
+# as the [A | D k] that a block of 1024 was sized for, so a block of 512
+# keeps the temporaries, and the peak memory, where they were
+GRADED_BLOCK = 1 << 9
 
 
-def _candidate_gammas(positives, klabels, n):
+@dataclass
+class SubsetInverses:
+    """The invertible n-subsets of a list of roots, each as the matrix A
+    with the subset's roots as rows: A^{-1} = adj / det."""
+    subsets: object         # (count, n) root indices, ascending in a row
+    adj: object             # (count, n, n) adj(A) times the sign of det(A)
+    det: object             # (count,) |det(A)|
+    norm: int               # largest row 1-norm of adj
+    det_max: int            # largest |det(A)|
+    vec_sq: int             # largest squared norm of a root
+
+
+def _int_width(bound):
+    """The narrowest integer dtype that holds every integer of absolute
+    value at most `bound`."""
+    import numpy as np
+    for bits in (8, 16, 32, 64):
+        if bound < 1 << (bits - 1):
+            return np.dtype(f"int{bits}")
+    return np.dtype(object)
+
+
+def _subset_inverses(positives, n) -> SubsetInverses:
+    """Every n-subset of the positive roots, in blocks of GRADED_BLOCK
+    through one `gauss_jordan` pass on [A | I] each.  An invertible A
+    ends with pivot det(A), and the right half of [A | I] with det(A)
+    A^{-1} = adj(A).  The labels enter only the right-hand side, so these
+    depend on the roots alone.  Each array is stored at the narrowest
+    width its bound allows: the number of roots, the row 1-norm of adj
+    and det(A)."""
+    import numpy as np
+    vecs = np.array([p.vec for p in positives],
+                    dtype=np.int64).reshape(len(positives), n)
+    parts = []
+    norm = det_max = 0
+    combos = combinations(range(len(positives)), n)
+    while block := list(islice(combos, GRADED_BLOCK)):
+        block = np.array(block, dtype=np.intp)
+        aug = np.empty((len(block), n, 2 * n), dtype=np.int64)
+        aug[:, :, :n] = vecs[block]
+        aug[:, :, n:] = np.eye(n, dtype=np.int64)
+        red, pivot, pivots = gauss_jordan(aug, n)
+        full = pivots.all(axis=1)
+        sign = np.where(pivot[full] < 0, -1, 1)
+        adj = red[full][:, :, n:] * sign[:, None, None]
+        det = pivot[full] * sign
+        norm = max(norm, int(np.abs(adj).sum(axis=2).max(initial=0)))
+        det_max = max(det_max, int(det.max(initial=0)))
+        # each block at its own width; concatenating takes the widest
+        parts.append((block[full].astype(_int_width(len(positives))),
+                      adj.astype(_int_width(norm)),
+                      det.astype(_int_width(det_max))))
+    subsets, adj, det = (np.concatenate(a) for a in zip(*parts)) if parts \
+        else (np.zeros((0, n), np.int8), np.zeros((0, n, n), np.int8),
+              np.zeros(0, np.int8))
+    return SubsetInverses(subsets, adj, det, norm, det_max,
+                          int((vecs * vecs).sum(axis=1).max(initial=0)))
+
+
+def _candidate_gammas(positives, klabels, n, inverses=None):
     """The solutions of n independent equations alpha(gamma) = k_alpha,
     over every n-subset of the positive roots, exactly: an array of the
     distinct integer rows (gamma * den..., den) in lowest terms with
     den > 0, in no particular order.
 
-    With D the common denominator of the labels, each n-subset is one
-    augmented matrix [A | D k]; the subsets run in blocks of GRADED_BLOCK
-    through one `gauss_jordan` pass each.  An invertible A ends with
-    pivot det(A), and its last column holds det(A) D gamma."""
+    With D the common denominator of the labels and k the integer vector
+    D k_alpha, a subset solves to gamma = adj (k on the subset) / (det D):
+    one integer product per label set.  It runs on int64 while its own
+    bound and twice (max |alpha|^2 + max k^2)^n, which bounds the square
+    of every minor of [A | k], are below 2^62, and on Python integers
+    (dtype=object) otherwise.  The subsets' inverses are `inverses` when
+    given, and computed here otherwise."""
     import numpy as np
+    inv = inverses if inverses is not None else \
+        _subset_inverses(positives, n)
     den, kint = _numerators([klabels[p.vec] for p in positives])
-    rows = np.array([list(p.vec) + [k] for p, k in zip(positives, kint)],
-                    dtype=np.int64 if max(map(abs, kint), default=0) <
-                    INT64_SAFE else object).reshape(len(positives), n + 1)
+    if not len(inv.det):
+        return np.zeros((0, n + 1), dtype=np.int64)
+    top = max(map(abs, kint))
+    small = max(2 * (inv.vec_sq + top * top) ** n, inv.norm * top,
+                inv.det_max * den) < INT64_SAFE
+    dtype = np.int64 if small else object
+    kint = np.array(kint, dtype=dtype)
     found = []
-    subsets = combinations(range(len(positives)), n)
-    while block := list(islice(subsets, GRADED_BLOCK)):
-        block = np.array(block, dtype=np.intp)
-        red, pivot, pivots = gauss_jordan(rows[block], n)
-        full = pivots.all(axis=1)
-        red, pivot = red[full], pivot[full]
-        if red.dtype != object and \
-                int(np.abs(pivot).max(initial=0)) * den >= INT64_SAFE:
-            red, pivot = red.astype(object), pivot.astype(object)
-        frac = np.empty((len(pivot), n + 1), dtype=red.dtype)
-        frac[:, :n] = red[:, np.arange(n), n]
-        frac[:, n] = pivot * den
-        frac *= np.where(pivot < 0, -1, 1)[:, None]
+    for at in range(0, len(inv.det), GRADED_BLOCK):
+        block = slice(at, at + GRADED_BLOCK)
+        frac = np.empty((len(inv.det[block]), n + 1), dtype=dtype)
+        frac[:, :n] = (inv.adj[block] @
+                       kint[inv.subsets[block]][:, :, None])[:, :, 0]
+        frac[:, n] = inv.det[block].astype(dtype) * den
         frac //= np.gcd.reduce(frac, axis=1)[:, None]
         found.append(frac[_distinct_rows(frac)])
-    if not found:
-        return np.zeros((0, n + 1), dtype=np.int64)
+    if len(found) == 1:
+        return found[0]
     found = np.concatenate(found)
     return found[_distinct_rows(found)]
 
@@ -510,7 +606,8 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
     found = set()
     for cand in cands.points:
         kl = graded_labels(datum, labels, cand)
-        for gamma in graded_residual_points(datum, cand.r_s0, kl):
+        for gamma in graded_residual_points(datum, cand.r_s0, kl,
+                                            inverses=cand.subset_inverses):
             pt = TorusPoint(cand.point.u, gamma)
             if point_index(datum, labels, pt) != datum.rank:
                 raise TheoremViolation(
@@ -533,7 +630,12 @@ class ResidualCoset:
     k_l: int                      # |K_L| = |T_L cap T^L|
     pole_roots: list = field(default_factory=list)
     zero_roots: list = field(default_factory=list)
-    orbit_size: int = 1
+    # the orbit's cosets as `_coset_orbit` gave them: [(combo, row, den)]
+    forms: list = field(default_factory=list, compare=False, repr=False)
+
+    @property
+    def orbit_size(self):
+        return len(self.forms)
 
     @property
     def dim(self):
@@ -592,7 +694,7 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
             k_l=len(std.k_elems),
             pole_roots=poles,
             zero_roots=zeros,
-            orbit_size=len(forms),
+            forms=forms,
         )
         orbits[key] = coset
     out = sorted(orbits.values(),
@@ -613,17 +715,9 @@ def _coset_orbit(datum, support, point):
     norm = datum.weyl.invt_norm
     rows = _orbit_rows(point, datum.weyl.invts, norm)
     n = datum.rank
-    sup = list(datum.parabolics[support].key)
-    images = np.sort(datum.root_permutations[:, sup], axis=1).tolist()
-    by_key = datum.parabolic_by_key
-    groups = {}
-    for g, img in enumerate(images):
-        image = by_key.get(tuple(img))
-        if image is not None:
-            groups.setdefault(image.indices, []).append(g)
     peak = norm * max(point.den, *map(abs, point.rn))
     found = []
-    for combo, gs in groups.items():
+    for combo, gs in _image_groups(datum, support).items():
         entry = datum.parabolics[combo]
         d = lcm(point.den, entry.k_den)
         scale = d // point.den
@@ -634,10 +728,33 @@ def _coset_orbit(datum, support, point):
         owner = np.repeat(np.arange(len(gs)), len(k_rows))
         least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
         forms = np.concatenate([translates[least], own[:, n:]], axis=1)
-        for first in _distinct_rows(forms).tolist():
-            found.append((gs[first], combo, tuple(forms[first].tolist()), d))
+        firsts = _distinct_rows(forms)
+        found.extend((g, combo, tuple(row), d) for g, row in zip(
+            gs[firsts].tolist(), forms[firsts].tolist()))
     found.sort(key=lambda f: f[0])
     return [f[1:] for f in found]
+
+
+def _image_groups(datum, support):
+    """Standard parabolic subset combo -> the ascending indices of the
+    Weyl elements that map R_support onto R_combo, each image looked up
+    by its bit mask in `datum.parabolic_by_mask`.  The groups depend on
+    the datum only; its `coset_images` keeps them by support."""
+    import numpy as np
+    memo = datum.coset_images
+    if support not in memo:
+        sup = np.array(datum.parabolics[support].key, dtype=np.int64)
+        images = (1 << datum.root_permutations[:, sup].astype(np.int64)
+                  ).sum(axis=1).tolist()
+        by_mask = datum.parabolic_by_mask
+        groups = {}
+        for g, mask in enumerate(images):
+            image = by_mask.get(mask)
+            if image is not None:
+                groups.setdefault(image.indices, []).append(g)
+        memo[support] = {combo: np.array(gs, dtype=np.intp)
+                         for combo, gs in groups.items()}
+    return memo[support]
 
 
 # -- classification suite ------------------------------------------------------
@@ -685,7 +802,7 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
         return SuiteReport(datum.typename, [CheckResult(
             "index-equals-codimension", False, str(exc), [exc.witness])])
 
-    members = _coset_members(datum, cosets)
+    members = _coset_members(cosets)
     bad = _nested_coset_violations(datum, members)
     checks.append(CheckResult("nested-cosets-distinct-centers", not bad,
                               f"{len(members)} cosets compared",
@@ -696,13 +813,10 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
 
     # conjugate-inverse stays in the orbit of the graded reflection group
     bad = []
-    actions = {}
     for pt in points:
-        gens = tuple(r for r in datum.positive_roots
-                     if _in_graded_system(datum, r, pt))
-        if gens not in actions:
-            actions[gens] = _graded_action(datum, gens)
-        rows = _orbit_rows(pt, *actions[gens])
+        gens = [r for r in datum.positive_roots
+                if _in_graded_system(datum, r, pt)]
+        rows = _orbit_rows(pt, *_graded_action(datum, gens))
         star = pt.star()
         if not (rows == np.array(star.un + star.rn, dtype=rows.dtype)
                 ).all(axis=1).any():
@@ -745,13 +859,12 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
 
 
-def _coset_members(datum, cosets):
+def _coset_members(cosets):
     """Every coset of every orbit, in standard form: (combo, point,
-    orbit representative)."""
+    orbit representative), in the order in which `residual_cosets` met
+    each orbit's cosets."""
     return [(combo, _row_to_point(row, den), coset)
-            for coset in cosets
-            for combo, row, den in _coset_orbit(
-                datum, coset.support, coset.point)]
+            for coset in cosets for combo, row, den in coset.forms]
 
 
 def _nested_coset_violations(datum, members):

@@ -398,15 +398,22 @@ class ResidueEngine:
         self.error_estimate = 0.0
         self.max_imag = 0.0
         self._iq = float(self.qval)
-        self._cosets = residual_cosets(datum, labels)
-        self._point_orbit = {canonical_point(datum, c.point): k
-                             for k, c in enumerate(self._cosets)
-                             if c.dim == 0}
-        self._ring_targets = self._tempered_targets()
 
     # -- infrastructure ------------------------------------------------------
 
-    def _tempered_targets(self):
+    @cached_property
+    def _cosets(self):
+        """The residual cosets, enumerated when a mass is first placed."""
+        return residual_cosets(self.datum, self.labels)
+
+    @cached_property
+    def _point_orbit(self):
+        """Canonical point -> index of its dim-0 residual coset."""
+        return {canonical_point(self.datum, c.point): k
+                for k, c in enumerate(self._cosets) if c.dim == 0}
+
+    @cached_property
+    def _ring_targets(self):
         """ring key -> (target log radii, orbit index) for every Weyl image
         of every codimension-one residual coset lying on a kernel divisor.
         Only divisors constant on the coset (direction parallel to the

@@ -11,13 +11,16 @@ weight lattice P.
 Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
-parabolic table, the parabolic classes and the unitary candidates.  The parabolic table has one entry per
-standard parabolic subset P of the simple roots (all 2^n), built in one
-pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
-coordinates `alpha` are supported on P, so no rank is computed; each entry
-also holds the sorted root-index key of R_P, the saturated lattice of P,
-the group K_L of a coset with support R_P, and the standard
-representative of the W0-class of P.
+parabolic table, the parabolic classes, the unitary candidates, and two
+memos filled on use: the reflection subgroups of graded root systems and
+the standard Weyl images of each standard parabolic subset.  The
+parabolic table has one entry per standard parabolic subset P of the
+simple roots (all 2^n), built in one pass.  A root lies in R_P =
+span(P) cap R0 exactly when its simple-root coordinates `alpha` are
+supported on P, so no rank is computed; each entry also holds the sorted
+root-index key of R_P, the saturated lattice of P, the group K_L of a
+coset with support R_P, and the standard representative of the W0-class
+of P.
 """
 
 from __future__ import annotations
@@ -423,9 +426,13 @@ class RootDatum:
         return {"lattice": low, "k_den": den, "k_elems": elems}
 
     @cached_property
-    def parabolic_by_key(self) -> dict[tuple, "Parabolic"]:
-        """The parabolic table keyed by the sorted root-index key of R_P."""
-        return {p.key: p for p in self.parabolics.values()}
+    def parabolic_by_mask(self) -> dict[int, "Parabolic"]:
+        """The parabolic table keyed by the bit mask of R_P, the sum of 2^i
+        over the indices i of its roots in `roots`.  A mask fits int64:
+        the Weyl group caps the rank at 5, and no datum of rank <= 5 has
+        more than 50 roots."""
+        return {sum(1 << i for i in p.key): p
+                for p in self.parabolics.values()}
 
     @cached_property
     def parabolic_classes(self) -> list["ParabolicClass"]:
@@ -448,6 +455,19 @@ class RootDatum:
         depend on the datum only."""
         from .residual import unitary_candidates
         return unitary_candidates(self)
+
+    @cached_property
+    def graded_actions(self) -> dict:
+        """Tuple of roots -> the reflection subgroup they generate, as
+        `residual._graded_action` returns it; filled on use."""
+        return {}
+
+    @cached_property
+    def coset_images(self) -> dict:
+        """Standard parabolic subset -> its Weyl images that are standard,
+        grouped, as `residual._image_groups` returns them; filled on
+        use."""
+        return {}
 
     # -- serialization ----------------------------------------------------
 

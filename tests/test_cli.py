@@ -64,6 +64,17 @@ def test_classification_jobs_output_identical():
     assert out2 == out1
 
 
+def test_classification_batch_prints_the_frozen_rows():
+    # frozen from the batch that ran one task per label set; one task per
+    # type and lattice must print the same rows in the same order
+    import hashlib
+    code, out = run_cli("check", "--suite", "classification",
+                        "--max-rank", "3", "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 52
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e6df8e0c912d7e910f487b973a8c8a864f93742f36a0f33a0ed09f72f54374cf"
+
+
 def test_hpk_jobs_is_read_when_the_batch_runs(monkeypatch):
     # the parser is built once, so HPK_JOBS set after a first call must
     # still choose the worker count, and an explicit --jobs still wins

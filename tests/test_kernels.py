@@ -35,9 +35,12 @@ from heckeplan.residual import (
     TorusPoint,
     _abs_vec,
     _candidate_gammas,
+    _canonical_unitary_points,
     _coset_orbit,
     _graded_action,
+    _image_groups,
     _in_graded_system,
+    _int_width,
     _orbit_rows,
     _row_to_point,
     canonical_point,
@@ -58,6 +61,7 @@ from heckeplan.rootdata import (
     RootDatum,
     parabolic_subsystem_roots,
     random_label_vector,
+    restrict_labels,
 )
 from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
 
@@ -454,6 +458,129 @@ def test_candidate_search_matches_the_cramer_search(tag, lattice, seeded):
         _cramer_graded_points(cand.r_s0, big, n)
 
 
+# -- the graded search's per-datum cache --------------------------------------
+
+CACHE_DATA = [("B3", "P"), ("C3", "P"), ("D4", "P"), ("D5", "Q")]
+WIDTHS = [np.int8, np.int16, np.int32, np.int64]
+
+
+def _label_sets(d, seed, seeded=2):
+    rng = random.Random(seed)
+    return [LabelFunction.equal(d)] + [
+        LabelFunction.from_affine_nodes(d, random_label_vector(d, rng))
+        for _ in range(seeded)]
+
+
+@pytest.mark.parametrize("tag,lattice", CACHE_DATA)
+def test_cached_subset_inverses_solve_like_the_uncached_search(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    n = d.rank
+    for labels in _label_sets(d, 23):
+        for cand in d.unitary_candidates.points:
+            positives = [r for r in cand.r_s0 if r.height > 0]
+            kl = graded_labels(d, labels, cand)
+            # labels near 10^18 take the product onto Python integers
+            big = {vec: k * (10 ** 18 + 3) / 7 for vec, k in kl.items()}
+            for klabels in (kl, big):
+                got = _candidate_gammas(positives, klabels, n,
+                                        cand.subset_inverses)
+                want = _candidate_gammas(positives, klabels, n)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+            assert got.dtype == object or not len(got)
+    # the cache holds every invertible subset with adj(A) A = det(A) I,
+    # each array at the narrowest width that holds its bound
+    for cand in d.unitary_candidates.points:
+        inv = cand.subset_inverses
+        vecs = np.array([r.vec for r in cand.r_s0 if r.height > 0],
+                        dtype=np.int64).reshape(-1, n)
+        every = np.array(list(combinations(range(len(vecs)), n)),
+                         dtype=np.intp).reshape(-1, n)
+        dets = _bareiss_det(vecs[every]) if len(every) else every[:, 0]
+        assert inv.subsets.tolist() == every[dets != 0].tolist()
+        assert (inv.det == np.abs(dets[dets != 0])).all()
+        mats = vecs[inv.subsets.astype(np.intp)]
+        assert (inv.adj.astype(np.int64) @ mats ==
+                inv.det.astype(np.int64)[:, None, None] * np.eye(n,
+                dtype=np.int64)).all()
+        assert inv.norm == int(np.abs(inv.adj).sum(axis=2).max(initial=0))
+        assert inv.det_max == int(inv.det.max(initial=0))
+        for a, bound in ((inv.subsets, len(vecs)), (inv.adj, inv.norm),
+                         (inv.det, inv.det_max)):
+            i = WIDTHS.index(a.dtype.type)
+            assert bound <= np.iinfo(WIDTHS[i]).max
+            assert i == 0 or bound > np.iinfo(WIDTHS[i - 1]).max
+
+
+def test_int_width_holds_the_bound():
+    assert _int_width(127) == np.int8
+    assert _int_width(128) == np.int16
+    assert _int_width(1 << 20) == np.int32
+    assert _int_width(1 << 40) == np.int64
+    assert _int_width(1 << 70) == object
+    assert _int_width(-128) == np.int8
+
+
+@pytest.mark.parametrize("tag,lattice", CACHE_DATA[:3])
+def test_graded_solve_does_not_depend_on_the_labels_solved_before(tag,
+                                                                 lattice):
+    rng = random.Random(37)
+    warm = RootDatum.from_type(tag, lattice)
+    first, second = (random_label_vector(warm, rng) for _ in range(2))
+    residual_cosets(warm, LabelFunction.from_affine_nodes(warm, first))
+    got = residual_cosets(warm, LabelFunction.from_affine_nodes(warm,
+                                                                second))
+    fresh = RootDatum.from_type(tag, lattice)
+    want = residual_cosets(fresh, LabelFunction.from_affine_nodes(fresh,
+                                                                  second))
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    assert [c.orbit_size for c in got] == [c.orbit_size for c in want]
+
+
+def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
+        monkeypatch):
+    import heckeplan.lattice as lattice
+    import heckeplan.residual as residual
+    import heckeplan.rootdata as rootdata
+    from heckeplan.residual import classification_suite
+    d = RootDatum.from_type("B3", "P")
+    assert classification_suite(d, LabelFunction.equal(d)).passed
+    labels = LabelFunction.from_affine_nodes(
+        d, random_label_vector(d, random.Random(31)))
+    calls = {"gauss_jordan": 0, "_coset_orbit": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (lattice, residual, rootdata):
+        count(module, "gauss_jordan")
+    count(residual, "_coset_orbit")
+    assert classification_suite(d, labels).passed
+    monkeypatch.undo()
+    raw = sum(len(residual_points(pc.sub_datum, restrict_labels(labels, pc)))
+              if pc.indices else 1 for pc in d.parabolic_classes)
+    assert calls == {"gauss_jordan": 0, "_coset_orbit": raw}
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "Q"),
+                                         ("D4", "P"), ("G2", "Q"),
+                                         ("F4", "Q")])
+def test_canonical_unitary_points_match_canonical_point(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(41)
+    us = sorted({tuple(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4,
+                                                              6, 12)))
+                       % 1 for _ in range(d.rank)) for _ in range(30)})
+    got = _canonical_unitary_points(d, us)
+    assert got == [canonical_point(d, TorusPoint(u, [0] * d.rank))
+                   for u in us]
+
+
 def test_index_violation_names_the_first_candidate_in_sorted_order():
     # rank 1: alpha, 2 alpha, 3 alpha and 6 alpha with labels 1, 2, 1, 2
     # put two poles at gamma = 1 (alpha, 2 alpha) and at gamma = 1/3
@@ -768,6 +895,25 @@ def test_residual_points_past_int64_are_residual():
                 for c in residual_cosets(d, labels)] == \
             [(c.support, c.point.scale_split(big), c.index, c.k_l,
               c.orbit_size) for c in residual_cosets(d, small)]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("D4", "Q"),
+                                         ("G2", "Q"), ("F4", "Q")])
+def test_image_groups_match_the_sorted_image_lookup(tag, lattice):
+    # every Weyl element whose image of R_support is a standard R_combo,
+    # found by sorting the image's root indices and looking the key up
+    d = RootDatum.from_type(tag, lattice)
+    perms = d.root_permutations.tolist()
+    by_key = {p.key: p for p in d.parabolics.values()}
+    for support, entry in d.parabolics.items():
+        want = {}
+        for g, perm in enumerate(perms):
+            image = by_key.get(tuple(sorted(perm[i] for i in entry.key)))
+            if image is not None:
+                want.setdefault(image.indices, []).append(g)
+        got = _image_groups(d, support)
+        assert {c: gs.tolist() for c, gs in got.items()} == want
+        assert _image_groups(d, support) is got
 
 
 def test_coset_orbit_translates_leave_int64_when_the_bound_requires():

@@ -317,7 +317,7 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     from heckeplan.residual import _coset_members, _nested_coset_violations
     d = RootDatum.from_type(tag, lattice)
     labels = LabelFunction.equal(d)
-    members = _coset_members(d, residual_cosets(d, labels))
+    members = _coset_members(residual_cosets(d, labels))
     assert _nested_coset_violations(d, members) == []
     injected = 0
     for combo, pt, coset in members:
@@ -332,6 +332,27 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
         assert all((bigger, pt) in pair for pair in pairs)
         injected += 1
     assert injected >= 3
+
+
+@pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q"),
+                                         ("B3", "P"), ("C3", "P")])
+def test_coset_members_are_each_orbit_expanded_afresh(tag, lattice):
+    # the members are the forms residual_cosets kept from the raw points;
+    # as sets they are the orbits expanded again from each base point
+    from heckeplan.residual import _coset_members, _coset_orbit, _row_to_point
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(43)
+    for labels in (LabelFunction.equal(d), LabelFunction.from_affine_nodes(
+            d, random_label_vector(d, rng))):
+        cosets = residual_cosets(d, labels)
+        members = _coset_members(cosets)
+        assert len(members) == sum(c.orbit_size for c in cosets)
+        for coset in cosets:
+            got = [(combo, pt) for combo, pt, rep in members if rep is coset]
+            want = {(combo, _row_to_point(row, den)) for combo, row, den in
+                    _coset_orbit(d, coset.support, coset.point)}
+            assert len(got) == coset.orbit_size == len(set(got))
+            assert set(got) == want
 
 
 def _assert_suite_passes(tag, lattice):

@@ -186,6 +186,39 @@ def test_vanishing_cycle_rank2():
     assert abs(loud) > 1e-4
 
 
+def test_small_circles_and_the_unit_integral_enumerate_no_cosets(
+        monkeypatch):
+    # the engine enumerates the residual cosets only when a mass is placed;
+    # the values are those of engines whose coset data were built first
+    enumerated = []
+    real = residue.residual_cosets
+
+    def counted(datum, labels):
+        enumerated.append(datum.typename)
+        return real(datum, labels)
+
+    monkeypatch.setattr(residue, "residual_cosets", counted)
+    b2 = RootDatum.from_type("B2", "Q")
+    a1 = RootDatum.from_type("A1", "Q")
+    lb2, la1 = LabelFunction.equal(b2), LabelFunction.equal(a1)
+    loud_pt = TorusPoint([0, 0], [F(7, 3), 1])
+    special = steinberg_point(a1, la1)
+    circle = vanishing_cycle_check(b2, lb2, 2, loud_pt, direction=(0, 1))
+    rank1 = vanishing_cycle_check(a1, la1, 2, special)
+    unit = global_unit_integral(b2, lb2, 2, nodes=512)
+    assert enumerated == []
+    engines = [ResidueEngine(b2, lb2, 2, nodes=1024),
+               ResidueEngine(a1, la1, 2, nodes=1024),
+               ResidueEngine(b2, lb2, 2, nodes=512)]
+    for eng in engines:
+        assert eng._point_orbit and eng._ring_targets is not None
+    assert enumerated == ["B2", "A1", "B2"]
+    assert abs(engines[0]._small_circle(loud_pt, 1, 1e-2, 1024)) == circle
+    assert abs(engines[1].point_residue_rank1(special, eps=1e-2,
+                                              nodes=1024)) == rank1
+    assert engines[2].integral((F(0), F(0)), nodes=512) == unit
+
+
 def test_report_json():
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
