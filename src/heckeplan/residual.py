@@ -533,7 +533,9 @@ def _subset_inverses(positives, n) -> SubsetInverses:
     import numpy as np
     vecs = np.array([p.vec for p in positives],
                     dtype=np.int64).reshape(len(positives), n)
-    parts = []
+    # an empty int8 part, which widens no dtype, for data without subsets
+    parts = [(np.zeros((0, n), np.int8), np.zeros((0, n, n), np.int8),
+              np.zeros(0, np.int8))]
     norm = det_max = 0
     combos = combinations(range(len(positives)), n)
     while block := list(islice(combos, GRADED_BLOCK)):
@@ -552,9 +554,7 @@ def _subset_inverses(positives, n) -> SubsetInverses:
         parts.append((block[full].astype(_int_width(len(positives))),
                       adj.astype(_int_width(norm)),
                       det.astype(_int_width(det_max))))
-    subsets, adj, det = (np.concatenate(a) for a in zip(*parts)) if parts \
-        else (np.zeros((0, n), np.int8), np.zeros((0, n, n), np.int8),
-              np.zeros(0, np.int8))
+    subsets, adj, det = (np.concatenate(a) for a in zip(*parts))
     return SubsetInverses(subsets, adj, det, norm, det_max,
                           int((vecs * vecs).sum(axis=1).max(initial=0)))
 
