@@ -23,6 +23,10 @@ LARGE_DATA = (("B4", "P"), ("C4", "P"), ("F4", "Q"), ("D5", "Q"))
 DENSITY_DATA = (("B2", "Q"), ("B2", "P"), ("G2", "Q"), ("A3", "Q"),
                 ("B3", "P"))
 POINCARE_TYPES = ("A2", "B2", "G2")
+# half-integer generator exponents at a q with no exact square root: the
+# length sum mixes exact and float powers
+POINCARE_FLOAT_Q = ("5/2", "3/2")
+POINCARE_RANK3 = ("A3", "B3", "C3")
 
 
 def _enumerate(tag, lattice, labels):
@@ -30,9 +34,14 @@ def _enumerate(tag, lattice, labels):
             "--labels", labels, "--format", "json")
 
 
-def _seeded_labels(tag, lattice):
+def _poincare(tag, q, *labels):
+    return ("tables", "--which", "poincare", "--type", tag, *labels,
+            "--q", q, "--format", "json")
+
+
+def _seeded_labels(tag, lattice, seed=5):
     datum = RootDatum.from_type(tag, lattice)
-    values = random_label_vector(datum, random.Random(5))
+    values = random_label_vector(datum, random.Random(seed))
     return ",".join(str(v) for v in values)
 
 
@@ -48,11 +57,16 @@ def cases():
         out.append(("tables", "--which", "density", "--type", tag,
                     "--lattice", lattice, "--q", "2", "--format", "json"))
     for tag in POINCARE_TYPES:
-        out.append(("tables", "--which", "poincare", "--type", tag,
-                    "--q", "2", "--format", "json"))
+        out.append(_poincare(tag, "2"))
     for n in (3, 4):
         out.append(("tables", "--which", "fdim", "--n", str(n),
                     "--format", "json"))
+    for tag, labels in (("A1", "2,3/2"), ("B2", _seeded_labels("B2", "Q", 1)),
+                        ("G2", _seeded_labels("G2", "Q", 1))):
+        for q in POINCARE_FLOAT_Q:
+            out.append(_poincare(tag, q, "--labels", labels))
+    for tag in POINCARE_RANK3:
+        out.append(_poincare(tag, "2"))
     return out
 
 
