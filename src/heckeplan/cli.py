@@ -364,6 +364,8 @@ def table_poincare(args) -> int:
         poincare_tail_bound,
         poincare_truncated,
     )
+    if args.truncate < 1:
+        raise UsageError("--truncate must be at least 1")
     datum, labels = resolve_datum(args)
     qval = parse_q(args.q) or F(2)
     res = poincare_product(datum, labels)

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .lattice import solve_unique
+from .lattice import INT64_SAFE, solve_unique
 from .residual import (
     ResidualCoset,
     TorusPoint,
+    _int_width,
     canonical_point,
     orbit_of_point,
     point_index,
@@ -23,9 +24,9 @@ from .residual import (
     steinberg_point,
 )
 from .rootdata import (
-    AffineElement,
     LabelFunction,
     RootDatum,
+    _level_step,
     affine_generator_exponents,
 )
 from .symbolicq import (
@@ -197,83 +198,100 @@ def poincare_product(datum: RootDatum, labels: LabelFunction) -> PoincareResult:
 
 def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
                        lmax: int, with_layers=False):
-    """Direct sum of q(w)^{-1} over affine elements of length <= lmax, by
-    breadth-first enumeration of the affine Coxeter group, times the
-    number of length-zero elements.
+    """Direct sum of q(w)^{-1} over affine elements of length <= lmax,
+    times the number of length-zero elements.
 
-    An element (w, x) is the flat integer tuple of the rows of the
-    augmented matrix [w | x], and its exponent is an integer over the
-    common denominator of the generator exponents."""
+    The affine Coxeter group is walked one length at a time
+    (`_length_levels`).  An element is the augmented integer matrix
+    [[w, x], [0, 1]], and its exponent is an integer over the common
+    denominator of the generator exponents, in an array parallel to its
+    level.  A generator changes the length by one, so level l + 1 is the
+    products of level l with the n + 1 generators that are neither in
+    level l - 1 nor repeated, and only those two levels are kept.
+
+    When every power q^{-e} is an exact Fraction, the sum is
+    sum_e count_e q^{-e} over the distinct exponents e.  When some power
+    is a float, the order of the additions fixes the rounding, so they
+    are replayed one element at a time in walk order: level by level,
+    and within a level in the order (element, generator) in which
+    `rootdata._level_step` finds them.  That order does not depend on how
+    a level is computed.
+
+    Int bound: the translation x of a product of l generators is a sum of
+    at most l Weyl images w(theta) of the highest root, one for each
+    affine generator, so |x| <= B = lmax N max|theta|, with N the largest
+    row 1-norm of the W0 matrices, which also bounds |w|.  A product with
+    a generator has every partial sum within (N + 1) B.  That picks the
+    narrowest integer dtype, and a cut with (N + 1) B >= INT64_SAFE is
+    rejected with a ValueError."""
+    import numpy as np
     qval = F(qval)
-    n = datum.rank
     gen_exp = affine_generator_exponents(datum, labels)
     den = lcm(*(F(e).denominator for e in gen_exp))
-    steps = [(_changed_rows(g), int(ge * den))
-             for g, ge in zip(_affine_generators(datum), gen_exp)]
-    w = datum.weyl[0].matrix
-    ident = tuple(c for row in w for c in (*row, 0))
-    seen = {ident: 0}
-    powers = {}
-    frontier = [ident]
-    total = _q_power(qval, F(0))
-    layer_counts = [1]
-    width = n + 1
-    for _ in range(lmax):
-        nxt = []
-        for e in frontier:
-            base = seen[e]
-            for rows, ge in steps:
-                # (g, a) * (w, x) = (g w, g x + a), row by changed row
-                f = list(e)
-                for at, nz, shift in rows:
-                    for c in range(width):
-                        f[at + c] = sum(a * e[k + c] for k, a in nz)
-                    f[at + n] += shift
-                f = tuple(f)
-                if f not in seen:
-                    exp = base + ge
-                    seen[f] = exp
-                    nxt.append(f)
-                    p = powers.get(exp)
-                    if p is None:
-                        p = powers[exp] = _q_power(qval, F(-exp, den))
-                    total += p
-        frontier = nxt
-        layer_counts.append(len(nxt))
+    steps = np.array([int(e * den) for e in gen_exp], dtype=np.int64)
+    exps = [e for _, e in _length_levels(datum, steps, lmax)]
+    walk = np.concatenate(exps)
+    low = int(walk.min())
+    counts = np.bincount(walk - low)
+    powers = {e: _q_power(qval, F(-e, den))
+              for e in (np.flatnonzero(counts) + low).tolist()}
+    if all(isinstance(p, Fraction) for p in powers.values()):
+        total = sum(int(counts[e - low]) * p for e, p in powers.items())
+    else:
+        first, *rest = walk.tolist()
+        total = powers[first]
+        for e in rest:
+            total += powers[e]
     total = datum.weight_index() * total
     if with_layers:
-        return total, layer_counts
+        return total, [len(e) for e in exps]
     return total
 
 
-def _changed_rows(gen: AffineElement):
-    """The rows that left multiplication by gen changes in a flat [w | x]
-    tuple: (offset, [(offset of row k, g_rk) for g_rk != 0], a_r)."""
-    n = len(gen.matrix)
-    out = []
-    for r, row in enumerate(gen.matrix):
-        if any(c != int(r == k) for k, c in enumerate(row)) or \
-                gen.translation[r]:
-            out.append((r * (n + 1),
-                        [(k * (n + 1), c) for k, c in enumerate(row) if c],
-                        gen.translation[r]))
-    return out
+def _length_levels(datum, steps, lmax):
+    """Yield (level, exps) for l = 0, ..., lmax: the affine elements of
+    length l as an integer stack of augmented matrices [[w, x], [0, 1]],
+    and their exponents, where generator i adds steps[i].  Level l + 1 is
+    `rootdata._level_step` of level l against level l - 1; the dtype is
+    the narrowest that holds the bound in `poincare_truncated`."""
+    import numpy as np
+    gens = _affine_generators(datum)
+    n = datum.rank
+    norm = int(abs(datum.weyl.mats).sum(axis=2).max())
+    peak = (norm + 1) * lmax * norm * int(abs(gens[0, :n, n]).max())
+    if peak >= INT64_SAFE:
+        raise ValueError(f"length cut {lmax} exceeds the int64 bound of "
+                         "the affine walk")
+    gens = gens.astype(_int_width(peak))
+    level = np.eye(n + 1, dtype=gens.dtype)[None]
+    previous = level[:0]
+    exps = np.zeros(1, dtype=np.int64)
+    yield level, exps
+    for _ in range(lmax):
+        j, gi, new = _level_step(gens, level, previous)
+        previous, level, exps = level, new, exps[j] + steps[gi]
+        yield level, exps
 
 
 def _affine_generators(datum):
-    gens = []
+    """The affine Coxeter generators, the affine node first and then F0,
+    as an int64 stack of augmented matrices [[w, a], [0, 1]] acting by
+    v -> w v + a: the reflection in <v, theta^vee> = 1, then the simple
+    reflections."""
+    import numpy as np
     comp = datum.components()
     if len(comp) != 1:
         raise ValueError("irreducible datum required")
     theta_vee = datum.highest_coroot(comp[0])
     theta = next(r for r in datum.positive_roots if r.coroot == theta_vee)
     n = datum.rank
-    mat = tuple(tuple(int(i == j) - theta.vec[i] * theta_vee[j]
-                      for j in range(n)) for i in range(n))
-    gens.append(AffineElement(mat, theta.vec))
+    gens = np.zeros((datum.n_simple + 1, n + 1, n + 1), dtype=np.int64)
+    gens[:, n, n] = 1
+    gens[0, :n, :n] = np.eye(n, dtype=np.int64) - \
+        np.outer(theta.vec, theta_vee)
+    gens[0, :n, n] = theta.vec
     for i in range(datum.n_simple):
-        gens.append(AffineElement(datum.simple_reflection_matrix(i),
-                                  tuple(0 for _ in range(n))))
+        gens[i + 1, :n, :n] = datum.simple_reflection_matrix(i)
     return gens
 
 

@@ -30,6 +30,7 @@ from .rootdata import (
     LabelFunction,
     RootDatum,
     _distinct_rows,
+    _image_masks,
     parabolic_classes,
     parabolic_subsystem_roots,
     reflection_closure,
@@ -743,12 +744,10 @@ def _image_groups(datum, support):
     import numpy as np
     memo = datum.coset_images
     if support not in memo:
-        sup = np.array(datum.parabolics[support].key, dtype=np.int64)
-        images = (1 << datum.root_permutations[:, sup].astype(np.int64)
-                  ).sum(axis=1).tolist()
         by_mask = datum.parabolic_by_mask
         groups = {}
-        for g, mask in enumerate(images):
+        for g, mask in enumerate(_image_masks(datum,
+                                              datum.parabolics[support].key)):
             image = by_mask.get(mask)
             if image is not None:
                 groups.setdefault(image.indices, []).append(g)

@@ -383,8 +383,9 @@ class RootDatum:
     def parabolics(self) -> dict[tuple, "Parabolic"]:
         """The parabolic table: every standard parabolic subset P (a
         sorted tuple of simple-root indices, by size and then
-        lexicographically) -> its Parabolic entry."""
-        import numpy as np
+        lexicographically) -> its Parabolic entry.  The W0-class of P is
+        found by looking up the bit mask of each Weyl image of R_P among
+        the masks of the standard R_Q."""
         n = self.n_simple
         subsets = [c for size in range(n + 1)
                    for c in combinations(range(n), size)]
@@ -398,15 +399,13 @@ class RootDatum:
         keys = {c: tuple(sorted(index[r.vec] for r in roots[c]))
                 for c in subsets}
         # W0-classes: the images of R_P that are some R_Q, Q standard
-        subset_of_key = {key: c for c, key in keys.items()}
+        subset_of_mask = {_root_mask(key): c for c, key in keys.items()}
         rep = {}
         for combo in subsets:
             if combo in rep:
                 continue
-            images = np.sort(self.root_permutations[:, list(keys[combo])],
-                             axis=1).tolist() if combo else [[]]
-            for img in images:
-                member = subset_of_key.get(tuple(img))
+            for mask in set(_image_masks(self, keys[combo])):
+                member = subset_of_mask.get(mask)
                 if member is not None:
                     rep[member] = combo
         return {c: Parabolic(
@@ -427,12 +426,9 @@ class RootDatum:
 
     @cached_property
     def parabolic_by_mask(self) -> dict[int, "Parabolic"]:
-        """The parabolic table keyed by the bit mask of R_P, the sum of 2^i
-        over the indices i of its roots in `roots`.  A mask fits int64:
-        the Weyl group caps the rank at 5, and no datum of rank <= 5 has
-        more than 50 roots."""
-        return {sum(1 << i for i in p.key): p
-                for p in self.parabolics.values()}
+        """The parabolic table keyed by the bit mask of R_P
+        (`_root_mask`)."""
+        return {_root_mask(p.key): p for p in self.parabolics.values()}
 
     @cached_property
     def parabolic_classes(self) -> list["ParabolicClass"]:
@@ -498,39 +494,72 @@ def _distinct_rows(rows):
     return np.sort(order[first])
 
 
+def _root_mask(key):
+    """The bit mask of a set of roots: the sum of 2^i over their indices
+    i in `RootDatum.roots`."""
+    return sum(1 << i for i in key)
+
+
+def _image_masks(datum, key):
+    """The bit mask of the image of the roots with indices `key` under
+    each Weyl element, in the order of `datum.weyl`.  A mask fits int64:
+    the Weyl group caps the rank at 5, and no datum of rank <= 5 has more
+    than 50 roots."""
+    import numpy as np
+    images = datum.root_permutations[:, list(key)].astype(np.int64)
+    return (1 << images).sum(axis=1).tolist()
+
+
+def _level_step(gens, level, previous):
+    """One level of a breadth-first walk on a Coxeter group, in which a
+    generator moves an element of length l to length l - 1 or l + 1.
+
+    `gens` (k, m, m), `level` and `previous` (count, m, m) are integer
+    stacks: the elements of length l and of length l - 1.  The products
+    g @ a of the level with the generators are taken in the order
+    (element a, generator g); a product is new when it is not in
+    `previous` and no earlier product equals it.  Returns (j, gi, new):
+    for each new product, ascending in that order, the index of its
+    element and of its generator, and the new products (count, m, m)."""
+    import numpy as np
+    m = gens.shape[-1]
+    prods = (gens[None] @ level[:, None]).reshape(-1, m * m)
+    new = _distinct_rows(np.concatenate([previous.reshape(-1, m * m),
+                                         prods]))
+    new = new[new >= len(previous)] - len(previous)
+    j, gi = np.divmod(new, len(gens))
+    return j, gi, prods[new].reshape(-1, m, m)
+
+
 def reflection_closure(gens, n):
     """The group generated by the reflections in the int64 stack `gens`
     (k, n, n), with the inverse transposes and a word for each element:
     (mats, invts, words), both stacks int64 (order, n, n), sorted by
     (length, word).
 
-    Breadth-first, one length at a time: the frontier is sorted by word,
-    each generator g_i is tried on each frontier element in that order,
-    and the first product found keeps its word (i,) + word.  Every
+    Breadth-first, one length at a time by `_level_step`, which keeps the
+    first product found of each new element; each level is then sorted
+    by word, the word of g_i A being (i,) + the word of A.  Every
     generator has determinant -1, so a product of length l is of length
-    l +- 1, and it is new exactly when it is not in the previous level.
-    The inverse transposes come along, since (g A)^{-T} = g^T A^{-T} for
-    the involution g."""
+    l +- 1.  The inverse transposes come along, since (g A)^{-T} =
+    g^T A^{-T} for the involution g."""
     import numpy as np
     gens_t = gens.transpose(0, 2, 1)
     mats = [np.eye(n, dtype=np.int64)[None]]
     invts = [mats[0]]
     words = [()]
     level_words = [()]
-    previous = np.zeros((0, n * n), dtype=np.int64)
+    previous = mats[0][:0]
     while level_words and len(gens):
-        prods = (gens[None] @ mats[-1][:, None]).reshape(-1, n * n)
-        new = _distinct_rows(np.concatenate([previous, prods]))
-        new = new[new >= len(previous)] - len(previous)
-        j, gi = np.divmod(new, len(gens))
+        j, gi, new = _level_step(gens, mats[-1], previous)
         cand = [(i,) + level_words[k]
                 for k, i in zip(j.tolist(), gi.tolist())]
         by_word = sorted(range(len(cand)), key=cand.__getitem__)
         level_words = [cand[t] for t in by_word]
         words.extend(level_words)
-        j, gi, pick = j[by_word], gi[by_word], new[by_word]
-        previous = mats[-1].reshape(-1, n * n)
-        mats.append(prods.reshape(-1, n, n)[pick])
+        j, gi = j[by_word], gi[by_word]
+        previous = mats[-1]
+        mats.append(new[by_word])
         invts.append(gens_t[gi] @ invts[-1][j])
     mats = np.concatenate(mats)
     invts = np.concatenate(invts)

@@ -210,6 +210,16 @@ def test_tables_poincare_at_q_without_exact_roots(tag, labels):
     assert json.loads(out)["rows"][0]["within_bound"]
 
 
+@pytest.mark.parametrize("cut", ["0", "-3", str(1 << 62)])
+def test_tables_poincare_rejects_a_cut_it_cannot_walk(cut, capsys):
+    # a cut below 1, or one whose int64 bound the walk would pass
+    code, out = run_cli("tables", "--which", "poincare", "--type", "A2",
+                        "--truncate", cut, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tables_fdim():
     code, out = run_cli("tables", "--which", "fdim", "--family",
                         "subregular-C", "--n", "3", "--format", "json")

@@ -5,7 +5,9 @@ pairing, the threshold hits and the graded reflection orbit, each against
 the plain exact computation with Fractions."""
 
 import contextlib
+import hashlib
 import io
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +63,7 @@ from heckeplan.rootdata import (
     RootDatum,
     parabolic_subsystem_roots,
     random_label_vector,
+    reflection_closure,
     restrict_labels,
 )
 from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
@@ -677,6 +680,96 @@ def test_parabolic_table_matches_span_ranks_and_lattices(tag, lattice):
         assert entry.lattice == low
         assert [tuple(Fraction(x, entry.k_den) for x in ku)
                 for ku in entry.k_elems] == elems
+
+
+def _sorted_lookup_reps(d):
+    """The standard representative of each W0-class of standard parabolic
+    subsets, found by sorting the root indices of every Weyl image of
+    R_P and looking the sorted tuple up among the keys."""
+    subset_of_key = {p.key: c for c, p in d.parabolics.items()}
+    perms = d.root_permutations.tolist()
+    rep = {}
+    for combo, entry in d.parabolics.items():
+        if combo in rep:
+            continue
+        for perm in perms:
+            member = subset_of_key.get(tuple(sorted(perm[i]
+                                                    for i in entry.key)))
+            if member is not None:
+                rep[member] = combo
+    return rep
+
+
+@pytest.mark.parametrize("lattice", ["Q", "P"])
+@pytest.mark.parametrize("tag", TABLE_TYPES)
+def test_parabolic_classes_match_the_sorted_image_lookup(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    assert {c: p.rep for c, p in d.parabolics.items()} == \
+        _sorted_lookup_reps(d)
+
+
+def test_parabolic_tables_are_frozen():
+    # sha256 of (P, rep, key, k_den, k_elems) of every entry on every type
+    # of TABLE_TYPES over Q and P, frozen from the sorted-tuple lookup
+    h = hashlib.sha256()
+    for tag in TABLE_TYPES:
+        for lattice in ("Q", "P"):
+            d = RootDatum.from_type(tag, lattice)
+            table = [[list(c), list(p.rep), list(p.key), p.k_den,
+                      [list(e) for e in p.k_elems]]
+                     for c, p in d.parabolics.items()]
+            h.update(json.dumps([tag, lattice, table]).encode())
+    assert h.hexdigest() == ("71b292ad3bace9cbb5119fb43a280fe9"
+                             "03dd19716cacf3ff90f1004e809b00a0")
+
+
+# -- the shared level step against the closure it was factored out of ---------
+
+
+def _reference_closure(gens, n):
+    """The breadth-first reflection closure with its level step inline:
+    (mats, invts, words), sorted by (length, word)."""
+    gens_t = gens.transpose(0, 2, 1)
+    mats = [np.eye(n, dtype=np.int64)[None]]
+    invts = [mats[0]]
+    words = [()]
+    level_words = [()]
+    previous = np.zeros((0, n * n), dtype=np.int64)
+    while level_words and len(gens):
+        prods = (gens[None] @ mats[-1][:, None]).reshape(-1, n * n)
+        rows = np.concatenate([previous, prods])
+        order = np.lexsort(rows.T[::-1])
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (rows[order][1:] != rows[order][:-1]).any(axis=1)
+        new = np.sort(order[first])
+        new = new[new >= len(previous)] - len(previous)
+        j, gi = np.divmod(new, len(gens))
+        cand = [(i,) + level_words[k]
+                for k, i in zip(j.tolist(), gi.tolist())]
+        by_word = sorted(range(len(cand)), key=cand.__getitem__)
+        level_words = [cand[t] for t in by_word]
+        words.extend(level_words)
+        j, gi, pick = j[by_word], gi[by_word], new[by_word]
+        previous = mats[-1].reshape(-1, n * n)
+        mats.append(prods.reshape(-1, n, n)[pick])
+        invts.append(gens_t[gi] @ invts[-1][j])
+    return np.concatenate(mats), np.concatenate(invts), words
+
+
+@pytest.mark.parametrize("lattice", ["Q", "P"])
+@pytest.mark.parametrize("tag", TABLE_TYPES)
+def test_reflection_closure_matches_the_inline_level_step(tag, lattice):
+    d = RootDatum.from_type(tag, lattice)
+    n = d.rank
+    gens = np.array([d.simple_reflection_matrix(i)
+                     for i in range(d.n_simple)],
+                    dtype=np.int64).reshape(d.n_simple, n, n)
+    mats, invts, words = reflection_closure(gens, n)
+    want = _reference_closure(gens, n)
+    assert mats.dtype == invts.dtype == np.int64
+    assert np.array_equal(mats, want[0])
+    assert np.array_equal(invts, want[1])
+    assert words == want[2]
 
 
 # -- the integer pairing primitive and what is built on it ----------------------

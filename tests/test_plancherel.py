@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckeplan.plancherel import (
+    _length_levels,
     density_table,
     fdim_subregular_c,
     m_on_coset,
@@ -20,7 +22,12 @@ from heckeplan.residual import (
     residual_cosets,
     steinberg_point,
 )
-from heckeplan.rootdata import LabelFunction, RootDatum
+from heckeplan.rootdata import (
+    AffineElement,
+    LabelFunction,
+    RootDatum,
+    affine_length,
+)
 from heckeplan.symbolicq import ONE, QLaurent, QRational
 
 F = Fraction
@@ -111,6 +118,65 @@ def test_poincare_truncated_matches_product():
         exact = res.product.evaluate(F(2))
         bound = poincare_tail_bound(d, labels, 2, lmax, layers)
         assert abs(float(exact) - float(total)) <= max(bound, 1e-6)
+
+
+BOTT_EXPONENTS = {"A1": (1,), "A2": (1, 2), "A3": (1, 2, 3),
+                  "B2": (1, 3), "B3": (1, 3, 5), "C3": (1, 3, 5),
+                  "G2": (1, 5)}
+
+
+def _bott_coefficients(exponents, top):
+    """Coefficients of t^0..t^top of Bott's series W0(t) / prod(1 - t^e)
+    of the affine Weyl group, with W0(t) = prod (1 - t^{e+1}) / (1 - t)."""
+    series = [1] + [0] * top
+
+    def times(poly):
+        out = [0] * (top + 1)
+        for i, c in enumerate(series):
+            for k, a in poly.items():
+                if i + k <= top:
+                    out[i + k] += c * a
+        return out
+
+    def over(e):    # 1 / (1 - t^e)
+        out = list(series)
+        for i in range(e, top + 1):
+            out[i] += out[i - e]
+        return out
+
+    for e in exponents:
+        series = times({0: 1, e + 1: -1})
+        series = over(1)
+        series = over(e)
+    return series
+
+
+@pytest.mark.parametrize("tag", sorted(BOTT_EXPONENTS))
+def test_layer_counts_are_bott_series_coefficients(tag):
+    d = RootDatum.from_type(tag, "Q")
+    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25,
+                                   with_layers=True)
+    assert layers == _bott_coefficients(BOTT_EXPONENTS[tag], 25)
+
+
+def test_bott_series_of_a2():
+    assert _bott_coefficients((1, 2), 5) == [1, 3, 6, 9, 12, 15]
+
+
+@pytest.mark.parametrize("tag", ["B2", "G2"])
+def test_level_elements_have_their_level_as_length(tag):
+    # Iwahori-Matsumoto: every element the walk puts on level l has
+    # length l, and with unit steps its exponent is l as well
+    d = RootDatum.from_type(tag, "Q")
+    n = d.rank
+    steps = np.ones(n + 1, dtype=np.int64)
+    for length, (level, exps) in enumerate(_length_levels(d, steps, 6)):
+        assert exps.tolist() == [length] * len(level)
+        assert (level[:, n] == [0] * n + [1]).all()
+        for a in level.tolist():
+            elem = AffineElement(tuple(tuple(row[:n]) for row in a[:n]),
+                                 tuple(row[n] for row in a[:n]))
+            assert affine_length(d, elem) == length
 
 
 def test_poincare_divergence_flag():
