@@ -28,6 +28,11 @@ F = Fraction
 
 SUITE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "B4", "C4", "F4"]
 
+# the most affine elements `tables --which poincare` walks: every type of
+# rank <= 4 at the default cut of 40 (A4 has 563,751, about 1.5 s), and A1
+# up to a cut of 524,287
+WALK_CAP = 1 << 20
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -90,10 +95,19 @@ def _parser():
     return build_parser()
 
 
-def parse_q(text):
+def parse_q(text, default=None):
+    """The numeric base q given by --q, or `default` without the flag.
+    The label base is q > 1: at q = 1 a density factor q^r - 1 vanishes,
+    so a base q <= 1 is a usage error."""
     if text is None:
-        return None
-    return F(text)
+        return default
+    try:
+        q = F(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--q is not a number: {text}") from None
+    if q <= 1:
+        raise UsageError(f"--q must be greater than 1, got {text}")
+    return q
 
 
 def resolve_datum(args):
@@ -316,7 +330,7 @@ def check_kl(args) -> int:
 def check_density(args) -> int:
     from .plancherel import density_table
     datum, labels = resolve_datum(args)
-    qval = parse_q(args.q) or F(2)
+    qval = parse_q(args.q, F(2))
     rows = density_table(datum, labels, qval=qval)
     ok = all(r["mass_symbolic"] != "singular-base" for r in rows)
     for r in rows:
@@ -332,7 +346,7 @@ def check_density(args) -> int:
 def check_residue(args) -> int:
     from .residue import shift_and_collect
     datum, labels = resolve_datum(args)
-    qval = parse_q(args.q) or F(2)
+    qval = parse_q(args.q, F(2))
     rep = shift_and_collect(datum, labels, qval, tolerance=args.tol)
     tol = rep.tolerance
     rows = [{"part": "global", "value": rep.global_mass},
@@ -360,6 +374,7 @@ def cmd_tables(args) -> int:
 
 def table_poincare(args) -> int:
     from .plancherel import (
+        length_count,
         poincare_product,
         poincare_tail_bound,
         poincare_truncated,
@@ -367,7 +382,10 @@ def table_poincare(args) -> int:
     if args.truncate < 1:
         raise UsageError("--truncate must be at least 1")
     datum, labels = resolve_datum(args)
-    qval = parse_q(args.q) or F(2)
+    qval = parse_q(args.q, F(2))
+    if length_count(datum, args.truncate, WALK_CAP) > WALK_CAP:
+        raise UsageError(f"--truncate {args.truncate} walks more than "
+                         f"{WALK_CAP} affine elements of {datum.typename}")
     res = poincare_product(datum, labels)
     if not res.valid:
         emit([{"status": "divergent", "detail": res.detail}],

@@ -5,15 +5,17 @@ Matrices are plain lists of rows; integer matrices hold ints, rational
 ones hold ``fractions.Fraction``.  Every linear system is solved by one
 routine, `gauss_jordan`: fraction-free elimination of a numpy stack of
 integer augmented matrices.  The Fraction-valued solvers scale their
-rows to integers and call it.  Everything here is exact -- no floats.
+rows to integers and call it.  The adjugates of every n-subset of a set
+of rows (`subset_adjugates`) come from one table of minors instead.
+Everything here is exact -- no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
+from itertools import combinations, product
+from math import comb, lcm, prod
 from operator import mul
 
 IntMatrix = list[list[int]]
@@ -258,6 +260,88 @@ def gauss_jordan(aug, cols):
         pivots[:, c] = has
         rank += has
     return a, pivot, pivots
+
+
+def subset_adjugates(rows, block):
+    """Yield (subsets, adj, det) for the n-subsets S of the rows of an
+    integer array (m, n), `block` subsets at a time in `combinations`
+    order: adj(A_S) and det(A_S) for A_S the rows in S, singular or not.
+
+    All come from one table of the (n - 1)-minors of `rows` by Laplace
+    expansion: with s_0 < ... < s_{n-1} the rows of S, adj(A_S)[j][i] =
+    (-1)^(i+j) minor(S minus s_i, columns minus j), and det(A_S) is the
+    expansion along row 0.  Each minor is a cofactor of many subsets and
+    is computed once.  A k-minor is at most N^k for N the largest row
+    1-norm, so the work runs on int64 while N^n < INT64_SAFE and on Python
+    integers (dtype=object) above it."""
+    import numpy as np
+    m, n = rows.shape
+    if int(np.abs(rows).sum(axis=1).max(initial=0)) ** n >= INT64_SAFE:
+        rows = rows.astype(object)
+    # binom[x, k] = C(x, k): the colex ranks of the row subsets
+    binom = np.array([[comb(x, k) for k in range(n + 1)]
+                      for x in range(m + 1)], dtype=np.intp)
+    minors = _minor_table(rows, n - 1, binom)
+    sign = (-1) ** np.add.outer(np.arange(n), np.arange(n))
+    for at in range(0, int(binom[m, n]), block):
+        subsets = _combination_block(binom, n, at, at + block)
+        # the colex rank of S minus s_i: the sum over l < i of
+        # C(s_l, l + 1) and over l > i of C(s_l, l)
+        up = binom[subsets, np.arange(1, n + 1)]
+        down = binom[subsets, np.arange(n)]
+        ranks = np.cumsum(up, axis=1) - up + \
+            np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
+        # the minor without column j is column n - 1 - j of the table
+        adj = (minors[ranks][:, :, ::-1] * sign).transpose(0, 2, 1)
+        yield subsets, adj, (rows[subsets[:, 0]] * adj[:, :, 0]).sum(axis=1)
+
+
+def _minor_table(rows, k, binom):
+    """The k-minors of an integer array (m, n): row r of the table is the
+    r-th k-subset T of the rows in colex order, column c the c-th k-subset
+    C of the columns in `combinations` order.  Built level by level: the
+    colex k-subsets with largest element t are the first C(t, k - 1)
+    (k - 1)-subsets with t appended, and each minor is the expansion of
+    the level below along that last row t."""
+    import numpy as np
+    m, n = rows.shape
+    table = np.ones((1, 1), dtype=rows.dtype)
+    for level in range(1, k + 1):
+        counts = binom[:m, level - 1]
+        last = np.repeat(np.arange(m), counts)
+        head = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        index = {c: i for i, c in enumerate(combinations(range(n),
+                                                         level - 1))}
+        cols = list(combinations(range(n), level))
+        below, table = table, np.zeros((len(last), len(cols)),
+                                       dtype=rows.dtype)
+        for p in range(level):
+            # column c[p] of each C: its entry in row t times the minor
+            # of the rows below without that column
+            term = rows[last[:, None], [c[p] for c in cols]] * \
+                below[head[:, None], [index[c[:p] + c[p + 1:]] for c in cols]]
+            if (level - 1 + p) % 2:
+                table -= term
+            else:
+                table += term
+    return table
+
+
+def _combination_block(binom, n, start, stop):
+    """The n-subsets of range(m) at positions start .. stop - 1 of
+    `combinations` order, for binom the table C(x, k) over x <= m: the
+    subset at position p is the image under x -> m - 1 - x of the subset
+    of colex rank C(m, n) - 1 - p, unranked from its largest element."""
+    import numpy as np
+    m = len(binom) - 1
+    rank = int(binom[m, n]) - 1 - np.arange(start, min(stop, binom[m, n]))
+    out = np.empty((len(rank), n), dtype=np.intp)
+    for k in range(n, 0, -1):
+        t = np.searchsorted(binom[:, k], rank, side="right") - 1
+        rank -= binom[t, k]
+        out[:, n - k] = m - 1 - t
+    return out
 
 
 def _eliminate_rational(m, cols):

@@ -8,9 +8,10 @@ convention drops factors that vanish identically on the coset at hand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from .lattice import INT64_SAFE, solve_unique
 from .residual import (
@@ -271,6 +272,36 @@ def _length_levels(datum, steps, lmax):
         j, gi, new = _level_step(gens, level, previous)
         previous, level, exps = level, new, exps[j] + steps[gi]
         yield level, exps
+
+
+def length_count(datum: RootDatum, lmax: int, cap: int) -> int:
+    """The number of affine Weyl group elements of length <= lmax, which
+    `poincare_truncated` walks, or cap + 1 when there are more.
+
+    Bott's formula gives their series: sum_w t^l(w) = prod_i (1 + t + ...
+    + t^e_i) / (1 - t^e_i) over the exponents e_i of W0, where as many e_i
+    are >= k as there are positive roots of height k.  The count is at
+    least the number of k >= 0 with sum_i e_i k_i <= lmax, which is at
+    least lmax^n / (n! prod e_i), so past the cap by that bound the series
+    is not expanded."""
+    import numpy as np
+    heights = Counter(r.height for r in datum.positive_roots)
+    exps = [k for k in sorted(heights)
+            for _ in range(heights[k] - heights[k + 1])]
+    if lmax ** len(exps) > cap * factorial(len(exps)) * prod(exps):
+        return cap + 1
+    series = np.zeros(lmax + 1, dtype=np.int64)
+    series[0] = 1
+    for e in exps:
+        # times (1 - t^(e+1)) / (1 - t), then over 1 - t^e: a cumulative
+        # sum within each residue class mod e
+        acc = np.cumsum(series)
+        series = acc.copy()
+        series[e + 1:] -= acc[:-e - 1]
+        pad = np.zeros(-(-(lmax + 1) // e) * e, dtype=np.int64)
+        pad[:lmax + 1] = series
+        series = pad.reshape(-1, e).cumsum(axis=0).ravel()[:lmax + 1]
+    return min(cap + 1, int(series.sum()))
 
 
 def _affine_generators(datum):

@@ -15,15 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .lattice import (
     INT64_SAFE,
     gauss_jordan,
     integer_kernel,
     solve_unique,
+    subset_adjugates,
     transpose,
 )
 from .rootdata import (
@@ -227,6 +228,38 @@ def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     return _row_to_point(rows[idx[0]].tolist(), point.den)
 
 
+# orbit rows per block of `_canonical_points`; a D5 orbit (1920 rows) is
+# a block of its own, as in `canonical_point`
+ORBIT_BLOCK = 1 << 11
+
+
+def _canonical_points(datum, points):
+    """`canonical_point` of each point, in blocks of up to ORBIT_BLOCK orbit
+    rows: one product per block over the common denominator D of its
+    points, which keeps the order of each orbit, and one lexsort keyed by
+    owner for the least members."""
+    import numpy as np
+    n, invts, norm = datum.rank, datum.weyl.invts, datum.weyl.invt_norm
+    step = max(1, ORBIT_BLOCK // len(invts))
+    out = []
+    for at in range(0, len(points), step):
+        block = points[at:at + step]
+        den = lcm(*(p.den for p in block))
+        nums = [[x * (den // p.den) for x in (*p.un, *p.rn)] for p in block]
+        big = norm * max(den, *(abs(x) for row in nums for x in row[n:])) \
+            >= INT64_SAFE
+        vecs = np.array(nums, dtype=object if big else np.int64)
+        # (point, Weyl element, coordinate, u or r): invts[w] @ vecs[p]
+        imgs = invts.astype(vecs.dtype, copy=False)[None] @ \
+            vecs.reshape(-1, 1, 2, n).transpose(0, 1, 3, 2)
+        rows = np.concatenate([imgs[..., 0] % den, imgs[..., 1]],
+                              axis=2).reshape(-1, 2 * n)
+        owner = np.repeat(np.arange(len(block)), len(invts))
+        least = np.lexsort((*rows.T[::-1], owner))[::len(invts)]
+        out.extend(_row_to_point(row, den) for row in rows[least].tolist())
+    return out
+
+
 def dominant_split_representative(datum: RootDatum, point: TorusPoint):
     """Orbit member whose split exponent vector is dominant (all simple
     roots pair >= 0); ties broken by the lexicographically minimal u."""
@@ -285,14 +318,19 @@ class UnitaryCandidate:
     point: TorusPoint                # split part trivial
     r_s1: list                       # roots of R1 with alpha(s) = 1
     r_s0: list                       # roots of R0 supporting the graded system
+    # the datum's `graded_inverses`, which all its candidates share
+    inverses: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
+    @property
     def subset_inverses(self) -> "SubsetInverses":
         """The inverses of the graded search's n-subsets of the positive
-        roots of `r_s0`: they depend on the datum only, and
-        `RootDatum.unitary_candidates` holds the candidate."""
-        return _subset_inverses([r for r in self.r_s0 if r.height > 0],
-                                len(self.point.un))
+        roots of `r_s0`.  They depend on those roots only, so candidates
+        with equal graded roots get one object."""
+        positives = tuple(r for r in self.r_s0 if r.height > 0)
+        if positives not in self.inverses:
+            self.inverses[positives] = _subset_inverses(positives,
+                                                        len(self.point.un))
+        return self.inverses[positives]
 
 
 @dataclass
@@ -301,21 +339,25 @@ class CandidateSet:
     rank_deficient: bool = False
 
 
-def _r1_simple_basis(datum: RootDatum):
-    """Simple roots of R1 (indecomposable positives)."""
-    pos = datum.r1_positive
-    vecs = {r.vec for r in pos}
-    simples = []
-    for r in pos:
-        decomposable = False
-        for s in pos:
-            diff = tuple(a - b for a, b in zip(r.vec, s.vec))
-            if any(diff) and diff in vecs:
-                decomposable = True
+def _r1_simple_coords(datum: RootDatum):
+    """(simples, coords): the simple roots of R1 (its indecomposable
+    positives) and the simple-root coordinates of every positive root of
+    R1.  In order of height, a positive root r is simple unless r - s is
+    a positive root for a simple root s found before it; then r has the
+    coordinates of r - s plus one at s."""
+    simples, parts, by_vec = [], {}, {}
+    for r in datum.r1_positive:
+        for i, s in enumerate(simples):
+            rest = by_vec.get(tuple(map(sub, r.vec, s.vec)))
+            if rest is not None:
+                parts[r] = parts[rest] + [i]
                 break
-        if not decomposable:
+        else:
+            parts[r] = [len(simples)]
             simples.append(r)
-    return simples
+        by_vec[r.vec] = r
+    return simples, {r: [p.count(i) for i in range(len(simples))]
+                     for r, p in parts.items()}
 
 
 def _r1_components(datum, simples):
@@ -347,9 +389,8 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     # when there are rank of them
     if not datum.roots or datum.n_simple < n:
         return CandidateSet([], rank_deficient=True)
-    simples = _r1_simple_basis(datum)
+    simples, coords = _r1_simple_coords(datum)
     comps = _r1_components(datum, simples)
-    coords = _r1_root_coords(datum, simples)
     per_component_vertices = []
     for comp in comps:
         # highest root of the component, in simple coordinates of R1
@@ -369,7 +410,8 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         u = tuple(sum(v[i] for v in choice) % 1 for i in range(n))
         candidates.add(u)
     reps = {}
-    for rep in _canonical_unitary_points(datum, sorted(candidates)):
+    for rep in _canonical_points(datum, [TorusPoint(u, (0,) * n)
+                                         for u in sorted(candidates)]):
         if rep not in reps:
             reps[rep] = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
     # the ranks of every R1(s), padded with zero rows, from one stack
@@ -379,42 +421,11 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
         stack[i, :len(r_s1)] = [r.vec for r in r_s1]
     full = gauss_jordan(stack, n)[2].all(axis=1).tolist()
     out = [UnitaryCandidate(rep, r_s1, [r for r in datum.roots
-                                        if _in_graded_system(datum, r, rep)])
+                                        if _in_graded_system(datum, r, rep)],
+                            datum.graded_inverses)
            for (rep, r_s1), ok in zip(reps.items(), full) if ok]
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
-
-
-def _canonical_unitary_points(datum, us):
-    """`canonical_point` of each unitary point u in us (tuples of
-    Fractions): every orbit from one product over a common denominator D,
-    and each least member from one lexsort keyed by its owner."""
-    import numpy as np
-    n, weyl = datum.rank, datum.weyl
-    den, nums = _numerators([x for u in us for x in u])
-    small = weyl.invt_norm * den < INT64_SAFE
-    vecs = np.array(nums, dtype=np.int64 if small else object).reshape(-1, n)
-    invts = weyl.invts if small else weyl.invts.astype(object)
-    # (point, Weyl element, coordinate): invts[w] @ vecs[p] mod D
-    rows = (vecs @ invts.transpose(0, 2, 1) % den).transpose(1, 0, 2)
-    rows = rows.reshape(-1, n)
-    owner = np.repeat(np.arange(len(us)), len(invts))
-    least = np.lexsort((*rows.T[::-1], owner))[::len(invts)]
-    return [TorusPoint.from_numerators(den, row, (0,) * n)
-            for row in rows[least].tolist()]
-
-
-def _r1_root_coords(datum, simples):
-    """Simple-root coordinates in R1 of every positive root of R1, from
-    one solve with all the roots as right-hand sides."""
-    import numpy as np
-    k = len(simples)
-    pos = datum.r1_positive
-    aug = np.array([[s.vec[t] for s in simples] + [r.vec[t] for r in pos]
-                    for t in range(datum.rank)], dtype=np.int64)
-    red, pivot, _ = gauss_jordan(aug[None], k)
-    cols = (red[0, :k, k:] // pivot[0]).T.tolist()
-    return dict(zip(pos, cols))
 
 
 def _fundamental_covertices(datum, comp_simples, marks):
@@ -494,10 +505,9 @@ def _abs_vec(root):
     return root.vec if root.height > 0 else tuple(-v for v in root.vec)
 
 
-# n-subsets per batch of the graded search, both in the elimination of
-# [A | I] and in each label set's product; [A | I] is about twice as wide
-# as the [A | D k] that a block of 1024 was sized for, so a block of 512
-# keeps the temporaries, and the peak memory, where they were
+# n-subsets per batch of the graded search, both in the minor gathers of
+# `subset_adjugates` and in each label set's product: a block of 512 keeps
+# every (count, n, n) int64 temporary near 100 kB at rank 5
 GRADED_BLOCK = 1 << 9
 
 
@@ -524,13 +534,13 @@ def _int_width(bound):
 
 
 def _subset_inverses(positives, n) -> SubsetInverses:
-    """Every n-subset of the positive roots, in blocks of GRADED_BLOCK
-    through one `gauss_jordan` pass on [A | I] each.  An invertible A
-    ends with pivot det(A), and the right half of [A | I] with det(A)
-    A^{-1} = adj(A).  The labels enter only the right-hand side, so these
-    depend on the roots alone.  Each array is stored at the narrowest
-    width its bound allows: the number of roots, the row 1-norm of adj
-    and det(A)."""
+    """Every invertible n-subset of the positive roots, in `combinations`
+    order, with the adjugate and determinant of the matrix A of its roots
+    from `subset_adjugates`: one table of (n - 1)-minors, gathered in
+    blocks of GRADED_BLOCK subsets.  The labels enter only the right-hand
+    side, so these depend on the roots alone.  Each array is stored at the
+    narrowest width its bound allows: the number of roots, the row 1-norm
+    of adj and det(A)."""
     import numpy as np
     vecs = np.array([p.vec for p in positives],
                     dtype=np.int64).reshape(len(positives), n)
@@ -538,17 +548,11 @@ def _subset_inverses(positives, n) -> SubsetInverses:
     parts = [(np.zeros((0, n), np.int8), np.zeros((0, n, n), np.int8),
               np.zeros(0, np.int8))]
     norm = det_max = 0
-    combos = combinations(range(len(positives)), n)
-    while block := list(islice(combos, GRADED_BLOCK)):
-        block = np.array(block, dtype=np.intp)
-        aug = np.empty((len(block), n, 2 * n), dtype=np.int64)
-        aug[:, :, :n] = vecs[block]
-        aug[:, :, n:] = np.eye(n, dtype=np.int64)
-        red, pivot, pivots = gauss_jordan(aug, n)
-        full = pivots.all(axis=1)
-        sign = np.where(pivot[full] < 0, -1, 1)
-        adj = red[full][:, :, n:] * sign[:, None, None]
-        det = pivot[full] * sign
+    for block, adj, det in subset_adjugates(vecs, GRADED_BLOCK):
+        full = det != 0
+        sign = np.where(det[full] < 0, -1, 1)
+        adj = adj[full] * sign[:, None, None]
+        det = det[full] * sign
         norm = max(norm, int(np.abs(adj).sum(axis=2).max(initial=0)))
         det_max = max(det_max, int(det.max(initial=0)))
         # each block at its own width; concatenating takes the widest
@@ -556,8 +560,8 @@ def _subset_inverses(positives, n) -> SubsetInverses:
                       adj.astype(_int_width(norm)),
                       det.astype(_int_width(det_max))))
     subsets, adj, det = (np.concatenate(a) for a in zip(*parts))
-    return SubsetInverses(subsets, adj, det, norm, det_max,
-                          int((vecs * vecs).sum(axis=1).max(initial=0)))
+    return SubsetInverses(subsets, adj, det, norm, det_max, max(
+        (sum(x * x for x in p.vec) for p in positives), default=0))
 
 
 def _candidate_gammas(positives, klabels, n, inverses=None):
@@ -604,7 +608,7 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
     cands = datum.unitary_candidates
     if cands.rank_deficient:
         return []
-    found = set()
+    found = []
     for cand in cands.points:
         kl = graded_labels(datum, labels, cand)
         for gamma in graded_residual_points(datum, cand.r_s0, kl,
@@ -614,8 +618,8 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
                 raise TheoremViolation(
                     "graded/affine index mismatch",
                     {"point": pt, "index": point_index(datum, labels, pt)})
-            found.add(canonical_point(datum, pt))
-    return sorted(found, key=TorusPoint.key)
+            found.append(pt)
+    return sorted(set(_canonical_points(datum, found)), key=TorusPoint.key)
 
 
 # -- residual cosets -----------------------------------------------------------

@@ -11,16 +11,17 @@ weight lattice P.
 Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
-parabolic table, the parabolic classes, the unitary candidates, and two
-memos filled on use: the reflection subgroups of graded root systems and
-the standard Weyl images of each standard parabolic subset.  The
-parabolic table has one entry per standard parabolic subset P of the
-simple roots (all 2^n), built in one pass.  A root lies in R_P =
-span(P) cap R0 exactly when its simple-root coordinates `alpha` are
-supported on P, so no rank is computed; each entry also holds the sorted
-root-index key of R_P, the saturated lattice of P, the group K_L of a
-coset with support R_P, and the standard representative of the W0-class
-of P.
+parabolic table, the parabolic classes, the unitary candidates, and three
+memos filled on use: the reflection subgroups of graded root systems, the
+subset inverses of the graded search, shared by the unitary candidates
+with equal graded roots, and the standard Weyl images of each standard
+parabolic subset.  The parabolic table has one entry per standard
+parabolic subset P of the simple roots (all 2^n), built in one pass.  A
+root lies in R_P = span(P) cap R0 exactly when its simple-root
+coordinates `alpha` are supported on P, so no rank is computed; each
+entry also holds the sorted root-index key of R_P, the saturated lattice
+of P, the group K_L of a coset with support R_P, and the standard
+representative of the W0-class of P.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def cartan_matrix(family: str, n: int) -> list[list[int]]:
 def parse_type(tag: str) -> tuple[str, int]:
     family = tag[0].upper()
     n = int(tag[1:])
+    if n < 1:
+        raise ValueError(f"rank of {tag} must be at least 1")
     if n > 5:
         raise ValueError("rank cap is 5")
     return family, n
@@ -456,6 +459,12 @@ class RootDatum:
     def graded_actions(self) -> dict:
         """Tuple of roots -> the reflection subgroup they generate, as
         `residual._graded_action` returns it; filled on use."""
+        return {}
+
+    @cached_property
+    def graded_inverses(self) -> dict:
+        """Tuple of graded positive roots -> the `SubsetInverses` of their
+        n-subsets, which the unitary candidates share; filled on use."""
         return {}
 
     @cached_property

@@ -210,14 +210,52 @@ def test_tables_poincare_at_q_without_exact_roots(tag, labels):
     assert json.loads(out)["rows"][0]["within_bound"]
 
 
-@pytest.mark.parametrize("cut", ["0", "-3", str(1 << 62)])
+@pytest.mark.parametrize("cut", ["0", "-3", str(1 << 62), str(10 ** 17),
+                                 "836"])
 def test_tables_poincare_rejects_a_cut_it_cannot_walk(cut, capsys):
-    # a cut below 1, or one whose int64 bound the walk would pass
+    # a cut below 1, or one past the cap of 2^20 elements walked: A2 has
+    # 1,047,091 elements of length <= 835 and 1,049,599 up to 836
     code, out = run_cli("tables", "--which", "poincare", "--type", "A2",
                         "--truncate", cut, "--format", "json")
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tables_poincare_caps_the_default_cut_past_rank_4(capsys):
+    code, out = run_cli("tables", "--which", "poincare", "--type", "B5",
+                        "--format", "json")
+    assert code == 2 and out == ""
+    assert "walks more than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--which", "density", "--type", "B2"),
+    ("tables", "--which", "poincare", "--type", "A2"),
+    ("check", "--suite", "residue", "--type", "A1")])
+@pytest.mark.parametrize("q", ["1", "1/2", "0", "-3"])
+def test_a_base_q_at_most_one_is_a_usage_error(argv, q, capsys):
+    code, out = run_cli(*argv, "--q", q, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == \
+        f"error: --q must be greater than 1, got {q}\n"
+
+
+@pytest.mark.parametrize("q", ["two", "1/0"])
+def test_a_base_q_that_is_no_number_is_a_usage_error(q, capsys):
+    code, out = run_cli("tables", "--which", "density", "--type", "B2",
+                        "--q", q, "--format", "json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --q is not a number")
+
+
+@pytest.mark.parametrize("tag", ["A0", "B-1"])
+def test_a_rank_below_one_is_a_usage_error(tag, capsys):
+    code, out = run_cli("enumerate", "--type", tag, "--format", "json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        f"error: rank of {tag} must be at least 1\n"
 
 
 def test_tables_fdim():

@@ -33,18 +33,21 @@ from heckeplan.lattice import (
 )
 from heckeplan.residual import (
     GRADED_BLOCK,
+    ORBIT_BLOCK,
     TheoremViolation,
     TorusPoint,
     _abs_vec,
     _candidate_gammas,
-    _canonical_unitary_points,
+    _canonical_points,
     _coset_orbit,
     _graded_action,
     _image_groups,
     _in_graded_system,
     _int_width,
     _orbit_rows,
+    _r1_simple_coords,
     _row_to_point,
+    _subset_inverses,
     canonical_point,
     graded_labels,
     graded_residual_points,
@@ -515,6 +518,138 @@ def test_cached_subset_inverses_solve_like_the_uncached_search(tag, lattice):
             assert i == 0 or bound > np.iinfo(WIDTHS[i - 1]).max
 
 
+def _elimination_subset_inverses(positives, n):
+    """The subset inverses by blocks of GRADED_BLOCK n-subsets through one
+    `gauss_jordan` pass on [A | I] each: an invertible A ends with pivot
+    det(A) and the right half with adj(A)."""
+    vecs = np.array([p.vec for p in positives],
+                    dtype=np.int64).reshape(len(positives), n)
+    parts = [(np.zeros((0, n), np.int8), np.zeros((0, n, n), np.int8),
+              np.zeros(0, np.int8))]
+    norm = det_max = 0
+    combos = combinations(range(len(positives)), n)
+    while block := list(islice(combos, GRADED_BLOCK)):
+        block = np.array(block, dtype=np.intp)
+        aug = np.empty((len(block), n, 2 * n), dtype=np.int64)
+        aug[:, :, :n] = vecs[block]
+        aug[:, :, n:] = np.eye(n, dtype=np.int64)
+        red, pivot, pivots = gauss_jordan(aug, n)
+        full = pivots.all(axis=1)
+        sign = np.where(pivot[full] < 0, -1, 1)
+        adj = red[full][:, :, n:] * sign[:, None, None]
+        det = pivot[full] * sign
+        norm = max(norm, int(np.abs(adj).sum(axis=2).max(initial=0)))
+        det_max = max(det_max, int(det.max(initial=0)))
+        parts.append((block[full].astype(_int_width(len(positives))),
+                      adj.astype(_int_width(norm)),
+                      det.astype(_int_width(det_max))))
+    subsets, adj, det = (np.concatenate(a) for a in zip(*parts))
+    return subsets, adj, det, norm, det_max, \
+        max((sum(x * x for x in p.vec) for p in positives), default=0)
+
+
+def _assert_same_inverses(inv, want):
+    for got, ref in zip((inv.subsets, inv.adj, inv.det), want[:3]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        if ref.dtype == object:
+            assert got.tolist() == ref.tolist()
+        else:
+            assert got.tobytes() == ref.tobytes()
+    assert (inv.norm, inv.det_max, inv.vec_sq) == want[3:]
+
+
+# every type of rank <= 5 on Q and on P, where P differs from Q
+RANK5_DATA = [(tag, lattice) for tag in (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "C5", "D3", "D4", "D5", "G2", "F4") for lattice in "QP"
+    if lattice == "Q" or tag not in ("G2", "F4")]
+
+
+@pytest.mark.parametrize("tag,lattice", RANK5_DATA)
+def test_minor_table_inverses_match_the_elimination(tag, lattice):
+    # every graded root set of the datum and of its parabolic quotients
+    d = RootDatum.from_type(tag, lattice)
+    seen = set()
+    for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
+                      if pc.indices]:
+        for cand in sub.unitary_candidates.points:
+            positives = tuple(r for r in cand.r_s0 if r.height > 0)
+            key = (sub.rank, tuple(r.vec for r in positives))
+            if key not in seen:
+                seen.add(key)
+                _assert_same_inverses(
+                    cand.subset_inverses,
+                    _elimination_subset_inverses(positives, sub.rank))
+    assert seen
+
+
+@pytest.mark.parametrize("n,span", [(3, 1 << 21), (3, 1 << 40),
+                                    (4, 1 << 16), (2, 1 << 40)])
+def test_minor_table_inverses_past_int64_match_the_elimination(n, span):
+    # (row 1-norm)^n reaches 2^62, so the table runs on Python integers
+    rng = random.Random(n * 1009 + span.bit_length())
+    roots = [Root(tuple(rng.randint(-span, span) for _ in range(n)),
+                  (0,) * n, (1,)) for _ in range(n + 3)]
+    roots.append(Root(roots[0].vec, (0,) * n, (1,)))      # a singular subset
+    assert max(sum(map(abs, r.vec)) for r in roots) ** n >= 1 << 62
+    inv = _subset_inverses(roots, n)
+    assert len(inv.det) < len(list(combinations(roots, n)))
+    assert inv.det_max >= 1 << 63 or span < 1 << 40
+    _assert_same_inverses(inv, _elimination_subset_inverses(roots, n))
+
+
+@pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_minor_table_inverses_without_subsets_are_empty_int8(n, count):
+    roots = [Root(tuple(range(i + 1, i + 1 + n)), (0,) * n, (1,))
+             for i in range(count)]
+    inv = _subset_inverses(roots, n)
+    assert inv.adj.shape == (0, n, n) and inv.adj.dtype == np.int8
+    _assert_same_inverses(inv, _elimination_subset_inverses(roots, n))
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("D4", "P"),
+                                         ("A5", "P")])
+def test_candidates_with_equal_graded_roots_share_their_inverses(
+        monkeypatch, tag, lattice):
+    import heckeplan.residual as residual
+    d = RootDatum.from_type(tag, lattice)
+    groups = {}
+    for cand in d.unitary_candidates.points:
+        groups.setdefault(tuple(r for r in cand.r_s0 if r.height > 0),
+                          []).append(cand)
+    assert any(len(g) > 1 for g in groups.values())
+    calls = []
+    real = residual._subset_inverses
+    monkeypatch.setattr(residual, "_subset_inverses",
+                        lambda *a: calls.append(a) or real(*a))
+    shared = {key: {id(c.subset_inverses) for c in g}
+              for key, g in groups.items()}
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert len(set().union(*shared.values())) == len(groups) == len(calls)
+    for g in groups.values():
+        assert all(c.subset_inverses is g[0].subset_inverses for c in g)
+
+
+@pytest.mark.parametrize("tag,lattice", RANK5_DATA)
+def test_r1_simple_coords_match_the_indecomposables_and_a_solve(tag,
+                                                                lattice):
+    # A1, B2, B3 and C2 on Q have doubled roots, so R1 differs from R0
+    d = RootDatum.from_type(tag, lattice)
+    for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
+                      if pc.indices]:
+        pos = sub.r1_positive
+        vecs = {r.vec for r in pos}
+        simples, coords = _r1_simple_coords(sub)
+        assert simples == [r for r in pos if not any(
+            s != r and tuple(a - b for a, b in zip(r.vec, s.vec)) in vecs
+            for s in pos)]
+        assert list(coords) == pos
+        for r, cs in coords.items():
+            assert min(cs) >= 0
+            assert tuple(sum(c * s.vec[t] for c, s in zip(cs, simples))
+                         for t in range(sub.rank)) == r.vec
+
+
 def test_int_width_holds_the_bound():
     assert _int_width(127) == np.int8
     assert _int_width(128) == np.int16
@@ -579,9 +714,29 @@ def test_canonical_unitary_points_match_canonical_point(tag, lattice):
     us = sorted({tuple(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4,
                                                               6, 12)))
                        % 1 for _ in range(d.rank)) for _ in range(30)})
-    got = _canonical_unitary_points(d, us)
-    assert got == [canonical_point(d, TorusPoint(u, [0] * d.rank))
-                   for u in us]
+    points = [TorusPoint(u, [0] * d.rank) for u in us]
+    assert _canonical_points(d, points) == \
+        [canonical_point(d, p) for p in points]
+
+
+@pytest.mark.parametrize("tag,lattice", [("D5", "Q"), ("B3", "P"),
+                                         ("A4", "Q")])
+def test_stacked_canonical_points_match_canonical_point(tag, lattice):
+    # Weyl images of the residual points, with mixed denominators and a
+    # split part past int64, over more than one block of ORBIT_BLOCK rows
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(43)
+    invts = inverse_transpose_matrices(d)
+    base = residual_points(d, LabelFunction.equal(d)) + residual_points(
+        d, LabelFunction.from_affine_nodes(d, random_label_vector(d, rng)))
+    step = max(1, ORBIT_BLOCK // len(invts))
+    points = [p.transform(rng.choice(invts)) for p in base
+              for _ in range(step // len(base) + 1)]
+    points += [p.scale_split(Fraction(10 ** 19 + 1, 3)).transform(
+        rng.choice(invts)) for p in base[:3]]
+    assert len(points) > step
+    assert _canonical_points(d, points) == \
+        [canonical_point(d, p) for p in points]
 
 
 def test_index_violation_names_the_first_candidate_in_sorted_order():

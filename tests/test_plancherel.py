@@ -7,6 +7,7 @@ from heckeplan.plancherel import (
     _length_levels,
     density_table,
     fdim_subregular_c,
+    length_count,
     m_on_coset,
     m_point,
     m_upper,
@@ -157,6 +158,37 @@ def test_layer_counts_are_bott_series_coefficients(tag):
     _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25,
                                    with_layers=True)
     assert layers == _bott_coefficients(BOTT_EXPONENTS[tag], 25)
+
+
+@pytest.mark.parametrize("tag", sorted(BOTT_EXPONENTS))
+def test_length_count_sums_the_bott_series(tag):
+    d = RootDatum.from_type(tag, "Q")
+    series = _bott_coefficients(BOTT_EXPONENTS[tag], 60)
+    for cut in (1, 7, 25, 60):
+        total = sum(series[:cut + 1])
+        assert length_count(d, cut, 1 << 40) == total
+        assert length_count(d, cut, total) == total
+        assert length_count(d, cut, total - 1) == total
+    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25,
+                                   with_layers=True)
+    assert length_count(d, 25, 1 << 40) == sum(layers)
+
+
+def test_length_count_stops_at_the_cap_without_expanding():
+    # a cut of 10^17 would need a series of 10^17 terms
+    d = RootDatum.from_type("A2", "Q")
+    assert length_count(d, 10 ** 17, 1 << 20) == (1 << 20) + 1
+
+
+def test_the_walk_cap_admits_the_default_cut_up_to_rank_4():
+    from heckeplan.cli import WALK_CAP
+    for tag in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4",
+                "D4", "F4"):
+        d = RootDatum.from_type(tag, "Q")
+        assert length_count(d, 40, WALK_CAP) <= WALK_CAP
+    for tag in ("A5", "B5", "C5", "D5"):
+        d = RootDatum.from_type(tag, "Q")
+        assert length_count(d, 40, WALK_CAP) > WALK_CAP
 
 
 def test_bott_series_of_a2():

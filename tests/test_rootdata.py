@@ -14,6 +14,7 @@ from heckeplan.rootdata import (
     restrict_labels,
     datum_labels_from_json,
     datum_labels_to_json,
+    parse_type,
 )
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
@@ -280,3 +281,9 @@ def _coroot_orbits_by_loop(datum):
 def test_coroot_orbits_match_the_weyl_loop(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     assert d.coroot_orbits == _coroot_orbits_by_loop(d)
+
+
+@pytest.mark.parametrize("tag", ["A0", "D-2"])
+def test_parse_type_rejects_a_rank_below_one(tag):
+    with pytest.raises(ValueError, match=f"rank of {tag} must be at least 1"):
+        parse_type(tag)
