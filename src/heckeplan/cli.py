@@ -281,6 +281,8 @@ def check_classification(args) -> int:
             tasks.append((tag, lattice, ["equal"] + [
                 [str(v) for v in random_label_vector(datum, rng)]
                 for _ in range(3)]))
+    if not tasks:
+        raise UsageError(f"no suite type of rank at most {args.max_rank}")
     jobs = args.jobs if args.jobs is not None else \
         int(os.environ.get("HPK_JOBS", "1"))
     if jobs > 1:
@@ -303,6 +305,9 @@ def check_scaling(args) -> int:
     from .residual import scaling_check
     datum, labels = resolve_datum(args)
     eps_list = [F(x) for x in str(args.eps).split(",")]
+    if 0 in eps_list:
+        raise UsageError("--eps must be nonzero: scaling by 0 collapses "
+                         "every split part")
     rows = []
     ok = True
     for eps in eps_list:

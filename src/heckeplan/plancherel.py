@@ -121,15 +121,6 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     return QRational(w0 * num, den)
 
 
-def _sub_w0_exponent(datum, labels, support_roots):
-    total = F(0)
-    for r in support_roots:
-        if r.height > 0:
-            f0, f1 = labels.pairs[r.vec]
-            total += f1 if datum.doubled[r.vec] else f0
-    return total
-
-
 def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
     """Point density of the base point within its own support datum
     (the factor m_L(t) / m^L(t), constant along the tempered form)."""
@@ -146,8 +137,7 @@ def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
         for v in dvals:
             if not v.is_zero():
                 den = den * v
-    w0 = QLaurent.monomial(_sub_w0_exponent(datum, labels,
-                                            coset.support_roots))
+    w0 = QLaurent.monomial(labels.q_exponent(coset.support_roots))
     return QRational(w0 * num, den)
 
 
@@ -158,8 +148,7 @@ def m_upper(datum, labels, coset: ResidualCoset, t: TorusPoint):
     Returns (value, singular): value None when some complement c-factor
     has a pole or zero at t."""
     constant = datum.parabolics[coset.support].r1_vecs
-    exp = labels.q_w0_exponent() - _sub_w0_exponent(datum, labels,
-                                                    coset.support_roots)
+    exp = labels.q_w0_exponent() - labels.q_exponent(coset.support_roots)
     value = QRational(QLaurent.monomial(-exp), ONE)
     for r in datum.r1:
         if r.vec in constant:

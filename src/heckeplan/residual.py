@@ -4,8 +4,8 @@ Torus points are exact: coordinate i holds (u_i in Q/Z, r_i in Q) with the
 meaning x(t) = e^{2 pi i <x,u>} q^{<x,r>}, stored as one denominator D and
 integer numerators (u mod D, r) in lowest terms.  Character values go
 through one integer pairing, `TorusPoint.pairing`; Weyl images are integer
-rows over D, on int64 stacks when a bound allows and on Python integers
-otherwise.  A point is residual when its pole-minus-zero count against the
+rows over D from one routine, `_orbit_rows`, on int64 stacks when a bound
+allows and on Python integers otherwise.  A point is residual when its pole-minus-zero count against the
 label thresholds equals the rank; cosets are lifted from residual points of
 parabolic quotient data.
 """
@@ -31,6 +31,7 @@ from .rootdata import (
     LabelFunction,
     RootDatum,
     _distinct_rows,
+    _dynkin_components,
     _image_masks,
     parabolic_classes,
     parabolic_subsystem_roots,
@@ -193,19 +194,34 @@ def _graded_action(datum, roots):
     return memo[key]
 
 
-def _orbit_rows(point, invts, norm):
-    """The images of the point under a stack of inverse transposes whose
-    largest row 1-norm is `norm`, as integer rows over point.den: the u
-    numerators reduced mod den, then the r numerators.  The common
-    denominator preserves lexicographic order.  An entry of an image is
-    at most norm * max(den, |r numerators|), so the product runs on int64
-    below 2^62 and on Python integers (dtype=object) above it."""
+def _orbit_rows(points, invts, norm, den=1):
+    """The images of the points under a stack of inverse transposes whose
+    largest row 1-norm is `norm`: (rows, D) for D the lcm of `den` and the
+    points' denominators.  The rows run over (point, Weyl element), each
+    the integer u numerators over D reduced mod D, then the r numerators;
+    one denominator keeps the lexicographic order of every orbit.  An
+    entry of an image is at most norm * max(D, |r numerators|), so the
+    product runs on int64 below 2^62 and on Python integers (dtype=object)
+    above it."""
     import numpy as np
-    if norm * max(point.den, *map(abs, point.rn)) >= INT64_SAFE:
-        invts = invts.astype(object)
-    vecs = np.array([point.un, point.rn], dtype=invts.dtype).T
-    imgs = invts @ vecs
-    return np.concatenate([imgs[:, :, 0] % point.den, imgs[:, :, 1]], axis=1)
+    n = invts.shape[-1]
+    den = lcm(den, *(p.den for p in points))
+    nums = [x * (den // p.den) for p in points for x in (*p.un, *p.rn)]
+    big = norm * max(den, *map(abs, nums)) >= INT64_SAFE
+    vecs = np.array(nums, dtype=object if big else np.int64).reshape(-1, n)
+    # one product, indexed (Weyl element, coordinate, point, u or r)
+    imgs = (invts.reshape(-1, n).astype(vecs.dtype, copy=False) @ vecs.T
+            ).reshape(len(invts), -1, len(points), 2)
+    imgs[..., 0] %= den
+    return imgs.transpose(2, 0, 3, 1).reshape(-1, 2 * imgs.shape[1]), den
+
+
+def _least_rows(rows, size):
+    """The index of the lexicographically least row in each consecutive
+    group of `size` rows."""
+    import numpy as np
+    owner = np.repeat(np.arange(len(rows) // size), size)
+    return np.lexsort((*rows.T[::-1], owner))[::size]
 
 
 def _row_to_point(row, den) -> TorusPoint:
@@ -214,49 +230,33 @@ def _row_to_point(row, den) -> TorusPoint:
 
 
 def orbit_of_point(datum: RootDatum, point: TorusPoint):
-    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
-    return {_row_to_point(row, point.den)
+    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm)
+    return {_row_to_point(row, den)
             for row in rows[_distinct_rows(rows)].tolist()}
 
 
 def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     """Deterministic orbit representative: lexicographically minimal
     (u vector, then r vector)."""
-    import numpy as np
-    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
-    idx = np.lexsort(rows.T[::-1])
-    return _row_to_point(rows[idx[0]].tolist(), point.den)
+    return _canonical_points(datum, [point])[0]
 
 
 # orbit rows per block of `_canonical_points`; a D5 orbit (1920 rows) is
-# a block of its own, as in `canonical_point`
+# a block of its own
 ORBIT_BLOCK = 1 << 11
 
 
 def _canonical_points(datum, points):
     """`canonical_point` of each point, in blocks of up to ORBIT_BLOCK orbit
-    rows: one product per block over the common denominator D of its
-    points, which keeps the order of each orbit, and one lexsort keyed by
-    owner for the least members."""
-    import numpy as np
-    n, invts, norm = datum.rank, datum.weyl.invts, datum.weyl.invt_norm
+    rows: one `_orbit_rows` product per block and the least row of each
+    orbit."""
+    invts, norm = datum.weyl.invts, datum.weyl.invt_norm
     step = max(1, ORBIT_BLOCK // len(invts))
     out = []
     for at in range(0, len(points), step):
-        block = points[at:at + step]
-        den = lcm(*(p.den for p in block))
-        nums = [[x * (den // p.den) for x in (*p.un, *p.rn)] for p in block]
-        big = norm * max(den, *(abs(x) for row in nums for x in row[n:])) \
-            >= INT64_SAFE
-        vecs = np.array(nums, dtype=object if big else np.int64)
-        # (point, Weyl element, coordinate, u or r): invts[w] @ vecs[p]
-        imgs = invts.astype(vecs.dtype, copy=False)[None] @ \
-            vecs.reshape(-1, 1, 2, n).transpose(0, 1, 3, 2)
-        rows = np.concatenate([imgs[..., 0] % den, imgs[..., 1]],
-                              axis=2).reshape(-1, 2 * n)
-        owner = np.repeat(np.arange(len(block)), len(invts))
-        least = np.lexsort((*rows.T[::-1], owner))[::len(invts)]
-        out.extend(_row_to_point(row, den) for row in rows[least].tolist())
+        rows, den = _orbit_rows(points[at:at + step], invts, norm)
+        out.extend(_row_to_point(row, den) for row in
+                   rows[_least_rows(rows, len(invts))].tolist())
     return out
 
 
@@ -264,14 +264,10 @@ def dominant_split_representative(datum: RootDatum, point: TorusPoint):
     """Orbit member whose split exponent vector is dominant (all simple
     roots pair >= 0); ties broken by the lexicographically minimal u."""
     import numpy as np
-    rows = _orbit_rows(point, datum.weyl.invts, datum.weyl.invt_norm)
-    n = datum.rank
+    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm)
     simple = np.array([list(v) for v in datum.simple_roots], dtype=np.int64)
-    pair = rows[:, n:] @ simple.T
-    ok = np.all(pair >= 0, axis=1)
-    good = rows[ok]
-    idx = np.lexsort(good.T[::-1])
-    return _row_to_point(good[idx[0]].tolist(), point.den)
+    good = rows[(rows[:, datum.rank:] @ simple.T >= 0).all(axis=1)]
+    return _row_to_point(good[_least_rows(good, len(good))[0]].tolist(), den)
 
 
 # -- pole/zero thresholds and the index ---------------------------------------
@@ -318,19 +314,9 @@ class UnitaryCandidate:
     point: TorusPoint                # split part trivial
     r_s1: list                       # roots of R1 with alpha(s) = 1
     r_s0: list                       # roots of R0 supporting the graded system
-    # the datum's `graded_inverses`, which all its candidates share
-    inverses: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def subset_inverses(self) -> "SubsetInverses":
-        """The inverses of the graded search's n-subsets of the positive
-        roots of `r_s0`.  They depend on those roots only, so candidates
-        with equal graded roots get one object."""
-        positives = tuple(r for r in self.r_s0 if r.height > 0)
-        if positives not in self.inverses:
-            self.inverses[positives] = _subset_inverses(positives,
-                                                        len(self.point.un))
-        return self.inverses[positives]
+    # the inverses of the graded search's n-subsets of the positive roots
+    # of r_s0: one object for all candidates with equal graded roots
+    subset_inverses: SubsetInverses = field(compare=False, repr=False)
 
 
 @dataclass
@@ -360,29 +346,12 @@ def _r1_simple_coords(datum: RootDatum):
                      for r, p in parts.items()}
 
 
-def _r1_components(datum, simples):
-    def pair(a, b):
-        return sum(x * y for x, y in zip(a.vec, b.coroot))
-    comps, left = [], list(range(len(simples)))
-    while left:
-        comp, stack = set(), [left[0]]
-        while stack:
-            i = stack.pop()
-            if i in comp:
-                continue
-            comp.add(i)
-            stack.extend(j for j in left if j not in comp
-                         and pair(simples[i], simples[j]) != 0)
-        comps.append(sorted(comp))
-        left = [i for i in left if i not in comp]
-    return comps
-
-
 def unitary_candidates(datum: RootDatum) -> CandidateSet:
     """W0-orbit representatives of unitary points s whose rank of
     {alpha in R1 : alpha(s) = 1} is full: the vertices of the fundamental
     alcove of the R1 affine arrangement, one per orbit.  They depend on
-    the datum only; `RootDatum.unitary_candidates` holds them."""
+    the datum only; `RootDatum.unitary_candidates` holds them.  Candidates
+    with equal graded positive roots share one `SubsetInverses`."""
     import numpy as np
     n = datum.rank
     # the simple roots are independent, so the roots span X over Q exactly
@@ -390,7 +359,8 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     if not datum.roots or datum.n_simple < n:
         return CandidateSet([], rank_deficient=True)
     simples, coords = _r1_simple_coords(datum)
-    comps = _r1_components(datum, simples)
+    comps = _dynkin_components([s.vec for s in simples],
+                               [s.coroot for s in simples])
     per_component_vertices = []
     for comp in comps:
         # highest root of the component, in simple coordinates of R1
@@ -420,10 +390,14 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     for i, r_s1 in enumerate(reps.values()):
         stack[i, :len(r_s1)] = [r.vec for r in r_s1]
     full = gauss_jordan(stack, n)[2].all(axis=1).tolist()
-    out = [UnitaryCandidate(rep, r_s1, [r for r in datum.roots
-                                        if _in_graded_system(datum, r, rep)],
-                            datum.graded_inverses)
-           for (rep, r_s1), ok in zip(reps.items(), full) if ok]
+    inverses, out = {}, []
+    for (rep, r_s1), ok in zip(reps.items(), full):
+        if ok:
+            r_s0 = [r for r in datum.roots if _in_graded_system(datum, r, rep)]
+            positives = tuple(r for r in r_s0 if r.height > 0)
+            if positives not in inverses:
+                inverses[positives] = _subset_inverses(positives, n)
+            out.append(UnitaryCandidate(rep, r_s1, r_s0, inverses[positives]))
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
 
@@ -635,7 +609,7 @@ class ResidualCoset:
     k_l: int                      # |K_L| = |T_L cap T^L|
     pole_roots: list = field(default_factory=list)
     zero_roots: list = field(default_factory=list)
-    # the orbit's cosets as `_coset_orbit` gave them: [(combo, row, den)]
+    # the orbit's cosets as `_coset_orbit` gave them: [(combo, row, D)]
     forms: list = field(default_factory=list, compare=False, repr=False)
 
     @property
@@ -714,27 +688,24 @@ def _coset_orbit(datum, support, point):
 
     An image counts when its support is a standard parabolic subsystem
     `combo`; its standard form is its lexicographically least K_L
-    translate.  Returns [(combo, row, den)]: each row is the integer tuple
-    u + r over den (one den per combo), as _orbit_rows has it."""
+    translate.  Returns [(combo, row, D)]: each row is the integer tuple
+    u + r over D, the lcm of point.den and the K_L denominators of every
+    combo, as `_orbit_rows` has it."""
     import numpy as np
-    norm = datum.weyl.invt_norm
-    rows = _orbit_rows(point, datum.weyl.invts, norm)
-    n = datum.rank
-    peak = norm * max(point.den, *map(abs, point.rn))
+    n, groups = datum.rank, _image_groups(datum, support)
+    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm,
+                            lcm(*(datum.parabolics[c].k_den for c in groups)))
     found = []
-    for combo, gs in _image_groups(datum, support).items():
+    for combo, gs in groups.items():
         entry = datum.parabolics[combo]
-        d = lcm(point.den, entry.k_den)
-        scale = d // point.den
-        own = rows[gs] * scale if peak * scale < INT64_SAFE else \
-            rows[gs].astype(object) * scale
-        k_rows = np.array(entry.k_elems, dtype=own.dtype) * (d // entry.k_den)
-        translates = ((own[:, None, :n] + k_rows[None]) % d).reshape(-1, n)
-        owner = np.repeat(np.arange(len(gs)), len(k_rows))
-        least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
+        own = rows[gs]
+        k_rows = np.array(entry.k_elems, dtype=own.dtype) * \
+            (den // entry.k_den)
+        translates = ((own[:, None, :n] + k_rows[None]) % den).reshape(-1, n)
+        least = _least_rows(translates, len(k_rows))
         forms = np.concatenate([translates[least], own[:, n:]], axis=1)
         firsts = _distinct_rows(forms)
-        found.extend((g, combo, tuple(row), d) for g, row in zip(
+        found.extend((g, combo, tuple(row), den) for g, row in zip(
             gs[firsts].tolist(), forms[firsts].tolist()))
     found.sort(key=lambda f: f[0])
     return [f[1:] for f in found]
@@ -819,7 +790,7 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     for pt in points:
         gens = [r for r in datum.positive_roots
                 if _in_graded_system(datum, r, pt)]
-        rows = _orbit_rows(pt, *_graded_action(datum, gens))
+        rows, _ = _orbit_rows([pt], *_graded_action(datum, gens))
         star = pt.star()
         if not (rows == np.array(star.un + star.rn, dtype=rows.dtype)
                 ).all(axis=1).any():

@@ -424,10 +424,11 @@ class ResidueEngine:
             if coset.dim != self.datum.rank - 1 or not coset.support_roots:
                 continue
             dirs = weyl.mats @ np.array(coset.support_roots[0].vec)
-            rows = _orbit_rows(coset.point, weyl.invts, weyl.invt_norm)
+            rows, den = _orbit_rows([coset.point], weyl.invts,
+                                    weyl.invt_norm)
             for img_dir, row in zip(dirs.tolist(), rows.tolist()):
                 pdir = direction(img_dir)[0]
-                pt = _row_to_point(row, coset.point.den)
+                pt = _row_to_point(row, den)
                 for d in self.divisors:
                     if d.sign > 0 and d.ring[0] == pdir and \
                             pt.takes(d.vec, -d.u0, -d.r0):

@@ -11,13 +11,12 @@ weight lattice P.
 Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
-parabolic table, the parabolic classes, the unitary candidates, and three
-memos filled on use: the reflection subgroups of graded root systems, the
-subset inverses of the graded search, shared by the unitary candidates
-with equal graded roots, and the standard Weyl images of each standard
-parabolic subset.  The parabolic table has one entry per standard
-parabolic subset P of the simple roots (all 2^n), built in one pass.  A
-root lies in R_P = span(P) cap R0 exactly when its simple-root
+parabolic table, the parabolic classes, the unitary candidates with the
+subset inverses of their graded search, and two memos filled on use: the
+reflection subgroups of graded root systems and the standard Weyl images
+of each standard parabolic subset.  The parabolic table has one entry per
+standard parabolic subset P of the simple roots (all 2^n), built in one
+pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
 coordinates `alpha` are supported on P, so no rank is computed; each
 entry also holds the sorted root-index key of R_P, the saturated lattice
 of P, the group K_L of a coset with support R_P, and the standard
@@ -244,25 +243,7 @@ class RootDatum:
 
     def components(self) -> list[list[int]]:
         """Connected components of the Dynkin diagram (simple indices)."""
-        n = self.n_simple
-        adj = {i: set() for i in range(n)}
-        for i in range(n):
-            for j in range(n):
-                if i != j and sum(x * y for x, y in zip(
-                        self.simple_roots[j], self.simple_coroots[i])) != 0:
-                    adj[i].add(j)
-        out, left = [], set(range(n))
-        while left:
-            comp, stack = set(), [min(left)]
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            out.append(sorted(comp))
-            left -= comp
-        return out
+        return _dynkin_components(self.simple_roots, self.simple_coroots)
 
     def highest_coroot(self, comp: list[int]) -> Vec:
         """Highest coroot of an irreducible component: the first coroot of
@@ -462,12 +443,6 @@ class RootDatum:
         return {}
 
     @cached_property
-    def graded_inverses(self) -> dict:
-        """Tuple of graded positive roots -> the `SubsetInverses` of their
-        n-subsets, which the unitary candidates share; filled on use."""
-        return {}
-
-    @cached_property
     def coset_images(self) -> dict:
         """Standard parabolic subset -> its Weyl images that are standard,
         grouped, as `residual._image_groups` returns them; filled on
@@ -490,6 +465,25 @@ class RootDatum:
             return cls.from_type(data["type"], data["lattice"])
         basis = [[Fraction(x) for x in row] for row in data["basis_in_alpha"]]
         return cls.from_type(data["type"], basis)
+
+
+def _dynkin_components(roots, coroots) -> list[list[int]]:
+    """Connected components of the Dynkin diagram of the simple roots
+    `roots` with coroots `coroots` (integer vectors): i and j are joined
+    when <roots[j], coroots[i]> != 0.  Sorted index lists, in the order of
+    their least index."""
+    comps, left = [], list(range(len(roots)))
+    while left:
+        comp, stack = set(), [left[0]]
+        while stack:
+            i = stack.pop()
+            if i not in comp:
+                comp.add(i)
+                stack.extend(j for j in left if j not in comp and
+                             sum(map(mul, roots[j], coroots[i])))
+        comps.append(sorted(comp))
+        left = [i for i in left if i not in comp]
+    return comps
 
 
 def _distinct_rows(rows):
@@ -774,27 +768,22 @@ class LabelFunction:
         of q_{alpha^vee/2}^{1/2}."""
         return self.thresholds[vec][1]
 
+    def q_exponent(self, roots) -> Fraction:
+        """Exponent of the product of q_{alpha^vee} over the positive roots
+        among `roots`: the sum of their f1, which is f0 off the doubled
+        roots."""
+        return sum((self.pairs[r.vec][1] for r in roots if r.height > 0),
+                   Fraction(0))
+
     def q_w0_exponent(self) -> Fraction:
         """Exponent of q(w0) = prod over R_nr,+ of q_{alpha^vee}."""
-        total = Fraction(0)
-        for r in self.datum.positive_roots:
-            f0, f1 = self.pairs[r.vec]
-            total += f0
-            if self.datum.doubled[r.vec]:
-                total += f1 - f0
-        return total
+        return self.q_exponent(self.datum.positive_roots)
 
     def q_exponent_of(self, w: WeylElement) -> Fraction:
         """Exponent of q(w) = prod over inversions in R_nr,+ of q_{alpha^vee}."""
-        total = Fraction(0)
-        for r in self.datum.positive_roots:
-            img = w.act_vec(r.vec)
-            if self.datum.root_by_vec[img].height < 0:
-                f0, f1 = self.pairs[r.vec]
-                total += f0
-                if self.datum.doubled[r.vec]:
-                    total += f1 - f0
-        return total
+        return self.q_exponent(
+            r for r in self.datum.positive_roots
+            if self.datum.root_by_vec[w.act_vec(r.vec)].height < 0)
 
     def scaled(self, eps: Fraction) -> "LabelFunction":
         eps = Fraction(eps)

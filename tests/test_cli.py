@@ -123,6 +123,27 @@ def test_check_scaling():
     assert all(r["passed"] for r in json.loads(out)["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "B2", "--max-rank", "0"),
+    ("--type", "B3", "--max-rank", "2"),
+    ("--max-rank", "0")])
+def test_a_classification_run_that_selects_nothing_is_a_usage_error(
+        argv, capsys):
+    code, out = run_cli("check", "--suite", "classification", *argv,
+                        "--format", "json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: no suite type of rank at most")
+
+
+@pytest.mark.parametrize("eps", ["0", "2,0", "0/5"])
+def test_scaling_by_zero_is_a_usage_error(eps, capsys):
+    code, out = run_cli("check", "--suite", "scaling", "--type", "B2",
+                        "--eps", eps, "--format", "json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --eps must be nonzero")
+
+
 def test_check_kl_c3():
     code, out = run_cli("check", "--suite", "kl", "--type", "C3",
                         "--lattice", "P", "--format", "json")

@@ -64,6 +64,7 @@ from heckeplan.rootdata import (
     LabelFunction,
     Root,
     RootDatum,
+    _distinct_rows,
     parabolic_subsystem_roots,
     random_label_vector,
     reflection_closure,
@@ -612,16 +613,16 @@ def test_minor_table_inverses_without_subsets_are_empty_int8(n, count):
 def test_candidates_with_equal_graded_roots_share_their_inverses(
         monkeypatch, tag, lattice):
     import heckeplan.residual as residual
+    calls = []
+    real = residual._subset_inverses
+    monkeypatch.setattr(residual, "_subset_inverses",
+                        lambda *a: calls.append(a) or real(*a))
     d = RootDatum.from_type(tag, lattice)
     groups = {}
     for cand in d.unitary_candidates.points:
         groups.setdefault(tuple(r for r in cand.r_s0 if r.height > 0),
                           []).append(cand)
     assert any(len(g) > 1 for g in groups.values())
-    calls = []
-    real = residual._subset_inverses
-    monkeypatch.setattr(residual, "_subset_inverses",
-                        lambda *a: calls.append(a) or real(*a))
     shared = {key: {id(c.subset_inverses) for c in g}
               for key, g in groups.items()}
     assert all(len(ids) == 1 for ids in shared.values())
@@ -705,6 +706,23 @@ def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
     assert calls == {"gauss_jordan": 0, "_coset_orbit": raw}
 
 
+def _one_orbit_rows(datum, point):
+    """The Weyl images of one point as integer rows over point.den (u mod
+    den, then r), from its own product on Python integers."""
+    imgs = datum.weyl.invts.astype(object) @ \
+        np.array([point.un, point.rn], dtype=object).T
+    return np.concatenate([imgs[:, :, 0] % point.den, imgs[:, :, 1]], axis=1)
+
+
+def _single_orbit_canonical_point(datum, point):
+    """The least Weyl image of one point by one np.lexsort over its own
+    orbit rows: the per-point canonicaliser that the stacked
+    `_canonical_points` replaced."""
+    rows = _one_orbit_rows(datum, point)
+    return _row_to_point(rows[np.lexsort(rows.T[::-1])[0]].tolist(),
+                         point.den)
+
+
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "Q"),
                                          ("D4", "P"), ("G2", "Q"),
                                          ("F4", "Q")])
@@ -715,8 +733,9 @@ def test_canonical_unitary_points_match_canonical_point(tag, lattice):
                                                               6, 12)))
                        % 1 for _ in range(d.rank)) for _ in range(30)})
     points = [TorusPoint(u, [0] * d.rank) for u in us]
-    assert _canonical_points(d, points) == \
-        [canonical_point(d, p) for p in points]
+    want = [_single_orbit_canonical_point(d, p) for p in points]
+    assert _canonical_points(d, points) == want
+    assert [canonical_point(d, p) for p in points] == want
 
 
 @pytest.mark.parametrize("tag,lattice", [("D5", "Q"), ("B3", "P"),
@@ -736,7 +755,7 @@ def test_stacked_canonical_points_match_canonical_point(tag, lattice):
         rng.choice(invts)) for p in base[:3]]
     assert len(points) > step
     assert _canonical_points(d, points) == \
-        [canonical_point(d, p) for p in points]
+        [_single_orbit_canonical_point(d, p) for p in points]
 
 
 def test_index_violation_names_the_first_candidate_in_sorted_order():
@@ -1091,8 +1110,9 @@ def test_graded_orbit_matches_tuple_closure(tag, lattice):
             gens = [r for r in d.positive_roots
                     if _in_graded_system(d, r, p)]
             invts, norm = _graded_action(d, gens)
-            rows = _orbit_rows(p, invts, norm)
-            got = {_row_to_point(row, p.den) for row in rows.tolist()}
+            rows, den = _orbit_rows([p], invts, norm)
+            assert den == p.den
+            got = {_row_to_point(row, den) for row in rows.tolist()}
             want, order = _tuple_closure_orbit(d, gens, p)
             assert len(invts) == order
             assert got == want
@@ -1109,10 +1129,36 @@ def test_orbit_rows_leave_int64_when_the_bound_requires():
                       (10 ** 19 + 1, True)):
         pt = TorusPoint.from_numerators(6, [2, 0, 3], [big, -big, 1])
         assert max(pt.den, *map(abs, pt.rn)) == big
-        rows = _orbit_rows(pt, invts, norm)
+        rows, den = _orbit_rows([pt], invts, norm)
+        assert den == pt.den
         assert (rows.dtype == object) == wide
-        assert [_row_to_point(row, pt.den) for row in rows.tolist()] == \
+        assert [_row_to_point(row, den) for row in rows.tolist()] == \
             [pt.transform(m) for m in inverse_transpose_matrices(d)]
+
+
+def test_orbit_rows_of_several_points_share_one_denominator():
+    # mixed denominators and a floor: every point's rows are its own orbit
+    # rows over its denominator, times D / den, in the order (point, w)
+    d = RootDatum.from_type("B3", "P")
+    invts, norm = d.weyl.invts, d.weyl.invt_norm
+    mats = inverse_transpose_matrices(d)
+    points = [TorusPoint.from_numerators(6, [2, 0, 3], [1, -5, 7]),
+              TorusPoint([Fraction(1, 4), 0, Fraction(1, 2)],
+                         [Fraction(3, 10), 0, -1]),
+              TorusPoint([0, 0, 0], [Fraction(1, 3), 2, 0])]
+    past = TorusPoint.from_numerators(5, [1, 2, 3], [10 ** 19 + 1, 0, -1])
+    for block, floor, wide in ((points, 1, False), (points, 7, False),
+                               (points + [past], 1, True)):
+        rows, den = _orbit_rows(block, invts, norm, floor)
+        assert den == lcm(floor, *(p.den for p in block))
+        assert rows.shape == (len(block) * len(mats), 6)
+        assert (rows.dtype == object) == wide
+        assert ((0 <= rows[:, :3]) & (rows[:, :3] < den)).all()
+        assert [_row_to_point(row, den) for row in rows.tolist()] == \
+            [p.transform(m) for p in block for m in mats]
+        for k, p in enumerate(block):
+            assert (rows[k * len(mats):(k + 1) * len(mats)] ==
+                    _one_orbit_rows(d, p) * (den // p.den)).all()
 
 
 @pytest.mark.parametrize("tag", ["B2", "G2"])
@@ -1162,6 +1208,58 @@ def test_image_groups_match_the_sorted_image_lookup(tag, lattice):
         got = _image_groups(d, support)
         assert {c: gs.tolist() for c, gs in got.items()} == want
         assert _image_groups(d, support) is got
+
+
+def _per_combo_coset_orbit(datum, support, point):
+    """`_coset_orbit` with each group of Weyl images rescaled on its own to
+    the lcm of point.den and the group's K_L denominator, on Python
+    integers: the per-combo expansion that one orbit over a common
+    denominator replaced."""
+    n, rows = datum.rank, _one_orbit_rows(datum, point)
+    found = []
+    for combo, gs in _image_groups(datum, support).items():
+        entry = datum.parabolics[combo]
+        d = lcm(point.den, entry.k_den)
+        own = rows[gs] * (d // point.den)
+        k_rows = np.array(entry.k_elems, dtype=object) * (d // entry.k_den)
+        translates = ((own[:, None, :n] + k_rows[None]) % d).reshape(-1, n)
+        owner = np.repeat(np.arange(len(gs)), len(k_rows))
+        least = np.lexsort((*translates.T[::-1], owner))[::len(k_rows)]
+        forms = np.concatenate([translates[least], own[:, n:]], axis=1)
+        firsts = _distinct_rows(forms)
+        found.extend((g, combo, tuple(row), d) for g, row in zip(
+            gs[firsts].tolist(), forms[firsts].tolist()))
+    found.sort(key=lambda f: f[0])
+    return [f[1:] for f in found]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
+                                         ("D4", "Q"), ("F4", "Q"),
+                                         ("G2", "Q")])
+def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
+        tag, lattice):
+    # the raw points of every parabolic class, as residual_cosets lifts
+    # them, and the first coset of each orbit on each standard support
+    d = RootDatum.from_type(tag, lattice)
+    supports = set()
+    for labels in _label_sets(d, 47, seeded=1):
+        pairs = {(pc.indices, sub_pt.transform(transpose(pc.y_basis))): None
+                 for pc in d.parabolic_classes if pc.indices
+                 for sub_pt in residual_points(pc.sub_datum,
+                                               restrict_labels(labels, pc))}
+        for coset in residual_cosets(d, labels):
+            firsts = {}
+            for combo, row, den in coset.forms:
+                firsts.setdefault(combo, _row_to_point(row, den))
+            pairs.update(dict.fromkeys(firsts.items()))
+        for support, point in pairs:
+            got = _coset_orbit(d, support, point)
+            assert [(combo, _row_to_point(row, den))
+                    for combo, row, den in got] == \
+                [(combo, _row_to_point(row, den)) for combo, row, den in
+                 _per_combo_coset_orbit(d, support, point)]
+            supports.add(support)
+    assert supports == set(d.parabolics)
 
 
 def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
