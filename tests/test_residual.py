@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +334,27 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
         assert all((bigger, pt) in pair for pair in pairs)
         injected += 1
     assert injected >= 3
+
+
+NESTED_WITNESSES = Path(__file__).with_name("nested_witnesses.json")
+
+
+def _injected_witnesses(tag, lattice):
+    """The violation list of the nested-coset check after each injection
+    of test_nested_coset_check_reports_contained_member, as text."""
+    from heckeplan.residual import _coset_members, _nested_coset_violations
+    d = RootDatum.from_type(tag, lattice)
+    members = _coset_members(residual_cosets(d, LabelFunction.equal(d)))
+    return [[str(w) for w in _nested_coset_violations(
+        d, members + [(combo[:-1], pt, coset)])]
+        for combo, pt, coset in members if combo]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q")])
+def test_nested_coset_witnesses_match_the_frozen_text(tag, lattice):
+    # every witness and its order, as the check reported them when frozen
+    frozen = json.loads(NESTED_WITNESSES.read_text())[f"{tag}/{lattice}"]
+    assert _injected_witnesses(tag, lattice) == frozen
 
 
 @pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q"),
