@@ -192,6 +192,24 @@ def quotient_dual_elements(generators: IntMatrix, ambient_rank: int):
 INT64_SAFE = 1 << 62        # bound on every int64 intermediate
 
 
+def _product_dtype(norm, den, rows):
+    """int64 when integer rows over den and their product by a matrix of
+    row 1-norm at most `norm` stay below INT64_SAFE; object otherwise."""
+    import numpy as np
+    top = max(1, norm) * max(den, int(np.abs(rows).max(initial=0)))
+    return np.dtype(np.int64 if top < INT64_SAFE else object)
+
+
+def _int_width(bound):
+    """The narrowest integer dtype that holds every integer of absolute
+    value at most `bound`."""
+    import numpy as np
+    for bits in (8, 16, 32, 64):
+        if bound < 1 << (bits - 1):
+            return np.dtype(f"int{bits}")
+    return np.dtype(object)
+
+
 def _hadamard_square(aug):
     """A bound on the square of every minor of every matrix in the integer
     stack: the product of the largest squared row norms, as many as a
@@ -448,6 +466,16 @@ def integer_kernel(m: IntMatrix) -> list[list[int]]:
     rank = len([i for i in range(min(rows, cols)) if d[i][i] != 0])
     vt = transpose(v)
     return [list(vt[j]) for j in range(rank, cols)]
+
+
+def _lattice_intersection(rows1, rows2, n):
+    """Basis of the intersection of two saturated sublattices of Z^n."""
+    comp1 = integer_kernel(rows1)
+    comp2 = integer_kernel(rows2)
+    combined = comp1 + comp2
+    if not combined:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    return integer_kernel(combined)
 
 
 def saturate(vectors: list[list[int]], ambient_rank: int) -> list[list[int]]:

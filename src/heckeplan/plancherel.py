@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .lattice import INT64_SAFE, solve_unique
+from .lattice import INT64_SAFE, _int_width, solve_unique
 from .residual import (
     ResidualCoset,
     TorusPoint,
-    _int_width,
     canonical_point,
     orbit_of_point,
     point_index,
@@ -36,6 +35,7 @@ from .symbolicq import (
     QRational,
     c_alpha,
     character_value,
+    nonzero_product,
 )
 
 F = Fraction
@@ -69,18 +69,17 @@ def m_point(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
     vanish at the point."""
     if check_residual and point_index(datum, labels, point) != datum.rank:
         raise ValueError("density is defined at residual points only")
-    num = ONE
-    den = ONE
-    for r in datum.r1:
-        nvals, dvals = _density_factor_lists(datum, labels, r, point)
-        for v in nvals:
-            if not v.is_zero():
-                num = num * v
-        for v in dvals:
-            if not v.is_zero():
-                den = den * v
+    num, den = _density_products(datum, labels, datum.r1, point)
     w0 = QLaurent.monomial(labels.q_w0_exponent())
     return QRational(w0 * num, den)
+
+
+def _density_products(datum, labels, roots, point):
+    """The products of the nonzero numerator and denominator factors of
+    the density over the given roots of R1 at an exact point."""
+    lists = [_density_factor_lists(datum, labels, r, point) for r in roots]
+    return (nonzero_product(v for f in lists for v in f[i])[0]
+            for i in (0, 1))
 
 
 def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
@@ -90,26 +89,16 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     points of the tempered form, where the value is zero when the
     numerator order wins and no continuous value exists otherwise."""
     constant = datum.parabolics[coset.support].r1_vecs
-    num = ONE
-    den = ONE
-    num_zero = den_zero = 0
+    sides = ([], [])
     for r in datum.r1:
-        nvals, dvals = _density_factor_lists(datum, labels, r, t)
+        vals = _density_factor_lists(datum, labels, r, t)
         if r.vec in constant:
-            nbase, dbase = _density_factor_lists(datum, labels, r,
-                                                 coset.point)
-            nvals = [v for v0, v in zip(nbase, nvals) if not v0.is_zero()]
-            dvals = [v for v0, v in zip(dbase, dvals) if not v0.is_zero()]
-        for v in nvals:
-            if v.is_zero():
-                num_zero += 1
-            else:
-                num = num * v
-        for v in dvals:
-            if v.is_zero():
-                den_zero += 1
-            else:
-                den = den * v
+            vals = [[v for v0, v in zip(base, side) if not v0.is_zero()]
+                    for base, side in zip(_density_factor_lists(
+                        datum, labels, r, coset.point), vals)]
+        for side, new in zip(sides, vals):
+            side.extend(new)
+    (num, num_zero), (den, den_zero) = map(nonzero_product, sides)
     if den_zero > num_zero:
         raise ValueError("pole of the density at this point of the coset")
     if den_zero == num_zero and den_zero > 0:
@@ -125,18 +114,8 @@ def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
     """Point density of the base point within its own support datum
     (the factor m_L(t) / m^L(t), constant along the tempered form)."""
     constant = datum.parabolics[coset.support].r1_vecs
-    num = ONE
-    den = ONE
-    for r in datum.r1:
-        if r.vec not in constant:
-            continue
-        nvals, dvals = _density_factor_lists(datum, labels, r, coset.point)
-        for v in nvals:
-            if not v.is_zero():
-                num = num * v
-        for v in dvals:
-            if not v.is_zero():
-                den = den * v
+    num, den = _density_products(datum, labels, [
+        r for r in datum.r1 if r.vec in constant], coset.point)
     w0 = QLaurent.monomial(labels.q_exponent(coset.support_roots))
     return QRational(w0 * num, den)
 

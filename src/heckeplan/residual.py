@@ -2,12 +2,12 @@
 
 Torus points are exact: coordinate i holds (u_i in Q/Z, r_i in Q) with the
 meaning x(t) = e^{2 pi i <x,u>} q^{<x,r>}, stored as one denominator D and
-integer numerators (u mod D, r) in lowest terms.  Character values go
-through one integer pairing, `TorusPoint.pairing`; Weyl images are integer
-rows over D from one routine, `_orbit_rows`, on int64 stacks when a bound
-allows and on Python integers otherwise.  A point is residual when its pole-minus-zero count against the
-label thresholds equals the rank; cosets are lifted from residual points of
-parabolic quotient data.
+integer numerators (u mod D, r) in lowest terms.  Blocks of points are
+integer rows over one D: Weyl images come from one routine, `_orbit_rows`,
+and character values from one product, `pairings`, each on int64 stacks
+when a bound allows and on Python integers otherwise.  A point is residual
+when its pole-minus-zero count against the label thresholds equals the
+rank; cosets are lifted from residual points of parabolic quotient data.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
 
 from .lattice import (
     INT64_SAFE,
+    _int_width,
+    _lattice_intersection,
+    _product_dtype,
     gauss_jordan,
-    integer_kernel,
     solve_unique,
     subset_adjugates,
     transpose,
@@ -32,10 +33,10 @@ from .rootdata import (
     RootDatum,
     _distinct_rows,
     _dynkin_components,
-    _image_masks,
+    _graded_action,
+    _image_groups,
     parabolic_classes,
     parabolic_subsystem_roots,
-    reflection_closure,
     restrict_labels,
 )
 
@@ -105,36 +106,11 @@ class TorusPoint:
     def __repr__(self):
         return f"TorusPoint(u={self.u!r}, r={self.r!r})"
 
-    def pairing(self, vec):
-        """(<vec,u> mod 1, <vec,r>) as integer numerators over `den`: the
-        character vec takes the value e^{2 pi i un/den} q^{rn/den}."""
-        return (sum(map(mul, vec, self.un)) % self.den,
-                sum(map(mul, vec, self.rn)))
-
-    def takes(self, vec, u0, r0) -> bool:
-        """Whether the character vec takes the value e^{2 pi i u0} q^{r0}
-        at the point (u0, r0 rational)."""
-        un, rn = self.pairing(vec)
-        return rn * r0.denominator == r0.numerator * self.den and \
-            (un * u0.denominator - u0.numerator * self.den) % \
-            (self.den * u0.denominator) == 0
-
-    def agrees_on(self, other: "TorusPoint", vecs) -> bool:
-        """Whether every character in vecs takes the same value at both
-        points."""
-        d1, d2 = self.den, other.den
-        for vec in vecs:
-            u1, r1 = self.pairing(vec)
-            u2, r2 = other.pairing(vec)
-            if r1 * d2 != r2 * d1 or (u1 * d2 - u2 * d1) % (d1 * d2):
-                return False
-        return True
-
     def value_of(self, vec):
         """(u, r) of the character value x(t) = e^{2 pi i u} q^r, as
-        Fractions."""
-        un, rn = self.pairing(vec)
-        return Fraction(un, self.den), Fraction(rn, self.den)
+        Fractions: `pairings` at one point, for output."""
+        return tuple(Fraction(int(x[0, 0]), self.den) for x in pairings(
+            *_point_rows([self], len(self.un)), [vec]))
 
     def inverse(self) -> "TorusPoint":
         return TorusPoint.from_numerators(
@@ -153,9 +129,9 @@ class TorusPoint:
         """Image under the Weyl element whose inverse-transpose matrix on X
         is inv_t (rows act on the functional coordinates); a non-square
         inv_t maps to a torus of another rank."""
-        return TorusPoint.from_numerators(
-            self.den, [sum(map(mul, row, self.un)) for row in inv_t],
-            [sum(map(mul, row, self.rn)) for row in inv_t])
+        un, rn = pairings(*_point_rows([self], len(self.un)), inv_t)
+        return TorusPoint.from_numerators(self.den, un[0].tolist(),
+                                          rn[0].tolist())
 
     def scale_split(self, eps) -> "TorusPoint":
         eps = Fraction(eps)
@@ -177,21 +153,28 @@ def inverse_transpose_matrices(datum: RootDatum):
     return [tuple(map(tuple, m)) for m in datum.weyl.invts.tolist()]
 
 
-def _graded_action(datum, roots):
-    """(inverse transposes, largest row 1-norm) of the subgroup generated
-    by the reflections in the given roots, as `WeylGroup` has them; the
-    datum's `graded_actions` keeps each one by its tuple of roots."""
+def _point_rows(points, n, den=1):
+    """(rows, D): the points of rank n as a (k, 2n) array of Python
+    integers over D, the lcm of den and theirs: u, then r numerators."""
     import numpy as np
-    key = tuple(roots)
-    memo = datum.graded_actions
-    if key not in memo:
-        n = datum.rank
-        vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
-            [r.vec for r in key], [r.coroot for r in key]))
-        gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
-        _, invts, _ = reflection_closure(gens, n)
-        memo[key] = invts, int(np.abs(invts).sum(axis=2).max(initial=0))
-    return memo[key]
+    den = lcm(den, *(p.den for p in points))
+    rows = [[x * (den // p.den) for x in (*p.un, *p.rn)] for p in points]
+    return np.array(rows, dtype=object).reshape(len(points), 2 * n), den
+
+
+def pairings(rows, den, vecs):
+    """Character values at points: for a (k, 2n) block of point rows over
+    den and m integer vectors, the (k, m) numerators over den of
+    <vec, u> mod den and of <vec, r>, the value being e^{2 pi i u/den}
+    q^{r/den}.  One product, at the width of `_product_dtype`."""
+    import numpy as np
+    n = rows.shape[1] // 2
+    vecs = np.array(vecs, dtype=np.int64).reshape(-1, n)
+    dtype = _product_dtype(int(np.abs(vecs).sum(axis=1).max(initial=0)),
+                           den, rows)
+    vals = (rows.reshape(-1, n).astype(dtype, copy=False) @
+            vecs.T.astype(dtype)).reshape(len(rows), 2, len(vecs))
+    return vals[:, 0] % den, vals[:, 1]
 
 
 def _orbit_rows(points, invts, norm, den=1):
@@ -199,16 +182,12 @@ def _orbit_rows(points, invts, norm, den=1):
     largest row 1-norm is `norm`: (rows, D) for D the lcm of `den` and the
     points' denominators.  The rows run over (point, Weyl element), each
     the integer u numerators over D reduced mod D, then the r numerators;
-    one denominator keeps the lexicographic order of every orbit.  An
-    entry of an image is at most norm * max(D, |r numerators|), so the
-    product runs on int64 below 2^62 and on Python integers (dtype=object)
-    above it."""
+    one denominator keeps the lexicographic order of every orbit."""
     import numpy as np
     n = invts.shape[-1]
-    den = lcm(den, *(p.den for p in points))
-    nums = [x * (den // p.den) for p in points for x in (*p.un, *p.rn)]
-    big = norm * max(den, *map(abs, nums)) >= INT64_SAFE
-    vecs = np.array(nums, dtype=object if big else np.int64).reshape(-1, n)
+    vecs, den = _point_rows(points, n, den)
+    vecs = vecs.reshape(-1, n)
+    vecs = vecs.astype(_product_dtype(norm, den, vecs))
     # one product, indexed (Weyl element, coordinate, point, u or r)
     imgs = (invts.reshape(-1, n).astype(vecs.dtype, copy=False) @ vecs.T
             ).reshape(len(invts), -1, len(points), 2)
@@ -263,35 +242,45 @@ def _canonical_points(datum, points):
 def dominant_split_representative(datum: RootDatum, point: TorusPoint):
     """Orbit member whose split exponent vector is dominant (all simple
     roots pair >= 0); ties broken by the lexicographically minimal u."""
-    import numpy as np
     rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm)
-    simple = np.array([list(v) for v in datum.simple_roots], dtype=np.int64)
-    good = rows[(rows[:, datum.rank:] @ simple.T >= 0).all(axis=1)]
+    good = rows[(pairings(rows, den, datum.simple_roots)[1] >= 0).all(axis=1)]
     return _row_to_point(good[_least_rows(good, len(good))[0]].tolist(), den)
 
 
 # -- pole/zero thresholds and the index ---------------------------------------
 
 
+def _matches(vals, targets):
+    """Whether vals[i, j] == targets[j], for integers from `pairings` and
+    rational targets; int64 values lie below INT64_SAFE."""
+    import numpy as np
+    ok = [t.denominator == 1 and (vals.dtype == object or
+                                  abs(t) < INT64_SAFE) for t in targets]
+    want = np.array([t.numerator if k else 0 for t, k in zip(targets, ok)],
+                    dtype=vals.dtype)
+    return (vals == want) & np.array(ok, dtype=bool)
+
+
+def _threshold_masks(labels, rows, den, roots):
+    """`threshold_hits` at point rows over den as (k, m) booleans (poles,
+    zeros): u is 0 or den/2, and r is 0 or a den, b den."""
+    un, rn = pairings(rows, den, [r.vec for r in roots])
+    unit, half = un == 0, 2 * un == den
+    pairs = [labels.thresholds[r.vec] for r in roots]
+    poles = (unit & _matches(rn, [a * den for a, _ in pairs])) | \
+        (half & _matches(rn, [b * den for _, b in pairs]))
+    return poles, (unit | half) & (rn == 0)
+
+
 def threshold_hits(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
                    roots=None):
     """(pole_roots, zero_roots) among the given roots (default all of R0):
     a root alpha is a pole hit when alpha(t) equals q^a or -q^b for its
-    label exponents, and a zero hit when alpha(t) = +-1.  In numerators
-    over D = point.den: u is 0 or D/2, and r is 0 or a D, b D."""
-    den = point.den
-    poles, zeros = [], []
-    for root in (roots if roots is not None else datum.roots):
-        un, rn = point.pairing(root.vec)
-        if un and 2 * un != den:
-            continue
-        a, b = labels.thresholds[root.vec]
-        c = a if un == 0 else b
-        if rn * c.denominator == c.numerator * den:
-            poles.append(root)
-        if rn == 0:
-            zeros.append(root)
-    return poles, zeros
+    label exponents, and a zero hit when alpha(t) = +-1."""
+    roots = datum.roots if roots is None else roots
+    rows, den = _point_rows([point], len(point.un))
+    return tuple([r for r, hit in zip(roots, m[0].tolist()) if hit]
+                 for m in _threshold_masks(labels, rows, den, roots))
 
 
 def point_index(datum, labels, point, roots=None) -> int:
@@ -314,6 +303,7 @@ class UnitaryCandidate:
     point: TorusPoint                # split part trivial
     r_s1: list                       # roots of R1 with alpha(s) = 1
     r_s0: list                       # roots of R0 supporting the graded system
+    minus: frozenset                 # vecs of the roots of r_s0 at -1
     # the inverses of the graded search's n-subsets of the positive roots
     # of r_s0: one object for all candidates with equal graded roots
     subset_inverses: SubsetInverses = field(compare=False, repr=False)
@@ -379,25 +369,30 @@ def unitary_candidates(datum: RootDatum) -> CandidateSet:
     for choice in product(*per_component_vertices):
         u = tuple(sum(v[i] for v in choice) % 1 for i in range(n))
         candidates.add(u)
-    reps = {}
-    for rep in _canonical_points(datum, [TorusPoint(u, (0,) * n)
-                                         for u in sorted(candidates)]):
-        if rep not in reps:
-            reps[rep] = [r for r in datum.r1 if rep.pairing(r.vec)[0] == 0]
+    reps = list(dict.fromkeys(_canonical_points(
+        datum, [TorusPoint(u, (0,) * n) for u in sorted(candidates)])))
+    rows, den = _point_rows(reps, n)
+    on_r1, un = (pairings(rows, den, [r.vec for r in roots])[0]
+                 for roots in (datum.r1, datum.roots))
+    r_s1s = [[r for r, u in zip(datum.r1, row) if u == 0]
+             for row in on_r1.tolist()]
     # the ranks of every R1(s), padded with zero rows, from one stack
-    stack = np.zeros((len(reps), max(map(len, reps.values())), n),
-                     dtype=np.int64)
-    for i, r_s1 in enumerate(reps.values()):
+    stack = np.zeros((len(reps), max(map(len, r_s1s)), n), dtype=np.int64)
+    for i, r_s1 in enumerate(r_s1s):
         stack[i, :len(r_s1)] = [r.vec for r in r_s1]
     full = gauss_jordan(stack, n)[2].all(axis=1).tolist()
+    graded = _in_graded_system(datum, un, den, datum.roots).tolist()
     inverses, out = {}, []
-    for (rep, r_s1), ok in zip(reps.items(), full):
+    for rep, r_s1, ok, in_s0, row in zip(reps, r_s1s, full, graded,
+                                         un.tolist()):
         if ok:
-            r_s0 = [r for r in datum.roots if _in_graded_system(datum, r, rep)]
+            r_s0 = [r for r, g in zip(datum.roots, in_s0) if g]
             positives = tuple(r for r in r_s0 if r.height > 0)
             if positives not in inverses:
                 inverses[positives] = _subset_inverses(positives, n)
-            out.append(UnitaryCandidate(rep, r_s1, r_s0, inverses[positives]))
+            out.append(UnitaryCandidate(rep, r_s1, r_s0, frozenset(
+                r.vec for r, g, u in zip(datum.roots, in_s0, row) if g and u),
+                inverses[positives]))
     out.sort(key=lambda c: c.point.key())
     return CandidateSet(out)
 
@@ -428,9 +423,8 @@ def graded_labels(datum, labels, cand: UnitaryCandidate) -> dict:
     """Exponent k_alpha (of q) for each root of the graded system: the
     positive-pole exponent when alpha(s) = 1 and the negative-pole exponent
     when alpha(s) = -1."""
-    pt = cand.point
-    return {r.vec: labels.thresholds[r.vec][0 if pt.pairing(r.vec)[0] == 0
-                                            else 1] for r in cand.r_s0}
+    return {r.vec: labels.thresholds[r.vec][r.vec in cand.minus]
+            for r in cand.r_s0}
 
 
 def graded_residual_points(datum, subsystem, klabels, rank=None,
@@ -495,16 +489,6 @@ class SubsetInverses:
     norm: int               # largest row 1-norm of adj
     det_max: int            # largest |det(A)|
     vec_sq: int             # largest squared norm of a root
-
-
-def _int_width(bound):
-    """The narrowest integer dtype that holds every integer of absolute
-    value at most `bound`."""
-    import numpy as np
-    for bits in (8, 16, 32, 64):
-        if bound < 1 << (bits - 1):
-            return np.dtype(f"int{bits}")
-    return np.dtype(object)
 
 
 def _subset_inverses(positives, n) -> SubsetInverses:
@@ -582,17 +566,17 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
     cands = datum.unitary_candidates
     if cands.rank_deficient:
         return []
-    found = []
-    for cand in cands.points:
-        kl = graded_labels(datum, labels, cand)
-        for gamma in graded_residual_points(datum, cand.r_s0, kl,
-                                            inverses=cand.subset_inverses):
-            pt = TorusPoint(cand.point.u, gamma)
-            if point_index(datum, labels, pt) != datum.rank:
-                raise TheoremViolation(
-                    "graded/affine index mismatch",
-                    {"point": pt, "index": point_index(datum, labels, pt)})
-            found.append(pt)
+    found = [TorusPoint(cand.point.u, gamma) for cand in cands.points
+             for gamma in graded_residual_points(
+                 datum, cand.r_s0, graded_labels(datum, labels, cand),
+                 inverses=cand.subset_inverses)]
+    # the index of every found point from one product
+    poles, zeros = _threshold_masks(labels, *_point_rows(found, datum.rank),
+                                    datum.roots)
+    for pt, idx in zip(found, (poles.sum(axis=1) - zeros.sum(axis=1)).tolist()):
+        if idx != datum.rank:
+            raise TheoremViolation("graded/affine index mismatch",
+                                   {"point": pt, "index": idx})
     return sorted(set(_canonical_points(datum, found)), key=TorusPoint.key)
 
 
@@ -607,14 +591,14 @@ class ResidualCoset:
     index: int                    # i_L
     center: tuple                 # split exponents of r_L
     k_l: int                      # |K_L| = |T_L cap T^L|
-    pole_roots: list = field(default_factory=list)
-    zero_roots: list = field(default_factory=list)
-    # the orbit's cosets as `_coset_orbit` gave them: [(combo, row, D)]
-    forms: list = field(default_factory=list, compare=False, repr=False)
+    pole_roots: list
+    zero_roots: list
+    # the orbit's cosets as `_coset_orbit` gave them: (combos, rows, D)
+    forms: tuple = field(compare=False, repr=False)
 
     @property
     def orbit_size(self):
-        return len(self.forms)
+        return len(self.forms[0])
 
     @property
     def dim(self):
@@ -636,49 +620,45 @@ class ResidualCoset:
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
     """All residual cosets up to W0: lift residual points of each standard
     parabolic quotient datum and dedupe orbits canonically."""
-    classes = parabolic_classes(datum)
     raw = []
-    for pc in classes:
+    for pc in parabolic_classes(datum):
         if not pc.indices:
             raw.append((pc, TorusPoint.identity(datum.rank)))
             continue
-        sub_labels = restrict_labels(labels, pc)
         # pull T_P points back to T along X -> X_P
-        embed = transpose(pc.y_basis)
-        raw.extend((pc, sub_pt.transform(embed))
-                   for sub_pt in residual_points(pc.sub_datum, sub_labels))
+        rows, den = _point_rows(residual_points(
+            pc.sub_datum, restrict_labels(labels, pc)), pc.sub_datum.rank)
+        un, rn = pairings(rows, den, transpose(pc.y_basis))
+        raw.extend((pc, TorusPoint.from_numerators(den, u, r))
+                   for u, r in zip(un.tolist(), rn.tolist()))
 
+    # each orbit by its least (combo, row), the lexicographic least form
     orbits = {}
     for pc, point in raw:
-        forms = _coset_orbit(datum, pc.indices, point)
-        sig_support, row, den = min(forms)
-        base = _row_to_point(row, den)
-        key = (sig_support, base)
-        if key in orbits:
-            continue
-        std = datum.parabolics[sig_support]
-        poles, zeros = threshold_hits(datum, labels, base, roots=std.roots)
+        combos, rows, den = forms = _coset_orbit(datum, pc.indices, point)
+        least = min(combos)
+        own = rows[[c == least for c in combos]]
+        base = _row_to_point(own[_least_rows(own, len(own))[0]].tolist(), den)
+        orbits.setdefault((least, base), forms)
+    # the threshold hits of every new base point from one product
+    masks = _threshold_masks(labels, *_point_rows(
+        [base for _, base in orbits], datum.rank), datum.roots)
+    out = []
+    for (support, base), *hits in zip(orbits, *(m.tolist() for m in masks)):
+        std = datum.parabolics[support]
+        poles, zeros = ([datum.roots[i] for i in std.key if row[i]]
+                        for row in hits)
         idx = len(poles) - len(zeros)
-        codim = len(sig_support)
-        if idx != codim:
+        if idx != len(support):
             raise TheoremViolation(
                 "coset index differs from codimension",
-                {"support": sig_support, "point": base, "index": idx})
-        coset = ResidualCoset(
-            support=sig_support,
-            support_roots=std.roots,
-            point=base,
-            index=idx,
-            center=base.r,
-            k_l=len(std.k_elems),
-            pole_roots=poles,
-            zero_roots=zeros,
-            forms=forms,
-        )
-        orbits[key] = coset
-    out = sorted(orbits.values(),
-                 key=lambda c: (len(c.support), c.support, c.point.key()))
-    return out
+                {"support": support, "point": base, "index": idx})
+        out.append(ResidualCoset(
+            support=support, support_roots=std.roots, point=base, index=idx,
+            center=base.r, k_l=len(std.k_elems), pole_roots=poles,
+            zero_roots=zeros, forms=orbits[support, base]))
+    return sorted(out, key=lambda c: (len(c.support), c.support,
+                                      c.point.key()))
 
 
 def _coset_orbit(datum, support, point):
@@ -688,14 +668,14 @@ def _coset_orbit(datum, support, point):
 
     An image counts when its support is a standard parabolic subsystem
     `combo`; its standard form is its lexicographically least K_L
-    translate.  Returns [(combo, row, D)]: each row is the integer tuple
-    u + r over D, the lcm of point.den and the K_L denominators of every
-    combo, as `_orbit_rows` has it."""
+    translate.  Returns (combos, rows, D): the combo of each coset and its
+    row u + r, an integer array over D, the lcm of point.den and the K_L
+    denominators of every combo, as `_orbit_rows` has it."""
     import numpy as np
     n, groups = datum.rank, _image_groups(datum, support)
     rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm,
                             lcm(*(datum.parabolics[c].k_den for c in groups)))
-    found = []
+    firsts, combos, parts = [], [], []
     for combo, gs in groups.items():
         entry = datum.parabolics[combo]
         own = rows[gs]
@@ -704,31 +684,12 @@ def _coset_orbit(datum, support, point):
         translates = ((own[:, None, :n] + k_rows[None]) % den).reshape(-1, n)
         least = _least_rows(translates, len(k_rows))
         forms = np.concatenate([translates[least], own[:, n:]], axis=1)
-        firsts = _distinct_rows(forms)
-        found.extend((g, combo, tuple(row), den) for g, row in zip(
-            gs[firsts].tolist(), forms[firsts].tolist()))
-    found.sort(key=lambda f: f[0])
-    return [f[1:] for f in found]
-
-
-def _image_groups(datum, support):
-    """Standard parabolic subset combo -> the ascending indices of the
-    Weyl elements that map R_support onto R_combo, each image looked up
-    by its bit mask in `datum.parabolic_by_mask`.  The groups depend on
-    the datum only; its `coset_images` keeps them by support."""
-    import numpy as np
-    memo = datum.coset_images
-    if support not in memo:
-        by_mask = datum.parabolic_by_mask
-        groups = {}
-        for g, mask in enumerate(_image_masks(datum,
-                                              datum.parabolics[support].key)):
-            image = by_mask.get(mask)
-            if image is not None:
-                groups.setdefault(image.indices, []).append(g)
-        memo[support] = {combo: np.array(gs, dtype=np.intp)
-                         for combo, gs in groups.items()}
-    return memo[support]
+        own = _distinct_rows(forms)
+        firsts.append(gs[own])
+        combos.extend([combo] * len(own))
+        parts.append(forms[own])
+    order = np.argsort(np.concatenate(firsts)).tolist()
+    return [combos[i] for i in order], np.concatenate(parts)[order], den
 
 
 # -- classification suite ------------------------------------------------------
@@ -779,144 +740,129 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     members = _coset_members(cosets)
     bad = _nested_coset_violations(datum, members)
     checks.append(CheckResult("nested-cosets-distinct-centers", not bad,
-                              f"{len(members)} cosets compared",
+                              f"{len(members[0])} cosets compared",
                               bad[:3]))
 
     # the residual points are the dim-0 cosets, already canonical and sorted
     points = [c.point for c in cosets if c.dim == 0]
+    rows, den = _point_rows(points, datum.rank)
+    un, rn = pairings(rows, den, [r.vec for r in datum.roots])
 
     # conjugate-inverse stays in the orbit of the graded reflection group
     bad = []
-    for pt in points:
-        gens = [r for r in datum.positive_roots
-                if _in_graded_system(datum, r, pt)]
-        rows, _ = _orbit_rows([pt], *_graded_action(datum, gens))
+    for pt, graded in zip(points, _in_graded_system(datum, un, den,
+                                                    datum.roots).tolist()):
+        gens = [r for r, g in zip(datum.roots, graded) if g and r.height > 0]
+        orbit, _ = _orbit_rows([pt], *_graded_action(datum, gens))
         star = pt.star()
-        if not (rows == np.array(star.un + star.rn, dtype=rows.dtype)
+        if not (orbit == np.array(star.un + star.rn, dtype=orbit.dtype)
                 ).all(axis=1).any():
             bad.append(pt)
     checks.append(CheckResult("conjugate-inverse-in-graded-orbit", not bad,
                               f"{len(points)} point orbit(s)", bad[:3]))
 
     # split exponents lie in the half-group g Z generated by the labels
-    g = Fraction(0)
-    for f0, f1 in labels.pairs.values():
-        g = _frac_gcd(_frac_gcd(g, Fraction(f0, 2)), Fraction(f1, 2))
-    bad = []
-    for pt in points:
-        for root in datum.roots:
-            rn = pt.pairing(root.vec)[1]
-            if rn and not (g and rn * g.denominator %
-                           (pt.den * g.numerator) == 0):
-                bad.append((pt, root.vec, Fraction(rn, pt.den)))
+    den_g, halves = _numerators([Fraction(f, 2) for pair in
+                                 labels.pairs.values() for f in pair])
+    g = Fraction(gcd(*halves), den_g)
+    bad = [(pt, root.vec, pt.value_of(root.vec)[1])
+           for pt, row in zip(points, rn.tolist())
+           for root, x in zip(datum.roots, row)
+           if x and not (g and x * g.denominator % (den * g.numerator) == 0)]
     checks.append(CheckResult("split-exponents-in-label-group", not bad,
                               "", bad[:3]))
 
     # unitary parts have order <= 2 on doubled components
-    bad = []
-    for pt in points:
-        for comp in datum.components():
-            comp_roots = [r for r in datum.roots
-                          if any(r.alpha[i] for i in comp)]
-            if not any(datum.doubled[r.vec] for r in comp_roots):
-                continue
-            for r in comp_roots:
-                if 2 * pt.pairing(r.vec)[0] % pt.den:
-                    bad.append((pt, r.vec))
+    comps = [[k for k, r in enumerate(datum.roots)
+              if any(r.alpha[i] for i in comp)] for comp in datum.components()]
+    comps = [c for c in comps if any(datum.doubled[datum.roots[k].vec]
+                                     for k in c)]
+    bad = [(pt, datum.roots[k].vec) for pt, row in zip(points, un.tolist())
+           for c in comps for k in c if 2 * row[k] % den]
     checks.append(CheckResult("order-two-on-doubled-summands", not bad,
                               "", bad[:3]))
 
     if check_nonintersection:
-        bad = _tempered_intersections(datum, members)
+        bad = _meeting_pairs(datum, members, False)
         checks.append(CheckResult("tempered-cosets-disjoint", not bad,
                                   "advisory", bad[:3]))
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
 
 
 def _coset_members(cosets):
-    """Every coset of every orbit, in standard form: (combo, point,
-    orbit representative), in the order in which `residual_cosets` met
-    each orbit's cosets."""
-    return [(combo, _row_to_point(row, den), coset)
-            for coset in cosets for combo, row, den in coset.forms]
+    """The cosets of every orbit in standard form, as `residual_cosets`
+    met them: (combos, rows over one D, D, the orbit index of each)."""
+    import numpy as np
+    den = lcm(*(c.forms[2] for c in cosets))
+    rows = [r.astype(_product_dtype(den // d, d, r)) * (den // d)
+            for _, r, d in (c.forms for c in cosets)]
+    return ([combo for c in cosets for combo in c.forms[0]],
+            np.concatenate(rows), den,
+            np.repeat(np.arange(len(cosets)), [c.orbit_size for c in cosets]))
+
+
+def _meeting_pairs(datum, members, nested):
+    """Pairs ((c1, p1), (c2, p2)) of member cosets with one center whose
+    points agree on the intersection of the saturated lattices spanned by
+    R_c1 and R_c2.  Nested: distinct cosets, one combo holding the other,
+    so one coset holds the other; by center in order of first occurrence,
+    then in member order.  Otherwise: from different orbits, so that their
+    tempered forms meet; in member order.  One stable lexsort groups the
+    members by center, one `pairings` product per pair of combos compares
+    them, and points are built for the pairs found alone."""
+    import numpy as np
+    combos, rows, den, owners = members
+    n, shift = datum.rank, datum.n_simple
+    mask = {c: sum(1 << i for i in c) for c in set(combos)}
+    lattice = {m: datum.parabolics[c].lattice for c, m in mask.items()}
+    masks = np.array([mask[c] for c in combos], dtype=np.int64)
+    order = np.lexsort(rows[:, n:].T[::-1])
+    group = np.cumsum(np.r_[True, (rows[order[1:], n:] !=
+                                   rows[order[:-1], n:]).any(axis=1)])
+    lead = np.empty_like(order)
+    lead[order] = order[np.searchsorted(group, group)]
+    # the pairs in one group, by their distance in the order
+    first, second = np.concatenate([np.zeros((2, 0), np.intp)] + [
+        np.stack([order[:-t], order[t:]])[:, group[:-t] == group[t:]]
+        for t in range(1, np.bincount(group).max())], axis=1)
+    a, b = masks[first], masks[second]
+    keep = (((a & b) == a) | ((a & b) == b)) & (
+        (a != b) | (rows[first] != rows[second]).any(axis=1)) if nested \
+        else owners[first] != owners[second]
+    first, second = first[keep], second[keep]
+    keys = (masks[first] << shift) | masks[second]
+    hit = np.zeros(len(keys), dtype=bool)
+    for key in np.unique(keys).tolist():
+        run = np.flatnonzero(keys == key)
+        m1, m2 = divmod(key, 1 << shift)
+        # a combo's lattice lies in the lattice of a combo holding it
+        vecs = lattice[m1] if (m1 & m2) == m1 else lattice[m2] if \
+            (m1 & m2) == m2 else _lattice_intersection(lattice[m1],
+                                                       lattice[m2], n)
+        (u1, r1), (u2, r2) = (pairings(rows[side[run]], den, vecs)
+                              for side in (first, second))
+        hit[run] = ((u1 == u2) & (r1 == r2)).all(axis=1)
+    first, second = first[hit], second[hit]
+    by = np.lexsort((second, first, lead[first]) if nested else (second, first))
+    return [tuple((combos[i], _row_to_point(rows[i].tolist(), den))
+                  for i in pair)
+            for pair in zip(first[by].tolist(), second[by].tolist())]
 
 
 def _nested_coset_violations(datum, members):
-    """Pairs (c1, p1, c2, p2) of distinct cosets among the members (combo,
-    point, orbit) that share a center and of which one contains the
-    other: nested cosets sharing a center must coincide."""
-    bad = []
-    by_center = {}
-    for combo, pt, _ in members:
-        by_center.setdefault(pt.split_part(), []).append((combo, pt))
-    for group in by_center.values():
-        for (c1, p1), (c2, p2) in combinations(group, 2):
-            if (c1, p1) == (c2, p2):
-                continue
-            if _coset_contains(datum, c1, p1, c2, p2) or \
-               _coset_contains(datum, c2, p2, c1, p1):
-                bad.append((c1, p1, c2, p2))
-    return bad
+    """(c1, p1, c2, p2) for distinct member cosets sharing a center of
+    which one contains the other: nested cosets sharing a center must
+    coincide."""
+    return [(*a, *b) for a, b in _meeting_pairs(datum, members, True)]
 
 
-def _coset_contains(datum, combo_small, pt_small, combo_big, pt_big):
-    """Whether the coset (combo_small, pt_small) is contained in the bigger
-    one: R_big is inside R_small, which for standard parabolic subsets
-    means combo_big is a subset of combo_small, and the two points agree
-    on the saturated lattice spanned by R_big."""
-    return set(combo_big) <= set(combo_small) and \
-        pt_small.agrees_on(pt_big, datum.parabolics[combo_big].lattice)
-
-
-def _in_graded_system(datum, root, point):
-    """Whether alpha(s) = 1 for the unitary part s, or alpha(s) = -1 on a
-    doubled root."""
-    un = point.pairing(root.vec)[0]
-    if datum.doubled[root.vec]:
-        return 2 * un % point.den == 0
-    return un == 0
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """The generator of aZ + bZ (non-negative)."""
-    return Fraction(gcd(a.numerator * b.denominator,
-                        b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
-def _tempered_intersections(datum, members):
-    """Pairs of tempered cosets from different orbits that intersect."""
-    bad = []
-    for (c1, p1, rep1), (c2, p2, rep2) in combinations(members, 2):
-        if rep1 is rep2:
-            continue
-        if _tempered_meet(datum, c1, p1, c2, p2):
-            bad.append(((c1, p1), (c2, p2)))
-    return bad
-
-
-def _tempered_meet(datum, c1, p1, c2, p2):
-    """Whether r1 T^{L1}_u meets r2 T^{L2}_u (exact)."""
-    # every point of L^temp has the split exponent vector of the base
-    if p1.split_part() != p2.split_part():
-        return False
-    # unitary parts: (u1 + U1) meets (u2 + U2) in (Q/Z)^n iff u1 - u2 lies
-    # in U1 + U2, where U_i = Ann(_L_i X) is the unitary part of T^{L_i};
-    # by Q/Z-duality U1 + U2 = Ann(_L_1 X cap _L_2 X).
-    low1, low2 = datum.parabolics[c1].lattice, datum.parabolics[c2].lattice
-    if not low1 or not low2:
-        return True  # one annihilator is everything
-    return p1.agrees_on(p2, _lattice_intersection(low1, low2, datum.rank))
-
-
-def _lattice_intersection(rows1, rows2, n):
-    """Basis of the intersection of two saturated sublattices of Z^n."""
-    comp1 = integer_kernel(rows1)
-    comp2 = integer_kernel(rows2)
-    combined = comp1 + comp2
-    if not combined:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    return integer_kernel(combined)
+def _in_graded_system(datum, un, den, roots):
+    """(k, m) booleans from the u numerators over den that `pairings`
+    gives: whether alpha(s) = 1 at the unitary part s, or alpha(s) = -1 on
+    a doubled root."""
+    import numpy as np
+    doubled = np.array([datum.doubled[r.vec] for r in roots], dtype=bool)
+    return np.where(doubled, 2 * un % den == 0, un == 0)
 
 
 # -- scaling -------------------------------------------------------------------
@@ -942,28 +888,21 @@ def kl_real_point_check(datum: RootDatum, labels: LabelFunction):
     diagram are 0 and 2), and all root values are integral powers of q^f.
     Returns (ok, vectors) with the simple-value exponent vectors in units
     of f."""
-    fvals = {f0 for f0, f1 in labels.pairs.values()} | \
-            {f1 for f0, f1 in labels.pairs.values()}
+    fvals = {f for pair in labels.pairs.values() for f in pair}
     if len(fvals) != 1:
         raise ValueError("check requires equal labels")
     f = fvals.pop()
     if f == 0:
         return True, []
-    points = residual_points(datum, labels)
-    real_points = [p for p in points if not any(p.un)]
-    vectors = []
-    ok = True
-    for p in real_points:
-        dom = dominant_split_representative(datum, p)
-        vals = tuple(dom.value_of(a)[1] / f for a in datum.simple_roots)
-        vectors.append(vals)
-        if any(v not in (0, 1) for v in vals):
-            ok = False
-        # every root value is an integral power of q^f
-        unit = dom.den * f.numerator
-        if any(dom.pairing(root.vec)[1] * f.denominator % unit
-               for root in datum.roots):
-            ok = False
+    doms = [dominant_split_representative(datum, p)
+            for p in residual_points(datum, labels) if not any(p.un)]
+    vectors = [tuple(dom.value_of(a)[1] / f for a in datum.simple_roots)
+               for dom in doms]
+    rows, den = _point_rows(doms, datum.rank)
+    rn = pairings(rows, den, [r.vec for r in datum.roots])[1].tolist()
+    # every root value is an integral power of q^f
+    ok = all(v in (0, 1) for vals in vectors for v in vals) and not any(
+        x * f.denominator % (den * f.numerator) for row in rn for x in row)
     return ok, sorted(vectors)
 
 
@@ -975,12 +914,10 @@ def casselman_tempered(weights, datum: RootDatum) -> bool:
     split exponents pair <= 0 with the dominant cone generators and are
     zero on the central directions."""
     rays = _integral_rays(datum)
-    central = datum.central_lattice()
-    for t in weights:
-        if any(t.pairing(ray)[1] > 0 for ray in rays) or \
-                any(t.pairing(z)[1] for z in central):
-            return False
-    return True
+    rn = pairings(*_point_rows(weights, datum.rank),
+                  rays + datum.central_lattice())[1]
+    return bool((rn[:, :len(rays)] <= 0).all() and
+                (rn[:, len(rays):] == 0).all())
 
 
 def casselman_discrete(weights, datum: RootDatum) -> bool:
@@ -988,8 +925,8 @@ def casselman_discrete(weights, datum: RootDatum) -> bool:
     central lattice and strictly negative pairings on the cone."""
     if datum.central_lattice():
         return False
-    rays = _integral_rays(datum)
-    return all(t.pairing(ray)[1] < 0 for t in weights for ray in rays)
+    rn = pairings(*_point_rows(weights, datum.rank), _integral_rays(datum))[1]
+    return bool((rn < 0).all())
 
 
 def _integral_rays(datum):

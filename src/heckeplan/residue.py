@@ -44,9 +44,11 @@ import numpy as np
 
 from .residual import (
     TorusPoint,
+    _matches,
     _orbit_rows,
-    _row_to_point,
+    _point_rows,
     canonical_point,
+    pairings,
     residual_cosets,
 )
 from .rootdata import LabelFunction, RootDatum
@@ -95,18 +97,22 @@ def kernel_divisors(datum, labels):
     return out
 
 
-def divisors_through(divisors, point: TorusPoint):
-    """Divisors vanishing at an exact point: 1 = d theta_vec(t)."""
-    return [d for d in divisors if point.takes(d.vec, -d.u0, -d.r0)]
+def divisors_through(divisors, rows, den):
+    """The divisors vanishing at each point row over den, 1 = d theta_vec(t),
+    from one `pairings` product."""
+    un, rn = pairings(rows, den, [d.vec for d in divisors])
+    hits = _matches(un, [-d.u0 * den % den for d in divisors]) & \
+        _matches(rn, [-d.r0 * den for d in divisors])
+    return [[d for d, hit in zip(divisors, row) if hit]
+            for row in hits.tolist()]
 
 
-def net_pole_order(divisors, point, exclude_ring=None) -> int:
-    total = 0
-    for d in divisors_through(divisors, point):
-        if d.ring == exclude_ring:
-            continue
-        total += d.sign
-    return total
+def net_pole_orders(divisors, points, exclude_ring=None):
+    """Vanishing denominator minus numerator factors at each exact point,
+    the ring `exclude_ring` left out."""
+    rows, den = _point_rows(points, len(divisors[0].vec))
+    return [sum(d.sign for d in through if d.ring != exclude_ring)
+            for through in divisors_through(divisors, rows, den)]
 
 
 # -- quadrature -----------------------------------------------------------------
@@ -408,9 +414,9 @@ class ResidueEngine:
 
     @cached_property
     def _point_orbit(self):
-        """Canonical point -> index of its dim-0 residual coset."""
-        return {canonical_point(self.datum, c.point): k
-                for k, c in enumerate(self._cosets) if c.dim == 0}
+        """Canonical point -> index of its dim-0 residual coset; the base
+        points of `residual_cosets` are canonical."""
+        return {c.point: k for k, c in enumerate(self._cosets) if c.dim == 0}
 
     @cached_property
     def _ring_targets(self):
@@ -419,20 +425,21 @@ class ResidueEngine:
         Only divisors constant on the coset (direction parallel to the
         support) count."""
         targets = {}
-        weyl = self.datum.weyl
+        weyl, n = self.datum.weyl, self.datum.rank
+        poles = [d for d in self.divisors if d.sign > 0]
         for k, coset in enumerate(self._cosets):
-            if coset.dim != self.datum.rank - 1 or not coset.support_roots:
+            if coset.dim != n - 1 or not coset.support_roots:
                 continue
             dirs = weyl.mats @ np.array(coset.support_roots[0].vec)
             rows, den = _orbit_rows([coset.point], weyl.invts,
                                     weyl.invt_norm)
-            for img_dir, row in zip(dirs.tolist(), rows.tolist()):
+            for img_dir, row, through in zip(dirs.tolist(), rows.tolist(),
+                                             divisors_through(poles, rows, den)):
                 pdir = direction(img_dir)[0]
-                pt = _row_to_point(row, den)
-                for d in self.divisors:
-                    if d.sign > 0 and d.ring[0] == pdir and \
-                            pt.takes(d.vec, -d.u0, -d.r0):
-                        targets.setdefault(d.ring, set()).add((pt.r, k))
+                for d in through:
+                    if d.ring[0] == pdir:
+                        targets.setdefault(d.ring, set()).add(
+                            (tuple(F(x, den) for x in row[n:]), k))
         return targets
 
     def _orbit_of(self, point):
@@ -547,8 +554,9 @@ class ResidueEngine:
             pos = _point_on_segment(ell0, (F(0),), s)
             # the shift moves upward from deep negative toward 0
             jump = self._bracket(pos, 0, 1, step)
-            genuine = [c for c in ring_candidates(self.divisors, key)
-                       if net_pole_order(self.divisors, c) > 0]
+            cands = ring_candidates(self.divisors, key)
+            genuine = [c for c, order in zip(
+                cands, net_pole_orders(self.divisors, cands)) if order > 0]
             orbits = [self._orbit_of(c) for c in genuine]
             if len(orbits) == 1 and orbits[0] is not None:
                 point_masses.append(self._mass(orbits[0], -jump))
@@ -669,9 +677,9 @@ class ResidueEngine:
                 for c in ring_candidates(self.divisors, key, other):
                     if c.r == pos:
                         on_here.add(c)
-            genuine = [c for c in sorted(on_here, key=TorusPoint.key)
-                       if net_pole_order(self.divisors, c,
-                                         exclude_ring=key) > 0]
+            on_here = sorted(on_here, key=TorusPoint.key)
+            genuine = [c for c, order in zip(on_here, net_pole_orders(
+                self.divisors, on_here, exclude_ring=key)) if order > 0]
             if not genuine:
                 continue
             if s == 1:

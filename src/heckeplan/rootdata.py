@@ -439,13 +439,13 @@ class RootDatum:
     @cached_property
     def graded_actions(self) -> dict:
         """Tuple of roots -> the reflection subgroup they generate, as
-        `residual._graded_action` returns it; filled on use."""
+        `_graded_action` returns it; filled on use."""
         return {}
 
     @cached_property
     def coset_images(self) -> dict:
         """Standard parabolic subset -> its Weyl images that are standard,
-        grouped, as `residual._image_groups` returns them; filled on
+        grouped, as `_image_groups` returns them; filled on
         use."""
         return {}
 
@@ -511,6 +511,43 @@ def _image_masks(datum, key):
     import numpy as np
     images = datum.root_permutations[:, list(key)].astype(np.int64)
     return (1 << images).sum(axis=1).tolist()
+
+
+def _image_groups(datum, support):
+    """Standard parabolic subset combo -> the ascending indices of the
+    Weyl elements that map R_support onto R_combo, each image looked up
+    by its bit mask in `datum.parabolic_by_mask`.  The groups depend on
+    the datum only; its `coset_images` keeps them by support."""
+    import numpy as np
+    memo = datum.coset_images
+    if support not in memo:
+        by_mask = datum.parabolic_by_mask
+        groups = {}
+        for g, mask in enumerate(_image_masks(datum,
+                                              datum.parabolics[support].key)):
+            image = by_mask.get(mask)
+            if image is not None:
+                groups.setdefault(image.indices, []).append(g)
+        memo[support] = {combo: np.array(gs, dtype=np.intp)
+                         for combo, gs in groups.items()}
+    return memo[support]
+
+
+def _graded_action(datum, roots):
+    """(inverse transposes, largest row 1-norm) of the subgroup generated
+    by the reflections in the given roots, as `WeylGroup` has them; the
+    datum's `graded_actions` keeps each one by its tuple of roots."""
+    import numpy as np
+    key = tuple(roots)
+    memo = datum.graded_actions
+    if key not in memo:
+        n = datum.rank
+        vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
+            [r.vec for r in key], [r.coroot for r in key]))
+        gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
+        _, invts, _ = reflection_closure(gens, n)
+        memo[key] = invts, int(np.abs(invts).sum(axis=2).max(initial=0))
+    return memo[key]
 
 
 def _level_step(gens, level, previous):

@@ -777,6 +777,17 @@ def omega_factor_descriptors(datum, labels):
     return cancel_factor_lists(num, den)
 
 
+def nonzero_product(values):
+    """(the product of the nonzero Laurent values, the number of zeros)."""
+    out, zeros = ONE, 0
+    for v in values:
+        if v.is_zero():
+            zeros += 1
+        else:
+            out = out * v
+    return out, zeros
+
+
 def factor_value(desc, point) -> QLaurent:
     vec, u0, r0 = desc
     u, r = point.value_of(vec)
@@ -790,24 +801,13 @@ def c_alpha(datum, labels, r1_root, point):
     genuine pole) and pole_order counts vanishing denominator minus
     vanishing numerator factors.
     """
-    num_desc, den_desc = c_factor_descriptors(datum, labels, r1_root)
-    num = ONE
-    den = ONE
-    num_zero = den_zero = 0
-    for d in num_desc:
-        v = factor_value(d, point)
-        if v.is_zero():
-            num_zero += 1
-        num = num * v
-    for d in den_desc:
-        v = factor_value(d, point)
-        if v.is_zero():
-            den_zero += 1
-        den = den * v
+    (num, num_zero), (den, den_zero) = (
+        nonzero_product(factor_value(d, point) for d in descs)
+        for descs in c_factor_descriptors(datum, labels, r1_root))
     order = den_zero - num_zero
     if den_zero > 0:
         return None, order
-    return QRational(num, den), order
+    return QRational(QLaurent() if num_zero else num, den), order
 
 
 def weyl_denominator(datum, point) -> QLaurent:
@@ -826,22 +826,9 @@ def omega_kernel(datum, labels, point):
     that order (value 0).  When distinct divisors cross with net order 0
     no continuous value exists and (None, 0) is returned.
     """
-    num_desc, den_desc = omega_factor_descriptors(datum, labels)
-    num = ONE
-    den = ONE
-    num_zero = den_zero = 0
-    for d in num_desc:
-        v = factor_value(d, point)
-        if v.is_zero():
-            num_zero += 1
-        else:
-            num = num * v
-    for d in den_desc:
-        v = factor_value(d, point)
-        if v.is_zero():
-            den_zero += 1
-        else:
-            den = den * v
+    (num, num_zero), (den, den_zero) = (
+        nonzero_product(factor_value(d, point) for d in descs)
+        for descs in omega_factor_descriptors(datum, labels))
     order = den_zero - num_zero
     if order > 0:
         return None, order

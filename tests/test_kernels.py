@@ -44,7 +44,10 @@ from heckeplan.residual import (
     _image_groups,
     _in_graded_system,
     _int_width,
+    _matches,
     _orbit_rows,
+    _point_rows,
+    _threshold_masks,
     _r1_simple_coords,
     _row_to_point,
     _subset_inverses,
@@ -53,6 +56,7 @@ from heckeplan.residual import (
     graded_residual_points,
     inverse_transpose_matrices,
     orbit_of_point,
+    pairings,
     point_index,
     residual_cosets,
     residual_points,
@@ -988,23 +992,66 @@ def test_point_encoding_matches_fractions():
         assert other != pt
 
 
+def _takes(un, rn, den, u0, r0):
+    """Whether a character value from `pairings` over den is
+    e^{2 pi i u0} q^{r0}, by `_matches` as the residue engine asks it."""
+    return bool(_matches(np.array([[un]], dtype=object), [u0 * den % den])
+                & _matches(np.array([[rn]], dtype=object), [r0 * den]))
+
+
 def test_pairing_matches_fraction_sums():
     rng = random.Random(43)
     for _ in range(300):
         n = rng.randint(1, 5)
         u, r = _random_point_data(rng, n)
         pt = TorusPoint(u, r)
-        for _ in range(5):
-            vec = tuple(rng.randint(-4, 4) for _ in range(n))
+        vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(5)]
+        rows, den = _point_rows([pt], n)
+        assert den == pt.den
+        un, rn = (x[0].tolist() for x in pairings(rows, den, vecs))
+        for vec, x, y in zip(vecs, un, rn):
             uval, rval = _fraction_value(vec, u, r)
-            un, rn = pt.pairing(vec)
-            assert 0 <= un < pt.den
-            assert (Fraction(un, pt.den), Fraction(rn, pt.den)) == \
+            assert 0 <= x < pt.den
+            assert (Fraction(x, pt.den), Fraction(y, pt.den)) == \
                 (uval, rval) == pt.value_of(vec)
-            # takes: the value itself, and values off by 1/2 or in r
-            assert pt.takes(vec, uval + rng.randint(-2, 2), rval)
-            assert not pt.takes(vec, uval + Fraction(1, 2), rval)
-            assert not pt.takes(vec, uval, rval + Fraction(1, 10 ** 6 + 3))
+            # the value itself, and values off by 1/2 or in r
+            assert _takes(x, y, den, uval + rng.randint(-2, 2), rval)
+            assert not _takes(x, y, den, uval + Fraction(1, 2), rval)
+            assert not _takes(x, y, den, uval,
+                              rval + Fraction(1, 10 ** 6 + 3))
+
+
+def test_pairings_of_a_mixed_batch_match_fraction_sums():
+    # one batch over the lcm of mixed denominators, on int64 while the
+    # bound allows and past it on Python integers; empty vecs and rows
+    rng = random.Random(44)
+    for n in range(1, 6):
+        small = [TorusPoint([Fraction(rng.randint(0, 11), 12),
+                             *(Fraction(rng.randint(-9, 9), 5)
+                               for _ in range(n - 1))],
+                            [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                             for _ in range(n)]) for _ in range(6)]
+        large = [TorusPoint(*_random_point_data(rng, n)) for _ in range(6)]
+        vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(7)]
+        for points, wide in ((small, False), (small + large, True)):
+            rows, den = _point_rows(points, n)
+            assert den == lcm(*(p.den for p in points))
+            un, rn = pairings(rows, den, vecs)
+            assert un.shape == rn.shape == (len(points), len(vecs))
+            assert (un.dtype == object) == (rn.dtype == object) == wide
+            for p, urow, rrow in zip(points, un.tolist(), rn.tolist()):
+                assert all(0 <= x < den for x in urow)
+                assert [(Fraction(x, den), Fraction(y, den))
+                        for x, y in zip(urow, rrow)] == \
+                    [_fraction_value(v, p.u, p.r) for v in vecs] == \
+                    [p.value_of(v) for v in vecs]
+            for empty in ([], np.zeros((0, n), dtype=np.int64)):
+                assert [x.shape for x in pairings(rows, den, empty)] == \
+                    [(len(points), 0)] * 2
+        rows, den = _point_rows([], n)
+        assert rows.shape == (0, 2 * n) and den == 1
+        assert [x.shape for x in pairings(rows, den, vecs)] == \
+            [(0, len(vecs))] * 2
 
 
 def test_point_operations_match_fractions():
@@ -1025,10 +1072,15 @@ def test_point_operations_match_fractions():
             [sum(m[i][j] * p.r[j] for j in range(n)) for i in range(n)])
         vecs = [tuple(rng.randint(-3, 3) for _ in range(n))
                 for _ in range(3)]
-        assert p.agrees_on(q, vecs) == all(
+        # points agree on vecs when their rows over one denominator pair
+        # to equal values
+        un, rn = pairings(*_point_rows([p, q, TorusPoint(p.u, p.r)], n),
+                          vecs)
+        agree = ((un == un[0]) & (rn == rn[0])).all(axis=1).tolist()
+        assert agree[1] == all(
             _fraction_value(v, p.u, p.r) == _fraction_value(v, q.u, q.r)
             for v in vecs)
-        assert p.agrees_on(TorusPoint(p.u, p.r), vecs)
+        assert agree[2]
 
 
 def _fraction_threshold_hits(datum, labels, point, roots):
@@ -1055,13 +1107,32 @@ def test_threshold_hits_match_fraction_version(tag, lattice):
         LabelFunction.from_affine_nodes(d, random_label_vector(d, rng))
         for _ in range(2)]
     hits = 0
+    big = 4 * 10 ** 18 + 1
     for labels in label_sets:
+        batch = []
         for p in residual_points(d, labels):
             for pt in list(orbit_of_point(d, p))[:12] + [p.star(), p.inverse()]:
+                batch.append(pt)
                 for roots in (d.roots, d.roots[::3]):
                     got = threshold_hits(d, labels, pt, roots=roots)
                     assert got == _fraction_threshold_hits(d, labels, pt, roots)
                     hits += len(got[0]) + len(got[1])
+        # all points in one batch over mixed denominators, and scaled past
+        # int64 with the labels; the support () has no roots
+        for labs, pts, wide in (
+                (labels, batch, False),
+                (labels.scaled(big), [p.scale_split(big) for p in batch],
+                 True)):
+            rows, den = _point_rows(pts, d.rank)
+            assert (pairings(rows, den, [r.vec for r in d.roots])[1].dtype
+                    == object) == wide
+            for roots in (d.roots, d.roots[::3], []):
+                masks = _threshold_masks(labs, rows, den, roots)
+                assert [m.shape for m in masks] == [(len(pts), len(roots))] * 2
+                for pt, prow, zrow in zip(pts, *(m.tolist() for m in masks)):
+                    assert tuple([r for r, hit in zip(roots, row) if hit]
+                                 for row in (prow, zrow)) == \
+                        _fraction_threshold_hits(d, labs, pt, roots)
     assert hits > 0
 
 
@@ -1105,10 +1176,14 @@ def test_graded_orbit_matches_tuple_closure(tag, lattice):
                   LabelFunction.from_affine_nodes(
                       d, random_label_vector(d, rng))]
     sizes = set()
+    positive = d.positive_roots
     for labels in label_sets:
-        for p in residual_points(d, labels):
-            gens = [r for r in d.positive_roots
-                    if _in_graded_system(d, r, p)]
+        points = residual_points(d, labels)
+        rows, den = _point_rows(points, d.rank)
+        graded = _in_graded_system(d, pairings(
+            rows, den, [r.vec for r in positive])[0], den, positive)
+        for p, in_system in zip(points, graded.tolist()):
+            gens = [r for r, g in zip(positive, in_system) if g]
             invts, norm = _graded_action(d, gens)
             rows, den = _orbit_rows([p], invts, norm)
             assert den == p.den
@@ -1233,6 +1308,15 @@ def _per_combo_coset_orbit(datum, support, point):
     return [f[1:] for f in found]
 
 
+def _form_points(forms):
+    """(combo, point) of each coset of an orbit held as (combos, rows, D)."""
+    combos, rows, den = forms
+    assert rows.shape == (len(combos), 2 * (rows.shape[1] // 2))
+    assert rows.dtype in (np.int64, object)
+    return [(combo, _row_to_point(row, den))
+            for combo, row in zip(combos, rows.tolist())]
+
+
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
                                          ("D4", "Q"), ("F4", "Q"),
                                          ("G2", "Q")])
@@ -1249,13 +1333,12 @@ def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
                                                restrict_labels(labels, pc))}
         for coset in residual_cosets(d, labels):
             firsts = {}
-            for combo, row, den in coset.forms:
-                firsts.setdefault(combo, _row_to_point(row, den))
+            for combo, point in _form_points(coset.forms):
+                firsts.setdefault(combo, point)
             pairs.update(dict.fromkeys(firsts.items()))
         for support, point in pairs:
             got = _coset_orbit(d, support, point)
-            assert [(combo, _row_to_point(row, den))
-                    for combo, row, den in got] == \
+            assert _form_points(got) == \
                 [(combo, _row_to_point(row, den)) for combo, row, den in
                  _per_combo_coset_orbit(d, support, point)]
             supports.add(support)
@@ -1272,17 +1355,17 @@ def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
     big = 2 ** 62 // norm - 1
 
     def widest(r):
-        return max(abs(x) for _, row, _ in _coset_orbit(
-            d, support, TorusPoint([0] * 3, r)) for x in row[3:])
+        rows = _coset_orbit(d, support, TorusPoint([0] * 3, r))[1]
+        return max(abs(x) for row in rows.tolist() for x in row[3:])
 
     point = TorusPoint([0] * 3, max(product((-1, 0, 1), repeat=3),
                                     key=widest))
     assert widest(point.r) * big >= 2 ** 63
     small = _coset_orbit(d, support, point)
     large = _coset_orbit(d, support, point.scale_split(big))
-    assert [(combo, _row_to_point(row, den)) for combo, row, den in large] \
-        == [(combo, _row_to_point(row, den).scale_split(big))
-            for combo, row, den in small]
+    assert small[1].dtype == np.int64 and large[1].dtype == object
+    assert _form_points(large) == [(combo, point.scale_split(big))
+                                   for combo, point in _form_points(small)]
 
 
 # -- the integer cyclotomic kernel against the Fraction class it replaced -------

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heckeplan.residual import (
     TheoremViolation,
     TorusPoint,
+    _row_to_point,
     canonical_point,
     casselman_discrete,
     casselman_tempered,
@@ -314,6 +316,18 @@ def test_casselman_unitary_tempered_not_discrete():
 # -- the nested-coset check ------------------------------------------------------
 
 
+def _injected(members):
+    """For each member (combo, row) with combo nonempty: the point of its
+    row and the members with the coset through the same point with a
+    proper sub-support added, which contains it and shares its center."""
+    combos, rows, den, owners = members
+    for i, combo in enumerate(combos):
+        if combo:
+            yield combo, _row_to_point(rows[i].tolist(), den), (
+                combos + [combo[:-1]], np.concatenate([rows, rows[i:i + 1]]),
+                den, np.append(owners, owners[i]))
+
+
 @pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q")])
 def test_nested_coset_check_reports_contained_member(tag, lattice):
     from heckeplan.residual import _coset_members, _nested_coset_violations
@@ -322,13 +336,9 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     members = _coset_members(residual_cosets(d, labels))
     assert _nested_coset_violations(d, members) == []
     injected = 0
-    for combo, pt, coset in members:
-        if not combo:
-            continue
-        # the coset through the same point with a proper sub-support
-        # contains this one and shares its center
+    for combo, pt, more in _injected(members):
         bigger = combo[:-1]
-        bad = _nested_coset_violations(d, members + [(bigger, pt, coset)])
+        bad = _nested_coset_violations(d, more)
         pairs = [{(c1, p1), (c2, p2)} for c1, p1, c2, p2 in bad]
         assert {(combo, pt), (bigger, pt)} in pairs
         assert all((bigger, pt) in pair for pair in pairs)
@@ -345,9 +355,8 @@ def _injected_witnesses(tag, lattice):
     from heckeplan.residual import _coset_members, _nested_coset_violations
     d = RootDatum.from_type(tag, lattice)
     members = _coset_members(residual_cosets(d, LabelFunction.equal(d)))
-    return [[str(w) for w in _nested_coset_violations(
-        d, members + [(combo[:-1], pt, coset)])]
-        for combo, pt, coset in members if combo]
+    return [[str(w) for w in _nested_coset_violations(d, more)]
+            for _, _, more in _injected(members)]
 
 
 @pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q")])
@@ -362,18 +371,24 @@ def test_nested_coset_witnesses_match_the_frozen_text(tag, lattice):
 def test_coset_members_are_each_orbit_expanded_afresh(tag, lattice):
     # the members are the forms residual_cosets kept from the raw points;
     # as sets they are the orbits expanded again from each base point
-    from heckeplan.residual import _coset_members, _coset_orbit, _row_to_point
+    from heckeplan.residual import _coset_members, _coset_orbit
     d = RootDatum.from_type(tag, lattice)
     rng = random.Random(43)
     for labels in (LabelFunction.equal(d), LabelFunction.from_affine_nodes(
             d, random_label_vector(d, rng))):
         cosets = residual_cosets(d, labels)
-        members = _coset_members(cosets)
-        assert len(members) == sum(c.orbit_size for c in cosets)
-        for coset in cosets:
-            got = [(combo, pt) for combo, pt, rep in members if rep is coset]
-            want = {(combo, _row_to_point(row, den)) for combo, row, den in
-                    _coset_orbit(d, coset.support, coset.point)}
+        combos, rows, den, owners = _coset_members(cosets)
+        assert len(combos) == len(rows) == len(owners) == \
+            sum(c.orbit_size for c in cosets)
+        assert rows.dtype == np.int64 and all(
+            den % c.forms[2] == 0 for c in cosets)
+        for k, coset in enumerate(cosets):
+            got = [(combos[i], _row_to_point(rows[i].tolist(), den))
+                   for i in np.flatnonzero(owners == k)]
+            want_combos, want_rows, want_den = _coset_orbit(
+                d, coset.support, coset.point)
+            want = {(combo, _row_to_point(row, want_den)) for combo, row in
+                    zip(want_combos, want_rows.tolist())}
             assert len(got) == coset.orbit_size == len(set(got))
             assert set(got) == want
 
@@ -401,7 +416,9 @@ def test_classification_suite_passes_rank_five_b_and_c(tag, lattice):
 
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
                                          ("G2", "Q"), ("D4", "Q"),
-                                         ("F4", "Q")])
+                                         ("F4", "Q"), ("A1", "P"),
+                                         ("A2", "P"), ("B2", "Q"),
+                                         ("C2", "P")])
 def test_dim_zero_cosets_are_the_residual_points(tag, lattice):
     # classification_suite reads its residual points off the cosets
     d = RootDatum.from_type(tag, lattice)
@@ -413,3 +430,5 @@ def test_dim_zero_cosets_are_the_residual_points(tag, lattice):
         cosets = residual_cosets(d, labels)
         points = [c.point for c in cosets if c.dim == 0]
         assert points and points == residual_points(d, labels)
+        # so the residue engine keys its point orbits by them directly
+        assert all(canonical_point(d, p) == p for p in points)

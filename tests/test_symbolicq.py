@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from heckeplan.residual import TorusPoint
+from heckeplan.residual import TorusPoint, _point_rows, pairings
 from heckeplan.rootdata import LabelFunction, RootDatum
 from heckeplan.symbolicq import (
     Cyclo,
@@ -181,10 +181,11 @@ def test_omega_kernel_w0_invariance():
 
             def vals(descs):
                 out = []
-                for vec, u0, r0 in descs:
-                    un, rn = pt.pairing(vec)
-                    out.append(((u0 * lift + un * step) % scale,
-                                r0 * lift + rn * step))
+                un, rn = (x[0].tolist() for x in pairings(
+                    *_point_rows([pt], d.rank), [v for v, _, _ in descs]))
+                for (_, u0, r0), x, y in zip(descs, un, rn):
+                    out.append(((u0 * lift + x * step) % scale,
+                                r0 * lift + y * step))
                 return sorted(out)
             return vals(num_i), vals(den_i)
 
