@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .lattice import INT64_SAFE, _int_width, solve_unique
 from .residual import (
@@ -178,10 +178,12 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
     products of level l with the n + 1 generators that are neither in
     level l - 1 nor repeated, and only those two levels are kept.
 
-    When every power q^{-e} is an exact Fraction, the sum is
-    sum_e count_e q^{-e} over the distinct exponents e.  When some power
-    is a float, the order of the additions fixes the rounding, so they
-    are replayed one element at a time in walk order: level by level,
+    The exponents are multiples of their gcd t, and every power q^{-e} is
+    an exact Fraction exactly when s = q^{-t} is.  Then the sum is
+    s^(low/t) sum_j count_j s^j, from one integer sum over the common
+    denominator (`_power_sum`).  When some power is a float, the
+    order of the additions fixes the rounding, so they are replayed one
+    element at a time in walk order: level by level,
     and within a level in the order (element, generator) in which
     `rootdata._level_step` finds them.  That order does not depend on how
     a level is computed.
@@ -202,11 +204,13 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
     walk = np.concatenate(exps)
     low = int(walk.min())
     counts = np.bincount(walk - low)
-    powers = {e: _q_power(qval, F(-e, den))
-              for e in (np.flatnonzero(counts) + low).tolist()}
-    if all(isinstance(p, Fraction) for p in powers.values()):
-        total = sum(int(counts[e - low]) * p for e, p in powers.items())
+    present = (np.flatnonzero(counts) + low).tolist()
+    step = gcd(*present) or 1
+    base = _q_power(qval, F(-step, den))
+    if isinstance(base, Fraction):
+        total = base ** (low // step) * _power_sum(counts[::step], base)
     else:
+        powers = {e: _q_power(qval, F(-e, den)) for e in present}
         first, *rest = walk.tolist()
         total = powers[first]
         for e in rest:
@@ -215,6 +219,25 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
     if with_layers:
         return total, [len(e) for e in exps]
     return total
+
+
+def _power_sum(counts, s):
+    """sum_j counts[j] s^j, j = 0..m, for a Fraction s = a/b, over the
+    common denominator b^m: the integer sum_j counts[j] a^j b^(m - j), by
+    splitting the counts in halves (a half's sum times a power of a or b),
+    so that its big products are few and balanced, and one reduction."""
+    a, b = s.numerator, s.denominator
+
+    def part(cs):
+        """(sum_j cs[j] a^j b^(len - 1 - j), a^len, b^len)"""
+        if len(cs) == 1:
+            return cs[0], a, b
+        lo, a_lo, b_lo = part(cs[:len(cs) // 2])
+        hi, a_hi, b_hi = part(cs[len(cs) // 2:])
+        return lo * b_hi + hi * a_lo, a_lo * a_hi, b_lo * b_hi
+
+    total, _, scale = part(counts.tolist())
+    return F(total, scale // b)
 
 
 def _length_levels(datum, steps, lmax):

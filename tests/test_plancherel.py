@@ -121,6 +121,29 @@ def test_poincare_truncated_matches_product():
         assert abs(float(exact) - float(total)) <= max(bound, 1e-6)
 
 
+@pytest.mark.parametrize("q", [F(2), F(5, 2)])
+def test_poincare_truncated_a1_is_the_geometric_sum(q):
+    # A1/Q at equal labels has one element of length 0 and two of each
+    # length e >= 1, each with q(w) = q^e
+    d = RootDatum.from_type("A1", "Q")
+    cut = 20000
+    x = 1 / q
+    geometric = x * (1 - x ** cut) / (1 - x)
+    total = poincare_truncated(d, LabelFunction.equal(d), q, cut)
+    assert isinstance(total, Fraction) and total == 1 + 2 * geometric
+
+
+def test_power_sum_matches_fraction_sums():
+    import random
+    from heckeplan.plancherel import _power_sum
+    rng = random.Random(5)
+    for _ in range(60):
+        counts = np.array([rng.randint(0, 9) for _ in range(rng.randint(1, 70))])
+        s = F(rng.randint(1, 9), rng.randint(1, 9))
+        assert _power_sum(counts, s) == sum(int(c) * s ** j
+                                            for j, c in enumerate(counts))
+
+
 BOTT_EXPONENTS = {"A1": (1,), "A2": (1, 2), "A3": (1, 2, 3),
                   "B2": (1, 3), "B3": (1, 3, 5), "C3": (1, 3, 5),
                   "G2": (1, 5)}
