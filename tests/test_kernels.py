@@ -1000,58 +1000,40 @@ def _takes(un, rn, den, u0, r0):
 
 
 def test_pairing_matches_fraction_sums():
+    # batches of up to four random points over the lcm of their mixed
+    # denominators, on int64 or past it; then empty vecs and empty rows
     rng = random.Random(43)
-    for _ in range(300):
+    wide = set()
+    for _ in range(150):
         n = rng.randint(1, 5)
-        u, r = _random_point_data(rng, n)
-        pt = TorusPoint(u, r)
+        data = [_random_point_data(rng, n) for _ in range(rng.randint(1, 4))]
+        points = [TorusPoint(u, r) for u, r in data]
         vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(5)]
-        rows, den = _point_rows([pt], n)
-        assert den == pt.den
-        un, rn = (x[0].tolist() for x in pairings(rows, den, vecs))
-        for vec, x, y in zip(vecs, un, rn):
-            uval, rval = _fraction_value(vec, u, r)
-            assert 0 <= x < pt.den
-            assert (Fraction(x, pt.den), Fraction(y, pt.den)) == \
-                (uval, rval) == pt.value_of(vec)
-            # the value itself, and values off by 1/2 or in r
-            assert _takes(x, y, den, uval + rng.randint(-2, 2), rval)
-            assert not _takes(x, y, den, uval + Fraction(1, 2), rval)
-            assert not _takes(x, y, den, uval,
-                              rval + Fraction(1, 10 ** 6 + 3))
-
-
-def test_pairings_of_a_mixed_batch_match_fraction_sums():
-    # one batch over the lcm of mixed denominators, on int64 while the
-    # bound allows and past it on Python integers; empty vecs and rows
-    rng = random.Random(44)
-    for n in range(1, 6):
-        small = [TorusPoint([Fraction(rng.randint(0, 11), 12),
-                             *(Fraction(rng.randint(-9, 9), 5)
-                               for _ in range(n - 1))],
-                            [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-                             for _ in range(n)]) for _ in range(6)]
-        large = [TorusPoint(*_random_point_data(rng, n)) for _ in range(6)]
-        vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(7)]
-        for points, wide in ((small, False), (small + large, True)):
-            rows, den = _point_rows(points, n)
-            assert den == lcm(*(p.den for p in points))
-            un, rn = pairings(rows, den, vecs)
-            assert un.shape == rn.shape == (len(points), len(vecs))
-            assert (un.dtype == object) == (rn.dtype == object) == wide
-            for p, urow, rrow in zip(points, un.tolist(), rn.tolist()):
-                assert all(0 <= x < den for x in urow)
-                assert [(Fraction(x, den), Fraction(y, den))
-                        for x, y in zip(urow, rrow)] == \
-                    [_fraction_value(v, p.u, p.r) for v in vecs] == \
-                    [p.value_of(v) for v in vecs]
-            for empty in ([], np.zeros((0, n), dtype=np.int64)):
-                assert [x.shape for x in pairings(rows, den, empty)] == \
-                    [(len(points), 0)] * 2
+        rows, den = _point_rows(points, n)
+        assert den == lcm(*(p.den for p in points))
+        un, rn = pairings(rows, den, vecs)
+        assert un.shape == rn.shape == (len(points), len(vecs))
+        wide.add(un.dtype == object)
+        for (u, r), pt, urow, rrow in zip(data, points, un.tolist(),
+                                          rn.tolist()):
+            for vec, x, y in zip(vecs, urow, rrow):
+                uval, rval = _fraction_value(vec, u, r)
+                assert 0 <= x < den
+                assert (Fraction(x, den), Fraction(y, den)) == \
+                    (uval, rval) == pt.value_of(vec)
+                # the value itself, and values off by 1/2 or in r
+                assert _takes(x, y, den, uval + rng.randint(-2, 2), rval)
+                assert not _takes(x, y, den, uval + Fraction(1, 2), rval)
+                assert not _takes(x, y, den, uval,
+                                  rval + Fraction(1, 10 ** 6 + 3))
+        for empty in ([], np.zeros((0, n), dtype=np.int64)):
+            assert [x.shape for x in pairings(rows, den, empty)] == \
+                [(len(points), 0)] * 2
         rows, den = _point_rows([], n)
         assert rows.shape == (0, 2 * n) and den == 1
         assert [x.shape for x in pairings(rows, den, vecs)] == \
             [(0, len(vecs))] * 2
+    assert wide == {False, True}
 
 
 def test_point_operations_match_fractions():

@@ -346,6 +346,76 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     assert injected >= 3
 
 
+def _pairwise_meets(datum, members, nested):
+    """The nested-coset and tempered-intersection checks as pairwise loops
+    over (combo, point) members with Fraction values, the reference of the
+    row-based `_meeting_pairs`: nested pairs by center in order of first
+    occurrence, tempered pairs in member order."""
+    from itertools import combinations
+
+    from heckeplan.lattice import _lattice_intersection
+    combos, rows, den, owners = members
+    points = [_row_to_point(row, den) for row in rows.tolist()]
+
+    def agree(p1, p2, vecs):
+        return all((sum(F(v) * x for v, x in zip(vec, p1.u)) -
+                    sum(F(v) * x for v, x in zip(vec, p2.u))) % 1 == 0 and
+                   sum(F(v) * x for v, x in zip(vec, p1.r)) ==
+                   sum(F(v) * x for v, x in zip(vec, p2.r)) for vec in vecs)
+
+    def lattice(c):
+        return datum.parabolics[c].lattice
+
+    out = []
+    if nested:
+        groups = {}
+        for k, p in enumerate(points):
+            groups.setdefault(p.r, []).append(k)
+        pairs = [pair for group in groups.values()
+                 for pair in combinations(group, 2)]
+    else:
+        pairs = [(i, j) for i, j in combinations(range(len(points)), 2)
+                 if owners[i] != owners[j] and points[i].r == points[j].r]
+    for i, j in pairs:
+        (c1, p1), (c2, p2) = (combos[i], points[i]), (combos[j], points[j])
+        if nested:
+            if (c1, p1) != (c2, p2) and (
+                    set(c2) <= set(c1) and agree(p1, p2, lattice(c2)) or
+                    set(c1) <= set(c2) and agree(p1, p2, lattice(c1))):
+                out.append(((c1, p1), (c2, p2)))
+        elif not lattice(c1) or not lattice(c2) or agree(
+                p1, p2, _lattice_intersection(lattice(c1), lattice(c2),
+                                              datum.rank)):
+            out.append(((c1, p1), (c2, p2)))
+    return out
+
+
+@pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q"),
+                                         ("B3", "P")])
+def test_meeting_pairs_match_the_pairwise_loops(tag, lattice):
+    # two members i, k at a time, each injected twice: the coset through
+    # its point with a smaller support, and a copy in the next orbit, so
+    # that both checks report pairs from two centers
+    from heckeplan.residual import _coset_members, _meeting_pairs
+    d = RootDatum.from_type(tag, lattice)
+    cosets = residual_cosets(d, LabelFunction.equal(d))
+    combos, rows, den, owners = _coset_members(cosets)
+    rng = random.Random(67)
+    found = 0
+    for _ in range(12):
+        i, k = rng.sample([i for i, c in enumerate(combos) if c], 2)
+        more = (combos + [combos[i][:-1], combos[k][:-1], combos[i],
+                          combos[k]],
+                np.concatenate([rows, rows[[i, k, i, k]]]), den,
+                np.append(owners, [owners[i], owners[k]] + [
+                    (owners[x] + 1) % len(cosets) for x in (i, k)]))
+        for nested in (True, False):
+            got = _meeting_pairs(d, more, nested)
+            assert got == _pairwise_meets(d, more, nested)
+            found += len(got)
+    assert found
+
+
 NESTED_WITNESSES = Path(__file__).with_name("nested_witnesses.json")
 
 
