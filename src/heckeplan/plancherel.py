@@ -34,7 +34,7 @@ from .symbolicq import (
     QLaurent,
     QRational,
     c_alpha,
-    character_value,
+    character_values,
     nonzero_product,
 )
 
@@ -44,21 +44,30 @@ F = Fraction
 # -- density factor model -------------------------------------------------------
 
 
-def _density_factor_lists(datum, labels, r1_root, point):
+def _density_values(datum, point):
+    """theta_vec(t) at an exact point for every vec the density factors
+    read, the roots of R1 and the doubled roots, from one product."""
+    vecs = [r.vec for r in datum.r1] + [r.vec for r in datum.roots
+                                        if datum.doubled[r.vec]]
+    return dict(zip(vecs, character_values(vecs, point)))
+
+
+def _density_factor_lists(datum, labels, r1_root, values):
     """(numerator values, denominator values) of the density factors for
-    one root of R1 at an exact point, in the combined no-square-root form."""
+    one root of R1 from the `_density_values` at a point, in the combined
+    no-square-root form."""
     vec = r1_root.vec
-    num = [character_value(vec, point) - ONE]
+    num = [values[vec] - ONE]
     half = tuple(v // 2 for v in vec) if all(v % 2 == 0 for v in vec) else None
     if half is not None and half in datum.root_by_vec and datum.doubled[half]:
         a = labels.pole_exponent(half)
         b = labels.minus_pole_exponent(half)
-        bval = character_value(half, point)
+        bval = values[half]
         den = [QLaurent.monomial(b) * bval + ONE,
                QLaurent.monomial(a) * bval - ONE]
     else:
         f0 = labels.f0(vec)
-        den = [QLaurent.monomial(f0) * character_value(vec, point) - ONE]
+        den = [QLaurent.monomial(f0) * values[vec] - ONE]
     return num, den
 
 
@@ -77,7 +86,8 @@ def m_point(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
 def _density_products(datum, labels, roots, point):
     """The products of the nonzero numerator and denominator factors of
     the density over the given roots of R1 at an exact point."""
-    lists = [_density_factor_lists(datum, labels, r, point) for r in roots]
+    values = _density_values(datum, point)
+    lists = [_density_factor_lists(datum, labels, r, values) for r in roots]
     return (nonzero_product(v for f in lists for v in f[i])[0]
             for i in (0, 1))
 
@@ -89,13 +99,14 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     points of the tempered form, where the value is zero when the
     numerator order wins and no continuous value exists otherwise."""
     constant = datum.parabolics[coset.support].r1_vecs
+    at_t, at_base = (_density_values(datum, p) for p in (t, coset.point))
     sides = ([], [])
     for r in datum.r1:
-        vals = _density_factor_lists(datum, labels, r, t)
+        vals = _density_factor_lists(datum, labels, r, at_t)
         if r.vec in constant:
             vals = [[v for v0, v in zip(base, side) if not v0.is_zero()]
                     for base, side in zip(_density_factor_lists(
-                        datum, labels, r, coset.point), vals)]
+                        datum, labels, r, at_base), vals)]
         for side, new in zip(sides, vals):
             side.extend(new)
     (num, num_zero), (den, den_zero) = map(nonzero_product, sides)
@@ -223,21 +234,16 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
 
 def _power_sum(counts, s):
     """sum_j counts[j] s^j, j = 0..m, for a Fraction s = a/b, over the
-    common denominator b^m: the integer sum_j counts[j] a^j b^(m - j), by
-    splitting the counts in halves (a half's sum times a power of a or b),
-    so that its big products are few and balanced, and one reduction."""
-    a, b = s.numerator, s.denominator
-
-    def part(cs):
-        """(sum_j cs[j] a^j b^(len - 1 - j), a^len, b^len)"""
-        if len(cs) == 1:
-            return cs[0], a, b
-        lo, a_lo, b_lo = part(cs[:len(cs) // 2])
-        hi, a_hi, b_hi = part(cs[len(cs) // 2:])
-        return lo * b_hi + hi * a_lo, a_lo * a_hi, b_lo * b_hi
-
-    total, _, scale = part(counts.tolist())
-    return F(total, scale // b)
+    common denominator b^m: the integer sum_j counts[j] a^j b^(m - j).
+    Adjacent blocks (sum, a^len, b^len) are merged pairwise, level by
+    level, so that the big products are few and balanced."""
+    parts = [(c, s.numerator, s.denominator) for c in counts.tolist()]
+    while len(parts) > 1:
+        parts = [(lo * b_hi + hi * a_lo, a_lo * a_hi, b_lo * b_hi)
+                 for (lo, a_lo, b_lo), (hi, a_hi, b_hi)
+                 in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
+    total, _, scale = parts[0]
+    return F(total, scale // s.denominator)
 
 
 def _length_levels(datum, steps, lmax):

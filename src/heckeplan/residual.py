@@ -107,10 +107,16 @@ class TorusPoint:
         return f"TorusPoint(u={self.u!r}, r={self.r!r})"
 
     def value_of(self, vec):
-        """(u, r) of the character value x(t) = e^{2 pi i u} q^r, as
-        Fractions: `pairings` at one point, for output."""
-        return tuple(Fraction(int(x[0, 0]), self.den) for x in pairings(
-            *_point_rows([self], len(self.un)), [vec]))
+        """(u, r) of the character value x(t) = e^{2 pi i u} q^r."""
+        return self.values_of([vec])[0]
+
+    def values_of(self, vecs):
+        """`value_of` of each vector, from one `pairings` product: the one
+        conversion of character values to Fractions, for output."""
+        un, rn = (x[0].tolist() for x in pairings(
+            *_point_rows([self], len(self.un)), vecs))
+        return [(Fraction(u, self.den), Fraction(r, self.den))
+                for u, r in zip(un, rn)]
 
     def inverse(self) -> "TorusPoint":
         return TorusPoint.from_numerators(
@@ -120,18 +126,6 @@ class TorusPoint:
         """The conjugate-inverse t* (split exponents negated)."""
         return TorusPoint.from_numerators(self.den, self.un,
                                           [-x for x in self.rn])
-
-    def split_part(self) -> "TorusPoint":
-        return TorusPoint.from_numerators(self.den, (0,) * len(self.un),
-                                          self.rn)
-
-    def transform(self, inv_t):
-        """Image under the Weyl element whose inverse-transpose matrix on X
-        is inv_t (rows act on the functional coordinates); a non-square
-        inv_t maps to a torus of another rank."""
-        un, rn = pairings(*_point_rows([self], len(self.un)), inv_t)
-        return TorusPoint.from_numerators(self.den, un[0].tolist(),
-                                          rn[0].tolist())
 
     def scale_split(self, eps) -> "TorusPoint":
         eps = Fraction(eps)
@@ -250,15 +244,16 @@ def dominant_split_representative(datum: RootDatum, point: TorusPoint):
 # -- pole/zero thresholds and the index ---------------------------------------
 
 
-def _matches(vals, targets):
-    """Whether vals[i, j] == targets[j], for integers from `pairings` and
-    rational targets; int64 values lie below INT64_SAFE."""
+def _matches(vals, fracs, den):
+    """Whether vals[i, j] == fracs[j] * den, for integers from `pairings`
+    over den and rational fracs; int64 values lie below INT64_SAFE."""
     import numpy as np
-    ok = [t.denominator == 1 and (vals.dtype == object or
-                                  abs(t) < INT64_SAFE) for t in targets]
-    want = np.array([t.numerator if k else 0 for t, k in zip(targets, ok)],
-                    dtype=vals.dtype)
-    return (vals == want) & np.array(ok, dtype=bool)
+    want = [f.numerator * (den // f.denominator) if den % f.denominator == 0
+            else None for f in fracs]
+    ok = [w is not None and (vals.dtype == object or abs(w) < INT64_SAFE)
+          for w in want]
+    return (vals == np.array([w if k else 0 for w, k in zip(want, ok)],
+                             dtype=vals.dtype)) & np.array(ok, dtype=bool)
 
 
 def _threshold_masks(labels, rows, den, roots):
@@ -266,9 +261,8 @@ def _threshold_masks(labels, rows, den, roots):
     zeros): u is 0 or den/2, and r is 0 or a den, b den."""
     un, rn = pairings(rows, den, [r.vec for r in roots])
     unit, half = un == 0, 2 * un == den
-    pairs = [labels.thresholds[r.vec] for r in roots]
-    poles = (unit & _matches(rn, [a * den for a, _ in pairs])) | \
-        (half & _matches(rn, [b * den for _, b in pairs]))
+    a, b = ([labels.thresholds[r.vec][i] for r in roots] for i in (0, 1))
+    poles = unit & _matches(rn, a, den) | half & _matches(rn, b, den)
     return poles, (unit | half) & (rn == 0)
 
 
@@ -896,7 +890,7 @@ def kl_real_point_check(datum: RootDatum, labels: LabelFunction):
         return True, []
     doms = [dominant_split_representative(datum, p)
             for p in residual_points(datum, labels) if not any(p.un)]
-    vectors = [tuple(dom.value_of(a)[1] / f for a in datum.simple_roots)
+    vectors = [tuple(r / f for _, r in dom.values_of(datum.simple_roots))
                for dom in doms]
     rows, den = _point_rows(doms, datum.rank)
     rn = pairings(rows, den, [r.vec for r in datum.roots])[1].tolist()

@@ -101,8 +101,8 @@ def divisors_through(divisors, rows, den):
     """The divisors vanishing at each point row over den, 1 = d theta_vec(t),
     from one `pairings` product."""
     un, rn = pairings(rows, den, [d.vec for d in divisors])
-    hits = _matches(un, [-d.u0 * den % den for d in divisors]) & \
-        _matches(rn, [-d.r0 * den for d in divisors])
+    hits = _matches(un, [-d.u0 % 1 for d in divisors], den) & \
+        _matches(rn, [-d.r0 for d in divisors], den)
     return [[d for d, hit in zip(divisors, row) if hit]
             for row in hits.tolist()]
 
@@ -451,10 +451,8 @@ class ResidueEngine:
         """The mass entry of residual orbit k, labelled by its dimension,
         parabolic and the values of the simple roots at its base point."""
         c = self._cosets[k]
-        vals = []
-        for i in range(self.datum.n_simple):
-            u, r = c.point.value_of(self.datum.simple_roots[i])
-            vals.append(f"({u},{r})")
+        vals = [f"({u},{r})" for u, r in c.point.values_of(
+            self.datum.simple_roots)]
         label = f"dim{c.dim} P={list(c.support)} " + " ".join(vals)
         return MassEntry(label, c.center, value)
 

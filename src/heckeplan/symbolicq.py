@@ -719,9 +719,10 @@ def _poly_gcd_q(a, b):
 # -- kernels built on the datum ----------------------------------------------
 
 
-def character_value(vec, point) -> QLaurent:
-    """Value of theta_x at a torus point, as a one-term Laurent sum."""
-    return QLaurent.point_value(*point.value_of(vec))
+def character_values(vecs, point) -> list:
+    """The values of theta_vec at a torus point, as one-term Laurent sums,
+    from one `pairings` product."""
+    return [QLaurent.point_value(u, r) for u, r in point.values_of(vecs)]
 
 
 def c_factor_descriptors(datum, labels, r1_root):
@@ -788,10 +789,10 @@ def nonzero_product(values):
     return out, zeros
 
 
-def factor_value(desc, point) -> QLaurent:
-    vec, u0, r0 = desc
-    u, r = point.value_of(vec)
-    return ONE - QLaurent.point_value((u0 + u) % 1, r0 + r)
+def factor_values(descs, point) -> list:
+    """1 - d theta_vec(t) at a torus point for each factor (vec, u0, r0)."""
+    return [ONE - QLaurent.point_value((u0 + u) % 1, r0 + r) for (_, u0, r0),
+            (u, r) in zip(descs, point.values_of([d[0] for d in descs]))]
 
 
 def c_alpha(datum, labels, r1_root, point):
@@ -802,7 +803,7 @@ def c_alpha(datum, labels, r1_root, point):
     vanishing numerator factors.
     """
     (num, num_zero), (den, den_zero) = (
-        nonzero_product(factor_value(d, point) for d in descs)
+        nonzero_product(factor_values(descs, point))
         for descs in c_factor_descriptors(datum, labels, r1_root))
     order = den_zero - num_zero
     if den_zero > 0:
@@ -813,8 +814,9 @@ def c_alpha(datum, labels, r1_root, point):
 def weyl_denominator(datum, point) -> QLaurent:
     """Delta(t) = prod over R1,+ of (1 - theta_{-alpha}(t))."""
     out = ONE
-    for r in datum.r1_positive:
-        out = out * (ONE - character_value(tuple(-x for x in r.vec), point))
+    for v in character_values([tuple(-x for x in r.vec)
+                               for r in datum.r1_positive], point):
+        out = out * (ONE - v)
     return out
 
 
@@ -827,7 +829,7 @@ def omega_kernel(datum, labels, point):
     no continuous value exists and (None, 0) is returned.
     """
     (num, num_zero), (den, den_zero) = (
-        nonzero_product(factor_value(d, point) for d in descs)
+        nonzero_product(factor_values(descs, point))
         for descs in omega_factor_descriptors(datum, labels))
     order = den_zero - num_zero
     if order > 0:

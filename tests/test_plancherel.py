@@ -34,6 +34,13 @@ from heckeplan.symbolicq import ONE, QLaurent, QRational
 F = Fraction
 
 
+def _transform(point, mat):
+    """The image of a point under an integer matrix acting on its
+    coordinate vectors, by Fraction sums."""
+    return TorusPoint(*([sum(Fraction(a) * x for a, x in zip(row, xs))
+                         for row in mat] for xs in (point.u, point.r)))
+
+
 def laurent(d):
     return QLaurent({F(k): F(v) for k, v in d.items()})
 
@@ -376,7 +383,7 @@ def test_m_upper_stabilizer_invariance():
             for v in support_vecs)
         if img_support != support_vecs:
             continue
-        img_pt = pt.transform(ait)
+        img_pt = _transform(pt, ait)
         # same coset: compare values when the image point is on it
         val, sing = m_upper(d, labels, coset, img_pt)
         if not sing and not s0:
