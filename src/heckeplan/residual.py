@@ -826,7 +826,7 @@ def _meeting_pairs(datum, members, nested):
     first, second = first[keep], second[keep]
     keys = (masks[first] << shift) | masks[second]
     hit = np.zeros(len(keys), dtype=bool)
-    for key in np.unique(keys).tolist():
+    for key in sorted(set(keys.tolist())):  # np.unique loads numpy.ma
         run = np.flatnonzero(keys == key)
         m1, m2 = divmod(key, 1 << shift)
         # a combo's lattice lies in the lattice of a combo holding it
