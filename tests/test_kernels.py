@@ -20,6 +20,7 @@ import pytest
 from heckeplan import cli
 from heckeplan.lattice import (
     _eliminate_rational,
+    _int_width,
     gauss_jordan,
     int_rank,
     integer_kernel,
@@ -40,17 +41,14 @@ from heckeplan.residual import (
     _candidate_gammas,
     _canonical_points,
     _coset_orbit,
-    _graded_action,
-    _image_groups,
     _in_graded_system,
-    _int_width,
     _matches,
     _orbit_rows,
     _point_rows,
-    _threshold_masks,
     _r1_simple_coords,
     _row_to_point,
     _subset_inverses,
+    _threshold_masks,
     canonical_point,
     graded_labels,
     graded_residual_points,
@@ -69,6 +67,8 @@ from heckeplan.rootdata import (
     Root,
     RootDatum,
     _distinct_rows,
+    _graded_action,
+    _image_groups,
     parabolic_subsystem_roots,
     random_label_vector,
     reflection_closure,
