@@ -13,7 +13,6 @@ from heckeplan.rootdata import (
     RootDatum,
     affine_node_class_keys,
     parabolic_classes,
-    q_of_w,
 )
 
 # the rank-2 type with a doubled direction: X = Q makes the short coroots
@@ -24,11 +23,11 @@ print("positive roots:", [r.vec for r in datum.positive_roots])
 print("doubled:", [r.vec for r in datum.roots if datum.doubled[r.vec]])
 print("long-root system size:", len(datum.r1))
 
-# the Weyl group, ordered by length then word
-elements = datum.weyl_elements()
-print("Weyl group order:", len(elements))
-w0 = datum.longest_element()
-print("longest element length:", w0.length)
+# the Weyl group, ordered by length then word: its last word is a
+# reduced word of the longest element w0
+weyl = datum.weyl_elements()
+print("Weyl group order:", len(weyl))
+print("longest element length:", len(weyl.words[-1]))
 
 # labels: one exponent per affine Dynkin node, constant on conjugacy
 # classes; B2 with X = Q has three independent nodes
@@ -38,8 +37,9 @@ labels = LabelFunction.from_affine_nodes(
 for r in datum.positive_roots:
     print("root", r.vec, "label exponents (f0, f1):", labels.pairs[r.vec])
 
-# q(w) is length-multiplicative; its exponent for the longest element
-print("exponent of q(w0):", q_of_w(labels, w0))
+# q(w) is length-multiplicative; w0 inverts every positive root, so
+# q(w0) is the product of the labels over all of them
+print("exponent of q(w0):", labels.q_w0_exponent())
 
 # standard parabolic subsets up to conjugacy
 for pc in parabolic_classes(datum):

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -57,9 +56,9 @@ def build_parser():
         sp.add_argument("--format", default="text",
                         choices=["text", "json", "csv", "tex"])
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--jobs", type=int,
+        sp.add_argument("--jobs", type=int, default=1,
                         help="parallel worker processes for batch suites "
-                             "(default: $HPK_JOBS, else 1)")
+                             "(default 1)")
         sp.add_argument("--tol", type=float, default=None,
                         help="numeric tolerance override")
 
@@ -283,11 +282,9 @@ def check_classification(args) -> int:
                 for _ in range(3)]))
     if not tasks:
         raise UsageError(f"no suite type of rank at most {args.max_rank}")
-    jobs = args.jobs if args.jobs is not None else \
-        int(os.environ.get("HPK_JOBS", "1"))
-    if jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             batches = list(pool.map(_suite_task, tasks))
     else:
         batches = list(map(_suite_task, tasks))

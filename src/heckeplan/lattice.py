@@ -1,18 +1,18 @@
 """Exact integer/rational linear algebra: Smith normal form, lattice
-quotients, and affine solving over the rationals.
+quotients, and exact solving over the rationals.
 
-Matrices are plain lists of rows; integer matrices hold ints, rational
-ones hold ``fractions.Fraction``.  Every linear system is solved by one
-routine, `gauss_jordan`: fraction-free elimination of a numpy stack of
-integer augmented matrices.  The Fraction-valued solvers scale their
-rows to integers and call it.  The adjugates of every n-subset of a set
-of rows (`subset_adjugates`) come from one table of minors instead.
+Matrices are plain lists of rows of ints (or of Fractions, for
+`solve_unique`) or numpy stacks of integers.  Every linear system is
+solved by one routine, `gauss_jordan`: fraction-free elimination of a
+numpy stack of integer augmented matrices.  `solve_unique`, the one
+Fraction-valued solve, scales its rows to integers and calls it.  The
+adjugates of every n-subset of a set of rows (`subset_adjugates`) come
+from one table of minors instead.
 Everything here is exact -- no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm, prod
@@ -22,22 +22,9 @@ IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
 RatVector = list[Fraction]
 
-INFINITE = float("inf")
-
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    """Matrix product; works for int or Fraction entries."""
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
 def transpose(a):
@@ -128,31 +115,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return d, u, v
 
 
-def snf_diagonal(m: IntMatrix) -> list[int]:
-    d, _, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def torsion_order(sublattice_generators: IntMatrix, ambient_rank: int):
-    """Order of the torsion part of Z^n / (column span of the generators).
-
-    Returns INFINITE when the generators do not span full rank over Q
-    (the quotient then has a free part).
-    """
-    if not sublattice_generators or not sublattice_generators[0]:
-        return 1 if ambient_rank == 0 else INFINITE
-    if len(sublattice_generators) != ambient_rank:
-        raise ValueError("generator columns must live in Z^ambient_rank")
-    diag = snf_diagonal(sublattice_generators)
-    nonzero = [x for x in diag if x != 0]
-    if len(nonzero) < ambient_rank:
-        return INFINITE
-    order = 1
-    for x in nonzero:
-        order *= abs(x)
-    return order
-
-
 def quotient_dual_numerators(generators: IntMatrix, ambient_rank: int):
     """The character group of Z^n / (column span of the generators), which
     must be finite, as integers: (den, elements) with den the lcm of the
@@ -173,17 +135,6 @@ def quotient_dual_numerators(generators: IntMatrix, ambient_rank: int):
     out = {tuple(sum(map(mul, row, combo)) % den for row in scaled)
            for combo in product(*(range(x) for x in diag[:n]))}
     return den, sorted(out)
-
-
-def quotient_dual_elements(generators: IntMatrix, ambient_rank: int):
-    """All u in (Q/Z)^n pairing integrally with every generator column.
-
-    This is the character group of Z^n / (column span); the quotient must
-    be finite.  Elements are returned as tuples of Fractions in [0, 1),
-    sorted, starting with 0.
-    """
-    den, elems = quotient_dual_numerators(generators, ambient_rank)
-    return [tuple(Fraction(x, den) for x in e) for e in elems]
 
 
 # -- the one exact solver: fraction-free Gauss-Jordan elimination ------------
@@ -366,94 +317,32 @@ def _eliminate_rational(m, cols):
     """gauss_jordan on one rational augmented matrix, given as rows of ints
     or Fractions: each row is first scaled to integers by the lcm of its
     denominators, which changes neither the solutions nor the echelon
-    form.  Returns (red rows as Python ints, pivot, pivot columns, the
-    product of the row scales).  The Fraction-valued wrappers below are
-    its only callers."""
+    form.  Returns (red rows as Python ints, pivot, pivot columns)."""
     import numpy as np
-    scale = 1
     rows = []
     for row in m:
         row = [Fraction(x) for x in row]
         s = lcm(1, *(x.denominator for x in row))
-        scale *= s
         rows.append([x.numerator * (s // x.denominator) for x in row])
     width = len(rows[0]) if rows else cols
     aug = np.array(rows, dtype=object).reshape(1, len(rows), width)
     red, pivot, pivots = gauss_jordan(aug, cols)
-    return (red[0].tolist(), int(pivot[0]),
-            np.flatnonzero(pivots[0]).tolist(), scale)
-
-
-@dataclass
-class SolutionSet:
-    """Result of solving A x = b over Q: empty, a unique point, or an
-    affine subspace given by one point plus a kernel basis (from the
-    reduced row echelon form, so the output is canonical)."""
-    kind: str  # "empty" | "unique" | "affine"
-    point: RatVector | None = None
-    basis: list[RatVector] | None = None
-
-
-def solve_affine(a: RatMatrix, b: RatVector) -> SolutionSet:
-    """Exact solution set of A x = b over Q.
-
-    >>> s = solve_affine([[1, 0], [0, 1]], [0, 0])
-    >>> s.kind, s.point
-    ('unique', [Fraction(0, 1), Fraction(0, 1)])
-    """
-    cols = len(a[0]) if a else 0
-    red, pivot, pcols, _ = _eliminate_rational(
-        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
-    if any(row[cols] for row in red[len(pcols):]):
-        return SolutionSet("empty")
-    point = [Fraction(0)] * cols
-    for t, c in enumerate(pcols):
-        point[c] = Fraction(red[t][cols], pivot)
-    free = [c for c in range(cols) if c not in pcols]
-    if not free:
-        return SolutionSet("unique", point=point)
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for t, c in enumerate(pcols):
-            vec[c] = Fraction(-red[t][f], pivot)
-        basis.append(vec)
-    return SolutionSet("affine", point=point, basis=basis)
+    return red[0].tolist(), int(pivot[0]), np.flatnonzero(pivots[0]).tolist()
 
 
 def solve_unique(a: RatMatrix, b: RatVector) -> RatVector | None:
-    """Shortcut: the unique solution of A x = b, or None."""
-    s = solve_affine(a, b)
-    return s.point if s.kind == "unique" else None
+    """The unique solution of A x = b over Q, as Fractions, or None when
+    there is no solution or more than one.
 
-
-def int_rank(rows) -> int:
-    """Rank over Q of integer rows.
-
-    >>> int_rank([[1, 2], [2, 4], [0, 1]])
-    2
+    >>> solve_unique([[1, 0], [0, 1]], [0, 0])
+    [Fraction(0, 1), Fraction(0, 1)]
     """
-    import numpy as np
-    if not rows:
-        return 0
-    m = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    return int(gauss_jordan(m[None], m.shape[1])[2].sum())
-
-
-def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """The inverse of a square rational matrix, as Fractions.
-
-    >>> mat_inverse([[2, 1], [1, 1]])
-    [[Fraction(1, 1), Fraction(-1, 1)], [Fraction(-1, 1), Fraction(2, 1)]]
-    """
-    n = len(a)
-    red, pivot, pcols, _ = _eliminate_rational(
-        [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)], n)
-    if len(pcols) != n:
-        raise ValueError("matrix not invertible")
-    return [[Fraction(x, pivot) for x in row[n:]] for row in red]
+    cols = len(a[0]) if a else 0
+    red, pivot, pcols = _eliminate_rational(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
+    if len(pcols) < cols or any(row[cols] for row in red[cols:]):
+        return None
+    return [Fraction(row[cols], pivot) for row in red[:cols]]
 
 
 def integer_kernel(m: IntMatrix) -> list[list[int]]:
@@ -482,42 +371,10 @@ def saturate(vectors: list[list[int]], ambient_rank: int) -> list[list[int]]:
     """Basis of (Q-span of the vectors) intersect Z^n."""
     if not vectors:
         return []
-    # kernel of the kernel: saturation without Hermite bookkeeping
-    ker = integer_kernel(vectors)  # rows = vectors acting on Z^n? careful:
-    # `vectors` as rows define a map Z^n -> Z^k by pairing; its kernel is the
-    # orthogonal complement; the saturation is the kernel of that complement.
+    # kernel of the kernel, with no Hermite bookkeeping: the vectors as
+    # rows map Z^n -> Z^k by pairing, the kernel of that map is their
+    # orthogonal complement, and the integer kernel of the complement's
+    # basis rows is the span of the vectors intersected with Z^n
+    ker = integer_kernel(vectors)
     return integer_kernel(ker) if ker else [
         [int(i == j) for j in range(ambient_rank)] for i in range(ambient_rank)]
-
-
-def lattice_index(sub_basis: list[list[int]], ambient_basis: list[list[int]]) -> int:
-    """Index [L : M] of one full-rank lattice inside another, both given by
-    basis rows in common coordinates.
-
-    >>> lattice_index([[2, 0], [1, 3]], [[1, 0], [0, 1]])
-    6
-    """
-    k = len(ambient_basis)
-    red, pivot, pcols, _ = _eliminate_rational(
-        [list(col) + list(v) for col, v in zip(transpose(ambient_basis),
-                                                 transpose(sub_basis))], k)
-    if len(pcols) != k or any(any(row[k:]) for row in red[k:]):
-        raise ValueError("bases not compatible")
-    # the coordinates of the sub basis are red[:k, k:] / pivot
-    det = rational_det([row[k:] for row in red[:k]]) / pivot ** k
-    if det == 0:
-        raise ValueError("sublattice not full rank")
-    if det.denominator != 1:
-        raise ValueError("not a sublattice")
-    return abs(int(det))
-
-
-def rational_det(a: RatMatrix) -> Fraction:
-    """The determinant of a square rational matrix.
-
-    >>> rational_det([[1, 2], [3, 4]])
-    Fraction(-2, 1)
-    """
-    n = len(a)
-    _, pivot, pcols, scale = _eliminate_rational(a, n)
-    return Fraction(pivot if len(pcols) == n else 0, scale)

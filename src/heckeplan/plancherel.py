@@ -480,7 +480,8 @@ def density_table(datum, labels, qval=None):
     rows = []
     for k, coset in enumerate(residual_cosets(datum, labels)):
         if coset.dim == 0:
-            sym = m_point(datum, labels, coset.point)
+            # residual_cosets has checked the index of every point
+            sym = m_point(datum, labels, coset.point, check_residual=False)
         else:
             try:
                 sym = m_on_coset(datum, labels, coset,

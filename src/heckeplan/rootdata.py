@@ -26,7 +26,7 @@ representative of the W0-class of P.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -36,8 +36,6 @@ from operator import mul
 from .lattice import (
     gauss_jordan,
     integer_kernel,
-    mat_inverse,
-    mat_vec,
     quotient_dual_numerators,
     saturate,
     solve_unique,
@@ -283,12 +281,7 @@ class RootDatum:
             rhs = [Fraction(int(k == i)) for k in range(self.n_simple)]
             sol = solve_unique(a, rhs)
             if sol is None:
-                # non-semisimple direction: pick any solution
-                from .lattice import solve_affine
-                s = solve_affine(a, rhs)
-                if s.kind == "empty":
-                    raise ValueError("inconsistent coroot data")
-                sol = s.point
+                raise ValueError("semisimple datum required")
             rays.append(tuple(sol))
         return rays
 
@@ -300,10 +293,9 @@ class RootDatum:
     # -- Weyl group -------------------------------------------------------
 
     def weyl_elements(self) -> "WeylGroup":
-        """Generate W0 by `reflection_closure` on the simple reflections:
-        its elements as WeylElement, sorted by (length, word), with their
-        int64 stacks.  Each call generates the group anew; `weyl` holds
-        it once generated."""
+        """Generate W0 by `reflection_closure` on the simple reflections,
+        as its int64 stacks sorted by (length, word).  Each call generates
+        the group anew; `weyl` holds it once generated."""
         import numpy as np
         if self.rank > 5:
             raise ValueError("rank cap exceeded for full Weyl enumeration")
@@ -312,16 +304,13 @@ class RootDatum:
                          for i in range(self.n_simple)],
                         dtype=np.int64).reshape(self.n_simple, n, n)
         mats, invts, words = reflection_closure(gens, n)
-        return WeylGroup([WeylElement(tuple(map(tuple, m)), w, self)
-                          for m, w in zip(mats.tolist(), words)], mats, invts)
+        return WeylGroup(mats, invts, words,
+                         int(np.abs(invts).sum(axis=2).max(initial=0)))
 
     @cached_property
     def weyl(self) -> "WeylGroup":
         """W0, generated on first use by `weyl_elements`."""
         return self.weyl_elements()
-
-    def longest_element(self):
-        return self.weyl[-1]
 
     @cached_property
     def coroot_orbits(self) -> dict[tuple, int]:
@@ -608,114 +597,19 @@ def reflection_closure(gens, n):
     return mats, invts, words
 
 
-@dataclass
-class WeylElement:
-    matrix: tuple
-    word: tuple
-    datum: RootDatum = field(repr=False)
+@dataclass(frozen=True, eq=False)
+class WeylGroup:
+    """W0 as int64 stacks (|W0|, rank, rank) sorted by (length, word): the
+    matrices A and their inverse transposes A^{-T}, with a reduced word of
+    each element and the largest row 1-norm of A^{-T}, which bounds
+    |A^{-T} v| / max|v|."""
+    mats: object
+    invts: object
+    words: list
+    invt_norm: int
 
-    @property
-    def length(self):
-        return len(self.word)
-
-    def act_vec(self, v):
-        return tuple(sum(self.matrix[r][c] * v[c] for c in range(len(v)))
-                     for r in range(len(self.matrix)))
-
-    def root_permutation(self):
-        """Permutation induced on the sorted list of roots of R0."""
-        roots = self.datum.roots
-        index = {r.vec: k for k, r in enumerate(roots)}
-        return tuple(index[self.act_vec(r.vec)] for r in roots)
-
-
-class WeylGroup(list):
-    """The elements of W0 (WeylElement, sorted by (length, word)) with the
-    int64 stacks (|W0|, rank, rank) in the same order of their matrices A
-    and of the inverse transposes A^{-T}, and the largest row 1-norm of
-    A^{-T}, which bounds |A^{-T} v| / max|v|."""
-
-    def __init__(self, elements, mats, invts):
-        super().__init__(elements)
-        self.mats = mats
-        self.invts = invts
-        self.invt_norm = int(abs(invts).sum(axis=2).max(initial=0))
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """Element (w, x) of W = W0 x| X acting by v -> w(v) + x."""
-    matrix: tuple
-    translation: Vec
-
-    def __mul__(self, other):
-        mat = tuple(tuple(sum(self.matrix[r][k] * other.matrix[k][c]
-                              for k in range(len(self.matrix)))
-                          for c in range(len(self.matrix)))
-                    for r in range(len(self.matrix)))
-        tr = tuple(sum(self.matrix[r][k] * other.translation[k]
-                       for k in range(len(self.matrix))) + self.translation[r]
-                   for r in range(len(self.matrix)))
-        return AffineElement(mat, tr)
-
-    @classmethod
-    def translation_by(cls, datum, x):
-        ident = tuple(tuple(int(i == j) for j in range(datum.rank))
-                      for i in range(datum.rank))
-        return cls(ident, tuple(x))
-
-    @classmethod
-    def from_weyl(cls, w: WeylElement):
-        return cls(w.matrix, tuple(0 for _ in range(len(w.matrix))))
-
-
-def affine_length(datum: RootDatum, elem: AffineElement) -> int:
-    """Length of (w, x) in W = W0 x| X (Iwahori-Matsumoto formula)."""
-    total = 0
-    x = elem.translation
-    n = datum.rank
-    minv = mat_inverse([[Fraction(c) for c in row] for row in elem.matrix]) \
-        if n else []
-    for r in datum.positive_roots:
-        pairing = sum(a * b for a, b in zip(x, r.coroot))
-        img = tuple(int(sum(minv[i][j] * r.vec[j] for j in range(n)))
-                    for i in range(n))
-        if datum.root_by_vec[img].height > 0:
-            total += abs(pairing)
-        else:
-            total += abs(pairing - 1)
-    return total
-
-
-def norm_n(datum: RootDatum, elem: AffineElement):
-    """The norm l(w) + ||w(0)^0||; exact (a Fraction) whenever the central
-    part of the translation vanishes, which holds for all semisimple data."""
-    length = affine_length(datum, elem)
-    x = elem.translation
-    if not datum.positive_roots:
-        central = [Fraction(c) for c in x]
-    elif datum.n_simple == datum.rank:
-        # the simple coroots are independent: the datum is semisimple
-        return Fraction(length)
-    else:
-        central = _central_projection(datum, x)
-    sq = sum(Fraction(c) * Fraction(c) for c in central)
-    if sq == 0:
-        return Fraction(length)
-    import math
-    return length + math.sqrt(float(sq))
-
-
-def _central_projection(datum, x):
-    from .lattice import solve_affine
-    a = transpose([[Fraction(c) for c in r] for r in datum.simple_roots])
-    s = solve_affine(a, [Fraction(c) for c in x])
-    if s.kind == "empty":
-        return list(x)
-    if s.kind == "unique":
-        return [Fraction(0)] * datum.rank
-    recon = mat_vec(a, s.point)
-    return [Fraction(xc) - rc for xc, rc in zip(x, recon)]
+    def __len__(self):
+        return len(self.words)
 
 
 class LabelFunction:
@@ -816,12 +710,6 @@ class LabelFunction:
         """Exponent of q(w0) = prod over R_nr,+ of q_{alpha^vee}."""
         return self.q_exponent(self.datum.positive_roots)
 
-    def q_exponent_of(self, w: WeylElement) -> Fraction:
-        """Exponent of q(w) = prod over inversions in R_nr,+ of q_{alpha^vee}."""
-        return self.q_exponent(
-            r for r in self.datum.positive_roots
-            if self.datum.root_by_vec[w.act_vec(r.vec)].height < 0)
-
     def scaled(self, eps: Fraction) -> "LabelFunction":
         eps = Fraction(eps)
         return LabelFunction(
@@ -841,11 +729,6 @@ class LabelFunction:
             return {"node_labels": self.node_values}
         return {"root_labels": {",".join(map(str, v)): [str(f0), str(f1)]
                                 for v, (f0, f1) in sorted(self.pairs.items())}}
-
-
-def q_of_w(labels: LabelFunction, w: WeylElement) -> Fraction:
-    """Exponent of the monomial q(w)."""
-    return labels.q_exponent_of(w)
 
 
 def affine_node_class_keys(datum: RootDatum):

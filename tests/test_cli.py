@@ -75,9 +75,9 @@ def test_classification_batch_prints_the_frozen_rows():
         "e6df8e0c912d7e910f487b973a8c8a864f93742f36a0f33a0ed09f72f54374cf"
 
 
-def test_hpk_jobs_is_read_when_the_batch_runs(monkeypatch):
-    # the parser is built once, so HPK_JOBS set after a first call must
-    # still choose the worker count, and an explicit --jobs still wins
+def test_jobs_reaches_the_pool(monkeypatch):
+    # the parser is built once, and --jobs sets the worker count of the
+    # pool, which runs only for more than one worker
     import concurrent.futures
 
     from heckeplan import cli
@@ -100,7 +100,6 @@ def test_hpk_jobs_is_read_when_the_batch_runs(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InlinePool)
-    monkeypatch.delenv("HPK_JOBS", raising=False)
     code1, out1 = run_cli(*argv)
     assert workers == []
 
@@ -108,8 +107,7 @@ def test_hpk_jobs_is_read_when_the_batch_runs(monkeypatch):
         raise AssertionError("main built its parser again")
 
     monkeypatch.setattr(cli, "build_parser", no_second_parser)
-    monkeypatch.setenv("HPK_JOBS", "2")
-    code2, out2 = run_cli(*argv)
+    code2, out2 = run_cli(*argv, "--jobs", "2")
     assert workers == [2]
     code3, out3 = run_cli(*argv, "--jobs", "1")
     assert workers == [2]

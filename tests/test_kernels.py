@@ -22,14 +22,10 @@ from heckeplan.lattice import (
     _eliminate_rational,
     _int_width,
     gauss_jordan,
-    int_rank,
     integer_kernel,
-    lattice_index,
-    mat_inverse,
-    quotient_dual_elements,
-    rational_det,
+    quotient_dual_numerators,
     saturate,
-    solve_affine,
+    solve_unique,
     transpose,
 )
 from heckeplan.residual import (
@@ -108,24 +104,27 @@ def _fraction_rref(m):
 
 
 def _fraction_solve(a, b):
-    """(kind, point, kernel basis) of A x = b from the Fraction rref."""
+    """(kind, point) of A x = b from the Fraction rref: kind "empty",
+    "unique" or "affine", and the solution that is zero on the free
+    columns."""
     cols = len(a[0]) if a else 0
     red, pivots = _fraction_rref([list(row) + [b[i]]
                                   for i, row in enumerate(a)])
     if cols in pivots:
-        return "empty", None, None
+        return "empty", None
     point = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         point[c] = red[r][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
-        basis.append(vec)
-    return ("affine" if free else "unique"), point, (basis or None)
+    return ("unique" if len(pivots) == cols else "affine"), point
+
+
+def _fraction_inverse(m):
+    """The inverse of a square invertible matrix, from the Fraction rref
+    of [m | I]."""
+    n = len(m)
+    red, _ = _fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)])
+    return [row[n:] for row in red]
 
 
 def _fraction_det(m):
@@ -267,7 +266,6 @@ def test_bareiss_matches_rational_det(n):
     assert got.dtype == red.dtype == np.int64
     want = [_fraction_det(m) for m in mats]
     assert [Fraction(int(x)) for x in got] == want
-    assert [rational_det(m) for m in mats] == want
     assert any(w == 0 for w in want) and any(w != 0 for w in want)
 
 
@@ -334,7 +332,7 @@ def test_gauss_jordan_matches_fraction_rref(kind, rows, cols, k, span):
                        for t in range(rank) for c in pcols)
             assert not any(any(row[:cols]) for row in rd[rank:])
             for j in range(k):
-                kind_j, point, basis = _fraction_solve(
+                kind_j, point = _fraction_solve(
                     [row[:cols] for row in m], [row[cols + j] for row in m])
                 consistent = not any(row[cols + j] for row in rd[rank:])
                 assert consistent == (kind_j != "empty")
@@ -343,9 +341,9 @@ def test_gauss_jordan_matches_fraction_rref(kind, rows, cols, k, span):
                     for t, c in enumerate(pcols):
                         got[c] = Fraction(rd[t][cols + j], p)
                     assert got == point
-                    assert solve_affine([row[:cols] for row in m],
-                                        [row[cols + j] for row in m]) \
-                        .basis == basis
+                assert solve_unique([row[:cols] for row in m],
+                                    [row[cols + j] for row in m]) == \
+                    (point if kind_j == "unique" else None)
 
 
 def test_gauss_jordan_dtype_follows_the_hadamard_bound():
@@ -367,22 +365,8 @@ def test_fraction_wrappers_match_the_fraction_elimination():
             m[-1] = [2 * x for x in m[0]]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
              for _ in range(n)]
-        kind, point, basis = _fraction_solve(m, b)
-        s = solve_affine(m, b)
-        assert (s.kind, s.point, s.basis) == (kind, point, basis)
-        assert rational_det(m) == _fraction_det(m)
-        assert int_rank([[x.numerator for x in row] for row in m]) == \
-            len(_fraction_rref([[x.numerator for x in row] for row in m])[1])
-        if _fraction_det(m):
-            inv, _ = _fraction_rref([list(row) + [int(i == j)
-                                                  for j in range(n)]
-                                     for i, row in enumerate(m)])
-            assert mat_inverse(m) == [row[n:] for row in inv]
-        else:
-            with pytest.raises(ValueError):
-                mat_inverse(m)
-    assert lattice_index([[2, 1], [0, 3]], [[1, 0], [0, 1]]) == 6
-    assert lattice_index([[4, 2], [0, 6]], [[2, 1], [0, 3]]) == 4
+        kind, point = _fraction_solve(m, b)
+        assert solve_unique(m, b) == (point if kind == "unique" else None)
 
 
 # -- the graded candidate search ----------------------------------------------
@@ -404,7 +388,7 @@ def _brute_gammas(positives, klabels, n):
     out = set()
     for combo in combinations(range(len(positives)), n):
         rows = [list(positives[i].vec) for i in combo]
-        kind, point, _ = _fraction_solve(
+        kind, point = _fraction_solve(
             rows, [klabels[positives[i].vec] for i in combo])
         if kind == "unique":
             out.add(tuple(point))
@@ -781,9 +765,8 @@ def test_index_violation_names_the_first_candidate_in_sorted_order():
 
 @pytest.mark.parametrize("tag,lattice", [("D4", "P"), ("B3", "P")])
 def test_enumeration_makes_no_fraction_solve(monkeypatch, tag, lattice):
-    # every Fraction-valued solve (solve_affine, solve_unique, mat_inverse,
-    # rational_det, lattice_index) enters the integer solver through
-    # lattice._eliminate_rational; the enumeration path must not
+    # the Fraction-valued solve, solve_unique, enters the integer solver
+    # through lattice._eliminate_rational; the enumeration path must not
     calls = []
 
     def counted(m, cols):
@@ -793,7 +776,7 @@ def test_enumeration_makes_no_fraction_solve(monkeypatch, tag, lattice):
     monkeypatch.setattr("heckeplan.lattice._eliminate_rational", counted)
     d = RootDatum.from_type(tag, lattice)
     labels = ",".join(map(str, random_label_vector(d, random.Random(5))))
-    solve_affine([[1]], [1])
+    solve_unique([[1]], [1])
     assert calls == [1]
     calls.clear()
     out = io.StringIO()
@@ -803,14 +786,37 @@ def test_enumeration_makes_no_fraction_solve(monkeypatch, tag, lattice):
     assert out.getvalue() and calls == []
 
 
+def test_density_table_makes_no_point_index_call(monkeypatch):
+    # residual_cosets checks the index of every point it returns, so the
+    # density table must not check it again; its output stays the golden one
+    from pathlib import Path
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return point_index(*args, **kwargs)
+
+    for module in ("plancherel", "residual"):
+        monkeypatch.setattr(f"heckeplan.{module}.point_index", counted)
+    argv = ["tables", "--which", "density", "--type", "B3", "--lattice",
+            "P", "--q", "2", "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert calls == []
+    golden = json.loads(Path(__file__).with_name("golden.json").read_text())
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        golden[" ".join(argv)]
+
+
 @pytest.mark.parametrize("tag,lattice", [("G2", "Q"), ("B3", "P"),
                                          ("D4", "P")])
 def test_inverse_transposes_match_exact_inverse(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     got = inverse_transpose_matrices(d)
     want = [tuple(tuple(int(x) for x in row) for row in
-                  transpose(mat_inverse([list(r) for r in e.matrix])))
-            for e in d.weyl]
+                  transpose(_fraction_inverse(m)))
+            for m in d.weyl.mats.tolist()]
     assert got == want
 
 
@@ -818,9 +824,14 @@ def test_inverse_transposes_match_exact_inverse(tag, lattice):
 def test_root_permutations_match_elementwise(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     perms = d.root_permutations
-    assert perms.shape == (len(d.weyl_elements()), len(d.roots))
-    for g, w in enumerate(d.weyl_elements()):
-        assert tuple(perms[g].tolist()) == w.root_permutation()
+    mats = d.weyl_elements().mats.tolist()
+    assert perms.shape == (len(mats), len(d.roots))
+    index = {r.vec: k for k, r in enumerate(d.roots)}
+    for g, m in enumerate(mats):
+        # the permutation of the sorted roots, one mat-vec per root
+        want = tuple(index[tuple(sum(a * b for a, b in zip(row, r.vec))
+                                 for row in m)] for r in d.roots)
+        assert tuple(perms[g].tolist()) == want
 
 
 # -- the parabolic table against the rank tests and lattices it replaced -------
@@ -832,8 +843,10 @@ TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
 
 def _in_span(rows, roots):
     """The roots in the rational span of the rows, by comparing ranks."""
-    rank = int_rank(rows)
-    return [r for r in roots if int_rank(rows + [list(r.vec)]) == rank]
+    def rank(m):
+        return len(_fraction_rref(m)[1])
+    base = rank(rows)
+    return [r for r in roots if rank(rows + [list(r.vec)]) == base]
 
 
 @pytest.mark.parametrize("lattice", ["Q", "P"])
@@ -852,7 +865,8 @@ def test_parabolic_table_matches_span_ranks_and_lattices(tag, lattice):
         if combo:
             low = saturate(rows, n)
             up = integer_kernel([list(d.simple_coroots[i]) for i in combo])
-            elems = quotient_dual_elements(transpose(low + up), n)
+            den, nums = quotient_dual_numerators(transpose(low + up), n)
+            elems = [tuple(Fraction(x, den) for x in u) for u in nums]
         else:
             low, elems = [], [(Fraction(0),) * n]
         assert entry.lattice == low
@@ -1141,8 +1155,7 @@ def _tuple_closure_orbit(datum, roots, point):
         frontier = nxt
     out = set()
     for m in group:
-        inv_t = transpose(mat_inverse([[Fraction(x) for x in row]
-                                       for row in m]))
+        inv_t = transpose(_fraction_inverse(m))
         out.add(TorusPoint(
             [sum(inv_t[i][j] * point.u[j] for j in range(n))
              for i in range(n)],

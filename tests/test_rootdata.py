@@ -1,16 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_plancherel import affine_length
 
 from heckeplan.rootdata import (
-    AffineElement,
     LabelFunction,
     RootDatum,
-    affine_length,
-    norm_n,
     parabolic_classes,
-    q_of_w,
     restrict_labels,
     datum_labels_from_json,
     datum_labels_to_json,
@@ -72,12 +70,26 @@ def test_weight_index():
 
 
 def test_weyl_element_order_and_longest():
-    d = RootDatum.from_type("B2", "Q")
-    els = d.weyl_elements()
-    assert els[0].length == 0
-    assert els[-1].length == 4
-    d = RootDatum.from_type("A2", "Q")
-    assert d.longest_element().length == 3
+    # the stacks and the words agree, in the (length, word) order that
+    # the orbit expansion and the canonical points rely on
+    for tag in ORBIT_TYPES:
+        for lattice in ("Q", "P"):
+            d = RootDatum.from_type(tag, lattice)
+            weyl = d.weyl_elements()
+            words = weyl.words
+            assert len(weyl) == len(words) == len(weyl.mats)
+            assert words == sorted(words, key=lambda w: (len(w), w))
+            assert words[0] == () and len(words[-1]) == len(d.positive_roots)
+            # the word (i,) + v multiplies out to s_i times the row of v
+            ident = np.eye(d.rank, dtype=np.int64)
+            gens = np.array([d.simple_reflection_matrix(i)
+                             for i in range(d.n_simple)])
+            row_of = {w: k for k, w in enumerate(words)}
+            tails = [row_of[w[1:]] for w in words[1:]]
+            assert (weyl.mats[0] == ident).all()
+            assert (gens[[w[0] for w in words[1:]]] @ weyl.mats[tails] ==
+                    weyl.mats[1:]).all()
+            assert (weyl.mats @ weyl.invts.transpose(0, 2, 1) == ident).all()
 
 
 def test_intermediate_lattice_rejects_bad_basis():
@@ -86,34 +98,42 @@ def test_intermediate_lattice_rejects_bad_basis():
         RootDatum.from_type("A2", [[Fraction(1, 3), 0], [0, 1]])
 
 
+def q_of_w(datum, labels, mat):
+    """Exponent of q(w), the product of q_{alpha^vee} over the inversions
+    of w: the positive roots that w makes negative."""
+    return labels.q_exponent(
+        r for r in datum.positive_roots if datum.root_by_vec[tuple(
+            sum(a * b for a, b in zip(row, r.vec)) for row in mat)].height < 0)
+
+
 def test_q_of_w_multiplicative():
     for tag in ("A2", "B2", "B3"):
         d = RootDatum.from_type(tag, "Q")
         labels = LabelFunction.equal(d)
-        els = d.weyl_elements()
+        weyl = d.weyl_elements()
+        els = [tuple(map(tuple, m)) for m in weyl.mats.tolist()]
+        length = {m: len(w) for m, w in zip(els, weyl.words)}
         for w in els:
-            assert q_of_w(labels, w) == w.length
+            assert q_of_w(d, labels, w) == length[w]
         # unequal labels: q(w w') = q(w) q(w') whenever lengths add
         if tag == "B2":
             labels = LabelFunction.from_affine_nodes(d, [2, 1, Fraction(1, 2)])
-            lookup = {e.matrix: e for e in els}
             for w in els:
                 for i in range(d.n_simple):
-                    s = lookup[d.simple_reflection_matrix(i)]
-                    prod = tuple(tuple(
-                        sum(s.matrix[r][k] * w.matrix[k][c] for k in range(2))
+                    s = d.simple_reflection_matrix(i)
+                    sw = tuple(tuple(
+                        sum(s[r][k] * w[k][c] for k in range(2))
                         for c in range(2)) for r in range(2))
-                    sw = lookup[prod]
-                    if sw.length == w.length + 1:
-                        assert q_of_w(labels, sw) == \
-                            q_of_w(labels, s) + q_of_w(labels, w)
+                    if length[sw] == length[w] + 1:
+                        assert q_of_w(d, labels, sw) == \
+                            q_of_w(d, labels, s) + q_of_w(d, labels, w)
 
 
 def test_b2_w0_equal_label_exponent():
     # inversion set of w0 covers R_nr,+; with f = 1 the exponent is l(w0) = 4
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
-    assert q_of_w(labels, d.longest_element()) == 4
+    assert q_of_w(d, labels, d.weyl.mats[-1].tolist()) == 4
     assert labels.q_w0_exponent() == 4
 
 
@@ -123,37 +143,54 @@ def test_affine_length_against_bfs():
     for tag in ("A1", "B2"):
         d = RootDatum.from_type(tag, "Q")
         gens = _affine_generators(d)
-        ident = AffineElement.from_weyl(d.weyl_elements()[0])
+        ident = _translation(d, (0,) * d.rank)
         depth = {ident: 0}
         frontier = [ident]
         for step in range(1, 6):
             nxt = []
             for e in frontier:
                 for g in gens:
-                    f = g * e
+                    f = _compose(g, e)
                     if f not in depth:
                         depth[f] = step
                         nxt.append(f)
             frontier = nxt
         for e, l in depth.items():
-            assert affine_length(d, e) == l
+            assert affine_length(d, *e) == l
+
+
+def _compose(a, b):
+    """The product of affine elements (A, x): v -> A v + x, as tuples."""
+    (ma, xa), (mb, xb) = a, b
+    n = len(ma)
+    mat = tuple(tuple(sum(ma[r][k] * mb[k][c] for k in range(n))
+                      for c in range(n)) for r in range(n))
+    return mat, tuple(sum(ma[r][k] * xb[k] for k in range(n)) + xa[r]
+                      for r in range(n))
+
+
+def _translation(d, x):
+    return tuple(tuple(int(i == j) for j in range(d.rank))
+                 for i in range(d.rank)), tuple(x)
 
 
 def _affine_generators(d):
-    gens = [AffineElement.from_weyl(w) for w in d.weyl_elements()
-            if w.length == 1]
+    weyl = d.weyl_elements()
+    gens = [(tuple(map(tuple, m)), (0,) * d.rank)
+            for m, w in zip(weyl.mats.tolist(), weyl.words) if len(w) == 1]
     # affine node: reflection in the hyperplane <v, theta^vee> = 1
     comp = d.components()[0]
     theta_vee = d.highest_coroot(comp)
     theta = next(r for r in d.positive_roots if r.coroot == theta_vee)
     mat = tuple(tuple(int(i == j) - theta.vec[i] * theta_vee[j]
                       for j in range(d.rank)) for i in range(d.rank))
-    gens.append(AffineElement(mat, theta.vec))
+    gens.append((mat, theta.vec))
     return gens
 
 
 def test_norm_translation():
-    # dominant translations: N(t_x) = l(t_x) = <x, 2 rho^vee>
+    # dominant translations: N(t_x) = l(t_x) = <x, 2 rho^vee>; on a
+    # semisimple datum the norm N is the length
     d = RootDatum.from_type("B2", "Q")
     two_rho_vee = [sum(r.coroot[i] for r in d.positive_roots)
                    for i in range(d.rank)]
@@ -161,22 +198,24 @@ def test_norm_translation():
         # make x dominant: <x, alpha_i^vee> >= 0
         if all(sum(a * b for a, b in zip(x, av)) >= 0
                for av in d.simple_coroots):
-            t = AffineElement.translation_by(d, x)
-            assert norm_n(d, t) == sum(a * b for a, b in zip(x, two_rho_vee))
-    ident = AffineElement.translation_by(d, (0, 0))
-    assert norm_n(d, ident) == 0
+            t = _translation(d, x)
+            assert affine_length(d, *t) == \
+                sum(a * b for a, b in zip(x, two_rho_vee))
+    ident = _translation(d, (0, 0))
+    assert affine_length(d, *ident) == 0
 
 
 def test_norm_subadditive_random():
     d = RootDatum.from_type("B2", "Q")
-    els = [e.matrix for e in d.weyl_elements()]
+    els = [tuple(map(tuple, m)) for m in d.weyl_elements().mats.tolist()]
     rng = random.Random(3)
     for _ in range(200):
-        a = AffineElement(random.Random(rng.random()).choice(els),
-                          (rng.randint(-3, 3), rng.randint(-3, 3)))
-        b = AffineElement(random.Random(rng.random()).choice(els),
-                          (rng.randint(-3, 3), rng.randint(-3, 3)))
-        assert norm_n(d, a * b) <= norm_n(d, a) + norm_n(d, b)
+        a = (random.Random(rng.random()).choice(els),
+             (rng.randint(-3, 3), rng.randint(-3, 3)))
+        b = (random.Random(rng.random()).choice(els),
+             (rng.randint(-3, 3), rng.randint(-3, 3)))
+        assert affine_length(d, *_compose(a, b)) <= \
+            affine_length(d, *a) + affine_length(d, *b)
 
 
 def test_parabolic_classes_counts():
@@ -268,7 +307,7 @@ def _coroot_orbits_by_loop(datum):
     for r in datum.roots:
         if r.coroot in orbit_of:
             continue
-        for m in [e.matrix for e in datum.weyl]:
+        for m in datum.weyl.mats.tolist():
             img = tuple(sum(m[j][i] * r.coroot[j] for j in range(datum.rank))
                         for i in range(datum.rank))
             orbit_of[img] = next_id
