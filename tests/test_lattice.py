@@ -1,11 +1,13 @@
 import doctest
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import heckeplan.lattice
 import pytest
 
 from heckeplan.lattice import (
+    _eliminate_rational,
     identity_matrix,
     integer_kernel,
     quotient_dual_numerators,
@@ -35,6 +37,30 @@ def is_unimodular(m):
 def quotient_order(m, n):
     """The order of Z^n / (column span of m) as its number of characters."""
     return len(quotient_dual_numerators(m, n)[1])
+
+
+def solve_affine(a, b):
+    """The solution set of A x = b over Q read off the package's rational
+    elimination: kind "empty", "unique" (with point) or "affine" (with
+    point and a basis of the direction space)."""
+    cols = len(a[0]) if a else 0
+    red, pivot, pcols = _eliminate_rational(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
+    if any(row[cols] for row in red[len(pcols):]):
+        return SimpleNamespace(kind="empty")
+    point = [Fraction(0)] * cols
+    for t, c in enumerate(pcols):
+        point[c] = Fraction(red[t][cols], pivot)
+    free = [c for c in range(cols) if c not in pcols]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for t, c in enumerate(pcols):
+            vec[c] = Fraction(-red[t][f], pivot)
+        basis.append(vec)
+    return SimpleNamespace(kind="affine" if free else "unique",
+                           point=point, basis=basis)
 
 
 def test_snf_identity():
@@ -111,6 +137,29 @@ def test_quotient_dual_elements():
         # pairing with each generator column is integral
         assert (2 * u[0]) % 1 == 0
         assert u[1] % 1 == 0
+
+
+def test_solve_affine_unique():
+    s = solve_affine([[1, 0], [0, 1]], [0, 0])
+    assert s.kind == "unique"
+    assert s.point == [0, 0]
+    assert solve_unique([[1, 0], [0, 1]], [0, 0]) == s.point
+
+
+def test_solve_affine_underdetermined():
+    s = solve_affine([[1, 1]], [1])
+    assert s.kind == "affine"
+    assert len(s.basis) == 1
+    x = s.point
+    assert x[0] + x[1] == 1
+    assert s.basis[0][0] + s.basis[0][1] == 0
+    assert solve_unique([[1, 1]], [1]) is None
+
+
+def test_solve_affine_empty():
+    s = solve_affine([[1], [1]], [0, 1])
+    assert s.kind == "empty"
+    assert solve_unique([[1], [1]], [0, 1]) is None
 
 
 def test_solve_unique():
