@@ -25,16 +25,16 @@ labels = LabelFunction.equal(datum)
 print("densities at the residual points:")
 for p in residual_points(datum, labels):
     print("  point u =", p.u, " r =", p.r)
-    print("  m =", m_point(datum, labels, p).canonical())
+    print("  m =", m_point(datum, labels, p))
 
 st = steinberg_point(datum, labels)
 print("\nspecial point split exponents:", st.r)
 mass = plancherel_point_mass(datum, labels, st)
-print("orbit mass:", mass.canonical())
+print("orbit mass:", mass)
 print("orbit mass at q=2:", mass.evaluate(Fraction(2)))
 
 res = poincare_product(datum, labels)
-print("\nreciprocal-length product:", res.product.canonical())
+print("\nreciprocal-length product:", res.product)
 for cut in (10, 20, 40):
     total = poincare_truncated(datum, labels, 2, cut)
     print(f"direct sum up to length {cut}: {float(total):.10f}")

@@ -31,7 +31,7 @@ print("all in {0, 1}:", ok)
 for n in (3, 4, 5):
     report = fdim_subregular_c(n, qval=4)
     print(f"\nn = {n}: simple values {report.point_values}")
-    print("  assembled:", report.assembled.canonical())
-    print("  reference:", report.reference.canonical())
+    print("  assembled:", report.assembled)
+    print("  reference:", report.reference)
     print("  exact match:", report.matches, " sign:", report.sign)
     print("  value at q=4:", report.numeric_assembled)

@@ -400,7 +400,7 @@ def table_poincare(args) -> int:
     # exact is complex when an exponent of q has no exact root at qval
     diff = abs(complex(exact) - complex(total))
     rows = [{
-        "product": str(res.product.canonical()),
+        "product": str(res.product),
         "product_at_q": str(exact),
         "truncated_sum": float(total),
         "cut": args.truncate,
@@ -426,8 +426,8 @@ def table_fdim(args) -> int:
         "simple_values": ",".join(str(v) for v in rep.point_values),
         "match": "exact" if rep.matches else "MISMATCH",
         "sign": rep.sign,
-        "assembled": str(rep.assembled.canonical()),
-        "reference": str(rep.reference.canonical()),
+        "assembled": str(rep.assembled),
+        "reference": str(rep.reference),
     }
     if qval is not None:
         row["assembled_at_q"] = str(rep.numeric_assembled)

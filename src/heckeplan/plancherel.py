@@ -33,9 +33,11 @@ from .symbolicq import (
     ONE,
     QLaurent,
     QRational,
+    binomial,
     c_alpha,
-    character_values,
+    is_zero_factor,
     nonzero_product,
+    q_power,
 )
 
 F = Fraction
@@ -45,30 +47,27 @@ F = Fraction
 
 
 def _density_values(datum, point):
-    """theta_vec(t) at an exact point for every vec the density factors
-    read, the roots of R1 and the doubled roots, from one product."""
+    """The integer numerators (u, r) over point.den of theta_vec(t) at an
+    exact point for every vec the density factors read, the roots of R1
+    and the doubled roots, from one product."""
     vecs = [r.vec for r in datum.r1] + [r.vec for r in datum.roots
                                         if datum.doubled[r.vec]]
-    return dict(zip(vecs, character_values(vecs, point)))
+    return dict(zip(vecs, zip(*point.numerators_of(vecs)))), point.den
 
 
-def _density_factor_lists(datum, labels, r1_root, values):
-    """(numerator values, denominator values) of the density factors for
-    one root of R1 from the `_density_values` at a point, in the combined
-    no-square-root form."""
+def _density_factor_lists(datum, labels, r1_root, values, den):
+    """(numerator factors, denominator factors) of the density for one
+    root of R1 from the `_density_values` at a point, in the combined
+    no-square-root form and the term form of `nonzero_product`."""
     vec = r1_root.vec
-    num = [values[vec] - ONE]
+    num = [binomial(*values[vec], den)]
     half = tuple(v // 2 for v in vec) if all(v % 2 == 0 for v in vec) else None
     if half is not None and half in datum.root_by_vec and datum.doubled[half]:
         a = labels.pole_exponent(half)
         b = labels.minus_pole_exponent(half)
-        bval = values[half]
-        den = [QLaurent.monomial(b) * bval + ONE,
-               QLaurent.monomial(a) * bval - ONE]
-    else:
-        f0 = labels.f0(vec)
-        den = [QLaurent.monomial(f0) * values[vec] - ONE]
-    return num, den
+        return num, [binomial(*values[half], den, r0=b, c0=1),
+                     binomial(*values[half], den, r0=a)]
+    return num, [binomial(*values[vec], den, r0=labels.f0(vec))]
 
 
 def m_point(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
@@ -78,18 +77,22 @@ def m_point(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
     vanish at the point."""
     if check_residual and point_index(datum, labels, point) != datum.rank:
         raise ValueError("density is defined at residual points only")
-    num, den = _density_products(datum, labels, datum.r1, point)
-    w0 = QLaurent.monomial(labels.q_w0_exponent())
-    return QRational(w0 * num, den)
+    return _density_product(datum, labels, datum.r1, point,
+                            labels.q_w0_exponent())
 
 
-def _density_products(datum, labels, roots, point):
-    """The products of the nonzero numerator and denominator factors of
-    the density over the given roots of R1 at an exact point."""
+def _density_product(datum, labels, roots, point, w_exponent):
+    """q^w_exponent times the quotient of the products of the nonzero
+    numerator and denominator factors of the density over the given roots
+    of R1 at an exact point."""
     values = _density_values(datum, point)
-    lists = [_density_factor_lists(datum, labels, r, values) for r in roots]
-    return (nonzero_product(v for f in lists for v in f[i])[0]
-            for i in (0, 1))
+    sides = ([q_power(w_exponent)], [])
+    for r in roots:
+        for side, new in zip(sides, _density_factor_lists(datum, labels, r,
+                                                          *values)):
+            side.extend(new)
+    num, den = (nonzero_product(side)[0] for side in sides)
+    return QRational(num, den)
 
 
 def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
@@ -100,13 +103,13 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     numerator order wins and no continuous value exists otherwise."""
     constant = datum.parabolics[coset.support].r1_vecs
     at_t, at_base = (_density_values(datum, p) for p in (t, coset.point))
-    sides = ([], [])
+    sides = ([q_power(labels.q_w0_exponent())], [])
     for r in datum.r1:
-        vals = _density_factor_lists(datum, labels, r, at_t)
+        vals = _density_factor_lists(datum, labels, r, *at_t)
         if r.vec in constant:
-            vals = [[v for v0, v in zip(base, side) if not v0.is_zero()]
+            vals = [[f for f0, f in zip(base, side) if not is_zero_factor(f0)]
                     for base, side in zip(_density_factor_lists(
-                        datum, labels, r, at_base), vals)]
+                        datum, labels, r, *at_base), vals)]
         for side, new in zip(sides, vals):
             side.extend(new)
     (num, num_zero), (den, den_zero) = map(nonzero_product, sides)
@@ -117,18 +120,16 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
                          "singular set")
     if num_zero > den_zero:
         return QRational(QLaurent(), ONE)
-    w0 = QLaurent.monomial(labels.q_w0_exponent())
-    return QRational(w0 * num, den)
+    return QRational(num, den)
 
 
 def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
     """Point density of the base point within its own support datum
     (the factor m_L(t) / m^L(t), constant along the tempered form)."""
     constant = datum.parabolics[coset.support].r1_vecs
-    num, den = _density_products(datum, labels, [
-        r for r in datum.r1 if r.vec in constant], coset.point)
-    w0 = QLaurent.monomial(labels.q_exponent(coset.support_roots))
-    return QRational(w0 * num, den)
+    return _density_product(datum, labels, [
+        r for r in datum.r1 if r.vec in constant], coset.point,
+        labels.q_exponent(coset.support_roots))
 
 
 def m_upper(datum, labels, coset: ResidualCoset, t: TorusPoint):
@@ -399,18 +400,12 @@ def subregular_c_reference(n: int) -> QRational:
     """Closed form for the subregular mass in type C_n:
     (1/4) q (q-1)^{n+2} (q^{n-2}-1) prod_{i=1}^{n-2}(q^{2i+1}-1)
     / ((q^2-1)(q^n-1) prod_{i=1}^{n-1}(q^{2i}-1))."""
-    def binom(e):
-        return QLaurent.monomial(e) - ONE
-    num = QLaurent.monomial(1)
-    for _ in range(n + 2):
-        num = num * binom(1)
-    num = num * binom(n - 2)
-    for i in range(1, n - 1):
-        num = num * binom(2 * i + 1)
-    den = binom(2) * binom(n)
-    for i in range(1, n):
-        den = den * binom(2 * i)
-    return QRational(num, den) * QRational.constant(F(1, 4))
+    num = [q_power(1)] + [binomial(0, e, 1) for e in (
+        [1] * (n + 2) + [n - 2] + [2 * i + 1 for i in range(1, n - 1)])]
+    den = [binomial(0, e, 1) for e in [2, n] + [2 * i for i in range(1, n)]]
+    (num, num_zero), (den, _) = map(nonzero_product, (num, den))
+    return QRational(QLaurent() if num_zero else num, den) * \
+        QRational.constant(F(1, 4))
 
 
 def fdim_subregular_c(n: int, qval=None) -> FormalDimensionReport:
@@ -495,7 +490,7 @@ def density_table(datum, labels, qval=None):
             "point_r": [str(x) for x in coset.point.r],
             "index": coset.index,
             "kL": coset.k_l,
-            "mass_symbolic": str(sym.canonical()) if sym is not None
+            "mass_symbolic": str(sym) if sym is not None
             else "singular-base",
         }
         if qval is not None and sym is not None:

@@ -110,11 +110,17 @@ class TorusPoint:
         """(u, r) of the character value x(t) = e^{2 pi i u} q^r."""
         return self.values_of([vec])[0]
 
+    def numerators_of(self, vecs):
+        """The numerators over `den` of u mod 1 and of r in the value
+        e^{2 pi i u} q^r of each vector, as two integer lists, from one
+        `pairings` product."""
+        return [x[0].tolist() for x in pairings(
+            *_point_rows([self], len(self.un)), vecs)]
+
     def values_of(self, vecs):
-        """`value_of` of each vector, from one `pairings` product: the one
-        conversion of character values to Fractions, for output."""
-        un, rn = (x[0].tolist() for x in pairings(
-            *_point_rows([self], len(self.un)), vecs))
+        """`value_of` of each vector: the one conversion of character
+        values to Fractions, for output."""
+        un, rn = self.numerators_of(vecs)
         return [(Fraction(u, self.den), Fraction(r, self.den))
                 for u, r in zip(un, rn)]
 

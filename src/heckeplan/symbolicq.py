@@ -14,6 +14,12 @@ so a product is an integer convolution (Kronecker substitution for long
 operands) reduced by integer steps: first x^N = 1, then division by
 Phi_N, kept in sparse form.  Fractions appear only in `Cyclo.coeffs`,
 built on demand for text output and for rational coefficients.
+
+The densities and kernels are products of binomials.  `nonzero_product`
+expands such a product at once on integer rows, one per power of q, in
+Z[x]/(x^N - 1), and reduces mod Phi_N once at the end.
+`QRational.canonical` reduces a quotient by the gcd of two integer
+polynomials.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
-from math import cos, gcd, lcm, pi, sin
+from math import cos, gcd, isqrt, lcm, pi, prod, sin
+
+from .lattice import INT64_SAFE
 
 
 # -- cyclotomic numbers -------------------------------------------------------
@@ -245,28 +253,28 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
+        """1/x: the product y of the Galois conjugates of x other than x
+        itself, over the norm x y, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero")
-        mod = _dense_phi(self.n)
-        # extended Euclid: s * self + t * Phi = gcd (a unit)
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                return Cyclo(self.n, [c / r1[0] for c in s1])
-            q, r = _poly_divmod(r0, r1)
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
+        rest = _make(self.n, [1], 1)
+        for a in range(2, self.n):
+            if gcd(a, self.n) == 1:
+                rest = rest * self._galois(a)
+        return rest * (1 / (self * rest).rational_value())
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^{-1}."""
+        return self._galois(-1)
+
+    def _galois(self, a: int) -> "Cyclo":
+        """The image under zeta -> zeta^a, for a prime to the order."""
         if len(self.num) <= 1:
             return self
         n = self.n
         p = [0] * n
         for k, c in enumerate(self.num):
-            p[-k % n] = c
+            p[a * k % n] += c
         return _make(n, _reduce(p, n), self.den)
 
     def is_zero(self) -> bool:
@@ -323,20 +331,6 @@ def _root_num(k: int, n: int) -> tuple:
     return tuple(_reduce(p, n))
 
 
-def _dense_phi(n: int) -> list:
-    p = [Fraction(0)] * (_phi_low(n)[0] + 1)
-    for i, c in cyclotomic_poly(n):
-        p[i] = Fraction(c)
-    return p
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p or [Fraction(0)]
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -344,32 +338,6 @@ def _poly_mul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(_trim(a)) >= len(b) and _trim(a) != [Fraction(0)]:
-        a = _trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for j in range(len(b)):
-            a[d + j] -= c * b[j]
-        a.pop()
-    return q, a
 
 
 # -- Laurent series in q^(1/D) ------------------------------------------------
@@ -393,11 +361,6 @@ class QLaurent:
     def monomial(cls, exponent, coeff=1) -> "QLaurent":
         return cls({Fraction(exponent): coeff if isinstance(coeff, Cyclo)
                     else Cyclo.from_rational(coeff)})
-
-    @classmethod
-    def point_value(cls, u, r) -> "QLaurent":
-        """The value e^{2 pi i u} q^r as a one-term Laurent sum."""
-        return cls({Fraction(r): Cyclo.root_of_unity(u)})
 
     @classmethod
     def constant(cls, x) -> "QLaurent":
@@ -474,11 +437,6 @@ class QLaurent:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def shift(self, e) -> "QLaurent":
-        res = QLaurent()
-        res.terms = {k + Fraction(e): c for k, c in self.terms.items()}
-        return res
 
     def evaluate(self, qval):
         """Value at a numeric q > 0; exact Fraction when all exponents are
@@ -645,42 +603,28 @@ class QRational:
         return complex(n) / complex(d)
 
     def canonical(self) -> "QRational":
-        """Reduced form: integer exponents via rescaling, common gcd
-        removed, denominator monic in its leading coefficient.  Only
-        attempted over rational coefficients; otherwise returns self."""
-        if any(not c.is_rational() for c in self.num.terms.values()) or \
-           any(not c.is_rational() for c in self.den.terms.values()):
+        """Reduced form: the exponents as integers over one denominator,
+        the gcd of the two integer polynomials removed, the denominator
+        monic.  Only attempted over rational coefficients; otherwise
+        returns self."""
+        terms = (self.num.terms, self.den.terms)
+        if any(not c.is_rational() for t in terms for c in t.values()):
             return self
         if self.num.is_zero():
             return QRational(QLaurent(), ONE)
-        exps = list(self.num.terms) + list(self.den.terms)
-        scale = lcm(*(e.denominator for e in exps))
-        shift = min(min(self.num.terms), min(self.den.terms))
-        num = {int((e - shift) * scale): c.rational_value()
-               for e, c in self.num.terms.items()}
-        den = {int((e - shift) * scale): c.rational_value()
-               for e, c in self.den.terms.items()}
-        np = _dense(num)
-        dp = _dense(den)
-        g = _poly_gcd_q(np, dp)
+        scale = lcm(*(e.denominator for e in chain(*terms)))
+        shift = min(chain(*terms))
+        low = shift.numerator * (scale // shift.denominator)
+        (num, num_c), (den, den_c) = (_primitive(t, scale, low)
+                                      for t in terms)
+        g = _poly_gcd(num, den)
         if len(g) > 1:
-            np, _ = _poly_divmod(np, g)
-            dp, _ = _poly_divmod(dp, g)
-        np, dp = _trim(np), _trim(dp)
-        lead = dp[-1]
-        np = [c / lead for c in np]
-        dp = [c / lead for c in dp]
-        # strip common monomial factor q^k
-        knum = next(i for i, c in enumerate(np) if c != 0)
-        kden = next(i for i, c in enumerate(dp) if c != 0)
-        k = min(knum, kden)
-        np, dp = np[k:], dp[k:]
-        back = Fraction(1, scale)
-        new_num = QLaurent({Fraction(i) * back: c
-                            for i, c in enumerate(np) if c})
-        new_den = QLaurent({Fraction(i) * back: c
-                            for i, c in enumerate(dp) if c})
-        return QRational(new_num, new_den)
+            num, den = _poly_quotient(num, g), _poly_quotient(den, g)
+        lead = den[-1]
+        return QRational(*(QLaurent({Fraction(i, scale): c * f
+                                     for i, c in enumerate(p) if c})
+                           for p, f in ((num, num_c / (den_c * lead)),
+                                        (den, Fraction(1, lead)))))
 
     def __str__(self):
         c = self.canonical()
@@ -697,32 +641,319 @@ class QRational:
         return f"\\frac{{{c.num.to_tex()}}}{{{c.den.to_tex()}}}"
 
 
-def _dense(d: dict):
-    size = max(d) + 1
-    out = [Fraction(0)] * size
-    for e, c in d.items():
-        out[e] = c
+def _primitive(terms: dict, scale: int, low: int):
+    """(p, c) for the rational terms of a nonzero Laurent sum x: p the
+    primitive integer coefficients, low to high, of a polynomial with
+    x = c q^(low/scale) p(q^(1/scale))."""
+    ks = {e.numerator * (scale // e.denominator) - low: c
+          for e, c in terms.items()}
+    den = lcm(*(c.den for c in ks.values()))
+    p = [0] * (max(ks) + 1)
+    for k, c in ks.items():
+        p[k] = c.num[0] * (den // c.den)
+    g = gcd(*p)
+    return [a // g for a in p], Fraction(g, den)
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    """A gcd of two primitive integer polynomials (coefficients low to
+    high, the top one nonzero), by the primitive remainder sequence:
+    pseudo-remainders with their content removed."""
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        g = gcd(*r)
+        a, b = b, [c // g for c in r]
+    return [1]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """The remainder of lead(b)^k a by b, k the number of division steps,
+    so that every step stays integral; trailing zeros trimmed."""
+    r, lead, size = list(a), b[-1], len(b)
+    while len(r) >= size:
+        c = r.pop()
+        at = len(r) + 1 - size
+        r = [lead * v for v in r]
+        for j in range(size - 1):
+            r[at + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _poly_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials where b divides a over Z."""
+    a, size, lead = list(a), len(b), b[-1]
+    out = [0] * (len(a) - size + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = out[i] = a[i + size - 1] // lead
+        if c:
+            for j in range(size):
+                a[i + j] -= c * b[j]
     return out
 
 
-def _poly_gcd_q(a, b):
-    a, b = _trim(a), _trim(b)
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _trim(r)
-    # normalize monic
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
+# -- products of binomials --------------------------------------------------
+
+
+def binomial(u, r, den, u0=0, r0=0, c=1, c0=-1) -> tuple:
+    """The factor c e^{2 pi i (u0 + u/den)} q^(r0 + r/den) + c0, for
+    integers u, r over den > 0 and rationals u0, r0, in the term form of
+    `nonzero_product`."""
+    return ((c, u0.numerator * den + u * u0.denominator, u0.denominator * den,
+             r0.numerator * den + r * r0.denominator, r0.denominator * den),
+            (c0, 0, 1, 0, 1))
+
+
+def q_power(e) -> tuple:
+    """The one-term factor q^e, in the term form of `nonzero_product`."""
+    return ((1, 0, 1, e.numerator, e.denominator),)
+
+
+def is_zero_factor(factor) -> bool:
+    """Whether a factor of at most two terms (c, j, n, k, d) is 0: it has
+    no term, its one term has c = 0, or its two terms share the power of q
+    and c1 zeta_n1^j1 = -c2 zeta_n2^j2."""
+    if len(factor) < 2:
+        return not factor or not factor[0][0]
+    (c1, j1, n1, k1, d1), (c2, j2, n2, k2, d2) = factor
+    if k1 * d2 != k2 * d1 or abs(c1) != abs(c2):
+        return False
+    # the turn from the second root to the first, in units of 1/(n1 n2)
+    turn = (j1 * n2 - j2 * n1) % (n1 * n2)
+    return 2 * turn == n1 * n2 if c1 == c2 else turn == 0
+
+
+def nonzero_product(factors):
+    """(the product of the nonzero factors as a QLaurent, the number of
+    zero factors).
+
+    A factor is a tuple of at most two terms (c, j, n, k, d), each the
+    monomial c zeta_n^j q^(k/d) with c a nonzero integer or Fraction and
+    n, d > 0; `binomial` and `q_power` build them.  The product is one
+    integer expansion (`_ring_product`), reduced mod the cyclotomic
+    polynomials once.  Each coefficient is stored at the order that
+    multiplying the factors one at a time in `QLaurent` arithmetic gives
+    it: the lcm of the orders that reach it, where a sum that cancels to
+    zero drops out with the orders it held."""
+    import numpy as np
+    block, tags, lo, (den, q_den), zeros, bound = _ring_product(factors)
+    n = block.shape[1]
+    terms = {}
+    for tag in sorted(set(tags.tolist()) - {-1}):
+        order = _tag_order(n, tag)
+        rows = np.flatnonzero(tags == tag)
+        nums = _reduce_block(block[rows][:, ::n // order], order, bound)
+        for row, num in zip(rows.tolist(), nums.tolist()):
+            while num and not num[-1]:
+                num.pop()
+            if num:
+                terms[Fraction(lo + row, q_den)] = _make(order, num, den)
+    out = QLaurent()
+    out.terms = terms
+    return out, zeros
+
+
+def _ring_product(factors):
+    """(block, tags, lo, (den, D), zeros, bound) for the product of the
+    nonzero factors of `nonzero_product`.
+
+    Row i of the integer block holds the coefficient of q^((lo + i)/D),
+    over the common denominator `den` of the rational coefficients, as the
+    coefficients of x^0, ..., x^(N-1) in Z[x]/(x^N - 1), x standing for
+    zeta_N.  A term c zeta_n^j q^(k/d) shifts the rows by k D/d, rotates
+    the columns by j N/n and scales them by c, so a binomial costs two
+    shifted adds.  Entries stay within `bound`, the product of the
+    factors' coefficient 1-norms: the block is int64 below
+    `lattice.INT64_SAFE` and Python integers above it.
+
+    The order of row i is kept as tags[i], with bit b set when the prime
+    power of bit b (`_order_bits`) divides it, so the lcm of two orders is
+    the or of their tags; -1 marks a row that is 0."""
+    import numpy as np
+    kept, zeros = [], 0
+    for factor in factors:
+        terms = [(c, j % n // g, n // g, k // h, d // h)
+                 for c, j, n, k, d in factor
+                 for g, h in ((gcd(j, n), gcd(k, d)),)]
+        if is_zero_factor(terms):
+            zeros += 1
+        else:
+            kept.append(terms)
+    n = lcm(*{t[2] for terms in kept for t in terms})
+    q_den = lcm(*{t[4] for terms in kept for t in terms})
+    powers = [power for power, _ in _order_bits(n)]
+    tag_of = {m: sum(1 << b for b, p in enumerate(powers) if m % p == 0)
+              for m in {t[2] for terms in kept for t in terms}}
+    steps, lo, den, bound = [], 0, 1, 1
+    for terms in kept:
+        scale = lcm(*(c.denominator for c, *_ in terms))
+        den *= scale
+        shifts = [k * (q_den // d) for *_, k, d in terms]
+        low = min(shifts)
+        lo += low
+        step = [(int(c * scale), j * (n // m), k - low,
+                 tag_of[m]) for (c, j, m, _, _), k in zip(terms, shifts)]
+        bound *= sum(abs(t[0]) for t in step)
+        steps.append((step, max(shifts) - low))
+    dtype = np.dtype(np.int64 if bound < INT64_SAFE else object)
+    block, tags, found = _expand(steps, n, dtype, bound, check=False)
+    if found:
+        block, tags, _ = _expand(steps, n, dtype, bound, check=True)
+    return block, tags, lo, (den, q_den), zeros, bound
+
+
+def _expand(steps, n, dtype, bound, check):
+    """(block, tags, found): the expansion of `_ring_product`.
+
+    A row is 0 when its integer row is 0 or when its value at zeta_n is 0.
+    A row of the second kind must drop out with its orders like one of the
+    first, so with `check` every step clears them.  Without it they are
+    looked for once, at the end, and `found` tells whether a step before
+    the last left one: then the expansion is to be run with `check`."""
+    import numpy as np
+    block = np.zeros((1, n), dtype)
+    block[0, 0] = 1
+    tags = np.zeros(1, np.int64)
+    live = np.ones(1, bool)
+    kept = []
+    for terms, span in steps:
+        size = len(block) + span
+        new = np.zeros((size, n), dtype)
+        new_tags = np.zeros(size, np.int64)
+        for c, col, at, tag in terms:
+            rows = new[at:at + len(block)]
+            if col:
+                _add(rows[:, col:], block[:, :n - col], c)
+                _add(rows[:, :col], block[:, n - col:], c)
+            else:
+                _add(rows, block, c)
+            if n > 1:  # at n = 1 every order is 1
+                seg = new_tags[at:at + len(block)]
+                np.bitwise_or(seg, tags | tag if tag else tags, out=seg,
+                              where=live)
+        live = new.any(axis=1)
+        if check:
+            at = np.flatnonzero(live)
+            gone = at[_vanishing(new[at], n, bound)]
+            new[gone] = 0
+            live[gone] = False
+        elif n > 1:
+            kept.append((new, live))
+        block, tags = new, new_tags
+    tags[~live] = -1
+    found = False
+    if len(kept) > 1:
+        blocks, lives = zip(*kept[:-1])
+        found = bool(_vanishing(np.concatenate(blocks)[np.concatenate(lives)],
+                                n, bound).any())
+    return block, tags, found
+
+
+def _add(rows, src, c):
+    """rows += c * src, in place."""
+    if c == 1:
+        rows += src
+    elif c == -1:
+        rows -= src
+    else:
+        rows += c * src
+
+
+@lru_cache(maxsize=None)
+def _order_bits(n: int) -> tuple:
+    """(p^a, p) for every prime power p^a > 1 dividing n: bit b of a tag
+    is set when the order it tags is a multiple of entry b's p^a."""
+    out, m, p = [], n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        power = p
+        while m % p == 0:
+            out.append((power, p))
+            power *= p
+            m //= p
+        p += 1
+    return tuple(out)
+
+
+def _tag_order(n: int, tag: int) -> int:
+    """The order a tag stands for: the product of the primes of its
+    bits."""
+    return prod(p for b, (_, p) in enumerate(_order_bits(n)) if tag >> b & 1)
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(n: int):
+    """(M, norm): row i of the integer matrix M is x^(phi(n) + i) mod
+    Phi_n in the power basis, for phi(n) + i < n, built by the recurrence
+    x^(j+1) = x x^j; norm is the largest row 1-norm of x^j mod Phi_n over
+    all j < n."""
+    import numpy as np
+    deg, low = _phi_low(n)
+    top = np.zeros(deg, np.int64)  # x^deg = -(the terms below the lead)
+    for i, c in low:
+        top[i] = -c
+    mat = np.zeros((n - deg, deg), np.int64)
+    mat[:1] = top
+    for i in range(1, n - deg):
+        mat[i, 1:] = mat[i - 1, :-1]
+        mat[i] += mat[i - 1, -1] * top
+    return mat, max([1] + [int(np.abs(row).sum()) for row in mat])
+
+
+def _reduce_block(rows, n: int, bound: int):
+    """The integer rows (coefficients of x^0..x^(n-1), entries within
+    `bound`) reduced mod Phi_n: one product with `_reduction_matrix`, on
+    int64 while bound times its row norm stays below INT64_SAFE."""
+    mat, norm = _reduction_matrix(n)
+    if bound * norm >= INT64_SAFE:
+        rows, mat = rows.astype(object), mat.astype(object)
+    deg = n - len(mat)
+    return rows[:, :deg] + rows[:, deg:] @ mat
+
+
+def _vanishing(rows, n: int, bound: int):
+    """For integer rows of coefficients of x^0..x^(n-1), whether each
+    takes the value 0 at zeta_n.  A row with a nonzero value at the
+    n-th root of unity w modulo the prime p (`_evaluation_point`) is not
+    0, since x -> w maps Phi_n to 0; the others are reduced mod Phi_n."""
+    import numpy as np
+    p, powers = _evaluation_point(n)
+    values = (rows % p).astype(powers.dtype) @ powers % p
+    out = values == 0
+    at = np.flatnonzero(out)
+    if len(at):
+        out[at] = ~(_reduce_block(rows[at], n, bound) != 0).any(axis=1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _evaluation_point(n: int):
+    """(p, powers): the least prime p = 1 mod n above 2^20, and w^j mod p
+    for j < n, w of order n mod p, as an array of the dtype in which a sum
+    of n products of two residues stays exact."""
+    import numpy as np
+    p = (2 ** 20 // n + 1) * n + 1
+    while p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += n
+    primes = {q for _, q in _order_bits(n)}
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes):
+            break
+        g += 1
+    powers = [1] * n
+    for j in range(1, n):
+        powers[j] = powers[j - 1] * w % p
+    return p, np.array(powers, dtype=np.int64 if n * p * p < INT64_SAFE
+                       else object)
 
 
 # -- kernels built on the datum ----------------------------------------------
-
-
-def character_values(vecs, point) -> list:
-    """The values of theta_vec at a torus point, as one-term Laurent sums,
-    from one `pairings` product."""
-    return [QLaurent.point_value(u, r) for u, r in point.values_of(vecs)]
 
 
 def c_factor_descriptors(datum, labels, r1_root):
@@ -778,21 +1009,12 @@ def omega_factor_descriptors(datum, labels):
     return cancel_factor_lists(num, den)
 
 
-def nonzero_product(values):
-    """(the product of the nonzero Laurent values, the number of zeros)."""
-    out, zeros = ONE, 0
-    for v in values:
-        if v.is_zero():
-            zeros += 1
-        else:
-            out = out * v
-    return out, zeros
-
-
-def factor_values(descs, point) -> list:
-    """1 - d theta_vec(t) at a torus point for each factor (vec, u0, r0)."""
-    return [ONE - QLaurent.point_value((u0 + u) % 1, r0 + r) for (_, u0, r0),
-            (u, r) in zip(descs, point.values_of([d[0] for d in descs]))]
+def descriptor_factors(descs, point) -> list:
+    """1 - d theta_vec(t) at a torus point for each factor (vec, u0, r0),
+    in the term form of `nonzero_product`, from one `pairings` product."""
+    un, rn = point.numerators_of([d[0] for d in descs])
+    return [binomial(u, r, point.den, u0, r0, c=-1, c0=1)
+            for (_, u0, r0), u, r in zip(descs, un, rn)]
 
 
 def c_alpha(datum, labels, r1_root, point):
@@ -803,7 +1025,7 @@ def c_alpha(datum, labels, r1_root, point):
     vanishing numerator factors.
     """
     (num, num_zero), (den, den_zero) = (
-        nonzero_product(factor_values(descs, point))
+        nonzero_product(descriptor_factors(descs, point))
         for descs in c_factor_descriptors(datum, labels, r1_root))
     order = den_zero - num_zero
     if den_zero > 0:
@@ -813,11 +1035,9 @@ def c_alpha(datum, labels, r1_root, point):
 
 def weyl_denominator(datum, point) -> QLaurent:
     """Delta(t) = prod over R1,+ of (1 - theta_{-alpha}(t))."""
-    out = ONE
-    for v in character_values([tuple(-x for x in r.vec)
-                               for r in datum.r1_positive], point):
-        out = out * (ONE - v)
-    return out
+    value, zeros = nonzero_product(descriptor_factors(
+        [(tuple(-x for x in r.vec), 0, 0) for r in datum.r1_positive], point))
+    return QLaurent() if zeros else value
 
 
 def omega_kernel(datum, labels, point):
@@ -829,7 +1049,7 @@ def omega_kernel(datum, labels, point):
     no continuous value exists and (None, 0) is returned.
     """
     (num, num_zero), (den, den_zero) = (
-        nonzero_product(factor_values(descs, point))
+        nonzero_product(descriptor_factors(descs, point))
         for descs in omega_factor_descriptors(datum, labels))
     order = den_zero - num_zero
     if order > 0:

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from heckeplan.residual import TorusPoint, _point_rows, pairings
 from heckeplan.rootdata import LabelFunction, RootDatum
 from heckeplan.symbolicq import (
     Cyclo,
     QLaurent,
     QRational,
+    _ring_product,
     c_alpha,
-    character_values,
+    nonzero_product,
     omega_kernel,
     weyl_denominator,
 )
@@ -235,8 +238,8 @@ def test_omega_kernel_conjugation_on_unitary_torus():
 
 def test_character_value():
     t = TorusPoint([F(1, 3), 0], [F(1, 2), F(2)])
-    v, = character_values([(1, 1)], t)
-    (exp, coeff), = v.terms.items()
+    (u, r), = t.values_of([(1, 1)])
+    (exp, coeff), = QLaurent({r: Cyclo.root_of_unity(u)}).terms.items()
     assert exp == F(5, 2)
     assert coeff == Cyclo.root_of_unity(F(1, 3))
 
@@ -246,3 +249,125 @@ def test_tex_output():
                   QLaurent({F(1): F(1)}))
     assert "q" in r.to_tex()
     assert "q" in str(r)
+
+
+# -- the integer product kernel against the pairwise expansion it replaced ----
+
+
+def _pairwise_product(factors):
+    """The product of the nonzero factors one QLaurent at a time: the
+    expansion `nonzero_product` replaced, kept here as its reference.
+    Each factor term (c, j, n, k, d) is c zeta_n^j q^(k/d)."""
+    out, zeros = QLaurent.constant(1), 0
+    for factor in factors:
+        value = QLaurent()
+        for c, j, n, k, d in factor:
+            value = value + QLaurent(
+                {F(k, d): Cyclo.root_of_unity(F(j, n)) * F(c)})
+        if value.is_zero():
+            zeros += 1
+        else:
+            out = out * value
+    return out, zeros
+
+
+def _same_product(factors):
+    (new, zeros), (ref, ref_zeros) = (nonzero_product(factors),
+                                      _pairwise_product(factors))
+    assert zeros == ref_zeros
+    assert {e: (c.n, c.num, c.den) for e, c in new.terms.items()} == \
+        {e: (c.n, c.num, c.den) for e, c in ref.terms.items()}
+    assert str(new) == str(ref)
+
+
+ORDERS = (1, 2, 3, 4, 6, 7, 11, 14, 77)
+
+
+def _random_term(rng, k=None, d=None):
+    n = rng.choice(ORDERS)
+    c = rng.choice((1, -1, 1, -1, 2, -3, F(3, 2), F(-5, 7)))
+    return (c, rng.randrange(-n, 2 * n), n,
+            rng.randint(-4, 4) if k is None else k,
+            rng.choice((1, 1, 2, 3)) if d is None else d)
+
+
+def _random_factor(rng):
+    kind = rng.random()
+    if kind < 0.1:   # one term
+        return (_random_term(rng),)
+    if kind < 0.2:   # two terms on one power of q: a nonzero constant
+        a = _random_term(rng)
+        return (a, _random_term(rng, a[3], a[4]))
+    if kind < 0.3:   # 0: c zeta^j = -(-c zeta^j), or -(c zeta^j) as zeta_2
+        c, j, n, k, d = _random_term(rng)
+        return ((c, j, n, k, d), (-c, j + n, n, k, d)) if rng.random() < .5 \
+            else ((c, 2 * j, 2 * n, k, d), (c, 2 * j + n, 2 * n, k, d))
+    return (_random_term(rng), _random_term(rng))
+
+
+def test_nonzero_product_matches_the_pairwise_expansion_on_random_factors():
+    rng = random.Random(41)
+    for _ in range(100):
+        factors = [_random_factor(rng) for _ in range(rng.randint(0, 9))]
+        # repeat some factors with a sign or a root flipped, so that rows
+        # cancel on the way, in Z[x]/(x^N - 1) or only at zeta_N
+        for _ in range(rng.randint(0, 3)):
+            (c, j, n, k, d), *rest = rng.choice(factors or [
+                (_random_term(rng), _random_term(rng))])
+            flip = rng.choice(((-c, j, n, k, d), (c, j + n, 2 * n, k, d),
+                               (c, 2 * j + n, 2 * n, k, d)))
+            factors.insert(rng.randint(0, len(factors)), (flip, *rest))
+        _same_product(factors)
+
+
+def test_nonzero_product_rows_that_cancel_drop_their_orders():
+    # (1 + z7 q)(1 - z7 q) drops the q row; times (1 + z3 q) it holds z3
+    # alone, at order 3.  Over zeta_2, (z2 q - 1)(q - 1) drops the q row
+    # although its integer row x^(N/2) + 1 is not 0, and so does
+    # (1 + z3 q)(1 + z3^2 q)(1 + q) through 1 + z3 + z3^2 = 0.
+    z = [(1, 0, 1, 0, 1)]
+    cases = [
+        [(*z, (1, 1, 7, 1, 1)), (*z, (-1, 1, 7, 1, 1)), (*z, (1, 1, 3, 1, 1)),
+         (*z, (1, 1, 11, 2, 1))],
+        [((1, 1, 2, 1, 1), (-1, 0, 1, 0, 1)), ((1, 0, 1, 1, 1),
+                                                (-1, 0, 1, 0, 1)),
+         (*z, (1, 1, 7, 1, 1))],
+        [(*z, (1, 1, 3, 1, 1)), (*z, (1, 2, 3, 1, 1)), (*z, (1, 0, 1, 1, 1)),
+         (*z, (1, 1, 11, 1, 1)), (*z, (1, 1, 77, 1, 2))],
+        [(*z, (1, 1, 14, 1, 2)), (*z, (1, 8, 14, 1, 2)), (*z, (-1, 3, 7, 1, 3))],
+    ]
+    for factors in cases:
+        _same_product(factors)
+    new, _ = nonzero_product(cases[0][:3])
+    assert new.terms[F(1)].n == 3
+
+
+def test_nonzero_product_counts_zero_factors_and_keeps_rational_terms():
+    factors = [((1, 1, 2, 3, 2), (1, 0, 1, 3, 2)),       # z2 + 1 = 0
+               ((F(3, 2), 0, 1, 1, 3), (F(-3, 2), 4, 4, 1, 3)),   # 0
+               ((F(3, 2), 0, 1, 1, 3), (F(-1, 6), 0, 1, 0, 1)),
+               ((2, 0, 1, 0, 1),), (), ((1, 0, 1, 5, 2),)]
+    _same_product(factors)
+    value, zeros = nonzero_product(factors)
+    assert zeros == 3
+    assert all(c.n == 1 for c in value.terms.values())
+    assert nonzero_product([]) == (QLaurent.constant(1), 0)
+
+
+def test_nonzero_product_leaves_int64_when_the_bound_requires():
+    # the block is int64 while the product of the factors' coefficient
+    # 1-norms stays below 2^62, and Python integers above it
+    edge = 2 ** 62
+    for big, wide in ((edge - 2, False), (edge - 1, True),
+                      (10 ** 19 + 1, True)):
+        factors = [((big, 0, 1, 1, 1), (1, 0, 1, 0, 1))]
+        assert (_ring_product(factors)[0].dtype == object) == wide
+        _same_product(factors)
+    # two factors past the bound together, with roots of order 7 whose
+    # reduction matrix has row norm 6
+    factors = [((2 ** 31, 1, 7, 1, 1), (-3, 0, 1, 0, 1)),
+               ((2 ** 31 + 5, 3, 7, 1, 1), (1, 2, 7, 0, 1)),
+               ((1, 1, 7, 1, 1), (-1, 0, 1, 0, 1))]
+    assert _ring_product(factors)[0].dtype == object
+    _same_product(factors)
+    assert _ring_product(factors[:1] + factors[2:])[0].dtype == np.int64
