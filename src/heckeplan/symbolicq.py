@@ -799,26 +799,20 @@ def _ring_product(factors):
         bound *= sum(abs(t[0]) for t in step)
         steps.append((step, max(shifts) - low))
     dtype = np.dtype(np.int64 if bound < INT64_SAFE else object)
-    block, tags, found = _expand(steps, n, dtype, bound, check=False)
-    if found:
-        block, tags, _ = _expand(steps, n, dtype, bound, check=True)
+    block, tags = _expand(steps, n, dtype, bound)
     return block, tags, lo, (den, q_den), zeros, bound
 
 
-def _expand(steps, n, dtype, bound, check):
-    """(block, tags, found): the expansion of `_ring_product`.
-
-    A row is 0 when its integer row is 0 or when its value at zeta_n is 0.
-    A row of the second kind must drop out with its orders like one of the
-    first, so with `check` every step clears them.  Without it they are
-    looked for once, at the end, and `found` tells whether a step before
-    the last left one: then the expansion is to be run with `check`."""
+def _expand(steps, n, dtype, bound):
+    """(block, tags): the expansion of `_ring_product`.  A row is 0 when
+    its integer row is 0 or when its value at zeta_n is 0 (`_vanishing`);
+    each step clears the rows of the second kind, so that they drop out
+    with their orders like the rows of the first."""
     import numpy as np
     block = np.zeros((1, n), dtype)
     block[0, 0] = 1
     tags = np.zeros(1, np.int64)
     live = np.ones(1, bool)
-    kept = []
     for terms, span in steps:
         size = len(block) + span
         new = np.zeros((size, n), dtype)
@@ -835,21 +829,14 @@ def _expand(steps, n, dtype, bound, check):
                 np.bitwise_or(seg, tags | tag if tag else tags, out=seg,
                               where=live)
         live = new.any(axis=1)
-        if check:
+        if n > 1:  # at n = 1 an integer row is its value
             at = np.flatnonzero(live)
             gone = at[_vanishing(new[at], n, bound)]
             new[gone] = 0
             live[gone] = False
-        elif n > 1:
-            kept.append((new, live))
         block, tags = new, new_tags
     tags[~live] = -1
-    found = False
-    if len(kept) > 1:
-        blocks, lives = zip(*kept[:-1])
-        found = bool(_vanishing(np.concatenate(blocks)[np.concatenate(lives)],
-                                n, bound).any())
-    return block, tags, found
+    return block, tags
 
 
 def _add(rows, src, c):
