@@ -361,8 +361,11 @@ def check_residue(args) -> int:
     rows.append({"part": "closure_error", "value": rep.closure_error})
     if rep.closure_error > tol:
         ok = False
-    emit(rows, base_header(args, datum, labels, {
-        "value": "numeric contour mass at the given q"}), args)
+    header = base_header(args, datum, labels, {
+        "value": "numeric contour mass at the given q"})
+    header["resolution"] = rep.resolution
+    header["error_estimate"] = rep.error_estimate
+    emit(rows, header, args)
     return 0 if ok else 1
 
 

@@ -5,7 +5,11 @@ geometry, and extraction of the local masses sitting on residual cosets.
 All contour geometry (ring positions, crossing points, candidate poles)
 is exact rational data in log-radius coordinates; floating point enters
 only through the trapezoidal quadrature, which is spectrally accurate for
-these analytic integrands.
+these analytic integrands.  The pole rings <p, ell> = rho are kept as
+their primitive directions p and the numerators of rho over one
+denominator (`RingLines`); a contour is brought to one lcm with them, so
+node counts, crossings and bracket steps compare integers, and a
+`Fraction` is built only for a crossing parameter or a bracket step.
 
 Resolution.  On a contour at natural-log distance d from the nearest pole
 ring the N-node trapezoid error decays like e^{-N d} (Trefethen and
@@ -30,6 +34,13 @@ read through a strided (N, N) view of the table tiled |p1| + |p2| + 1
 times, and the sum runs over blocks of rows.  The half grid reads every
 other entry of the same tables.  This is the same trapezoid sum as
 evaluating the kernel at all N^2 points, in O(N) kernel evaluations.
+Every coefficient d is real (u0 is 0 or 1/2), so on real radii the
+kernel takes conjugate values at theta and -theta, and row -k1 of the
+grid sums to the conjugate of row k1.  The rank-2 sum is therefore the
+real part of a sum over the rows 0 <= k1 <= N/2, each weighted 2 but
+rows 0 and N/2, which are their own conjugates; the half grid takes the
+even rows among them with the same weights.  Rank 1 keeps the full
+circle.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, log
+from math import gcd, lcm, log
 
 import numpy as np
 
@@ -135,7 +146,10 @@ def torus_integral(fn, radii, nodes: int):
     over primitive directions p (an `Integrand`): at node (k1, k2) the
     character z^p is r^p omega^(p.k), omega = e^{2 pi i/nodes}, so each
     direction's factor is a table of `nodes` values on the circle, read
-    at (p1 k1 + p2 k2) mod nodes."""
+    at (p1 k1 + p2 k2) mod nodes.  Every factor has real coefficients, so
+    row -k1 of the grid sums to the conjugate of row k1: the rank-2 means
+    are real, the real parts of sums over the rows 0 <= k1 <= nodes/2,
+    each row but 0 and nodes/2 weighted 2."""
     if nodes % 2:
         raise ValueError("the nested half grid needs an even node count")
     circle = np.exp(np.arange(nodes) * (2j * np.pi / nodes))
@@ -145,7 +159,12 @@ def torus_integral(fn, radii, nodes: int):
     tables = {p: fn.factor(p, radii[0] ** p[0] * radii[1] ** p[1] * circle)
               for p in fn.directions}
     ones = np.ones(nodes, dtype=complex)
-    rows_t = tables.pop((1, 0), ones)
+    # rows 0..nodes/2 with the weights of the fold; the half grid's rows
+    # are the even ones among them
+    m = nodes // 2 + 1
+    weights = np.full(m, 2.0)
+    weights[[0, -1]] = 1
+    rows_t = tables.pop((1, 0), ones)[:m] * weights
     cols_t = tables.pop((0, 1), ones)
     skews = [_skew_view(table, p) for p, table in tables.items()]
     if not skews:
@@ -156,8 +175,8 @@ def torus_integral(fn, radii, nodes: int):
         rows = max(2, BLOCK_POINTS // nodes) & ~1
         buf = np.empty((rows, nodes), dtype=complex)
         total = half = 0j
-        for start in range(0, nodes, rows):
-            band = slice(start, start + rows)
+        for start in range(0, m, rows):
+            band = slice(start, min(start + rows, m))
             block = buf[:len(rows_t[band])]
             np.multiply(skews[0][band], cols_t, out=block)
             for view in skews[1:]:
@@ -166,8 +185,8 @@ def torus_integral(fn, radii, nodes: int):
             # whose threads can stall a small reduction
             total += (rows_t[band] * block.sum(axis=1)).sum()
             half += (rows_t[band][::2] * block[::2, ::2].sum(axis=1)).sum()
-    return (complex(fn.scale * total / nodes ** 2),
-            complex(fn.scale * 4 * half / nodes ** 2))
+    return (float(fn.scale * total.real / nodes ** 2),
+            float(fn.scale * 4 * half.real / nodes ** 2))
 
 
 def _skew_view(table, p):
@@ -210,14 +229,17 @@ class Integrand:
         self.scale = float(qval) ** (-float(labels.q_w0_exponent()))
         self.directions = {}
         for d in self.divisors:
+            # d = e^{2 pi i u0} q^r0 is real, which the folded rank-2 sum
+            # of torus_integral needs
+            if d.u0 % F(1, 2):
+                raise ValueError(f"divisor {d.vec} has a coefficient that "
+                                 f"is not real (u0 = {d.u0})")
             p, c = direction(d.vec)
             num, den = self.directions.setdefault(p, {}).setdefault(
                 c, ([], []))
-            (num if d.sign < 0 else den).append(self._dval(d))
-
-    def _dval(self, d: Divisor):
-        phase = np.exp(2j * np.pi * float(d.u0))
-        return phase * self.qval ** float(d.r0)
+            sign = -1.0 if d.u0 % 1 else 1.0
+            (num if d.sign < 0 else den).append(
+                sign * self.qval ** float(d.r0))
 
     def factor(self, p, w):
         """prod (1 - d w^c)^(-/+1) over the factors along direction p, at
@@ -276,37 +298,53 @@ def start_log_radii(datum, labels, margins=None):
     return tuple(sol)
 
 
-def ring_lines(divisors):
-    """Distinct pole rings as {(primitive direction, radius)}."""
-    rings = {}
-    for d in divisors:
-        if d.sign > 0:
-            rings.setdefault(d.ring, []).append(d)
-    return rings
+class RingLines:
+    """The distinct pole rings of a kernel, iterated as their keys
+    (primitive direction p, radius rho) in the order first met.  Each
+    ring is kept as p and the numerator of rho over one common
+    denominator `den`, so that `gaps` places points against every ring
+    in integers."""
+
+    def __init__(self, divisors):
+        self.keys = list(dict.fromkeys(d.ring for d in divisors
+                                       if d.sign > 0))
+        self.den = lcm(*(rho.denominator for _, rho in self.keys))
+        self.rows = [(p, rho.numerator * (self.den // rho.denominator))
+                     for p, rho in self.keys]
+
+    def __iter__(self):
+        return iter(self.keys)
+
+    def gaps(self, *points):
+        """(L, gaps): L the lcm of `den` and the denominators of the
+        points' exact log-radii, and gaps[j][i] = L (rho - <p, x_i>), an
+        integer, for ring j and point x_i."""
+        big = lcm(self.den, *(x.denominator for pt in points for x in pt))
+        nums = [[x.numerator * (big // x.denominator) for x in pt]
+                for pt in points]
+        k = big // self.den
+        return big, [[b * k - sum(pi * a for pi, a in zip(p, row))
+                      for row in nums] for p, b in self.rows]
 
 
-def _pair(p, ell):
-    """<p, ell> for an integer direction p and exact log-radii ell."""
-    return sum((pi * x for pi, x in zip(p, ell)), F(0))
-
-
-def segment_crossings(rings, start, end):
+def segment_crossings(rings, start, end, skip=None):
     """Crossings of ring lines along the straight segment start -> end in
-    log-radius space: list of (s in [0, 1], ring-key), exact."""
+    log-radius space: list of (s in [0, 1], ring key), exact, the ring
+    `skip` left out.  A ring at gaps g0 from start and g1 from end
+    (`RingLines.gaps`) is crossed at s = g0 / (g0 - g1)."""
     out = []
-    delta = [e - s for s, e in zip(start, end)]
-    for key in rings:
-        p, rho = key
-        denom = _pair(p, delta)
-        base = _pair(p, start)
-        if denom == 0:
-            if base == rho:
+    _, gaps = rings.gaps(start, end)
+    for key, (g0, g1) in zip(rings, gaps):
+        if key == skip:
+            continue
+        if g0 == g1:
+            if g0 == 0:
                 raise ValueError("segment lies on a pole ring; perturb "
                                  "the path")
             continue
-        s = (rho - base) / denom
-        if 0 <= s <= 1:
-            out.append((s, key))
+        num, den = (g0, g0 - g1) if g0 > g1 else (-g0, g1 - g0)
+        if 0 <= num <= den:
+            out.append((F(num, den), key))
     return out
 
 
@@ -358,7 +396,6 @@ class LocalMassReport:
     continuous: float
     coset_masses: list
     point_masses: list
-    max_imag: float
     closure_error: float = field(init=False)
 
     def __post_init__(self):
@@ -394,7 +431,7 @@ class ResidueEngine:
         self.qval = F(qval)
         self.fn = Integrand(datum, labels, self.qval)
         self.divisors = self.fn.divisors
-        self.rings = ring_lines(self.divisors)
+        self.rings = RingLines(self.divisors)
         self.tolerance = tolerance if tolerance is not None else \
             (1e-8 if datum.rank == 1 else 1e-6)
         if not self.tolerance > 0:
@@ -402,7 +439,6 @@ class ResidueEngine:
         self._nodes = nodes
         self.resolution = 0
         self.error_estimate = 0.0
-        self.max_imag = 0.0
         self._iq = float(self.qval)
 
     # -- infrastructure ------------------------------------------------------
@@ -461,9 +497,10 @@ class ResidueEngine:
         the trapezoid error decays like e^{-N d} at natural-log distance d
         from the nearest pole ring, so this N puts the half grid's error
         near the tolerance and the full grid's near its square."""
-        best = min((abs(float(_pair(p, ell) - rho)) /
-                    max(1.0, float(sum(abs(x) for x in p)))
-                    for p, rho in self.rings), default=0)
+        big, gaps = self.rings.gaps(ell)
+        best = min((abs(g) / big / max(1.0, float(sum(map(abs, p))))
+                    for (p, _), (g,) in zip(self.rings.rows, gaps)),
+                   default=0)
         if best <= 0:
             raise ValueError("contour touches a pole ring")
         dist_nat = best * log(self._iq)
@@ -494,7 +531,6 @@ class ResidueEngine:
             n *= 2
         self.resolution = max(self.resolution, n)
         self.error_estimate = max(self.error_estimate, est)
-        self.max_imag = max(self.max_imag, abs(val.imag))
         return val.real
 
     def _bracket(self, pos, axis, sign, step):
@@ -525,17 +561,14 @@ class ResidueEngine:
             resolution=self.resolution, error_estimate=self.error_estimate,
             global_mass=global_val, continuous=continuous,
             coset_masses=_merge_entries(coset_masses),
-            point_masses=_merge_entries(point_masses),
-            max_imag=self.max_imag)
+            point_masses=_merge_entries(point_masses))
 
     # -- rank 1 ---------------------------------------------------------------
 
     def point_residue_rank1(self, point: TorusPoint, eps=1e-2, nodes=512):
         """Minus the residue of the kernel form at an isolated point,
         via a small circle (the mass the shift picks up there)."""
-        res = self._small_circle(point, 0, eps, nodes)
-        self.max_imag = max(self.max_imag, abs(res.imag))
-        return -res.real
+        return -self._small_circle(point, 0, eps, nodes).real
 
     def collect_rank1(self) -> LocalMassReport:
         ell0 = start_log_radii(self.datum, self.labels)
@@ -593,21 +626,30 @@ class ResidueEngine:
         raise ValueError("could not find a clean axis path; centers are "
                          "not radially separated")
 
+    def _slab_step(self, key, axis, pos):
+        """The bracket half-width at pos along the axis: 1/8, or a third
+        of the distance along the axis to the nearest pole ring other than
+        `key`, whichever is less."""
+        big, gaps = self.rings.gaps(pos)
+        num, den = 1, 8
+        for other, (p, _), (g,) in zip(self.rings, self.rings.rows, gaps):
+            if other == key or p[axis] == 0:
+                continue
+            if g == 0:
+                raise ValueError("bracket centered on a foreign ring")
+            # a third of the distance |g| / (big |p_axis|)
+            dist_num, dist_den = abs(g), 3 * big * abs(p[axis])
+            if dist_num * den < num * dist_den:
+                num, den = dist_num, dist_den
+        return F(num, den)
+
     def _slab_value(self, slab, pos):
         """The bracket of the slab's ring at pos, along the slab's axis,
         with the largest half-width that keeps it clear of every other
         pole ring.  A slab is (ring key, the point where the main path
         crosses the ring, the axis of that path segment, its sign)."""
         key, _, axis, sign = slab
-        step = F(1, 8)
-        for p, rho in self.rings:
-            if (p, rho) == key or p[axis] == 0:
-                continue
-            dist = abs((rho - _pair(p, pos)) / p[axis])
-            if dist == 0:
-                raise ValueError("bracket centered on a foreign ring")
-            step = min(step, dist / 3)
-        return self._bracket(pos, axis, sign, step)
+        return self._bracket(pos, axis, sign, self._slab_step(key, axis, pos))
 
     def collect_rank2(self) -> LocalMassReport:
         ell0 = start_log_radii(self.datum, self.labels)
@@ -655,8 +697,7 @@ class ResidueEngine:
         if start == target:
             return c_disc, []
         # crossings of other rings along the straight walk
-        crossings = segment_crossings([r for r in self.rings if r != key],
-                                      start, target)
+        crossings = segment_crossings(self.rings, start, target, skip=key)
         grouped = {}
         for s, other in sorted(crossings):
             if s > 0:

@@ -440,21 +440,25 @@ class QLaurent:
 
     def evaluate(self, qval):
         """Value at a numeric q > 0; exact Fraction when all exponents are
-        realizable as exact rational powers and coefficients are rational."""
+        realizable as exact rational powers and coefficients are rational,
+        else a float sum, in which a power of q past the float range is
+        infinite."""
+        terms = sorted(self.terms.items())
         total_exact = Fraction(0)
-        exact = True
-        total_float = complex(0)
-        for e, c in sorted(self.terms.items()):
-            powf = float(qval) ** float(e)
-            total_float += complex(c) * powf
-            if exact:
-                p = _exact_power(qval, e)
-                if p is None or not c.is_rational():
-                    exact = False
-                else:
-                    total_exact += c.rational_value() * p
-        if exact:
+        for e, c in terms:
+            p = _exact_power(qval, e)
+            if p is None or not c.is_rational():
+                break
+            total_exact += c.rational_value() * p
+        else:
             return total_exact
+        total_float = complex(0)
+        for e, c in terms:
+            try:
+                powf = float(qval) ** float(e)
+            except OverflowError:
+                powf = float("inf")
+            total_float += complex(c) * powf
         if abs(total_float.imag) < 1e-12 * max(1.0, abs(total_float.real)):
             return total_float.real
         return total_float

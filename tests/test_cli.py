@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -275,6 +276,30 @@ def test_a_rank_below_one_is_a_usage_error(tag, capsys):
     assert code == 2 and out == ""
     assert capsys.readouterr().err == \
         f"error: rank of {tag} must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("tables", "--which", "density", "--labels", "100"), 0),
+    (("tables", "--which", "poincare", "--labels", "1000"), 0),
+    (("check", "--suite", "density", "--labels", "1000"), 1)])
+def test_powers_of_q_past_the_float_range(argv, want):
+    # at q = 2 these labels give powers of q past 2^1024: an exact value
+    # is printed without a float sum, and a float sum holding such a power
+    # is not finite, which the density check reports as a failed row
+    code, out = run_cli(*argv, "--type", "B2", "--q", "2", "--format",
+                        "json")
+    assert code == want
+    rows = json.loads(out)["rows"]
+    if argv[2] == "poincare":
+        assert rows[0]["within_bound"]
+        assert Fraction(rows[0]["product_at_q"]) > 0
+        return
+    # the rows whose value is exact print it as a fraction
+    assert [Fraction(r["mass_at_q"]) for r in rows
+            if "(" not in str(r["mass_at_q"])]
+    broken = [r for r in rows if "nan" in str(r["mass_at_q"]) or
+              "inf" in str(r["mass_at_q"])]
+    assert bool(broken) == (want == 1)
 
 
 def test_tables_fdim():

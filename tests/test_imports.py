@@ -1,7 +1,12 @@
 """Importing the package does no numeric work: numpy is first imported by
 the first call that needs it, and the cyclotomic reduction matrices of the
 density products are built on first use.  Where numpy is first imported
-moves the start-up time and the peak memory of a run."""
+moves the start-up time and the peak memory of a run.
+
+The exception is `heckeplan.residue`, which imports numpy at module level
+and which the probe below leaves out.  Its every operation is numpy
+quadrature, so a lazy import would only move numpy's import time from the
+import of the module into its first residue operation."""
 
 import os
 import subprocess

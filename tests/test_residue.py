@@ -3,6 +3,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import log
 from pathlib import Path
 from unittest import mock
 
@@ -15,10 +16,11 @@ from heckeplan.residue import (
     MAX_NODES,
     Integrand,
     ResidueEngine,
+    RingLines,
     global_unit_integral,
     kernel_divisors,
     ring_candidates,
-    ring_lines,
+    segment_crossings,
     shift_and_collect,
     start_log_radii,
     torus_integral,
@@ -82,9 +84,25 @@ def test_torus_integral_nested_half_grid():
         torus_integral(lambda z: z, [1.0], 63)
 
 
-def test_rank1_masses_q2_q3():
+def _record_quadrature(monkeypatch):
+    """The (fn, radii, nodes, full-grid value) of every torus_integral
+    call from here on."""
+    calls = []
+    quadrature = residue.torus_integral
+
+    def recorded(fn, radii, nodes):
+        full, half = quadrature(fn, radii, nodes)
+        calls.append((fn, radii, nodes, full))
+        return full, half
+
+    monkeypatch.setattr(residue, "torus_integral", recorded)
+    return calls
+
+
+def test_rank1_masses_q2_q3(monkeypatch):
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
+    calls = _record_quadrature(monkeypatch)
     for q in (2, 3):
         rep = shift_and_collect(d, labels, q)
         assert abs(rep.global_mass - 1) < 1e-8
@@ -92,7 +110,8 @@ def test_rank1_masses_q2_q3():
         assert len(rep.point_masses) == 1
         assert abs(rep.point_masses[0].value - (q - 1) / (q + 1)) < 1e-8
         assert rep.closure_error < 1e-8
-        assert rep.max_imag < 1e-10
+    # the rank-1 circle sums are complex; their imaginary parts vanish
+    assert max(abs(full.imag) for *_, full in calls) < 1e-10
 
 
 def test_rank1_start_contour_independence():
@@ -121,9 +140,10 @@ def test_rank1_quadrature_convergence():
     assert abs(coarse - finest) < 1e-7
 
 
-def test_rank2_b2_total_and_positivity():
+def test_rank2_b2_total_and_positivity(monkeypatch):
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
+    calls = _record_quadrature(monkeypatch)
     rep = shift_and_collect(d, labels, 2, nodes=512)
     assert abs(rep.global_mass - 1) < 1e-6
     assert abs(rep.total() - 1) < 1e-6
@@ -133,7 +153,13 @@ def test_rank2_b2_total_and_positivity():
     for e in rep.coset_masses:
         assert e.value > 1e-3
     assert rep.continuous > 0
-    assert rep.max_imag < 1e-9
+    # the folded rank-2 sums are real; the full grids they stand for have
+    # vanishing imaginary parts
+    circle = np.exp(np.arange(512) * (2j * np.pi / 512))
+    for fn, radii, nodes, full in calls:
+        assert isinstance(full, float) and nodes == 512
+        grid = fn((radii[0] * circle)[:, None], (radii[1] * circle)[None, :])
+        assert abs(grid.mean().imag) < 1e-9
 
 
 def test_rank2_b2_masses_match_symbolic_special_point():
@@ -344,12 +370,128 @@ def test_torus_integral_matches_the_broadcast_kernel(tag, lattice, seed):
     d = RootDatum.from_type(tag, lattice)
     fn = Integrand(d, _labels(d, seed), F(3))
     radii = [3.0 ** -0.3141, 3.0 ** 0.2718]
-    for n in (16, 48, 512):
+    # 18 is 2 mod 4: row N/2 of the grid is not on the half grid
+    for n in (16, 18, 48, 512):
         full, half = torus_integral(fn, radii, n)
         circle = np.exp(np.arange(n) * (2j * np.pi / n))
         grid = fn((radii[0] * circle)[:, None], (radii[1] * circle)[None, :])
         np.testing.assert_allclose(
             [full, half], [grid.mean(), grid[::2, ::2].mean()], rtol=1e-12)
+
+
+def test_integrand_refuses_a_coefficient_that_is_not_real(monkeypatch):
+    # the folded rank-2 sum needs d = e^{2 pi i u0} q^r0 real, u0 in Z/2
+    d = RootDatum.from_type("B2", "Q")
+    labels = LabelFunction.equal(d)
+    forged = ([], [((1, 0), F(1, 3), F(1))])
+    monkeypatch.setattr(residue, "omega_factor_descriptors",
+                        lambda datum, labels: forged)
+    with pytest.raises(ValueError, match="not real"):
+        Integrand(d, labels, F(3))
+    forged[1][0] = ((1, 0), F(1, 2), F(1))
+    assert Integrand(d, labels, F(3)).directions == {(1, 0): {1: ([], [-3.0])}}
+
+
+# the contour geometry on Fractions, as the engine computed it before its
+# integer form: the reference of the integer routines
+
+
+def _pair(p, ell):
+    return sum((pi * x for pi, x in zip(p, ell)), F(0))
+
+
+def _nodes_for_by_fractions(eng, ell):
+    best = min((abs(float(_pair(p, ell) - rho)) /
+                max(1.0, float(sum(abs(x) for x in p)))
+                for p, rho in eng.rings), default=0)
+    if best <= 0:
+        raise ValueError("contour touches a pole ring")
+    n = 2.0 * log(1.0 / eng.tolerance) / (best * log(float(eng.qval))) + 16
+    size = 16
+    while size < n:
+        size *= 2
+    return min(size, MAX_NODES)
+
+
+def _crossings_by_fractions(keys, start, end):
+    out = []
+    delta = [e - s for s, e in zip(start, end)]
+    for key in keys:
+        p, rho = key
+        denom = _pair(p, delta)
+        base = _pair(p, start)
+        if denom == 0:
+            if base == rho:
+                raise ValueError("segment lies on a pole ring")
+            continue
+        s = (rho - base) / denom
+        if 0 <= s <= 1:
+            out.append((s, key))
+    return out
+
+
+def _step_by_fractions(keys, key, axis, pos):
+    step = F(1, 8)
+    for p, rho in keys:
+        if (p, rho) == key or p[axis] == 0:
+            continue
+        dist = abs((rho - _pair(p, pos)) / p[axis])
+        if dist == 0:
+            raise ValueError("bracket centered on a foreign ring")
+        step = min(step, dist / 3)
+    return step
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("tag,lattice,seed", ORACLE_CASES)
+def test_integer_geometry_matches_the_fractions(tag, lattice, seed):
+    # node counts, crossings and bracket steps on seeded contours: random
+    # points, points on a ring line, the start contour and the origin
+    d = RootDatum.from_type(tag, lattice)
+    labels = _labels(d, seed)
+    eng = ResidueEngine(d, labels, 3)
+    keys = list(eng.rings)
+    rng = random.Random(f"{tag}{lattice}{seed}")
+
+    def rand():
+        return F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+
+    def on_ring(p, rho):
+        # a point with <p, x> = rho
+        i = 1 if p[1] else 0
+        x = [rand(), rand()]
+        x[i] = (rho - p[1 - i] * x[1 - i]) / p[i]
+        return tuple(x)
+
+    points = [tuple(start_log_radii(d, labels)), (F(0), F(0))]
+    points += [(rand(), rand()) for _ in range(30)]
+    points += [on_ring(*rng.choice(keys)) for _ in range(15)]
+    for ell in points:
+        assert _outcome(eng.nodes_for, ell) == \
+            _outcome(_nodes_for_by_fractions, eng, ell)
+        for key in keys:
+            for axis in (0, 1):
+                assert _outcome(eng._slab_step, key, axis, ell) == \
+                    _outcome(_step_by_fractions, keys, key, axis, ell)
+    # segments between the points, along axes, and along a ring line
+    segments = [(a, b) for a, b in zip(points, points[1:])]
+    segments += [(a, (a[0], rand())) for a in points[:10]]
+    for key in keys:
+        segments.append((on_ring(*key), on_ring(*key)))
+    for a, b in segments:
+        assert _outcome(segment_crossings, eng.rings, a, b) == \
+            _outcome(_crossings_by_fractions, keys, a, b)
+        for key in keys:
+            assert _outcome(segment_crossings, eng.rings, a, b, key) == \
+                _outcome(_crossings_by_fractions,
+                         [k for k in keys if k != key], a, b)
 
 
 def _ring_candidates_by_solver(divisors, key1, key2):
@@ -379,7 +521,7 @@ def _ring_candidates_by_solver(divisors, key1, key2):
 def test_ring_candidates_rank2_match_the_solver(tag, lattice, seed):
     d = RootDatum.from_type(tag, lattice)
     divisors = kernel_divisors(d, _labels(d, seed))
-    rings = list(ring_lines(divisors))
+    rings = list(RingLines(divisors))
     found = 0
     for key1 in rings:
         for key2 in rings:
@@ -398,7 +540,7 @@ def test_ring_candidates_rank1_are_the_roots_of_each_factor(lattice, seed):
     # theta^a = 1/d of each pole factor 1 - d theta^a on it
     d = RootDatum.from_type("A1", lattice)
     divisors = kernel_divisors(d, _labels(d, seed))
-    for key in ring_lines(divisors):
+    for key in RingLines(divisors):
         want = set()
         for div in divisors:
             if div.sign > 0 and div.ring == key:
@@ -495,6 +637,20 @@ def test_engine_decisions_match_the_frozen_reference(tag, lattice, q):
     assert len(got["values"]) == len(want["values"])
     for a, b in zip(got["values"], want["values"]):
         assert abs(a - b) <= 1e-12, (a, b)
+
+
+@pytest.mark.parametrize("tag,lattice,q", REFERENCE_DATA)
+def test_residue_header_states_the_resolution_reached(tag, lattice, q):
+    # the header's resolution is the largest node count of the frozen
+    # contours, and the error estimate is within the tolerance
+    want = json.loads(RESIDUE_REFERENCE.read_text())[f"{tag}/{lattice} q={q}"]
+    code, out, _ = _run_residue_check(tag, lattice, q)
+    header = json.loads(out)["header"]
+    assert code == 0
+    assert header["resolution"] == max(
+        int(c.rpartition("n=")[2]) for c in want["contours"])
+    tol = 1e-8 if tag == "A1" else 1e-6
+    assert 0 <= header["error_estimate"] <= tol
 
 
 @pytest.mark.parametrize("tag,lattice,reason", [

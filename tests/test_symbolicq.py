@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 from math import lcm
@@ -72,6 +73,12 @@ def test_qlaurent_evaluate_exact():
     assert x.evaluate(F(4)) == 3 * 2 + F(1, 4)
     y = x.evaluate(F(2))          # sqrt(2) is not rational: float fallback
     assert abs(y - (3 * 2 ** 0.5 + 0.5)) < 1e-12
+    # 2^2000 is no float: the exact sum is formed without the float one,
+    # and a float sum with such a power is not finite instead of raising
+    x = QLaurent({F(2000): F(1), F(0): F(-1)})
+    assert x.evaluate(F(2)) == 2 ** 2000 - 1
+    y = QLaurent({F(4001, 2): F(1), F(0): F(-1)}).evaluate(F(2))
+    assert not cmath.isfinite(y)
 
 
 def _a1_datum_point(value_exp, lattice="Q"):
