@@ -625,6 +625,9 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
         if not pc.indices:
             raw.append((pc, TorusPoint.identity(datum.rank)))
             continue
+        if pc.sub_datum is datum:
+            raw.extend((pc, point) for point in residual_points(datum, labels))
+            continue
         # pull T_P points back to T along X -> X_P
         rows, den = _point_rows(residual_points(
             pc.sub_datum, restrict_labels(labels, pc)), pc.sub_datum.rank)

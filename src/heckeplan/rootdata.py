@@ -648,28 +648,16 @@ class LabelFunction:
         doubled coroot sets the odd-translation class of its direction and
         the affine node sets the even one.
         """
-        comps = datum.components()
-        if len(comps) != 1:
+        if len(datum.components()) != 1:
             raise ValueError("affine-node labels need an irreducible datum")
         values = [Fraction(v) for v in values]
         if len(values) != datum.n_simple + 1:
             raise ValueError("expected one value per affine node")
-        f_aff, f_simple = values[0], values[1:]
-        orbits = datum.coroot_orbits
         class_value = {}
-
-        def put(key, value):
-            if key in class_value and class_value[key] != value:
+        for key, value in zip(affine_node_class_keys(datum), values):
+            if class_value.setdefault(key, value) != value:
                 raise ValueError("labels must agree on conjugate reflections")
-            class_value[key] = value
-
-        for i in range(datum.n_simple):
-            cor = datum.simple_coroots[i]
-            parity = 1 if all(c % 2 == 0 for c in cor) else 0
-            put((orbits[cor], parity), f_simple[i])
-        # affine node (m^vee, 1): q(s_0) = q_{(m^vee, 2)}, i.e. parity 0
-        theta_vee = datum.highest_coroot(comps[0])
-        put((orbits[theta_vee], 0), f_aff)
+        orbits = datum.coroot_orbits
         pairs = {}
         for r in datum.roots:
             orb = orbits[r.coroot]
@@ -739,6 +727,7 @@ def affine_node_class_keys(datum: RootDatum):
         raise ValueError("irreducible datum required")
     orbits = datum.coroot_orbits
     theta_vee = datum.highest_coroot(comps[0])
+    # affine node (m^vee, 1): q(s_0) = q_{(m^vee, 2)}, i.e. parity 0
     keys = [(orbits[theta_vee], 0)]
     for i in range(datum.n_simple):
         cor = datum.simple_coroots[i]
@@ -809,14 +798,19 @@ def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:
 
 
 def parabolic_quotient(datum: RootDatum, indices) -> ParabolicClass:
-    """The root datum R_P = (X_P, Y_P, R_P, R_P^vee, P) for a standard P."""
+    """The root datum R_P = (X_P, Y_P, R_P, R_P^vee, P) for a standard P.
+    When the coroots of P span Y, that is the datum itself."""
     import numpy as np
     indices = tuple(sorted(indices))
     roots = parabolic_subsystem_roots(datum, indices)
     if not indices:
         sub = RootDatum([], [], typename="empty", lattice="sub")
-        sub.rank = 0
         return ParabolicClass(indices, [], sub, [], {}, 1)
+    if len(indices) == datum.rank:
+        identity = [[int(i == j) for j in range(datum.rank)]
+                    for i in range(datum.rank)]
+        return ParabolicClass(indices, roots, datum, identity,
+                              {r.vec: r.vec for r in roots}, 1)
     y_rows = saturate([list(datum.simple_coroots[i]) for i in indices],
                       datum.rank)
     k = len(y_rows)

@@ -10,16 +10,18 @@ represented here as Laurent dictionaries keyed by rational exponents with
 A ``Cyclo`` is stored as its order N, a tuple of integer numerators over
 the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) and one positive
 denominator, in lowest terms.  Phi_N is monic with integer coefficients,
-so a product is an integer convolution (Kronecker substitution for long
-operands) reduced by integer steps: first x^N = 1, then division by
-Phi_N, kept in sparse form.  Fractions appear only in `Cyclo.coeffs`,
-built on demand for text output and for rational coefficients.
+so a product is an integer convolution reduced by integer steps: first
+x^N = 1, then division by Phi_N, kept in sparse form.  Fractions appear
+only in `Cyclo.coeffs`, built on demand for text output and for rational
+coefficients.
 
 The densities and kernels are products of binomials.  `nonzero_product`
 expands such a product at once on integer rows, one per power of q, in
-Z[x]/(x^N - 1), and reduces mod Phi_N once at the end.
-`QRational.canonical` reduces a quotient by the gcd of two integer
-polynomials.
+Z[x]/(x^N - 1), and reduces mod Phi_N once at the end, by the recurrence
+of Phi_N (Bosma, Canonical bases for cyclotomic fields, 1990).
+`QRational` decides equality by expanding a d and c b, each as one such
+product, and `QRational.canonical` reduces a quotient by the gcd of two
+integer polynomials.
 """
 
 from __future__ import annotations
@@ -79,37 +81,6 @@ def _reduce(p: list, n: int) -> list:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-# below this many coefficient products a convolution runs as a double loop:
-# with small coefficients the two cost the same near 16 x 16 (CPython 3.11)
-_KRONECKER_MIN = 256
-
-
-def _conv(a, b) -> list:
-    """Product of two integer coefficient sequences."""
-    la, lb = len(a), len(b)
-    if la * lb < _KRONECKER_MIN:
-        return _poly_mul(a, b)
-    # Kronecker substitution: evaluate both at 2^(8w), multiply the two
-    # integers, read the signed base-2^(8w) digits back off the product
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(la, lb).bit_length())
-    w = bits // 8 + 1  # bytes per digit, so that every |c| < 2^(8w-1)
-    size = la + lb - 1
-    prod = _pack(a, w) * _pack(b, w)
-    half = 1 << (8 * w - 1)
-    digits = (prod + int.from_bytes((b"\0" * (w - 1) + b"\x80") * size,
-                                    "little")).to_bytes(size * w, "little")
-    return [int.from_bytes(digits[i:i + w], "little") - half
-            for i in range(0, size * w, w)]
-
-
-def _pack(a, w: int) -> int:
-    """sum of a[k] 2^(8wk) for integers |a[k]| < 2^(8w)."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(w, "little") for c in a)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(w, "little") for c in a)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _make(n: int, num, den: int) -> "Cyclo":
@@ -247,7 +218,7 @@ class Cyclo:
         elif len(b) == 1:
             num = [x * b[0] for x in a]
         else:
-            num = _reduce(_conv(a, b), m)
+            num = _reduce(_poly_mul(a, b), m)
         return _make(m, num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -431,6 +402,14 @@ class QLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def monomials(self) -> tuple:
+        """The sum as a factor of `nonzero_product`: one term
+        (c, j, n, k, d) per nonzero power-basis numerator, c zeta_n^j
+        q^(k/d)."""
+        return tuple((Fraction(a, c.den), j, c.n, e.numerator, e.denominator)
+                     for e, c in self.terms.items()
+                     for j, a in enumerate(c.num) if a)
+
     def __eq__(self, other):
         other = self._coerce(other)
         return (self - other).is_zero()
@@ -483,21 +462,6 @@ class QLaurent:
                 parts.append(f"{cs}*q^{e}" if cs != "1" else f"q^{e}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_tex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            cs = str(c) if c.is_rational() else f"({c!r})"
-            if e == 0:
-                parts.append(cs)
-            else:
-                exp = f"{{{e}}}" if (e != 1) else ""
-                base = f"q^{exp}" if exp else "q"
-                parts.append(base if cs == "1" else f"{cs}\\,{base}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def _exact_power(qval, e: Fraction):
     """q^e as an exact Fraction, or None."""
@@ -536,7 +500,8 @@ ONE = QLaurent.constant(1)
 
 
 class QRational:
-    """Quotient of two QLaurent sums; equality by cross-multiplication."""
+    """Quotient of two QLaurent sums; equality by cross-multiplication on
+    integer rows."""
 
     __slots__ = ("num", "den")
 
@@ -594,8 +559,15 @@ class QRational:
         return self.num.is_zero()
 
     def __eq__(self, other):
+        """a/b == c/d when a d = c b, each side one `nonzero_product` of
+        two factors, the monomials of its two sums."""
         other = self._coerce(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
+        if self.num.is_zero() or other.num.is_zero():
+            return self.num.is_zero() and other.num.is_zero()
+        left, right = (nonzero_product([x.monomials(), y.monomials()])[0]
+                       for x, y in ((self.num, other.den),
+                                    (other.num, self.den)))
+        return left.terms == right.terms
 
     __hash__ = None  # value equality via cross-multiplication; not hashable
 
@@ -637,12 +609,6 @@ class QRational:
         return f"({c.num.to_text()}) / ({c.den.to_text()})"
 
     __repr__ = __str__
-
-    def to_tex(self) -> str:
-        c = self.canonical()
-        if c.den == ONE:
-            return c.num.to_tex()
-        return f"\\frac{{{c.num.to_tex()}}}{{{c.den.to_tex()}}}"
 
 
 def _primitive(terms: dict, scale: int, low: int):
@@ -717,11 +683,14 @@ def q_power(e) -> tuple:
 
 
 def is_zero_factor(factor) -> bool:
-    """Whether a factor of at most two terms (c, j, n, k, d) is 0: it has
-    no term, its one term has c = 0, or its two terms share the power of q
-    and c1 zeta_n1^j1 = -c2 zeta_n2^j2."""
+    """Whether a factor of terms (c, j, n, k, d) is 0: it has no term, its
+    one term has c = 0, or its two terms share the power of q and
+    c1 zeta_n1^j1 = -c2 zeta_n2^j2.  A factor of three or more terms is
+    taken as nonzero: `QLaurent.monomials` of a nonzero sum."""
     if len(factor) < 2:
         return not factor or not factor[0][0]
+    if len(factor) > 2:
+        return False
     (c1, j1, n1, k1, d1), (c2, j2, n2, k2, d2) = factor
     if k1 * d2 != k2 * d1 or abs(c1) != abs(c2):
         return False
@@ -734,9 +703,10 @@ def nonzero_product(factors):
     """(the product of the nonzero factors as a QLaurent, the number of
     zero factors).
 
-    A factor is a tuple of at most two terms (c, j, n, k, d), each the
-    monomial c zeta_n^j q^(k/d) with c a nonzero integer or Fraction and
-    n, d > 0; `binomial` and `q_power` build them.  The product is one
+    A factor is a tuple of terms (c, j, n, k, d), each the monomial
+    c zeta_n^j q^(k/d) with c a nonzero integer or Fraction and n, d > 0;
+    `binomial`, `q_power` and `QLaurent.monomials` build them, and
+    `is_zero_factor` tells which are 0.  The product is one
     integer expansion (`_ring_product`), reduced mod the cyclotomic
     polynomials once.  Each coefficient is stored at the order that
     multiplying the factors one at a time in `QLaurent` arithmetic gives
@@ -877,33 +847,53 @@ def _tag_order(n: int, tag: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(n: int):
-    """(M, norm): row i of the integer matrix M is x^(phi(n) + i) mod
-    Phi_n in the power basis, for phi(n) + i < n, built by the recurrence
-    x^(j+1) = x x^j; norm is the largest row 1-norm of x^j mod Phi_n over
-    all j < n."""
+def _phi_dense(n: int):
+    """The coefficients a_0, ..., a_(phi(n)-1) of Phi_n below its lead, as
+    an int64 array."""
     import numpy as np
     deg, low = _phi_low(n)
-    top = np.zeros(deg, np.int64)  # x^deg = -(the terms below the lead)
+    out = np.zeros(deg, np.int64)
     for i, c in low:
-        top[i] = -c
-    mat = np.zeros((n - deg, deg), np.int64)
-    mat[:1] = top
-    for i in range(1, n - deg):
-        mat[i, 1:] = mat[i - 1, :-1]
-        mat[i] += mat[i - 1, -1] * top
-    return mat, max([1] + [int(np.abs(row).sum()) for row in mat])
+        out[i] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduction_norm(n: int) -> int:
+    """The largest 1-norm of x^j mod Phi_n over j < n, by the one-row
+    recurrence x^(j+1) = x x^j."""
+    import numpy as np
+    low = _phi_dense(n)
+    row, norm = -low, 1  # x^phi(n) = -(the terms below the lead)
+    for _ in range(len(low), n):
+        norm = max(norm, int(np.abs(row).sum()))
+        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+    return norm
 
 
 def _reduce_block(rows, n: int, bound: int):
-    """The integer rows (coefficients of x^0..x^(n-1), entries within
-    `bound`) reduced mod Phi_n: one product with `_reduction_matrix`, on
-    int64 while bound times its row norm stays below INT64_SAFE."""
-    mat, norm = _reduction_matrix(n)
-    if bound * norm >= INT64_SAFE:
-        rows, mat = rows.astype(object), mat.astype(object)
-    deg = n - len(mat)
-    return rows[:, :deg] + rows[:, deg:] @ mat
+    """The integer rows (coefficients of x^0..x^(n-1), each row's 1-norm
+    within `bound`) reduced mod Phi_n = x^phi(n) + sum_j a_j x^j: on a
+    copy, the columns from the top down, each by
+    x^i = -sum_j a_j x^(i - phi(n) + j), one add per column.
+
+    At every step a row is a sum of shifted x^j mod Phi_n weighted by its
+    entries, so its entries stay within bound times `_reduction_norm(n)`,
+    and a product taken before its add within that times max |a_j|: the
+    sweep runs on int64 while that stays below INT64_SAFE, and on Python
+    integers above it."""
+    import numpy as np
+    low = _phi_dense(n)
+    deg = len(low)
+    if bound * _reduction_norm(n) * int(np.abs(low).max()) >= INT64_SAFE:
+        low = low.astype(object)
+    work = np.array(rows.T, dtype=low.dtype, order="C")  # a column a row
+    low = low[:, None]
+    for i in range(n - 1, deg - 1, -1):
+        top = work[i]
+        if top.any():
+            work[i - deg:i] -= low * top
+    return work[:deg].T
 
 
 def _vanishing(rows, n: int, bound: int):

@@ -352,3 +352,14 @@ def test_installed_entry_point():
         [sys.executable, "-m", "heckeplan.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_classification_batch_is_byte_identical_for_any_jobs():
+    # the batch runs one task per type and lattice, in worker processes
+    # when --jobs > 1
+    argv = ("check", "--suite", "classification", "--max-rank", "2",
+            "--format", "json", "--jobs")
+    (code1, out1), (code2, out2) = run_cli(*argv, "1"), run_cli(*argv, "2")
+    assert code1 == code2 == 0
+    assert json.loads(out1)["rows"]
+    assert out2 == out1

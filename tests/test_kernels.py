@@ -70,7 +70,7 @@ from heckeplan.rootdata import (
     reflection_closure,
     restrict_labels,
 )
-from heckeplan.symbolicq import Cyclo, _conv, cyclotomic_poly
+from heckeplan.symbolicq import Cyclo, cyclotomic_poly
 
 
 # -- the Fraction elimination and the Cramer search that the integer solver
@@ -1606,17 +1606,3 @@ def test_cyclo_cancellation_and_rationals_at_higher_order():
         half, rhalf = x * Fraction(1, 2) + 1, rx * Fraction(1, 2) + 1
         _same_cyclo(half, rhalf)
         assert half.n == n and half.den == (2 if value % 2 else 1)
-
-
-def test_kronecker_convolution_matches_double_loop():
-    # both paths of _conv, coefficients of either sign past 2^64
-    rng = random.Random(29)
-    for _ in range(300):
-        bits = rng.choice((1, 7, 8, 31, 64, 200))
-        a, b = ([rng.randint(-2 ** bits, 2 ** bits)
-                 for _ in range(rng.randint(1, 70))] for _ in range(2))
-        expected = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                expected[i + j] += x * y
-        assert _conv(a, b) == expected

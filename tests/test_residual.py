@@ -502,3 +502,46 @@ def test_dim_zero_cosets_are_the_residual_points(tag, lattice):
         assert points and points == residual_points(d, labels)
         # so the residue engine keys its point orbits by them directly
         assert all(canonical_point(d, p) == p for p in points)
+
+
+# -- the classification against closed forms from the literature ---------------
+
+
+def _distinct_parts(total: int, parity: int) -> int:
+    """The number of partitions of `total` into distinct parts of the given
+    parity."""
+    def count(rest, smallest):
+        return int(rest == 0) + sum(count(rest - p, p + 2)
+                                    for p in range(smallest, rest + 1, 2))
+    return count(total, 2 - parity)
+
+
+def _distinguished_orbits(tag: str) -> int:
+    """The number of distinguished nilpotent orbits of the complex Lie
+    algebra of type `tag` (Collingwood-McGovern, Nilpotent orbits in
+    semisimple Lie algebras, 1993)."""
+    family, n = tag[0], int(tag[1:])
+    return {"A": lambda: 1,
+            "B": lambda: _distinct_parts(2 * n + 1, 1),
+            "C": lambda: _distinct_parts(2 * n, 0),
+            "D": lambda: _distinct_parts(2 * n, 1),
+            "G": lambda: 2,
+            "F": lambda: 4}[family]()
+
+
+LITERATURE_DATA = [(tag, lattice) for tag in (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "C5", "D3", "D4", "D5", "G2", "F4") for lattice in "QP"
+    if lattice == "Q" or tag not in ("G2", "F4")]
+
+
+@pytest.mark.parametrize("tag,lattice", LITERATURE_DATA)
+def test_real_residual_orbits_count_the_distinguished_nilpotent_orbits(
+        tag, lattice):
+    # at equal labels the real residual points (u = 0) up to W0 are the
+    # q-powers of the distinguished nilpotent orbits, through the
+    # Kazhdan-Lusztig classification (Invent. Math. 87, 1987)
+    d = RootDatum.from_type(tag, lattice)
+    real = [p for p in residual_points(d, LabelFunction.equal(d))
+            if not any(p.u)]
+    assert len(real) == _distinguished_orbits(tag)
