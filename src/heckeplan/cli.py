@@ -22,6 +22,7 @@ from .rootdata import (
     datum_labels_from_json,
     random_label_vector,
 )
+from .symbolicq import ExpansionTooLarge
 
 F = Fraction
 
@@ -453,10 +454,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args)
         return cmd_tables(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ExpansionTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm
-from operator import mul, sub
 
 from .lattice import (
     INT64_SAFE,
     _int_width,
     _lattice_intersection,
     _product_dtype,
-    gauss_jordan,
     solve_unique,
     subset_adjugates,
     transpose,
@@ -32,9 +31,9 @@ from .rootdata import (
     LabelFunction,
     RootDatum,
     _distinct_rows,
-    _dynkin_components,
     _graded_action,
     _image_groups,
+    _inverse_numerators,
     parabolic_classes,
     parabolic_subsystem_roots,
     restrict_labels,
@@ -301,7 +300,6 @@ def coset_index(datum, labels, support_indices, point) -> int:
 @dataclass
 class UnitaryCandidate:
     point: TorusPoint                # split part trivial
-    r_s1: list                       # roots of R1 with alpha(s) = 1
     r_s0: list                       # roots of R0 supporting the graded system
     minus: frozenset                 # vecs of the roots of r_s0 at -1
     # the inverses of the graded search's n-subsets of the positive roots
@@ -309,111 +307,52 @@ class UnitaryCandidate:
     subset_inverses: SubsetInverses = field(compare=False, repr=False)
 
 
-@dataclass
-class CandidateSet:
-    points: list
-    rank_deficient: bool = False
-
-
-def _r1_simple_coords(datum: RootDatum):
-    """(simples, coords): the simple roots of R1 (its indecomposable
-    positives) and the simple-root coordinates of every positive root of
-    R1.  In order of height, a positive root r is simple unless r - s is
-    a positive root for a simple root s found before it; then r has the
-    coordinates of r - s plus one at s."""
-    simples, parts, by_vec = [], {}, {}
-    for r in datum.r1_positive:
-        for i, s in enumerate(simples):
-            rest = by_vec.get(tuple(map(sub, r.vec, s.vec)))
-            if rest is not None:
-                parts[r] = parts[rest] + [i]
-                break
-        else:
-            parts[r] = [len(simples)]
-            simples.append(r)
-        by_vec[r.vec] = r
-    return simples, {r: [p.count(i) for i in range(len(simples))]
-                     for r, p in parts.items()}
-
-
-def unitary_candidates(datum: RootDatum) -> CandidateSet:
-    """W0-orbit representatives of unitary points s whose rank of
-    {alpha in R1 : alpha(s) = 1} is full: the vertices of the fundamental
-    alcove of the R1 affine arrangement, one per orbit.  They depend on
-    the datum only; `RootDatum.unitary_candidates` holds them.  Candidates
+def unitary_candidates(datum: RootDatum) -> list:
+    """W0-orbit representatives, sorted by key, of the unitary points s
+    whose roots R1(s) = {alpha in R1 : alpha(s) = 1} have full rank; empty
+    when the roots do not span X.  They are the vertices of the
+    fundamental alcove of the R1 affine arrangement (Bourbaki, Lie VI
+    2.2): per component zero or omega_i^vee / m_i, where R1(s) holds the
+    affine diagram minus node i, summed over the components.  R1's simple
+    roots are R0's, each doubled one times 2; the marks m_i are the
+    coordinates of R1's highest root in them, and omega_i^vee is column i
+    of the inverse of their matrix, from one solve.  They depend on the
+    datum only; `RootDatum.unitary_candidates` holds them.  Candidates
     with equal graded positive roots share one `SubsetInverses`."""
-    import numpy as np
     n = datum.rank
     # the simple roots are independent, so the roots span X over Q exactly
     # when there are rank of them
     if not datum.roots or datum.n_simple < n:
-        return CandidateSet([], rank_deficient=True)
-    simples, coords = _r1_simple_coords(datum)
-    comps = _dynkin_components([s.vec for s in simples],
-                               [s.coroot for s in simples])
-    per_component_vertices = []
-    for comp in comps:
-        # highest root of the component, in simple coordinates of R1
-        best, marks = None, None
-        for r, cs in coords.items():
-            if any(cs[i] for i in comp) and all(
-                    cs[i] == 0 for i in range(len(simples)) if i not in comp):
-                if best is None or sum(cs) > sum(marks):
-                    best, marks = r, cs
-        per_component_vertices.append(
-            [tuple(Fraction(0) for _ in range(n))] + _fundamental_covertices(
-                datum, [simples[i] for i in comp], [marks[i] for i in comp]))
-    # products over components
-    candidates = set()
-    from itertools import product
-    for choice in product(*per_component_vertices):
-        u = tuple(sum(v[i] for v in choice) % 1 for i in range(n))
-        candidates.add(u)
-    reps = list(dict.fromkeys(_canonical_points(
-        datum, [TorusPoint(u, (0,) * n) for u in sorted(candidates)])))
+        return []
+    scale = [1 + datum.doubled[s] for s in datum.simple_roots]
+    num, det = _inverse_numerators([[c * x for x in s] for c, s in
+                                    zip(scale, datum.simple_roots)])
+    # from the top, the first root of R1 in each component is its highest
+    # root: the first whose support misses the components found before
+    vertices, seen = [], set()
+    for r in reversed(datum.r1_positive):
+        support = [i for i, a in enumerate(r.alpha) if a]
+        if seen.isdisjoint(support):
+            seen.update(support)
+            vertices.append([(0,) * n] + [
+                tuple(Fraction(row[i] * scale[i], det * r.alpha[i])
+                      for row in num) for i in support])
+    reps = sorted(set(_canonical_points(datum, [
+        TorusPoint([sum(x) % 1 for x in zip(*choice)], (0,) * n)
+        for choice in product(*vertices)])), key=TorusPoint.key)
     rows, den = _point_rows(reps, n)
-    on_r1, un = (pairings(rows, den, [r.vec for r in roots])[0]
-                 for roots in (datum.r1, datum.roots))
-    r_s1s = [[r for r, u in zip(datum.r1, row) if u == 0]
-             for row in on_r1.tolist()]
-    # the ranks of every R1(s), padded with zero rows, from one stack
-    stack = np.zeros((len(reps), max(map(len, r_s1s)), n), dtype=np.int64)
-    for i, r_s1 in enumerate(r_s1s):
-        stack[i, :len(r_s1)] = [r.vec for r in r_s1]
-    full = gauss_jordan(stack, n)[2].all(axis=1).tolist()
+    un = pairings(rows, den, [r.vec for r in datum.roots])[0]
     graded = _in_graded_system(datum, un, den, datum.roots).tolist()
     inverses, out = {}, []
-    for rep, r_s1, ok, in_s0, row in zip(reps, r_s1s, full, graded,
-                                         un.tolist()):
-        if ok:
-            r_s0 = [r for r, g in zip(datum.roots, in_s0) if g]
-            positives = tuple(r for r in r_s0 if r.height > 0)
-            if positives not in inverses:
-                inverses[positives] = _subset_inverses(positives, n)
-            out.append(UnitaryCandidate(rep, r_s1, r_s0, frozenset(
-                r.vec for r, g, u in zip(datum.roots, in_s0, row) if g and u),
-                inverses[positives]))
-    out.sort(key=lambda c: c.point.key())
-    return CandidateSet(out)
-
-
-def _fundamental_covertices(datum, comp_simples, marks):
-    """omega_i^vee / m_i for each simple root i of the component: the
-    vector v in the coroot span with <alpha_j, v> = delta_ij / m_i on the
-    component simples.  One solve of the Cartan matrix C of the component
-    against the identity gives C^{-1} = num / pivot, and v_i is the sum
-    of num[j][i] coroot_j over pivot * m_i."""
-    import numpy as np
-    k = len(comp_simples)
-    cartan = [[sum(map(mul, s.vec, t.coroot)) for t in comp_simples]
-              for s in comp_simples]
-    aug = np.array([row + [int(i == j) for j in range(k)]
-                    for i, row in enumerate(cartan)], dtype=np.int64)
-    red, pivot, _ = gauss_jordan(aug[None], k)
-    num, pivot = red[0, :, k:].tolist(), int(pivot[0])
-    return [tuple(Fraction(sum(num[j][i] * comp_simples[j].coroot[t]
-                               for j in range(k)), pivot * marks[i])
-                  for t in range(datum.rank)) for i in range(k)]
+    for rep, in_s0, row in zip(reps, graded, un.tolist()):
+        r_s0 = [r for r, g in zip(datum.roots, in_s0) if g]
+        positives = tuple(r for r in r_s0 if r.height > 0)
+        if positives not in inverses:
+            inverses[positives] = _subset_inverses(positives, n)
+        out.append(UnitaryCandidate(rep, r_s0, frozenset(
+            r.vec for r, g, u in zip(datum.roots, in_s0, row) if g and u),
+            inverses[positives]))
+    return out
 
 
 # -- graded residual points ----------------------------------------------------
@@ -563,10 +502,8 @@ def _candidate_gammas(positives, klabels, n, inverses=None):
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
     """All residual points up to W0, as canonical orbit representatives."""
-    cands = datum.unitary_candidates
-    if cands.rank_deficient:
-        return []
-    found = [TorusPoint(cand.point.u, gamma) for cand in cands.points
+    found = [TorusPoint(cand.point.u, gamma)
+             for cand in datum.unitary_candidates
              for gamma in graded_residual_points(
                  datum, cand.r_s0, graded_labels(datum, labels, cand),
                  inverses=cand.subset_inverses)]

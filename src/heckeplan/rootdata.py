@@ -240,8 +240,21 @@ class RootDatum:
                      for r in range(n))
 
     def components(self) -> list[list[int]]:
-        """Connected components of the Dynkin diagram (simple indices)."""
-        return _dynkin_components(self.simple_roots, self.simple_coroots)
+        """Connected components of the Dynkin diagram: i and j are joined
+        when <alpha_j, alpha_i^vee> != 0.  Sorted simple-index lists, in
+        the order of their least index."""
+        comps, left = [], list(range(self.n_simple))
+        while left:
+            comp, stack = set(), [left[0]]
+            while stack:
+                i = stack.pop()
+                if i not in comp:
+                    comp.add(i)
+                    stack.extend(j for j in left if j not in comp and sum(map(
+                        mul, self.simple_roots[j], self.simple_coroots[i])))
+            comps.append(sorted(comp))
+            left = [i for i in left if i not in comp]
+        return comps
 
     def highest_coroot(self, comp: list[int]) -> Vec:
         """Highest coroot of an irreducible component: the first coroot of
@@ -454,25 +467,6 @@ class RootDatum:
             return cls.from_type(data["type"], data["lattice"])
         basis = [[Fraction(x) for x in row] for row in data["basis_in_alpha"]]
         return cls.from_type(data["type"], basis)
-
-
-def _dynkin_components(roots, coroots) -> list[list[int]]:
-    """Connected components of the Dynkin diagram of the simple roots
-    `roots` with coroots `coroots` (integer vectors): i and j are joined
-    when <roots[j], coroots[i]> != 0.  Sorted index lists, in the order of
-    their least index."""
-    comps, left = [], list(range(len(roots)))
-    while left:
-        comp, stack = set(), [left[0]]
-        while stack:
-            i = stack.pop()
-            if i not in comp:
-                comp.add(i)
-                stack.extend(j for j in left if j not in comp and
-                             sum(map(mul, roots[j], coroots[i])))
-        comps.append(sorted(comp))
-        left = [i for i in left if i not in comp]
-    return comps
 
 
 def _distinct_rows(rows):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
-from math import cos, gcd, isqrt, lcm, pi, prod, sin
+from itertools import chain, combinations, zip_longest
+from math import cos, gcd, isfinite, isqrt, lcm, pi, prod, sin
 
 from .lattice import INT64_SAFE
 
@@ -41,19 +41,19 @@ from .lattice import INT64_SAFE
 def cyclotomic_poly(n: int) -> tuple:
     """The n-th cyclotomic polynomial as sparse (index, coefficient) pairs,
     low to high.  It is monic with integer coefficients."""
-    # (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact integer division
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            deg, low = _phi_low(d)
-            out = [0] * (len(poly) - deg)
-            for i in range(len(out) - 1, -1, -1):
-                c = out[i] = poly[i + deg]
-                if c:
-                    for j, a in low:
-                        poly[i + j] -= c * a
-            poly = out
-    return tuple((i, c) for i, c in enumerate(poly) if c)
+    # Phi_n(x) = Phi_r(x^(n/r)), r the product of the primes of n, and mod
+    # x^(phi(r) + 1) Phi_r is the product over the sets S of those primes
+    # of (1 - x^(r/prod S))^((-1)^|S|), negated at r = 1 (Moebius): one
+    # strided pass multiplies or divides by each binomial
+    primes = sorted({p for _, p in _order_bits(n)})
+    r, size = prod(primes), prod(p - 1 for p in primes) + 1
+    poly = [-1 if r == 1 else 1] + [0] * (size - 1)
+    for k in range(len(primes) + 1):
+        step = 1 if k % 2 else -1
+        for d in (r // prod(s) for s in combinations(primes, k)):
+            for i in range(d, size)[::step]:
+                poly[i] += step * poly[i - d]
+    return tuple((i * (n // r), c) for i, c in enumerate(poly) if c)
 
 
 @lru_cache(maxsize=None)
@@ -572,11 +572,20 @@ class QRational:
     __hash__ = None  # value equality via cross-multiplication; not hashable
 
     def evaluate(self, qval):
+        """Value at a numeric q > 0: exact when both sums are, else
+        complex.  A complex quotient that is not finite, as when both
+        float sums overflow, is taken again with both sums divided by q^E,
+        E the largest exponent of the denominator."""
         n = self.num.evaluate(qval)
         d = self.den.evaluate(qval)
         if isinstance(n, Fraction) and isinstance(d, Fraction):
             return n / d
-        return complex(n) / complex(d)
+        out = complex(n) / complex(d)
+        top = max(self.den.terms)
+        if isfinite(out.real) and isfinite(out.imag) or not top:
+            return out
+        shift = QLaurent.monomial(-top)
+        return QRational(self.num * shift, self.den * shift).evaluate(qval)
 
     def canonical(self) -> "QRational":
         """Reduced form: the exponents as integers over one denominator,
@@ -730,6 +739,17 @@ def nonzero_product(factors):
     return out, zeros
 
 
+# entries of the largest expansion block that `_ring_product` builds:
+# 2^24 int64 is 128 MiB, and the largest block of a density table of rank
+# <= 4 at q = 2 is 49 x 17017 = 833,833 (F4)
+EXPANSION_CAP = 1 << 24
+
+
+class ExpansionTooLarge(Exception):
+    """A product whose expansion block would pass EXPANSION_CAP entries;
+    not a ValueError, so no caller reads it as a singular value."""
+
+
 def _ring_product(factors):
     """(block, tags, lo, (den, D), zeros, bound) for the product of the
     nonzero factors of `nonzero_product`.
@@ -745,7 +765,9 @@ def _ring_product(factors):
 
     The order of row i is kept as tags[i], with bit b set when the prime
     power of bit b (`_order_bits`) divides it, so the lcm of two orders is
-    the or of their tags; -1 marks a row that is 0."""
+    the or of their tags; -1 marks a row that is 0.  A block of more than
+    EXPANSION_CAP entries raises ExpansionTooLarge before it is
+    allocated."""
     import numpy as np
     kept, zeros = [], 0
     for factor in factors:
@@ -772,6 +794,11 @@ def _ring_product(factors):
                  tag_of[m]) for (c, j, m, _, _), k in zip(terms, shifts)]
         bound *= sum(abs(t[0]) for t in step)
         steps.append((step, max(shifts) - low))
+    rows = 1 + sum(span for _, span in steps)
+    if rows * n > EXPANSION_CAP:
+        raise ExpansionTooLarge(
+            f"the expansion needs a block of {rows} x {n} integers, past "
+            f"the cap of {EXPANSION_CAP} entries")
     dtype = np.dtype(np.int64 if bound < INT64_SAFE else object)
     block, tags = _expand(steps, n, dtype, bound)
     return block, tags, lo, (den, q_den), zeros, bound

@@ -1,4 +1,6 @@
+import cmath
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -281,11 +283,12 @@ def test_a_rank_below_one_is_a_usage_error(tag, capsys):
 @pytest.mark.parametrize("argv,want", [
     (("tables", "--which", "density", "--labels", "100"), 0),
     (("tables", "--which", "poincare", "--labels", "1000"), 0),
-    (("check", "--suite", "density", "--labels", "1000"), 1)])
+    (("check", "--suite", "density", "--labels", "1000"), 0)])
 def test_powers_of_q_past_the_float_range(argv, want):
     # at q = 2 these labels give powers of q past 2^1024: an exact value
-    # is printed without a float sum, and a float sum holding such a power
-    # is not finite, which the density check reports as a failed row
+    # is printed without a float sum, and a quotient of two float sums
+    # that overflow is taken again with both divided by the top power of
+    # q of the denominator, so every row is finite and the check passes
     code, out = run_cli(*argv, "--type", "B2", "--q", "2", "--format",
                         "json")
     assert code == want
@@ -296,10 +299,15 @@ def test_powers_of_q_past_the_float_range(argv, want):
         return
     # the rows whose value is exact print it as a fraction
     assert [Fraction(r["mass_at_q"]) for r in rows
-            if "(" not in str(r["mass_at_q"])]
-    broken = [r for r in rows if "nan" in str(r["mass_at_q"]) or
-              "inf" in str(r["mass_at_q"])]
-    assert bool(broken) == (want == 1)
+            if "j" not in str(r["mass_at_q"])]
+    floats = [complex(r["mass_at_q"]) for r in rows
+              if "j" in str(r["mass_at_q"])]
+    assert all(cmath.isfinite(v) for v in floats)
+    if argv[0] == "check":
+        # the rows of positive dimension whose sums overflowed: orbits 0
+        # and 1 lie below the float range, and orbit 2 is about -9.33e-302
+        assert floats[:2] == [0, 0]
+        assert abs(floats[2] + 9.332636185032189e-302) < 1e-310
 
 
 def test_tables_fdim():
@@ -363,3 +371,19 @@ def test_classification_batch_is_byte_identical_for_any_jobs():
     assert code1 == code2 == 0
     assert json.loads(out1)["rows"]
     assert out2 == out1
+
+
+def test_an_expansion_block_past_the_cap_is_refused_before_allocation():
+    # labels with denominator 10^6 make the density products sparse in q:
+    # their blocks would need 1.7 GiB and more, and the address space of
+    # the child is 3 GB, so only a refusal before allocating exits cleanly
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckeplan.cli", "tables", "--which",
+         "density", "--type", "B2", "--labels", "1000001/1000000", "--q",
+         "2"], capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: the expansion needs a block of 8000009 x 77 integers, past "
+        "the cap of 16777216 entries\n")

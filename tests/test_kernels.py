@@ -41,7 +41,6 @@ from heckeplan.residual import (
     _matches,
     _orbit_rows,
     _point_rows,
-    _r1_simple_coords,
     _row_to_point,
     _subset_inverses,
     _threshold_masks,
@@ -379,7 +378,7 @@ def _graded_problems(tag, lattice, seeded=2):
         LabelFunction.from_affine_nodes(d, random_label_vector(d, rng))
         for _ in range(seeded)]
     for labels in label_sets:
-        for cand in unitary_candidates(d).points:
+        for cand in unitary_candidates(d):
             yield d, cand, graded_labels(d, labels, cand)
 
 
@@ -415,7 +414,7 @@ def test_candidate_gammas_past_int64_stay_exact():
     # labels near 10^18 push the elimination past int64, so the search runs
     # on Python integers and must still agree exactly
     d = RootDatum.from_type("B3", "P")
-    cand = unitary_candidates(d).points[0]
+    cand = unitary_candidates(d)[0]
     positives = [r for r in cand.r_s0 if r.height > 0]
     kl = {r.vec: Fraction(10 ** 18 + 7 * k, 10 ** 6 + 3)
           for k, r in enumerate(positives)}
@@ -471,7 +470,7 @@ def test_cached_subset_inverses_solve_like_the_uncached_search(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     n = d.rank
     for labels in _label_sets(d, 23):
-        for cand in d.unitary_candidates.points:
+        for cand in d.unitary_candidates:
             positives = [r for r in cand.r_s0 if r.height > 0]
             kl = graded_labels(d, labels, cand)
             # labels near 10^18 take the product onto Python integers
@@ -485,7 +484,7 @@ def test_cached_subset_inverses_solve_like_the_uncached_search(tag, lattice):
             assert got.dtype == object or not len(got)
     # the cache holds every invertible subset with adj(A) A = det(A) I,
     # each array at the narrowest width that holds its bound
-    for cand in d.unitary_candidates.points:
+    for cand in d.unitary_candidates:
         inv = cand.subset_inverses
         vecs = np.array([r.vec for r in cand.r_s0 if r.height > 0],
                         dtype=np.int64).reshape(-1, n)
@@ -561,7 +560,7 @@ def test_minor_table_inverses_match_the_elimination(tag, lattice):
     seen = set()
     for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
                       if pc.indices]:
-        for cand in sub.unitary_candidates.points:
+        for cand in sub.unitary_candidates:
             positives = tuple(r for r in cand.r_s0 if r.height > 0)
             key = (sub.rank, tuple(r.vec for r in positives))
             if key not in seen:
@@ -607,7 +606,7 @@ def test_candidates_with_equal_graded_roots_share_their_inverses(
                         lambda *a: calls.append(a) or real(*a))
     d = RootDatum.from_type(tag, lattice)
     groups = {}
-    for cand in d.unitary_candidates.points:
+    for cand in d.unitary_candidates:
         groups.setdefault(tuple(r for r in cand.r_s0 if r.height > 0),
                           []).append(cand)
     assert any(len(g) > 1 for g in groups.values())
@@ -622,21 +621,36 @@ def test_candidates_with_equal_graded_roots_share_their_inverses(
 @pytest.mark.parametrize("tag,lattice", RANK5_DATA)
 def test_r1_simple_coords_match_the_indecomposables_and_a_solve(tag,
                                                                 lattice):
-    # A1, B2, B3 and C2 on Q have doubled roots, so R1 differs from R0
+    # the premises of `unitary_candidates`, which takes R0's simple roots,
+    # each doubled one times 2, as the simple roots of R1 and keeps every
+    # alcove vertex unfiltered.  A1, B2, B3 and C2 on Q have doubled
+    # roots, so R1 differs from R0.
     d = RootDatum.from_type(tag, lattice)
     for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
                       if pc.indices]:
         pos = sub.r1_positive
         vecs = {r.vec for r in pos}
-        simples, coords = _r1_simple_coords(sub)
-        assert simples == [r for r in pos if not any(
+        simples = [tuple((1 + sub.doubled[s]) * x for x in s)
+                   for s in sub.simple_roots]
+        # the simple roots of R1 are its indecomposable positive roots
+        assert sorted(simples) == sorted(r.vec for r in pos if not any(
             s != r and tuple(a - b for a, b in zip(r.vec, s.vec)) in vecs
-            for s in pos)]
-        assert list(coords) == pos
-        for r, cs in coords.items():
-            assert min(cs) >= 0
-            assert tuple(sum(c * s.vec[t] for c, s in zip(cs, simples))
-                         for t in range(sub.rank)) == r.vec
+            for s in pos))
+        # every positive root has nonnegative integer coordinates in them,
+        # its `alpha` halved at the doubled simple roots (the marks)
+        cols = [[s[t] for s in simples] for t in range(sub.rank)]
+        for r in pos:
+            kind, cs = _fraction_solve(cols, r.vec)
+            assert kind == "unique"
+            assert all(c >= 0 and c.denominator == 1 for c in cs)
+            assert cs == [Fraction(a, 1 + sub.doubled[s])
+                          for a, s in zip(r.alpha, sub.simple_roots)]
+        # every candidate's R1(s) = {alpha in R1 : alpha(s) = 1} has full rank
+        assert sub.unitary_candidates
+        for cand in sub.unitary_candidates:
+            un = cand.point.numerators_of([r.vec for r in sub.r1])[0]
+            r_s1 = [r.vec for r, u in zip(sub.r1, un) if u == 0]
+            assert len(_fraction_rref(r_s1)[1]) == sub.rank
 
 
 def test_int_width_holds_the_bound():
@@ -684,7 +698,8 @@ def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module in (lattice, residual, rootdata):
+    # the package's solves all reach `gauss_jordan` through these two
+    for module in (lattice, rootdata):
         count(module, "gauss_jordan")
     count(residual, "_coset_orbit")
     assert classification_suite(d, labels).passed
@@ -1573,6 +1588,13 @@ def test_cyclo_mixed_orders_match_fraction_reference(n1, n2):
                                             ra.lift(lcm(n1, n2)))):
             _same_cyclo(new, ref)
         assert (a == b) == (ra == rb)
+
+
+def test_cyclotomic_poly_matches_the_division_reference_below_400():
+    # the Moebius product against x^n - 1 divided by every Phi_d, d | n
+    for n in range(1, 400):
+        assert cyclotomic_poly(n) == tuple(
+            (i, c) for i, c in enumerate(_ref_cyclotomic_poly(n)) if c)
 
 
 def test_cyclo_cancellation_and_rationals_at_higher_order():

@@ -51,8 +51,7 @@ def orbit_value_sets(datum, points):
 def test_unitary_candidates_a1():
     d = RootDatum.from_type("A1", "Q")
     cands = unitary_candidates(d)
-    assert not cands.rank_deficient
-    vals = sorted(c.point.value_of(d.simple_roots[0])[0] for c in cands.points)
+    vals = sorted(c.point.value_of(d.simple_roots[0])[0] for c in cands)
     assert vals == [0, F(1, 2)]  # s = 1 and s = -1 on the root
 
 
@@ -61,7 +60,7 @@ def test_unitary_candidates_b2_q():
     cands = unitary_candidates(d)
     vals = sorted((c.point.value_of(d.simple_roots[0])[0],
                    c.point.value_of(d.simple_roots[1])[0])
-                  for c in cands.points)
+                  for c in cands)
     # (1,1), (1,-1), (-1,1) in root values (u-parts 0 or 1/2)
     assert vals == [(0, 0), (0, F(1, 2)), (F(1, 2), 0)]
 
@@ -69,7 +68,14 @@ def test_unitary_candidates_b2_q():
 def test_unitary_candidates_b2_p():
     d = RootDatum.from_type("B2", "P")
     cands = unitary_candidates(d)
-    assert len(cands.points) == 3
+    assert len(cands) == 3
+
+
+def test_unitary_candidates_are_empty_when_the_roots_do_not_span_x():
+    # one root in a rank-2 lattice: no point has R1(s) of full rank
+    d = RootDatum([(2, 0)], [(1, 0)])
+    assert unitary_candidates(d) == []
+    assert residual_points(d, LabelFunction.equal(d)) == []
 
 
 # -- graded search -------------------------------------------------------------
@@ -78,7 +84,7 @@ def test_unitary_candidates_b2_p():
 def test_graded_points_a1():
     d = RootDatum.from_type("A1", "P")
     labels = LabelFunction.equal(d)
-    cand = unitary_candidates(d).points[0]
+    cand = unitary_candidates(d)[0]
     kl = graded_labels(d, labels, cand)
     pts = graded_residual_points(d, cand.r_s0, kl)
     assert len(pts) == 1
@@ -90,7 +96,7 @@ def test_graded_points_a1():
 def test_graded_points_a2_equal():
     d = RootDatum.from_type("A2", "Q")
     labels = LabelFunction.equal(d)
-    cand = next(c for c in unitary_candidates(d).points
+    cand = next(c for c in unitary_candidates(d)
                 if all(x == 0 for x in c.point.u))
     kl = graded_labels(d, labels, cand)
     pts = graded_residual_points(d, cand.r_s0, kl)
@@ -109,7 +115,7 @@ def test_graded_points_b2_minus_plus_empty():
     # its graded system and carries no residual points
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
-    cand = next(c for c in unitary_candidates(d).points
+    cand = next(c for c in unitary_candidates(d)
                 if c.point.value_of(d.simple_roots[0])[0] == F(1, 2))
     kl = graded_labels(d, labels, cand)
     assert graded_residual_points(d, cand.r_s0, kl) == []
@@ -545,3 +551,29 @@ def test_real_residual_orbits_count_the_distinguished_nilpotent_orbits(
     real = [p for p in residual_points(d, LabelFunction.equal(d))
             if not any(p.u)]
     assert len(real) == _distinguished_orbits(tag)
+
+
+def _partitions(n: int) -> int:
+    """The number of partitions of n."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
+@pytest.mark.parametrize("k", [F(3, 7), F(13, 11)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generic_labels_on_b_n_count_the_partitions_and_bipartitions(n, k):
+    # affine-node labels 1, ..., 1, k on B_n/Q, with k generic: the real
+    # residual points (u = 0) up to W0 are one per partition of n
+    # (Heckman-Opdam, Yang's system of particles and Hecke algebras, Ann.
+    # of Math. 145, 1997), and all residual point orbits are one per
+    # bipartition of n: 5, 10, 20 and 36 for n = 2, ..., 5.  The non-real
+    # orbits come from unitary candidates s != 1.
+    d = RootDatum.from_type(f"B{n}", "Q")
+    points = residual_points(d, LabelFunction.from_affine_nodes(
+        d, [1] * n + [k]))
+    assert sum(not any(p.u) for p in points) == _partitions(n)
+    assert len(points) == sum(_partitions(a) * _partitions(n - a)
+                              for a in range(n + 1))
