@@ -314,19 +314,19 @@ def unitary_candidates(datum: RootDatum) -> list:
     fundamental alcove of the R1 affine arrangement (Bourbaki, Lie VI
     2.2): per component zero or omega_i^vee / m_i, where R1(s) holds the
     affine diagram minus node i, summed over the components.  R1's simple
-    roots are R0's, each doubled one times 2; the marks m_i are the
-    coordinates of R1's highest root in them, and omega_i^vee is column i
-    of the inverse of their matrix, from one solve.  They depend on the
-    datum only; `RootDatum.unitary_candidates` holds them.  Candidates
-    with equal graded positive roots share one `SubsetInverses`."""
+    roots are R0's, each doubled one times 2, which halves its
+    omega_i^vee and its mark m_i, the coordinate of R1's highest root.
+    So vertex i is column i of the inverse of R0's simple-root matrix,
+    from one solve, over the i-th coordinate of that root in R0's simple
+    roots (`alpha`).  They depend on the datum only;
+    `RootDatum.unitary_candidates` holds them.  Candidates with equal
+    graded positive roots share one `SubsetInverses`."""
     n = datum.rank
     # the simple roots are independent, so the roots span X over Q exactly
     # when there are rank of them
     if not datum.roots or datum.n_simple < n:
         return []
-    scale = [1 + datum.doubled[s] for s in datum.simple_roots]
-    num, det = _inverse_numerators([[c * x for x in s] for c, s in
-                                    zip(scale, datum.simple_roots)])
+    num, det = _inverse_numerators(datum.simple_roots)
     # from the top, the first root of R1 in each component is its highest
     # root: the first whose support misses the components found before
     vertices, seen = [], set()
@@ -335,8 +335,8 @@ def unitary_candidates(datum: RootDatum) -> list:
         if seen.isdisjoint(support):
             seen.update(support)
             vertices.append([(0,) * n] + [
-                tuple(Fraction(row[i] * scale[i], det * r.alpha[i])
-                      for row in num) for i in support])
+                tuple(Fraction(row[i], det * r.alpha[i]) for row in num)
+                for i in support])
     reps = sorted(set(_canonical_points(datum, [
         TorusPoint([sum(x) % 1 for x in zip(*choice)], (0,) * n)
         for choice in product(*vertices)])), key=TorusPoint.key)

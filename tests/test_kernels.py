@@ -621,10 +621,10 @@ def test_candidates_with_equal_graded_roots_share_their_inverses(
 @pytest.mark.parametrize("tag,lattice", RANK5_DATA)
 def test_r1_simple_coords_match_the_indecomposables_and_a_solve(tag,
                                                                 lattice):
-    # the premises of `unitary_candidates`, which takes R0's simple roots,
-    # each doubled one times 2, as the simple roots of R1 and keeps every
-    # alcove vertex unfiltered.  A1, B2, B3 and C2 on Q have doubled
-    # roots, so R1 differs from R0.
+    # the premises of `unitary_candidates`: R1's simple roots are R0's,
+    # each doubled one times 2, so the doubling cancels in omega_i^vee /
+    # m_i, and every alcove vertex is kept unfiltered.  A1, B2, B3 and C2
+    # on Q have doubled roots, so R1 differs from R0.
     d = RootDatum.from_type(tag, lattice)
     for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
                       if pc.indices]:
