@@ -20,27 +20,19 @@ over the nested N/2 grid (every other node).  Their difference is the
 error of the N/2 grid; under geometric decay the N-node error is about
 its square.  N is accepted once the difference is at most the tolerance,
 doubled otherwise, and a contour that still misses the tolerance at 2^14
-nodes raises ValueError.  A report's `resolution` is the largest N used
-and its `error_estimate` the largest half-grid difference among the
-integrals it used.
+nodes raises ValueError.  A chamber of the rings (a sign vector of the
+gaps) is convex and holds no pole, so its contours are homologous cycles,
+as in the paper's shift of the cycle onto local cycles: one quadrature
+per chamber is exact.  A report's `resolution` is the largest N run and
+its `error_estimate` the largest half-grid difference of a quadrature run
+or of a small circle (a mean on every other node).
 
 Evaluation.  The kernel is a product of factors 1 - d z^vec, and vec = c p
 for a primitive direction p, so a factor depends on the grid point only
-through w = z^p.  At node (k1, k2) of a rank-2 grid, z^p = r^p omega^(p.k)
-with omega = e^{2 pi i/N} and the exponent taken mod N.  Each direction's
-factor is therefore a table of N values on one circle, built once per
-integral; the two axis tables enter as an outer pair, each skew table is
-read through a strided (N, N) view of the table tiled |p1| + |p2| + 1
-times, and the sum runs over blocks of rows.  The half grid reads every
-other entry of the same tables.  This is the same trapezoid sum as
-evaluating the kernel at all N^2 points, in O(N) kernel evaluations.
-Every coefficient d is real (u0 is 0 or 1/2), so on real radii the
-kernel takes conjugate values at theta and -theta, and row -k1 of the
-grid sums to the conjugate of row k1.  The rank-2 sum is therefore the
-real part of a sum over the rows 0 <= k1 <= N/2, each weighted 2 but
-rows 0 and N/2, which are their own conjugates; the half grid takes the
-even rows among them with the same weights.  Rank 1 keeps the full
-circle.
+through w = z^p, which takes N values r^p omega^m on a rank-2 grid.  Each
+direction's factor is therefore a table of N values, and `torus_integral`
+sums their products over the grid in O(N) kernel evaluations.  Every
+coefficient d is real, so the rank-2 sum folds row -k1 onto row k1.
 """
 
 from __future__ import annotations
@@ -390,8 +382,8 @@ class MassEntry:
 class LocalMassReport:
     qval: float
     tolerance: float
-    resolution: int  # largest node count per circle used
-    error_estimate: float  # largest half-grid difference of an integral
+    resolution: int  # largest node count per circle run
+    error_estimate: float  # largest half-grid difference
     global_mass: float
     continuous: float
     coset_masses: list
@@ -440,6 +432,7 @@ class ResidueEngine:
         self.resolution = 0
         self.error_estimate = 0.0
         self._iq = float(self.qval)
+        self._chambers = {}  # (chamber, requested node count) -> integral
 
     # -- infrastructure ------------------------------------------------------
 
@@ -492,11 +485,8 @@ class ResidueEngine:
         label = f"dim{c.dim} P={list(c.support)} " + " ".join(vals)
         return MassEntry(label, c.center, value)
 
-    def nodes_for(self, ell):
-        """Starting node count per circle on the contour at log-radii ell:
-        the trapezoid error decays like e^{-N d} at natural-log distance d
-        from the nearest pole ring, so this N puts the half grid's error
-        near the tolerance and the full grid's near its square."""
+    def _chamber(self, ell):
+        """(sign vector of the ring gaps, nodes_for(ell)) at log-radii ell."""
         big, gaps = self.rings.gaps(ell)
         best = min((abs(g) / big / max(1.0, float(sum(map(abs, p))))
                     for (p, _), (g,) in zip(self.rings.rows, gaps)),
@@ -508,15 +498,28 @@ class ResidueEngine:
         size = 16
         while size < n:
             size *= 2
-        return min(size, MAX_NODES)
+        return tuple(g > 0 for (g,) in gaps), min(size, MAX_NODES)
+
+    def nodes_for(self, ell):
+        """Starting node count per circle on the contour at log-radii ell:
+        the trapezoid error decays like e^{-N d} at natural-log distance d
+        from the nearest pole ring, so this N puts the half grid's error
+        near the tolerance and the full grid's near its square."""
+        return self._chamber(ell)[1]
 
     def integral(self, ell, nodes=None):
         """Real part of the torus integral on the contour at log-radii
         ell.  Without a fixed node count, N doubles from nodes_for(ell)
-        until the half-grid difference is within the tolerance."""
-        radii = [self._iq ** float(x) for x in ell]
+        until the half-grid difference is within the tolerance.  Each
+        chamber is integrated once per requested node count."""
         fixed = nodes if nodes is not None else self._nodes
-        n = fixed if fixed is not None else self.nodes_for(ell)
+        chamber, n = self._chamber(ell)
+        key = (chamber, fixed)
+        if key in self._chambers:
+            return self._chambers[key]
+        radii = [self._iq ** float(x) for x in ell]
+        if fixed is not None:
+            n = fixed
         while True:
             val, half = torus_integral(self.fn, radii, n)
             est = abs(val - half)
@@ -531,6 +534,7 @@ class ResidueEngine:
             n *= 2
         self.resolution = max(self.resolution, n)
         self.error_estimate = max(self.error_estimate, est)
+        self._chambers[key] = val.real
         return val.real
 
     def _bracket(self, pos, axis, sign, step):
@@ -544,16 +548,18 @@ class ResidueEngine:
         return self.integral(tuple(after)) - self.integral(tuple(before))
 
     def _small_circle(self, point, axis, eps, nodes):
-        """Mean of w fn(z) / z_axis over the circle z_axis = z0 + w,
+        """Means of w fn(z) / z_axis over the circle z_axis = z0 + w,
         |w| = eps |z0|, with every other coordinate at the point's: the
-        local residue in that coordinate, up to sign."""
+        local residue in that coordinate, up to sign.  Returns the means
+        on all nodes and on the even ones, a rotated nodes/2 rule."""
         z0 = [complex(np.exp(2j * np.pi * float(u)) * self._iq ** float(r))
               for u, r in zip(point.u, point.r)]
         theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
         w = abs(z0[axis]) * eps * np.exp(1j * theta)
         zs = [np.full_like(w, z) for z in z0]
         zs[axis] = z0[axis] + w
-        return complex(np.mean(w * self.fn(*zs) / zs[axis]))
+        vals = w * self.fn(*zs) / zs[axis]
+        return complex(vals.mean()), complex(vals[::2].mean())
 
     def _report(self, global_val, continuous, coset_masses, point_masses):
         return LocalMassReport(
@@ -568,7 +574,9 @@ class ResidueEngine:
     def point_residue_rank1(self, point: TorusPoint, eps=1e-2, nodes=512):
         """Minus the residue of the kernel form at an isolated point,
         via a small circle (the mass the shift picks up there)."""
-        return -self._small_circle(point, 0, eps, nodes).real
+        full, half = self._small_circle(point, 0, eps, nodes)
+        self.error_estimate = max(self.error_estimate, abs(full - half))
+        return -full.real
 
     def collect_rank1(self) -> LocalMassReport:
         ell0 = start_log_radii(self.datum, self.labels)
@@ -776,12 +784,6 @@ def shift_and_collect(datum: RootDatum, labels: LabelFunction, qval,
                          tolerance=tolerance).collect()
 
 
-def global_unit_integral(datum, labels, qval, nodes=2048):
-    """Integral of the kernel form over the unit torus."""
-    eng = ResidueEngine(datum, labels, qval, nodes=nodes)
-    return eng.integral(tuple(F(0) for _ in range(datum.rank)), nodes=nodes)
-
-
 def vanishing_cycle_check(datum, labels, qval, point: TorusPoint,
                           direction=None, nodes=1024, eps=1e-2) -> float:
     """Numeric inner integral transverse to a coset through the given
@@ -795,4 +797,4 @@ def vanishing_cycle_check(datum, labels, qval, point: TorusPoint,
     if direction is None:
         direction = (0, 1)
     axis = next(i for i in range(datum.rank) if direction[i] != 0)
-    return abs(eng._small_circle(point, axis, eps, nodes))
+    return abs(eng._small_circle(point, axis, eps, nodes)[0])

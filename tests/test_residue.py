@@ -17,7 +17,6 @@ from heckeplan.residue import (
     Integrand,
     ResidueEngine,
     RingLines,
-    global_unit_integral,
     kernel_divisors,
     ring_candidates,
     segment_crossings,
@@ -175,6 +174,12 @@ def test_rank2_b2_masses_match_symbolic_special_point():
     assert exact == F(7, 45)
 
 
+def global_unit_integral(datum, labels, qval, nodes=2048):
+    """Integral of the kernel form over the unit torus."""
+    eng = ResidueEngine(datum, labels, qval, nodes=nodes)
+    return eng.integral(tuple(F(0) for _ in range(datum.rank)), nodes=nodes)
+
+
 def test_unit_integral_positive():
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
@@ -239,7 +244,7 @@ def test_small_circles_and_the_unit_integral_enumerate_no_cosets(
     for eng in engines:
         assert eng._point_orbit and eng._ring_targets is not None
     assert enumerated == ["B2", "A1", "B2"]
-    assert abs(engines[0]._small_circle(loud_pt, 1, 1e-2, 1024)) == circle
+    assert abs(engines[0]._small_circle(loud_pt, 1, 1e-2, 1024)[0]) == circle
     assert abs(engines[1].point_residue_rank1(special, eps=1e-2,
                                               nodes=1024)) == rank1
     assert engines[2].integral((F(0), F(0)), nodes=512) == unit
@@ -551,11 +556,19 @@ def test_ring_candidates_rank1_are_the_roots_of_each_factor(lattice, seed):
         assert got == sorted(want, key=TorusPoint.key) and got
 
 
+def _chamber(rings, ell):
+    """The sign vector of the gaps from the contour at log-radii ell to
+    the pole rings: the cell of the ring arrangement it lies in."""
+    _, gaps = rings.gaps(ell)
+    return tuple(g > 0 for (g,) in gaps)
+
+
 def test_every_contour_goes_through_torus_integral(monkeypatch):
     # the benchmark times and counts the quadrature by wrapping
-    # residue.torus_integral and reading its (fn, radii, nodes)
+    # residue.torus_integral and reading its (fn, radii, nodes); the
+    # engine runs it on the first contour of each chamber it visits
     calls = []
-    contours = set()
+    contours = []
     quadrature = residue.torus_integral
     integral = ResidueEngine.integral
 
@@ -564,18 +577,60 @@ def test_every_contour_goes_through_torus_integral(monkeypatch):
         return quadrature(fn, radii, nodes)
 
     def traced_integral(self, ell, nodes=None):
-        contours.add(tuple(self._iq ** float(x) for x in ell))
+        contours.append(ell)
         return integral(self, ell, nodes)
 
     monkeypatch.setattr(residue, "torus_integral", counted)
     monkeypatch.setattr(ResidueEngine, "integral", traced_integral)
     d = RootDatum.from_type("B2", "Q")
-    rep = shift_and_collect(d, LabelFunction.equal(d), 2)
-    assert contours and {radii for _, radii, _ in calls} == contours
+    labels = LabelFunction.equal(d)
+    rep = shift_and_collect(d, labels, 2)
+    rings = RingLines(kernel_divisors(d, labels))
+    firsts = {}
+    for ell in contours:
+        firsts.setdefault(_chamber(rings, ell),
+                          tuple(2.0 ** float(x) for x in ell))
+    assert len(contours) > len(firsts)
+    assert list(dict.fromkeys(radii for _, radii, _ in calls)) == \
+        list(firsts.values())
     for fn, radii, nodes in calls:
         assert isinstance(fn, Integrand) and len(radii) == 2
         assert nodes % 2 == 0 and nodes <= MAX_NODES
     assert max(nodes for _, _, nodes in calls) == rep.resolution
+
+
+def _quadrature(eng, ell):
+    """torus_integral on the contour at log-radii ell at twice the
+    engine's starting node count, and its half-grid difference."""
+    radii = [float(eng.qval) ** float(x) for x in ell]
+    full, half = torus_integral(eng.fn, radii, 2 * eng.nodes_for(ell))
+    return full, abs(full - half)
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_torus_integral_is_constant_on_a_chamber(tag):
+    # Cauchy's theorem, on which the engine's one quadrature per chamber
+    # rests, checked without the engine's memo: distinct contours in one
+    # chamber give one value, and contours on either side of one pole
+    # ring differ by the bracket across it
+    d = RootDatum.from_type(tag, "Q")
+    eng = ResidueEngine(d, LabelFunction.equal(d), 3)
+    tol = eng.tolerance
+    ell0 = start_log_radii(d, LabelFunction.equal(d))
+    pairs = [((F(0), F(0)), (F(-1, 5), F(1, 9))),
+             (ell0, (ell0[0] + F(1, 3), ell0[1] - F(1, 2)))]
+    for a, b in pairs:
+        assert a != b and _chamber(eng.rings, a) == _chamber(eng.rings, b)
+        (va, ea), (vb, eb) = _quadrature(eng, a), _quadrature(eng, b)
+        assert max(ea, eb) <= tol and abs(va - vb) <= tol
+    below, above = (F(-17, 8), F(-3, 2)), (F(-17, 8), F(-1, 2))
+    [(s, key)] = segment_crossings(eng.rings, below, above)
+    assert key == ((0, 1), F(-1))
+    pos = (F(-17, 8), F(-1))
+    jump = eng._bracket(pos, 1, 1, eng._slab_step(key, 1, pos))
+    (va, ea), (vb, eb) = _quadrature(eng, below), _quadrature(eng, above)
+    assert max(ea, eb) <= tol and abs(jump) > 1e-3
+    assert abs((vb - va) - jump) <= 2 * tol
 
 
 # -- frozen engine decisions ----------------------------------------------------
@@ -599,9 +654,9 @@ def _run_residue_check(tag, lattice, q):
 
 def record_engine_decisions(tag, lattice, q):
     """The decisions of one residue check: its exit code, every contour
-    that `ResidueEngine.integral` evaluates, in order, as its exact
-    log-radii and the node count it settled on ("-3/8,1/4 n=256"), and
-    the printed parts and values."""
+    on which `ResidueEngine.integral` runs a quadrature, in order, as its
+    exact log-radii and the node count it settled on ("-3/8,1/4 n=256"),
+    and the printed parts and values."""
     contours = []
     counts = []
     quadrature = residue.torus_integral
@@ -612,8 +667,10 @@ def record_engine_decisions(tag, lattice, q):
         return quadrature(fn, radii, nodes)
 
     def traced(self, ell, nodes=None):
+        run = len(counts)
         value = integral(self, ell, nodes)
-        contours.append(f"{','.join(map(str, ell))} n={counts[-1]}")
+        if len(counts) > run:
+            contours.append(f"{','.join(map(str, ell))} n={counts[-1]}")
         return value
 
     with mock.patch.object(residue, "torus_integral", counted), \
@@ -625,14 +682,31 @@ def record_engine_decisions(tag, lattice, q):
             "values": [r["value"] for r in rows]}
 
 
+def _chamber_first(tag, lattice, contours):
+    """The frozen contours whose chamber of the pole rings has not
+    appeared earlier in the list: the ones the engine integrates."""
+    d = RootDatum.from_type(tag, lattice)
+    rings = RingLines(kernel_divisors(d, LabelFunction.equal(d)))
+    seen = set()
+    out = []
+    for c in contours:
+        chamber = _chamber(rings, [F(x) for x in c.split(" ")[0].split(",")])
+        if chamber not in seen:
+            seen.add(chamber)
+            out.append(c)
+    return out
+
+
 @pytest.mark.parametrize("tag,lattice,q", REFERENCE_DATA)
 def test_engine_decisions_match_the_frozen_reference(tag, lattice, q):
     # frozen from the engine before its Weyl images, ring pairings and
-    # contour routines moved onto the package kernels
+    # contour routines moved onto the package kernels, and before it
+    # integrated each chamber once: it now runs the quadratures of the
+    # first frozen contour of each chamber, and of no other
     want = json.loads(RESIDUE_REFERENCE.read_text())[f"{tag}/{lattice} q={q}"]
     got = record_engine_decisions(tag, lattice, q)
     assert got["code"] == want["code"] == 0
-    assert got["contours"] == want["contours"]
+    assert got["contours"] == _chamber_first(tag, lattice, want["contours"])
     assert got["parts"] == want["parts"]
     assert len(got["values"]) == len(want["values"])
     for a, b in zip(got["values"], want["values"]):
@@ -642,15 +716,50 @@ def test_engine_decisions_match_the_frozen_reference(tag, lattice, q):
 @pytest.mark.parametrize("tag,lattice,q", REFERENCE_DATA)
 def test_residue_header_states_the_resolution_reached(tag, lattice, q):
     # the header's resolution is the largest node count of the frozen
-    # contours, and the error estimate is within the tolerance
+    # contours the engine integrates, and the error estimate is within
+    # the tolerance
     want = json.loads(RESIDUE_REFERENCE.read_text())[f"{tag}/{lattice} q={q}"]
     code, out, _ = _run_residue_check(tag, lattice, q)
     header = json.loads(out)["header"]
     assert code == 0
     assert header["resolution"] == max(
-        int(c.rpartition("n=")[2]) for c in want["contours"])
+        int(c.rpartition("n=")[2])
+        for c in _chamber_first(tag, lattice, want["contours"]))
     tol = 1e-8 if tag == "A1" else 1e-6
     assert 0 <= header["error_estimate"] <= tol
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_residue_header_covers_the_small_circles(q):
+    # A1/P separates two candidates on one ring by small circles; the
+    # header's estimate covers the difference of each circle's mean on
+    # all nodes and on the even ones
+    circles = []
+    small_circle = ResidueEngine._small_circle
+
+    def traced(self, *args):
+        full, half = small_circle(self, *args)
+        circles.append(abs(full - half))
+        return full, half
+
+    with mock.patch.object(ResidueEngine, "_small_circle", traced):
+        code, out, _ = _run_residue_check("A1", "P", q)
+    header = json.loads(out)["header"]
+    assert code == 0 and len(circles) == 2
+    assert max(circles) <= header["error_estimate"] <= 1e-8
+
+
+def test_a_coarse_small_circle_sets_the_error_estimate():
+    # eight nodes on a wide circle leave a visible difference between the
+    # means on all nodes and on the even ones, and the engine reports it
+    d = RootDatum.from_type("A1", "P")
+    labels = LabelFunction.equal(d)
+    eng = ResidueEngine(d, labels, 3)
+    point = steinberg_point(d, labels)
+    full, half = eng._small_circle(point, 0, 0.5, 8)
+    assert abs(full - half) > 1e-6
+    assert eng.point_residue_rank1(point, eps=0.5, nodes=8) == -full.real
+    assert eng.error_estimate == abs(full - half)
 
 
 @pytest.mark.parametrize("tag,lattice,reason", [
