@@ -113,8 +113,14 @@ def parse_q(text, default=None):
 def resolve_datum(args):
     datum = labels = None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            datum, labels = datum_labels_from_json(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                datum, labels = datum_labels_from_json(fh.read())
+        except OSError as exc:
+            raise UsageError(f"cannot read --config: {exc}") from exc
+        except KeyError as exc:
+            raise UsageError(f"--config {args.config} has no key {exc}") \
+                from exc
     if args.type:
         datum = RootDatum.from_type(args.type, args.lattice)
         labels = None
@@ -182,8 +188,11 @@ def emit(rows, header, args):
                                     for k in keys) + "\n")
     text = out.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -285,7 +294,9 @@ def check_classification(args) -> int:
         raise UsageError(f"no suite type of rank at most {args.max_rank}")
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) \
+                as pool:
             batches = list(pool.map(_suite_task, tasks))
     else:
         batches = list(map(_suite_task, tasks))

@@ -448,10 +448,13 @@ def fdim_subregular_c(n: int, qval=None) -> FormalDimensionReport:
 # -- table emitters ----------------------------------------------------------------
 
 
-def generic_tempered_point(datum, coset: ResidualCoset,
-                           primes=(7, 11, 13, 17, 19)) -> TorusPoint:
+TWIST_PRIMES = (7, 11, 13, 17, 19)
+
+
+def generic_tempered_point(datum, coset: ResidualCoset) -> TorusPoint:
     """A generic point of the tempered form: the base twisted by a unitary
-    element of the free subtorus with prime-denominator coordinates."""
+    element of the free subtorus whose k-th basis vector is divided by the
+    k-th of TWIST_PRIMES, taken cyclically."""
     from .lattice import integer_kernel
     if not coset.support_roots:
         low = []
@@ -461,7 +464,7 @@ def generic_tempered_point(datum, coset: ResidualCoset,
         [[int(i == j) for j in range(datum.rank)] for i in range(datum.rank)]
     u = list(coset.point.u)
     for k, vec in enumerate(basis):
-        p = primes[k % len(primes)]
+        p = TWIST_PRIMES[k % len(TWIST_PRIMES)]
         for i in range(datum.rank):
             u[i] = (u[i] + F(vec[i], p)) % 1
     return TorusPoint(tuple(u), coset.point.r)

@@ -20,12 +20,15 @@ over the nested N/2 grid (every other node).  Their difference is the
 error of the N/2 grid; under geometric decay the N-node error is about
 its square.  N is accepted once the difference is at most the tolerance,
 doubled otherwise, and a contour that still misses the tolerance at 2^14
-nodes raises ValueError.  A chamber of the rings (a sign vector of the
-gaps) is convex and holds no pole, so its contours are homologous cycles,
-as in the paper's shift of the cycle onto local cycles: one quadrature
-per chamber is exact.  A report's `resolution` is the largest N run and
-its `error_estimate` the largest half-grid difference of a quadrature run
-or of a small circle (a mean on every other node).
+nodes raises ValueError; there is no other node rule.  A chamber of the
+rings (a sign vector of the gaps) is convex and holds no pole, so its
+contours are homologous cycles, as in the paper's shift of the cycle
+onto local cycles: one quadrature per chamber is exact.  A small circle
+around a point has the fixed radius SMALL_CIRCLE_RADIUS |z0| and
+SMALL_CIRCLE_NODES nodes, and its mean on every other node is its
+estimate.  A report's `resolution` is the largest N run and its
+`error_estimate` the largest half-grid difference of a quadrature run or
+of a small circle.
 
 Evaluation.  The kernel is a product of factors 1 - d z^vec, and vec = c p
 for a primitive direction p, so a factor depends on the grid point only
@@ -122,6 +125,9 @@ def net_pole_orders(divisors, points, exclude_ring=None):
 
 
 MAX_NODES = 1 << 14  # nodes per circle at which a contour must converge
+# a small circle around z0 has radius SMALL_CIRCLE_RADIUS |z0|
+SMALL_CIRCLE_RADIUS = 1e-2
+SMALL_CIRCLE_NODES = 512
 # grid points per block of the rank-2 sum: the block buffer takes 256 KiB,
 # so it stays in a 2 MiB L2 cache next to the direction tables it reads
 BLOCK_POINTS = 1 << 14
@@ -158,25 +164,23 @@ def torus_integral(fn, radii, nodes: int):
     weights[[0, -1]] = 1
     rows_t = tables.pop((1, 0), ones)[:m] * weights
     cols_t = tables.pop((0, 1), ones)
-    skews = [_skew_view(table, p) for p, table in tables.items()]
-    if not skews:
-        total = rows_t.sum() * cols_t.sum()
-        half = rows_t[::2].sum() * cols_t[::2].sum()
-    else:
-        # an even number of rows per block keeps the half grid aligned
-        rows = max(2, BLOCK_POINTS // nodes) & ~1
-        buf = np.empty((rows, nodes), dtype=complex)
-        total = half = 0j
-        for start in range(0, m, rows):
-            band = slice(start, min(start + rows, m))
-            block = buf[:len(rows_t[band])]
-            np.multiply(skews[0][band], cols_t, out=block)
-            for view in skews[1:]:
-                block *= view[band]
-            # row sums first, then one product per row: no BLAS call,
-            # whose threads can stall a small reduction
-            total += (rows_t[band] * block.sum(axis=1)).sum()
-            half += (rows_t[band][::2] * block[::2, ::2].sum(axis=1)).sum()
+    # a grid without a skew direction reads a constant one
+    skews = [_skew_view(table, p) for p, table in tables.items()] or \
+        [_skew_view(ones, (1, 1))]
+    # an even number of rows per block keeps the half grid aligned
+    rows = max(2, BLOCK_POINTS // nodes) & ~1
+    buf = np.empty((rows, nodes), dtype=complex)
+    total = half = 0j
+    for start in range(0, m, rows):
+        band = slice(start, min(start + rows, m))
+        block = buf[:len(rows_t[band])]
+        np.multiply(skews[0][band], cols_t, out=block)
+        for view in skews[1:]:
+            block *= view[band]
+        # row sums first, then one product per row: no BLAS call, whose
+        # threads can stall a small reduction
+        total += (rows_t[band] * block.sum(axis=1)).sum()
+        half += (rows_t[band][::2] * block[::2, ::2].sum(axis=1)).sum()
     return (float(fn.scale * total.real / nodes ** 2),
             float(fn.scale * 4 * half.real / nodes ** 2))
 
@@ -268,13 +272,10 @@ class Integrand:
 # -- exact contour geometry -------------------------------------------------------
 
 
-def start_log_radii(datum, labels, margins=None):
+def start_log_radii(datum, labels):
     """A deep-negative-chamber start contour: log_q alpha_i(t0) is pushed
-    below every threshold magnitude by a generically chosen margin."""
+    below every threshold magnitude by the generic margin 9/8 + i/7."""
     from .lattice import solve_unique
-    n = datum.rank
-    if margins is None:
-        margins = [F(9, 8) + F(k, 7) for k in range(datum.n_simple)]
     rows = [[F(c) for c in datum.simple_roots[i]]
             for i in range(datum.n_simple)]
     rhs = []
@@ -283,7 +284,7 @@ def start_log_radii(datum, labels, margins=None):
         a = labels.pole_exponent(vec)
         b = labels.minus_pole_exponent(vec)
         bound = max(abs(a), abs(b))
-        rhs.append(-(bound + margins[i]))
+        rhs.append(-(bound + F(9, 8) + F(i, 7)))
     sol = solve_unique(rows, rhs)
     if sol is None:
         raise ValueError("semisimple datum required")
@@ -374,13 +375,11 @@ def ring_candidates(divisors, *keys):
 @dataclass
 class MassEntry:
     label: str
-    center: tuple
     value: float
 
 
 @dataclass
 class LocalMassReport:
-    qval: float
     tolerance: float
     resolution: int  # largest node count per circle run
     error_estimate: float  # largest half-grid difference
@@ -397,25 +396,11 @@ class LocalMassReport:
         return self.continuous + sum(e.value for e in self.coset_masses) + \
             sum(e.value for e in self.point_masses)
 
-    def to_json(self):
-        return {
-            "q": self.qval,
-            "global": self.global_mass,
-            "continuous": self.continuous,
-            "masses": [{"center": [str(c) for c in e.center],
-                        "label": e.label, "value": e.value}
-                       for e in self.coset_masses + self.point_masses],
-            "closure_error": self.closure_error,
-            "tolerance": self.tolerance,
-            "resolution": self.resolution,
-            "error_estimate": self.error_estimate,
-        }
-
 
 class ResidueEngine:
     """Radial contour-shift engine for rank 1 and 2."""
 
-    def __init__(self, datum, labels, qval, nodes=None, tolerance=None):
+    def __init__(self, datum, labels, qval, tolerance=None):
         if datum.rank > 2:
             raise ValueError("the numeric engine is limited to rank <= 2")
         self.datum = datum
@@ -428,11 +413,10 @@ class ResidueEngine:
             (1e-8 if datum.rank == 1 else 1e-6)
         if not self.tolerance > 0:
             raise ValueError("the quadrature tolerance must be positive")
-        self._nodes = nodes
         self.resolution = 0
         self.error_estimate = 0.0
         self._iq = float(self.qval)
-        self._chambers = {}  # (chamber, requested node count) -> integral
+        self._chambers = {}  # chamber -> integral
 
     # -- infrastructure ------------------------------------------------------
 
@@ -483,10 +467,14 @@ class ResidueEngine:
         vals = [f"({u},{r})" for u, r in c.point.values_of(
             self.datum.simple_roots)]
         label = f"dim{c.dim} P={list(c.support)} " + " ".join(vals)
-        return MassEntry(label, c.center, value)
+        return MassEntry(label, value)
 
     def _chamber(self, ell):
-        """(sign vector of the ring gaps, nodes_for(ell)) at log-radii ell."""
+        """(sign vector of the ring gaps, starting node count) at log-radii
+        ell.  The trapezoid error decays like e^{-N d} at natural-log
+        distance d from the nearest pole ring, so the least power of two
+        N >= 2 ln(1/tol)/d + 16 (at most MAX_NODES) puts the half grid's
+        error near the tolerance and the full grid's near its square."""
         big, gaps = self.rings.gaps(ell)
         best = min((abs(g) / big / max(1.0, float(sum(map(abs, p))))
                     for (p, _), (g,) in zip(self.rings.rows, gaps)),
@@ -500,30 +488,19 @@ class ResidueEngine:
             size *= 2
         return tuple(g > 0 for (g,) in gaps), min(size, MAX_NODES)
 
-    def nodes_for(self, ell):
-        """Starting node count per circle on the contour at log-radii ell:
-        the trapezoid error decays like e^{-N d} at natural-log distance d
-        from the nearest pole ring, so this N puts the half grid's error
-        near the tolerance and the full grid's near its square."""
-        return self._chamber(ell)[1]
-
-    def integral(self, ell, nodes=None):
+    def integral(self, ell):
         """Real part of the torus integral on the contour at log-radii
-        ell.  Without a fixed node count, N doubles from nodes_for(ell)
-        until the half-grid difference is within the tolerance.  Each
-        chamber is integrated once per requested node count."""
-        fixed = nodes if nodes is not None else self._nodes
+        ell.  N doubles from the chamber's starting node count until the
+        half-grid difference is within the tolerance.  Each chamber is
+        integrated once."""
         chamber, n = self._chamber(ell)
-        key = (chamber, fixed)
-        if key in self._chambers:
-            return self._chambers[key]
+        if chamber in self._chambers:
+            return self._chambers[chamber]
         radii = [self._iq ** float(x) for x in ell]
-        if fixed is not None:
-            n = fixed
         while True:
             val, half = torus_integral(self.fn, radii, n)
             est = abs(val - half)
-            if fixed is not None or est <= self.tolerance:
+            if est <= self.tolerance:
                 break
             if n >= MAX_NODES:
                 raise ValueError(
@@ -534,7 +511,7 @@ class ResidueEngine:
             n *= 2
         self.resolution = max(self.resolution, n)
         self.error_estimate = max(self.error_estimate, est)
-        self._chambers[key] = val.real
+        self._chambers[chamber] = val.real
         return val.real
 
     def _bracket(self, pos, axis, sign, step):
@@ -547,15 +524,17 @@ class ResidueEngine:
         after[axis] += sign * step
         return self.integral(tuple(after)) - self.integral(tuple(before))
 
-    def _small_circle(self, point, axis, eps, nodes):
+    def _small_circle(self, point, axis):
         """Means of w fn(z) / z_axis over the circle z_axis = z0 + w,
-        |w| = eps |z0|, with every other coordinate at the point's: the
-        local residue in that coordinate, up to sign.  Returns the means
-        on all nodes and on the even ones, a rotated nodes/2 rule."""
+        |w| = SMALL_CIRCLE_RADIUS |z0|, with every other coordinate at the
+        point's: the local residue in that coordinate, up to sign.  Returns
+        the means on all SMALL_CIRCLE_NODES nodes and on the even ones, a
+        rotated rule on half as many."""
         z0 = [complex(np.exp(2j * np.pi * float(u)) * self._iq ** float(r))
               for u, r in zip(point.u, point.r)]
+        nodes = SMALL_CIRCLE_NODES
         theta = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
-        w = abs(z0[axis]) * eps * np.exp(1j * theta)
+        w = abs(z0[axis]) * SMALL_CIRCLE_RADIUS * np.exp(1j * theta)
         zs = [np.full_like(w, z) for z in z0]
         zs[axis] = z0[axis] + w
         vals = w * self.fn(*zs) / zs[axis]
@@ -563,7 +542,7 @@ class ResidueEngine:
 
     def _report(self, global_val, continuous, coset_masses, point_masses):
         return LocalMassReport(
-            qval=float(self.qval), tolerance=self.tolerance,
+            tolerance=self.tolerance,
             resolution=self.resolution, error_estimate=self.error_estimate,
             global_mass=global_val, continuous=continuous,
             coset_masses=_merge_entries(coset_masses),
@@ -571,10 +550,10 @@ class ResidueEngine:
 
     # -- rank 1 ---------------------------------------------------------------
 
-    def point_residue_rank1(self, point: TorusPoint, eps=1e-2, nodes=512):
+    def point_residue_rank1(self, point: TorusPoint):
         """Minus the residue of the kernel form at an isolated point,
         via a small circle (the mass the shift picks up there)."""
-        full, half = self._small_circle(point, 0, eps, nodes)
+        full, half = self._small_circle(point, 0)
         self.error_estimate = max(self.error_estimate, abs(full - half))
         return -full.real
 
@@ -683,7 +662,7 @@ class ResidueEngine:
                 coset_masses.append(self._mass(next(iter(orbit_ids)),
                                                -c_temp))
             else:
-                coset_masses.append(MassEntry(f"ring {key}", (), -c_temp))
+                coset_masses.append(MassEntry(f"ring {key}", -c_temp))
             point_masses.extend(jumps)
         return self._report(global_val, continuous, coset_masses,
                             point_masses)
@@ -769,7 +748,7 @@ def _merge_entries(entries):
         if e.label in merged:
             merged[e.label].value += e.value
         else:
-            merged[e.label] = MassEntry(e.label, e.center, e.value)
+            merged[e.label] = MassEntry(e.label, e.value)
     return sorted(merged.values(), key=lambda e: e.label)
 
 
@@ -777,24 +756,23 @@ def _merge_entries(entries):
 
 
 def shift_and_collect(datum: RootDatum, labels: LabelFunction, qval,
-                      nodes=None, tolerance=None) -> LocalMassReport:
+                      tolerance=None) -> LocalMassReport:
     """Decompose the global contour integral into the unit-torus part,
     codimension-one tempered contributions, and point masses."""
-    return ResidueEngine(datum, labels, qval, nodes=nodes,
-                         tolerance=tolerance).collect()
+    return ResidueEngine(datum, labels, qval, tolerance=tolerance).collect()
 
 
 def vanishing_cycle_check(datum, labels, qval, point: TorusPoint,
-                          direction=None, nodes=1024, eps=1e-2) -> float:
+                          direction=None) -> float:
     """Numeric inner integral transverse to a coset through the given
     exact sample point: a small circle in one coordinate at the sample's
     exact position, picking up the local residue.  It vanishes (to
     quadrature accuracy) when the kernel has no pole along the coset, and
     is the local mass density otherwise."""
-    eng = ResidueEngine(datum, labels, qval, nodes=nodes)
+    eng = ResidueEngine(datum, labels, qval)
     if datum.rank == 1:
-        return abs(eng.point_residue_rank1(point, eps=eps, nodes=nodes))
+        return abs(eng.point_residue_rank1(point))
     if direction is None:
         direction = (0, 1)
     axis = next(i for i in range(datum.rank) if direction[i] != 0)
-    return abs(eng._small_circle(point, axis, eps, nodes)[0])
+    return abs(eng._small_circle(point, axis)[0])

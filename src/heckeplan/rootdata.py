@@ -148,7 +148,7 @@ class RootDatum:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_type(cls, tag: str, lattice="Q", basis=None) -> "RootDatum":
+    def from_type(cls, tag: str, lattice="Q") -> "RootDatum":
         """Build a datum of the given Cartan type with X = Q, X = P, or an
         explicit intermediate lattice (basis rows in simple-root coords)."""
         family, n = parse_type(tag)
@@ -730,17 +730,18 @@ def affine_node_class_keys(datum: RootDatum):
     return keys
 
 
-def random_label_vector(datum: RootDatum, rng, choices=None):
+RANDOM_LABEL_CHOICES = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+                        Fraction(3, 2), Fraction(5, 2))
+
+
+def random_label_vector(datum: RootDatum, rng):
     """A valid random label vector (one value per affine node, constant on
-    conjugacy classes)."""
-    from fractions import Fraction as _F
-    if choices is None:
-        choices = [_F(1), _F(2), _F(3), _F(1, 2), _F(3, 2), _F(5, 2)]
+    conjugacy classes), drawn from RANDOM_LABEL_CHOICES."""
     keys = affine_node_class_keys(datum)
     assignment = {}
     for k in keys:
         if k not in assignment:
-            assignment[k] = rng.choice(choices)
+            assignment[k] = rng.choice(RANDOM_LABEL_CHOICES)
     return [assignment[k] for k in keys]
 
 

@@ -329,9 +329,9 @@ class QLaurent:
                     self.terms[Fraction(e)] = c
 
     @classmethod
-    def monomial(cls, exponent, coeff=1) -> "QLaurent":
-        return cls({Fraction(exponent): coeff if isinstance(coeff, Cyclo)
-                    else Cyclo.from_rational(coeff)})
+    def monomial(cls, exponent) -> "QLaurent":
+        """q^exponent."""
+        return cls({Fraction(exponent): Cyclo.from_rational(1)})
 
     @classmethod
     def constant(cls, x) -> "QLaurent":

@@ -80,7 +80,7 @@ def test_classification_batch_prints_the_frozen_rows():
 
 def test_jobs_reaches_the_pool(monkeypatch):
     # the parser is built once, and --jobs sets the worker count of the
-    # pool, which runs only for more than one worker
+    # pool, at most one per task, which runs only for more than one worker
     import concurrent.futures
 
     from heckeplan import cli
@@ -114,7 +114,12 @@ def test_jobs_reaches_the_pool(monkeypatch):
     assert workers == [2]
     code3, out3 = run_cli(*argv, "--jobs", "1")
     assert workers == [2]
-    assert code1 == code2 == code3 == 0 and out1 == out2 == out3
+    # A1 gives two tasks (Q and P): a pool of 1000 workers would fork 1000
+    # processes for them
+    code4, out4 = run_cli(*argv, "--jobs", "1000")
+    assert workers == [2, 2]
+    assert code1 == code2 == code3 == code4 == 0
+    assert out1 == out2 == out3 == out4
 
 
 def test_check_scaling():
@@ -353,6 +358,28 @@ def test_config_roundtrip(tmp_path):
                         "--format", "json")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 5
+
+
+def test_a_missing_config_is_a_usage_error(tmp_path, capsys):
+    code, out = run_cli("enumerate", "--config", str(tmp_path / "none.json"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: cannot read --config")
+
+
+def test_a_config_without_a_datum_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"labels": {"node_labels": ["1", "1", "1"]}}))
+    code, out = run_cli("enumerate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "has no key 'datum'" in capsys.readouterr().err
+
+
+def test_an_out_file_in_a_missing_directory_is_a_usage_error(tmp_path,
+                                                             capsys):
+    out_path = tmp_path / "absent" / "rows.json"
+    code, out = run_cli("enumerate", "--type", "A1", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
 
 
 def test_installed_entry_point():

@@ -113,28 +113,33 @@ def test_rank1_masses_q2_q3(monkeypatch):
     assert max(abs(full.imag) for *_, full in calls) < 1e-10
 
 
-def test_rank1_start_contour_independence():
-    # the extracted masses do not depend on the admissible start contour
+def test_rank1_start_contour_independence(monkeypatch):
+    # the extracted masses do not depend on the admissible start contour:
+    # each run starts from its own, the default and one deeper
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
+    default = start_log_radii(d, labels)
+    starts = []
     values = []
-    for margins in ([F(9, 8)], [F(7, 3)]):
+    for ell0 in (default, (default[0] - F(29, 24),)):
+        def start(datum, labels, ell0=ell0):
+            starts.append(ell0)
+            return ell0
+        monkeypatch.setattr(residue, "start_log_radii", start)
         eng = ResidueEngine(d, labels, 2)
-        ell0 = start_log_radii(d, labels, margins=margins)
         assert eng.integral(ell0) == pytest.approx(1.0, abs=1e-9)
         rep = eng.collect()
         values.append(rep.point_masses[0].value)
+    assert starts == [default, (default[0] - F(29, 24),)]
     assert abs(values[0] - values[1]) < 1e-9
 
 
 def test_rank1_quadrature_convergence():
     d = RootDatum.from_type("A1", "Q")
-    labels = LabelFunction.equal(d)
-    eng = ResidueEngine(d, labels, 2)
-    ell = (F(-1, 2),)
-    coarse = eng.integral(ell, nodes=256)
-    fine = eng.integral(ell, nodes=512)
-    finest = eng.integral(ell, nodes=1024)
+    fn = Integrand(d, LabelFunction.equal(d), F(2))
+    radii = [2.0 ** -0.5]
+    coarse, fine, finest = (torus_integral(fn, radii, n)[0].real
+                            for n in (256, 512, 1024))
     assert abs(fine - finest) < 1e-12
     assert abs(coarse - finest) < 1e-7
 
@@ -143,7 +148,7 @@ def test_rank2_b2_total_and_positivity(monkeypatch):
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
     calls = _record_quadrature(monkeypatch)
-    rep = shift_and_collect(d, labels, 2, nodes=512)
+    rep = shift_and_collect(d, labels, 2)
     assert abs(rep.global_mass - 1) < 1e-6
     assert abs(rep.total() - 1) < 1e-6
     assert len(rep.point_masses) == 2
@@ -153,12 +158,14 @@ def test_rank2_b2_total_and_positivity(monkeypatch):
         assert e.value > 1e-3
     assert rep.continuous > 0
     # the folded rank-2 sums are real; the full grids they stand for have
-    # vanishing imaginary parts
-    circle = np.exp(np.arange(512) * (2j * np.pi / 512))
+    # vanishing imaginary parts (summed in bands of rows)
     for fn, radii, nodes, full in calls:
-        assert isinstance(full, float) and nodes == 512
-        grid = fn((radii[0] * circle)[:, None], (radii[1] * circle)[None, :])
-        assert abs(grid.mean().imag) < 1e-9
+        assert isinstance(full, float)
+        circle = np.exp(np.arange(nodes) * (2j * np.pi / nodes))
+        cols = (radii[1] * circle)[None, :]
+        imag = sum(fn((radii[0] * circle[k:k + 256])[:, None], cols).sum().imag
+                   for k in range(0, nodes, 256))
+        assert abs(imag / nodes ** 2) < 1e-9
 
 
 def test_rank2_b2_masses_match_symbolic_special_point():
@@ -168,16 +175,17 @@ def test_rank2_b2_masses_match_symbolic_special_point():
     labels = LabelFunction.equal(d)
     st = steinberg_point(d, labels)
     exact = plancherel_point_mass(d, labels, st).evaluate(F(2))
-    rep = shift_and_collect(d, labels, 2, nodes=512)
+    rep = shift_and_collect(d, labels, 2)
     best = min(abs(e.value - float(exact)) for e in rep.point_masses)
     assert best < 1e-7
     assert exact == F(7, 45)
 
 
-def global_unit_integral(datum, labels, qval, nodes=2048):
-    """Integral of the kernel form over the unit torus."""
-    eng = ResidueEngine(datum, labels, qval, nodes=nodes)
-    return eng.integral(tuple(F(0) for _ in range(datum.rank)), nodes=nodes)
+def global_unit_integral(datum, labels, qval, nodes):
+    """Integral of the kernel form over the unit torus on the grid of the
+    given node count."""
+    fn = Integrand(datum, labels, F(qval))
+    return torus_integral(fn, [1.0] * datum.rank, nodes)[0].real
 
 
 def test_unit_integral_positive():
@@ -236,28 +244,17 @@ def test_small_circles_and_the_unit_integral_enumerate_no_cosets(
     special = steinberg_point(a1, la1)
     circle = vanishing_cycle_check(b2, lb2, 2, loud_pt, direction=(0, 1))
     rank1 = vanishing_cycle_check(a1, la1, 2, special)
-    unit = global_unit_integral(b2, lb2, 2, nodes=512)
+    unit = ResidueEngine(b2, lb2, 2).integral((F(0), F(0)))
     assert enumerated == []
-    engines = [ResidueEngine(b2, lb2, 2, nodes=1024),
-               ResidueEngine(a1, la1, 2, nodes=1024),
-               ResidueEngine(b2, lb2, 2, nodes=512)]
+    engines = [ResidueEngine(b2, lb2, 2), ResidueEngine(a1, la1, 2),
+               ResidueEngine(b2, lb2, 2)]
     for eng in engines:
         assert eng._point_orbit and eng._ring_targets is not None
     assert enumerated == ["B2", "A1", "B2"]
-    assert abs(engines[0]._small_circle(loud_pt, 1, 1e-2, 1024)[0]) == circle
-    assert abs(engines[1].point_residue_rank1(special, eps=1e-2,
-                                              nodes=1024)) == rank1
-    assert engines[2].integral((F(0), F(0)), nodes=512) == unit
-
-
-def test_report_json():
-    d = RootDatum.from_type("A1", "Q")
-    labels = LabelFunction.equal(d)
-    rep = shift_and_collect(d, labels, 2)
-    data = rep.to_json()
-    assert set(data) >= {"global", "continuous", "masses", "tolerance",
-                         "resolution"}
-    assert len(data["masses"]) == 1
+    assert abs(engines[0]._small_circle(loud_pt, 1)[0]) == circle
+    assert abs(engines[1].point_residue_rank1(special)) == rank1
+    assert engines[2].integral((F(0), F(0))) == unit
+    assert unit == global_unit_integral(b2, lb2, 2, engines[2].resolution)
 
 
 def test_integrand_matches_exact_kernel():
@@ -283,16 +280,15 @@ def test_report_resolution_and_error_estimate():
     rep = shift_and_collect(d, labels, 2)
     assert 0 < rep.resolution <= MAX_NODES
     assert 0 <= rep.error_estimate <= rep.tolerance == 1e-8
-    data = rep.to_json()
-    assert data["resolution"] == rep.resolution
-    assert data["error_estimate"] == rep.error_estimate
     # a tighter tolerance is met by the reported estimate too
     tight = shift_and_collect(d, labels, 2, tolerance=1e-13)
     assert tight.error_estimate <= 1e-13
     assert tight.resolution >= rep.resolution
-    # an explicit node count is used as given, without doubling
-    fixed = shift_and_collect(d, labels, 2, nodes=48)
-    assert fixed.resolution == 48
+    # B2 at q = 2 meets its default tolerance as well
+    b2 = RootDatum.from_type("B2", "Q")
+    rep = shift_and_collect(b2, LabelFunction.equal(b2), 2)
+    assert 0 < rep.resolution <= MAX_NODES
+    assert 0 <= rep.error_estimate <= rep.tolerance == 1e-6
 
 
 def test_node_cap_raises():
@@ -405,7 +401,7 @@ def _pair(p, ell):
     return sum((pi * x for pi, x in zip(p, ell)), F(0))
 
 
-def _nodes_for_by_fractions(eng, ell):
+def _start_nodes_by_fractions(eng, ell):
     best = min((abs(float(_pair(p, ell) - rho)) /
                 max(1.0, float(sum(abs(x) for x in p)))
                 for p, rho in eng.rings), default=0)
@@ -479,8 +475,8 @@ def test_integer_geometry_matches_the_fractions(tag, lattice, seed):
     points += [(rand(), rand()) for _ in range(30)]
     points += [on_ring(*rng.choice(keys)) for _ in range(15)]
     for ell in points:
-        assert _outcome(eng.nodes_for, ell) == \
-            _outcome(_nodes_for_by_fractions, eng, ell)
+        assert _outcome(lambda x: eng._chamber(x)[1], ell) == \
+            _outcome(_start_nodes_by_fractions, eng, ell)
         for key in keys:
             for axis in (0, 1):
                 assert _outcome(eng._slab_step, key, axis, ell) == \
@@ -576,9 +572,9 @@ def test_every_contour_goes_through_torus_integral(monkeypatch):
         calls.append((fn, tuple(radii), nodes))
         return quadrature(fn, radii, nodes)
 
-    def traced_integral(self, ell, nodes=None):
+    def traced_integral(self, ell):
         contours.append(ell)
-        return integral(self, ell, nodes)
+        return integral(self, ell)
 
     monkeypatch.setattr(residue, "torus_integral", counted)
     monkeypatch.setattr(ResidueEngine, "integral", traced_integral)
@@ -603,7 +599,7 @@ def _quadrature(eng, ell):
     """torus_integral on the contour at log-radii ell at twice the
     engine's starting node count, and its half-grid difference."""
     radii = [float(eng.qval) ** float(x) for x in ell]
-    full, half = torus_integral(eng.fn, radii, 2 * eng.nodes_for(ell))
+    full, half = torus_integral(eng.fn, radii, 2 * eng._chamber(ell)[1])
     return full, abs(full - half)
 
 
@@ -666,9 +662,9 @@ def record_engine_decisions(tag, lattice, q):
         counts.append(nodes)
         return quadrature(fn, radii, nodes)
 
-    def traced(self, ell, nodes=None):
+    def traced(self, ell):
         run = len(counts)
-        value = integral(self, ell, nodes)
+        value = integral(self, ell)
         if len(counts) > run:
             contours.append(f"{','.join(map(str, ell))} n={counts[-1]}")
         return value
@@ -749,16 +745,18 @@ def test_residue_header_covers_the_small_circles(q):
     assert max(circles) <= header["error_estimate"] <= 1e-8
 
 
-def test_a_coarse_small_circle_sets_the_error_estimate():
+def test_a_coarse_small_circle_sets_the_error_estimate(monkeypatch):
     # eight nodes on a wide circle leave a visible difference between the
     # means on all nodes and on the even ones, and the engine reports it
+    monkeypatch.setattr(residue, "SMALL_CIRCLE_RADIUS", 0.5)
+    monkeypatch.setattr(residue, "SMALL_CIRCLE_NODES", 8)
     d = RootDatum.from_type("A1", "P")
     labels = LabelFunction.equal(d)
     eng = ResidueEngine(d, labels, 3)
     point = steinberg_point(d, labels)
-    full, half = eng._small_circle(point, 0, 0.5, 8)
+    full, half = eng._small_circle(point, 0)
     assert abs(full - half) > 1e-6
-    assert eng.point_residue_rank1(point, eps=0.5, nodes=8) == -full.real
+    assert eng.point_residue_rank1(point) == -full.real
     assert eng.error_estimate == abs(full - half)
 
 
