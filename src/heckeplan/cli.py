@@ -121,6 +121,9 @@ def resolve_datum(args):
         except KeyError as exc:
             raise UsageError(f"--config {args.config} has no key {exc}") \
                 from exc
+        except (TypeError, AttributeError) as exc:
+            raise UsageError(f"--config {args.config} is malformed: {exc}") \
+                from exc
     if args.type:
         datum = RootDatum.from_type(args.type, args.lattice)
         labels = None

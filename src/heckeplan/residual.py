@@ -7,7 +7,9 @@ integer rows over one D: Weyl images come from one routine, `_orbit_rows`,
 and character values from one product, `pairings`, each on int64 stacks
 when a bound allows and on Python integers otherwise.  A point is residual
 when its pole-minus-zero count against the label thresholds equals the
-rank; cosets are lifted from residual points of parabolic quotient data.
+rank.  Cosets are lifted from residual points of parabolic quotient data
+and keyed on the normaliser of R_P; only the classification suite expands
+their W0-orbits.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from math import gcd, lcm
 
 from .lattice import (
@@ -219,22 +221,32 @@ def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     return _canonical_points(datum, [point])[0]
 
 
-# orbit rows per block of `_canonical_points`; a D5 orbit (1920 rows) is
-# a block of its own
+# orbit rows per block of `_canonical_points` and `_coset_orbit`; a D5
+# orbit (1920 rows) is a block of its own
 ORBIT_BLOCK = 1 << 11
 
 
-def _canonical_points(datum, points):
-    """`canonical_point` of each point, in blocks of up to ORBIT_BLOCK orbit
-    rows: one `_orbit_rows` product per block and the least row of each
-    orbit."""
-    invts, norm = datum.weyl.invts, datum.weyl.invt_norm
-    step = max(1, ORBIT_BLOCK // len(invts))
+def _canonical_points(datum, points, support=()):
+    """`canonical_point` of each point; with a standard parabolic subset
+    `support`, the base point of the coset orbit through it whose constant
+    roots are R_support: its least K_L translate over the Weyl elements
+    that map R_support onto itself.  Per block of up to ORBIT_BLOCK rows,
+    one `_orbit_rows` product and one least-row pick keyed by owner."""
+    invts, k_den, size = datum.weyl.invts, 1, 1
+    if support:
+        entry = datum.parabolics[support]
+        invts = invts[_image_groups(datum, support)[support]]
+        k_den, size = entry.k_den, len(entry.k_elems)
+    size *= len(invts)
+    step = max(1, ORBIT_BLOCK // size)
     out = []
     for at in range(0, len(points), step):
-        rows, den = _orbit_rows(points[at:at + step], invts, norm)
+        rows, den = _orbit_rows(points[at:at + step], invts,
+                                datum.weyl.invt_norm, k_den)
+        if support:
+            rows = _translates(rows, den, _k_rows(entry, den))
         out.extend(_row_to_point(row, den) for row in
-                   rows[_least_rows(rows, len(invts))].tolist())
+                   rows[_least_rows(rows, size)].tolist())
     return out
 
 
@@ -501,12 +513,18 @@ def _candidate_gammas(positives, klabels, n, inverses=None):
 
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
-    """All residual points up to W0, as canonical orbit representatives."""
-    found = [TorusPoint(cand.point.u, gamma)
-             for cand in datum.unitary_candidates
-             for gamma in graded_residual_points(
-                 datum, cand.r_s0, graded_labels(datum, labels, cand),
-                 inverses=cand.subset_inverses)]
+    """All residual points up to W0, as canonical orbit representatives.
+    Candidates with equal graded roots and graded labels share one graded
+    search."""
+    solved, found = {}, []
+    for cand in datum.unitary_candidates:
+        klabels = graded_labels(datum, labels, cand)
+        # the keys of klabels are the vecs of r_s0, in order
+        key = tuple(klabels.items())
+        if key not in solved:
+            solved[key] = graded_residual_points(
+                datum, cand.r_s0, klabels, inverses=cand.subset_inverses)
+        found.extend(TorusPoint(cand.point.u, gamma) for gamma in solved[key])
     # the index of every found point from one product
     poles, zeros = _threshold_masks(labels, *_point_rows(found, datum.rank),
                                     datum.roots)
@@ -530,12 +548,8 @@ class ResidualCoset:
     k_l: int                      # |K_L| = |T_L cap T^L|
     pole_roots: list
     zero_roots: list
-    # the orbit's cosets as `_coset_orbit` gave them: (combos, rows, D)
-    forms: tuple = field(compare=False, repr=False)
-
-    @property
-    def orbit_size(self):
-        return len(self.forms[0])
+    # the orbit's first raw point, which `_coset_members` expands
+    seed: TorusPoint = field(compare=False, repr=False)
 
     @property
     def dim(self):
@@ -556,30 +570,29 @@ class ResidualCoset:
 
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
     """All residual cosets up to W0: lift residual points of each standard
-    parabolic quotient datum and dedupe orbits canonically."""
-    raw = []
-    for pc in parabolic_classes(datum):
-        if not pc.indices:
-            raw.append((pc, TorusPoint.identity(datum.rank)))
-            continue
-        if pc.sub_datum is datum:
-            raw.extend((pc, point) for point in residual_points(datum, labels))
-            continue
-        # pull T_P points back to T along X -> X_P
-        rows, den = _point_rows(residual_points(
-            pc.sub_datum, restrict_labels(labels, pc)), pc.sub_datum.rank)
-        un, rn = pairings(rows, den, transpose(pc.y_basis))
-        raw.extend((pc, TorusPoint.from_numerators(den, u, r))
-                   for u, r in zip(un.tolist(), rn.tolist()))
-
-    # each orbit by its least (combo, row), the lexicographic least form
+    parabolic quotient datum and dedupe orbits by their least (combo, row)
+    form.  A raw point's combo `pc.indices` is the least of its W0-class,
+    so that form is the least over the Weyl elements mapping R_P onto
+    itself, the normaliser of W_P (`_canonical_points`).  No orbit is
+    expanded: a coset keeps its orbit's first raw point as `seed`."""
     orbits = {}
-    for pc, point in raw:
-        combos, rows, den = forms = _coset_orbit(datum, pc.indices, point)
-        least = min(combos)
-        own = rows[[c == least for c in combos]]
-        base = _row_to_point(own[_least_rows(own, len(own))[0]].tolist(), den)
-        orbits.setdefault((least, base), forms)
+    for pc in parabolic_classes(datum):
+        # the identity, and canonical points with R_P = R0 and K_L
+        # trivial, are their own keys
+        if not pc.indices:
+            raw = keys = [TorusPoint.identity(datum.rank)]
+        elif pc.sub_datum is datum:
+            raw = keys = residual_points(datum, labels)
+        else:
+            # pull T_P points back to T along X -> X_P
+            rows, den = _point_rows(residual_points(
+                pc.sub_datum, restrict_labels(labels, pc)), pc.sub_datum.rank)
+            un, rn = pairings(rows, den, transpose(pc.y_basis))
+            raw = [TorusPoint.from_numerators(den, u, r)
+                   for u, r in zip(un.tolist(), rn.tolist())]
+            keys = _canonical_points(datum, raw, pc.indices)
+        for seed, base in zip(raw, keys):
+            orbits.setdefault((pc.indices, base), seed)
     # the threshold hits of every new base point from one product
     masks = _threshold_masks(labels, *_point_rows(
         [base for _, base in orbits], datum.rank), datum.roots)
@@ -596,40 +609,65 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
         out.append(ResidualCoset(
             support=support, support_roots=std.roots, point=base, index=idx,
             center=base.r, k_l=len(std.k_elems), pole_roots=poles,
-            zero_roots=zeros, forms=orbits[support, base]))
+            zero_roots=zeros, seed=orbits[support, base]))
     return sorted(out, key=lambda c: (len(c.support), c.support,
                                       c.point.key()))
 
 
-def _coset_orbit(datum, support, point):
-    """The W0-orbit of the coset through `point` whose constant roots are
-    R_support, for a standard parabolic subset `support`, in standard form
-    and in the order of first occurrence over the Weyl elements.
+def _translates(rows, den, k_rows):
+    """(m * k, 2n) rows by (row, element): each of m rows over den with
+    its u part moved by the k elements of K_L in k_rows, (k, n) or one
+    (m, k, n) stack keyed by row."""
+    n = rows.shape[1] // 2
+    out = rows.repeat(k_rows.shape[-2], axis=0).reshape(len(rows), -1, 2 * n)
+    out[..., :n] = (out[..., :n] + k_rows.astype(rows.dtype, copy=False)
+                    ) % den
+    return out.reshape(-1, 2 * n)
 
-    An image counts when its support is a standard parabolic subsystem
-    `combo`; its standard form is its lexicographically least K_L
-    translate.  Returns (combos, rows, D): the combo of each coset and its
-    row u + r, an integer array over D, the lcm of point.den and the K_L
-    denominators of every combo, as `_orbit_rows` has it."""
+
+def _k_rows(entry, den):
+    """K_L of a parabolic entry as (k, n) numerators over den, each
+    below den."""
+    import numpy as np
+    return np.array(entry.k_elems, dtype=np.int64 if den < INT64_SAFE
+                    else object) * (den // entry.k_den)
+
+
+def _coset_orbit(datum, support, points):
+    """The W0-orbits of the cosets through `points` whose constant roots
+    are R_support, for a standard parabolic subset `support`, in standard
+    form: by point, then in order of first occurrence over the Weyl
+    elements.  An image counts when its support is a standard `combo`; its
+    standard form is its least K_L translate.  Returns (combos, rows, D,
+    owners): each coset's combo, its row u + r over D, the lcm of the
+    points' and every combo's K_L denominators, and its point's index.
+    Per block of up to ORBIT_BLOCK rows, one `_orbit_rows` product and
+    one stack of translates keyed by owner."""
     import numpy as np
     n, groups = datum.rank, _image_groups(datum, support)
-    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm,
-                            lcm(*(datum.parabolics[c].k_den for c in groups)))
-    firsts, combos, parts = [], [], []
-    for combo, gs in groups.items():
-        entry = datum.parabolics[combo]
-        own = rows[gs]
-        k_rows = np.array(entry.k_elems, dtype=own.dtype) * \
-            (den // entry.k_den)
-        translates = ((own[:, None, :n] + k_rows[None]) % den).reshape(-1, n)
-        least = _least_rows(translates, len(k_rows))
-        forms = np.concatenate([translates[least], own[:, n:]], axis=1)
-        own = _distinct_rows(forms)
-        firsts.append(gs[own])
-        combos.extend([combo] * len(own))
-        parts.append(forms[own])
-    order = np.argsort(np.concatenate(firsts)).tolist()
-    return [combos[i] for i in order], np.concatenate(parts)[order], den
+    combos, gs = list(groups), np.concatenate(list(groups.values()))
+    order = np.argsort(gs)
+    gs, which = gs[order], np.repeat(np.arange(len(combos)), [
+        len(g) for g in groups.values()])[order]
+    den = lcm(*(p.den for p in points),
+              *(datum.parabolics[c].k_den for c in combos))
+    k_rows = np.stack([_k_rows(datum.parabolics[c], den) for c in combos])
+    invts = datum.weyl.invts[gs]
+    step = max(1, ORBIT_BLOCK // (len(gs) * k_rows.shape[1]))
+    parts, owners, kept = [], [], []
+    for at in range(0, len(points), step):
+        rows = _orbit_rows(points[at:at + step], invts, datum.weyl.invt_norm,
+                           den)[0]
+        owner = np.repeat(np.arange(at, at + len(rows) // len(gs)), len(gs))
+        keyed = np.tile(which, len(rows) // len(gs))
+        rows = _translates(rows, den, k_rows[keyed])
+        rows = rows[_least_rows(rows[:, :n], k_rows.shape[1])]
+        first = _distinct_rows(np.concatenate(
+            [owner[:, None], keyed[:, None], rows], axis=1))
+        parts.append(rows[first])
+        owners.append(owner[first])
+        kept.extend(combos[i] for i in keyed[first].tolist())
+    return kept, np.concatenate(parts), den, np.concatenate(owners)
 
 
 # -- classification suite ------------------------------------------------------
@@ -677,7 +715,7 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
         return SuiteReport(datum.typename, [CheckResult(
             "index-equals-codimension", False, str(exc), [exc.witness])])
 
-    members = _coset_members(cosets)
+    members = _coset_members(datum, cosets)
     bad = _nested_coset_violations(datum, members)
     checks.append(CheckResult("nested-cosets-distinct-centers", not bad,
                               f"{len(members[0])} cosets compared",
@@ -729,16 +767,22 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
 
 
-def _coset_members(cosets):
-    """The cosets of every orbit in standard form, as `residual_cosets`
-    met them: (combos, rows over one D, D, the orbit index of each)."""
+def _coset_members(datum, cosets):
+    """The cosets of every orbit in standard form, each orbit expanded once
+    from its seed: (combos, rows over one D, D, the orbit index of each),
+    from one `_coset_orbit` per run of cosets with one support."""
     import numpy as np
-    den = lcm(*(c.forms[2] for c in cosets))
-    rows = [r.astype(_product_dtype(den // d, d, r)) * (den // d)
-            for _, r, d in (c.forms for c in cosets)]
-    return ([combo for c in cosets for combo in c.forms[0]],
-            np.concatenate(rows), den,
-            np.repeat(np.arange(len(cosets)), [c.orbit_size for c in cosets]))
+    parts, at = [], 0
+    for support, run in groupby(cosets, key=lambda c: c.support):
+        seeds = [c.seed for c in run]
+        combos, rows, den, owners = _coset_orbit(datum, support, seeds)
+        parts.append((combos, rows, den, owners + at))
+        at += len(seeds)
+    den = lcm(*(d for _, _, d, _ in parts))
+    return ([combo for combos, *_ in parts for combo in combos],
+            np.concatenate([r.astype(_product_dtype(den // d, d, r)) *
+                            (den // d) for _, r, d, _ in parts]),
+            den, np.concatenate([owners for *_, owners in parts]))
 
 
 def _meeting_pairs(datum, members, nested):

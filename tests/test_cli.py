@@ -374,6 +374,20 @@ def test_a_config_without_a_datum_is_a_usage_error(tmp_path, capsys):
     assert "has no key 'datum'" in capsys.readouterr().err
 
 
+# a TypeError in RootDatum.from_json, an AttributeError in the labels
+@pytest.mark.parametrize("config", [{"datum": 5, "labels": {}},
+                                    {"datum": {"type": "B2", "lattice": "Q"},
+                                     "labels": {"root_labels": []}}])
+def test_a_config_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys,
+                                                      config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli("enumerate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        f"error: --config {path} is malformed: ")
+
+
 def test_an_out_file_in_a_missing_directory_is_a_usage_error(tmp_path,
                                                              capsys):
     out_path = tmp_path / "absent" / "rows.json"

@@ -36,6 +36,7 @@ from heckeplan.residual import (
     _abs_vec,
     _candidate_gammas,
     _canonical_points,
+    _coset_members,
     _coset_orbit,
     _in_graded_system,
     _matches,
@@ -618,6 +619,55 @@ def test_candidates_with_equal_graded_roots_share_their_inverses(
         assert all(c.subset_inverses is g[0].subset_inverses for c in g)
 
 
+def _residual_points_per_candidate(datum, labels):
+    """`residual_points` with one graded search per unitary candidate, and
+    the index of each found point by `point_index`."""
+    found = [TorusPoint(cand.point.u, gamma)
+             for cand in datum.unitary_candidates
+             for gamma in graded_residual_points(
+                 datum, cand.r_s0, graded_labels(datum, labels, cand),
+                 inverses=cand.subset_inverses)]
+    assert all(point_index(datum, labels, p) == datum.rank for p in found)
+    return sorted(set(_canonical_points(datum, found)), key=TorusPoint.key)
+
+
+@pytest.mark.parametrize("tag,lattice", [("A3", "P"), ("B3", "P"),
+                                         ("C3", "P"), ("D4", "P"),
+                                         ("C4", "P"), ("F4", "Q"),
+                                         ("G2", "Q"), ("C2", "Q"),
+                                         ("B3", "Q"), ("B4", "Q")])
+def test_residual_points_run_each_graded_search_once(monkeypatch, tag,
+                                                     lattice):
+    # on the datum and every parabolic quotient datum, at seeded labels:
+    # one search per distinct (graded roots, graded labels), in the order
+    # of the candidates, and the points of one search per candidate.  On
+    # B_n/Q and C2/Q some candidates share their graded roots but not the
+    # roots at -1, so not their graded labels
+    import heckeplan.residual as residual
+    d = RootDatum.from_type(tag, lattice)
+    real = residual.graded_residual_points
+    shared = 0
+    for labels in _label_sets(d, 59)[1:]:
+        for pc in filter(lambda pc: pc.indices, d.parabolic_classes):
+            sub, sub_labels = pc.sub_datum, restrict_labels(labels, pc)
+            calls = []
+
+            def recorded(datum, subsystem, klabels, **kwargs):
+                calls.append((tuple(r.vec for r in subsystem),
+                              tuple(klabels[r.vec] for r in subsystem)))
+                return real(datum, subsystem, klabels, **kwargs)
+            monkeypatch.setattr(residual, "graded_residual_points", recorded)
+            got = residual_points(sub, sub_labels)
+            monkeypatch.undo()
+            pairs = [(tuple(r.vec for r in cand.r_s0),
+                      tuple(graded_labels(sub, sub_labels, cand).values()))
+                     for cand in sub.unitary_candidates]
+            assert calls == list(dict.fromkeys(pairs))
+            assert got == _residual_points_per_candidate(sub, sub_labels)
+            shared += len(pairs) - len(calls)
+    assert shared
+
+
 @pytest.mark.parametrize("tag,lattice", RANK5_DATA)
 def test_r1_simple_coords_match_the_indecomposables_and_a_solve(tag,
                                                                 lattice):
@@ -675,10 +725,17 @@ def test_graded_solve_does_not_depend_on_the_labels_solved_before(tag,
     want = residual_cosets(fresh, LabelFunction.from_affine_nodes(fresh,
                                                                   second))
     assert [c.to_json() for c in got] == [c.to_json() for c in want]
-    assert [c.orbit_size for c in got] == [c.orbit_size for c in want]
+    assert _orbit_sizes(warm, got) == _orbit_sizes(fresh, want)
 
 
-def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
+def _orbit_sizes(datum, cosets):
+    """The number of cosets in each coset's W0-orbit, from the members
+    that `_coset_members` expands."""
+    return np.bincount(_coset_members(datum, cosets)[3],
+                       minlength=len(cosets)).tolist()
+
+
+def test_a_warm_suite_eliminates_nothing_and_expands_each_orbit_once(
         monkeypatch):
     import heckeplan.lattice as lattice
     import heckeplan.residual as residual
@@ -688,7 +745,8 @@ def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
     assert classification_suite(d, LabelFunction.equal(d)).passed
     labels = LabelFunction.from_affine_nodes(
         d, random_label_vector(d, random.Random(31)))
-    calls = {"gauss_jordan": 0, "_coset_orbit": 0}
+    calls = {"gauss_jordan": 0}
+    expanded = []
 
     def count(module, name):
         real = getattr(module, name)
@@ -701,12 +759,22 @@ def test_a_warm_suite_eliminates_nothing_and_expands_each_raw_point_once(
     # the package's solves all reach `gauss_jordan` through these two
     for module in (lattice, rootdata):
         count(module, "gauss_jordan")
-    count(residual, "_coset_orbit")
+    real_orbit = residual._coset_orbit
+    monkeypatch.setattr(residual, "_coset_orbit",
+                        lambda datum, support, points: expanded.extend(
+                            (support, p) for p in points) or
+                        real_orbit(datum, support, points))
+    # the enumerate path expands no orbit
+    cosets = residual_cosets(d, labels)
+    assert expanded == []
     assert classification_suite(d, labels).passed
     monkeypatch.undo()
-    raw = sum(len(residual_points(pc.sub_datum, restrict_labels(labels, pc)))
-              if pc.indices else 1 for pc in d.parabolic_classes)
-    assert calls == {"gauss_jordan": 0, "_coset_orbit": raw}
+    assert calls == {"gauss_jordan": 0}
+    # the suite expands each distinct orbit once, from its seed
+    assert expanded == [(c.support, c.seed) for c in cosets]
+    assert len(cosets) < sum(
+        len(residual_points(pc.sub_datum, restrict_labels(labels, pc)))
+        if pc.indices else 1 for pc in d.parabolic_classes)
 
 
 def _one_orbit_rows(datum, point):
@@ -1272,10 +1340,12 @@ def test_residual_points_past_int64_are_residual():
                                 key=TorusPoint.key)
         # coset base points are least K_L translates, and scaling the
         # split part by big > 0 keeps that order
-        assert [(c.support, c.point, c.index, c.k_l, c.orbit_size)
-                for c in residual_cosets(d, labels)] == \
-            [(c.support, c.point.scale_split(big), c.index, c.k_l,
-              c.orbit_size) for c in residual_cosets(d, small)]
+        large_cosets, small_cosets = (residual_cosets(d, x)
+                                      for x in (labels, small))
+        assert [(c.support, c.point, c.index, c.k_l, size) for c, size in
+                zip(large_cosets, _orbit_sizes(d, large_cosets))] == \
+            [(c.support, c.point.scale_split(big), c.index, c.k_l, size)
+             for c, size in zip(small_cosets, _orbit_sizes(d, small_cosets))]
 
 
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("D4", "Q"),
@@ -1321,12 +1391,18 @@ def _per_combo_coset_orbit(datum, support, point):
 
 
 def _form_points(forms):
-    """(combo, point) of each coset of an orbit held as (combos, rows, D)."""
-    combos, rows, den = forms
+    """(combo, point) of each coset held as `_coset_orbit` returns them:
+    (combos, rows, D, owners)."""
+    combos, rows, den, _ = forms
     assert rows.shape == (len(combos), 2 * (rows.shape[1] // 2))
     assert rows.dtype in (np.int64, object)
     return [(combo, _row_to_point(row, den))
             for combo, row in zip(combos, rows.tolist())]
+
+
+def _per_combo_form_points(datum, support, point):
+    return [(combo, _row_to_point(row, den)) for combo, row, den in
+            _per_combo_coset_orbit(datum, support, point)]
 
 
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
@@ -1335,7 +1411,8 @@ def _form_points(forms):
 def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
         tag, lattice):
     # the raw points of every parabolic class, as residual_cosets lifts
-    # them, and the first coset of each orbit on each standard support
+    # them, and the first coset of each orbit on each standard support;
+    # each point alone, and all points of one support in one call
     d = RootDatum.from_type(tag, lattice)
     supports = set()
     for labels in _label_sets(d, 47, seeded=1):
@@ -1343,41 +1420,108 @@ def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
                  for pc in d.parabolic_classes if pc.indices
                  for sub_pt in residual_points(pc.sub_datum,
                                                restrict_labels(labels, pc))}
-        for coset in residual_cosets(d, labels):
-            firsts = {}
-            for combo, point in _form_points(coset.forms):
-                firsts.setdefault(combo, point)
-            pairs.update(dict.fromkeys(firsts.items()))
+        combos, rows, den, owners = _coset_members(
+            d, residual_cosets(d, labels))
+        firsts = {}
+        for combo, row, owner in zip(combos, rows.tolist(), owners.tolist()):
+            firsts.setdefault((owner, combo), (combo, _row_to_point(row,
+                                                                   den)))
+        pairs.update(dict.fromkeys(firsts.values()))
+        by_support = {}
         for support, point in pairs:
-            got = _coset_orbit(d, support, point)
-            assert _form_points(got) == \
-                [(combo, _row_to_point(row, den)) for combo, row, den in
-                 _per_combo_coset_orbit(d, support, point)]
+            by_support.setdefault(support, []).append(point)
+        for support, points in by_support.items():
+            wants = [_per_combo_form_points(d, support, p) for p in points]
+            assert [_form_points(_coset_orbit(d, support, [p]))
+                    for p in points] == wants
+            got = _coset_orbit(d, support, points)
+            owners = got[3].tolist()
+            assert owners == sorted(owners)
+            assert _form_points(got) == [f for want in wants for f in want]
+            assert owners == [k for k, want in enumerate(wants)
+                              for _ in want]
             supports.add(support)
     assert supports == set(d.parabolics)
 
 
-def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
-    # K_L of the support (0, 1) of A3/P has denominator 3, so the translate
-    # rows of a point with denominator 1 are its orbit rows times 3: an
-    # orbit that fits int64 can leave it there
+def _a3_wide_point():
+    """(A3/P, the support (0, 1), a point with split part in {-1, 0, 1}^3
+    and a factor big that takes its coset orbit past int64).  K_L of that
+    support has denominator 3, so the translate rows of a point with
+    denominator 1 are its orbit rows times 3: an orbit that fits int64 can
+    leave it there."""
     d = RootDatum.from_type("A3", "P")
-    norm = d.weyl.invt_norm
     support = (0, 1)
-    big = 2 ** 62 // norm - 1
+    big = 2 ** 62 // d.weyl.invt_norm - 1
 
     def widest(r):
-        rows = _coset_orbit(d, support, TorusPoint([0] * 3, r))[1]
+        rows = _coset_orbit(d, support, [TorusPoint([0] * 3, r)])[1]
         return max(abs(x) for row in rows.tolist() for x in row[3:])
 
     point = TorusPoint([0] * 3, max(product((-1, 0, 1), repeat=3),
                                     key=widest))
     assert widest(point.r) * big >= 2 ** 63
-    small = _coset_orbit(d, support, point)
-    large = _coset_orbit(d, support, point.scale_split(big))
+    return d, support, point, big
+
+
+def test_coset_orbit_translates_leave_int64_when_the_bound_requires():
+    d, support, point, big = _a3_wide_point()
+    small = _coset_orbit(d, support, [point])
+    large = _coset_orbit(d, support, [point.scale_split(big)])
     assert small[1].dtype == np.int64 and large[1].dtype == object
     assert _form_points(large) == [(combo, point.scale_split(big))
                                    for combo, point in _form_points(small)]
+
+
+def _reference_key(datum, support, point):
+    """(least combo, least row among the forms on it) of the coset orbit
+    through the point, from the test-local full orbit; the rows of one
+    combo share one denominator."""
+    forms = _per_combo_coset_orbit(datum, support, point)
+    least = min(combo for combo, _, _ in forms)
+    row, den = min((row, den) for combo, row, den in forms if combo == least)
+    return least, _row_to_point(row, den)
+
+
+def _raw_points(datum, labels, pc):
+    """The raw points of a parabolic class, as residual_cosets lifts
+    them."""
+    if not pc.indices:
+        return [TorusPoint.identity(datum.rank)]
+    return [_transform(p, transpose(pc.y_basis)) for p in residual_points(
+        pc.sub_datum, restrict_labels(labels, pc))]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
+                                         ("D4", "Q"), ("F4", "Q"),
+                                         ("G2", "Q")])
+def test_stabiliser_keys_match_the_full_orbit_least_form(tag, lattice):
+    # the least combo of each orbit is its class's support, and the least
+    # form over the Weyl elements that fix R_P is the least over the orbit;
+    # residual_cosets takes the identity and the residual points of the
+    # datum, with R_P = R0, as their own keys
+    d = RootDatum.from_type(tag, lattice)
+    for labels in _label_sets(d, 53, seeded=1):
+        for pc in d.parabolic_classes:
+            raw = _raw_points(d, labels, pc)
+            keys = _canonical_points(d, raw, pc.indices)
+            assert raw and [(pc.indices, key) for key in keys] == \
+                [_reference_key(d, pc.indices, p) for p in raw]
+            if not pc.indices or pc.sub_datum is d:
+                assert keys == raw
+
+
+def test_stabiliser_keys_leave_int64_when_the_bound_requires():
+    # the wide point alone and in one block with its unscaled self
+    d, support, point, big = _a3_wide_point()
+    large = point.scale_split(big)
+    want = _reference_key(d, support, large)
+    assert want[1] == _reference_key(d, support, point)[1].scale_split(big)
+    assert [(support, key) for key in _canonical_points(d, [large], support)] \
+        == [want]
+    assert [(support, key) for key in
+            _canonical_points(d, [point, large], support)] == \
+        [_reference_key(d, support, point), want]
 
 
 # -- the integer cyclotomic kernel against the Fraction class it replaced -------

@@ -339,7 +339,7 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     from heckeplan.residual import _coset_members, _nested_coset_violations
     d = RootDatum.from_type(tag, lattice)
     labels = LabelFunction.equal(d)
-    members = _coset_members(residual_cosets(d, labels))
+    members = _coset_members(d, residual_cosets(d, labels))
     assert _nested_coset_violations(d, members) == []
     injected = 0
     for combo, pt, more in _injected(members):
@@ -405,7 +405,7 @@ def test_meeting_pairs_match_the_pairwise_loops(tag, lattice):
     from heckeplan.residual import _coset_members, _meeting_pairs
     d = RootDatum.from_type(tag, lattice)
     cosets = residual_cosets(d, LabelFunction.equal(d))
-    combos, rows, den, owners = _coset_members(cosets)
+    combos, rows, den, owners = _coset_members(d, cosets)
     rng = random.Random(67)
     found = 0
     for _ in range(12):
@@ -430,7 +430,8 @@ def _injected_witnesses(tag, lattice):
     of test_nested_coset_check_reports_contained_member, as text."""
     from heckeplan.residual import _coset_members, _nested_coset_violations
     d = RootDatum.from_type(tag, lattice)
-    members = _coset_members(residual_cosets(d, LabelFunction.equal(d)))
+    members = _coset_members(d, residual_cosets(d,
+                                               LabelFunction.equal(d)))
     return [[str(w) for w in _nested_coset_violations(d, more)]
             for _, _, more in _injected(members)]
 
@@ -445,28 +446,31 @@ def test_nested_coset_witnesses_match_the_frozen_text(tag, lattice):
 @pytest.mark.parametrize("tag,lattice", [("B2", "P"), ("G2", "Q"),
                                          ("B3", "P"), ("C3", "P")])
 def test_coset_members_are_each_orbit_expanded_afresh(tag, lattice):
-    # the members are the forms residual_cosets kept from the raw points;
-    # as sets they are the orbits expanded again from each base point
+    # the members are the orbits expanded from the seeds, one call per
+    # support; as sets they are the orbits expanded again from each base
+    # point, which is a member of its own orbit
     from heckeplan.residual import _coset_members, _coset_orbit
     d = RootDatum.from_type(tag, lattice)
     rng = random.Random(43)
     for labels in (LabelFunction.equal(d), LabelFunction.from_affine_nodes(
             d, random_label_vector(d, rng))):
         cosets = residual_cosets(d, labels)
-        combos, rows, den, owners = _coset_members(cosets)
+        combos, rows, den, owners = _coset_members(d, cosets)
+        seeded = [_coset_orbit(d, c.support, [c.seed]) for c in cosets]
         assert len(combos) == len(rows) == len(owners) == \
-            sum(c.orbit_size for c in cosets)
+            sum(len(orbit[0]) for orbit in seeded)
         assert rows.dtype == np.int64 and all(
-            den % c.forms[2] == 0 for c in cosets)
-        for k, coset in enumerate(cosets):
+            den % seed_den == 0 for _, _, seed_den, _ in seeded)
+        for k, (coset, (seed_combos, *_)) in enumerate(zip(cosets, seeded)):
             got = [(combos[i], _row_to_point(rows[i].tolist(), den))
                    for i in np.flatnonzero(owners == k)]
-            want_combos, want_rows, want_den = _coset_orbit(
-                d, coset.support, coset.point)
+            want_combos, want_rows, want_den, _ = _coset_orbit(
+                d, coset.support, [coset.point])
             want = {(combo, _row_to_point(row, want_den)) for combo, row in
                     zip(want_combos, want_rows.tolist())}
-            assert len(got) == coset.orbit_size == len(set(got))
+            assert len(got) == len(seed_combos) == len(set(got))
             assert set(got) == want
+            assert (coset.support, coset.point) in want
 
 
 def _assert_suite_passes(tag, lattice):
