@@ -121,7 +121,7 @@ def resolve_datum(args):
         except KeyError as exc:
             raise UsageError(f"--config {args.config} has no key {exc}") \
                 from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, ZeroDivisionError) as exc:
             raise UsageError(f"--config {args.config} is malformed: {exc}") \
                 from exc
     if args.type:
@@ -137,10 +137,19 @@ def resolve_datum(args):
 def parse_labels(datum, text):
     if text == "equal":
         return LabelFunction.equal(datum)
-    parts = [F(x) for x in text.split(",")]
+    parts = _fractions("--labels", text)
     if len(parts) == 1:
         return LabelFunction.equal(datum, parts[0])
     return LabelFunction.from_affine_nodes(datum, parts)
+
+
+def _fractions(flag, text):
+    """The comma-separated rationals of a flag's value; a zero
+    denominator is a usage error."""
+    try:
+        return [F(x) for x in text.split(",")]
+    except ZeroDivisionError:
+        raise UsageError(f"{flag} has a zero denominator: {text}") from None
 
 
 class UsageError(Exception):
@@ -316,7 +325,7 @@ def base_header_plain(args, what):
 def check_scaling(args) -> int:
     from .residual import scaling_check
     datum, labels = resolve_datum(args)
-    eps_list = [F(x) for x in str(args.eps).split(",")]
+    eps_list = _fractions("--eps", str(args.eps))
     if 0 in eps_list:
         raise UsageError("--eps must be nonzero: scaling by 0 collapses "
                          "every split part")

@@ -7,9 +7,11 @@ integer rows over one D: Weyl images come from one routine, `_orbit_rows`,
 and character values from one product, `pairings`, each on int64 stacks
 when a bound allows and on Python integers otherwise.  A point is residual
 when its pole-minus-zero count against the label thresholds equals the
-rank.  Cosets are lifted from residual points of parabolic quotient data
-and keyed on the normaliser of R_P; only the classification suite expands
-their W0-orbits.
+rank.  Of the points found at a unitary candidate s, one per
+W(R_s0)-orbit is canonicalised: W(R_s0) fixes s, so conjugate found
+points share a W0-orbit.  Cosets are lifted from residual points
+of parabolic quotient data and keyed on the normaliser of R_P; only the
+classification suite expands their W0-orbits.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from .lattice import (
 from .rootdata import (
     LabelFunction,
     RootDatum,
+    _abs_vec,
     _distinct_rows,
     _graded_action,
+    _graded_dominant,
+    _in_graded_system,
     _image_groups,
     _inverse_numerators,
+    _least_rows,
     parabolic_classes,
     parabolic_subsystem_roots,
     restrict_labels,
@@ -196,14 +202,6 @@ def _orbit_rows(points, invts, norm, den=1):
     return imgs.transpose(2, 0, 3, 1).reshape(-1, 2 * imgs.shape[1]), den
 
 
-def _least_rows(rows, size):
-    """The index of the lexicographically least row in each consecutive
-    group of `size` rows."""
-    import numpy as np
-    owner = np.repeat(np.arange(len(rows) // size), size)
-    return np.lexsort((*rows.T[::-1], owner))[::size]
-
-
 def _row_to_point(row, den) -> TorusPoint:
     n = len(row) // 2
     return TorusPoint.from_numerators(den, row[:n], row[n:])
@@ -244,7 +242,7 @@ def _canonical_points(datum, points, support=()):
         rows, den = _orbit_rows(points[at:at + step], invts,
                                 datum.weyl.invt_norm, k_den)
         if support:
-            rows = _translates(rows, den, _k_rows(entry, den))
+            rows = _translates(rows, den, entry.k_rows(den))
         out.extend(_row_to_point(row, den) for row in
                    rows[_least_rows(rows, size)].tolist())
     return out
@@ -331,8 +329,7 @@ def unitary_candidates(datum: RootDatum) -> list:
     So vertex i is column i of the inverse of R0's simple-root matrix,
     from one solve, over the i-th coordinate of that root in R0's simple
     roots (`alpha`).  They depend on the datum only;
-    `RootDatum.unitary_candidates` holds them.  Candidates with equal
-    graded positive roots share one `SubsetInverses`."""
+    `RootDatum.unitary_candidates` holds them."""
     n = datum.rank
     # the simple roots are independent, so the roots span X over Q exactly
     # when there are rank of them
@@ -418,10 +415,6 @@ def graded_residual_points(datum, subsystem, klabels, rank=None,
 def _gamma(row, n):
     """The split exponents of an integer candidate row (num..., den)."""
     return tuple(Fraction(x, row[n]) for x in row[:n])
-
-
-def _abs_vec(root):
-    return root.vec if root.height > 0 else tuple(-v for v in root.vec)
 
 
 # n-subsets per batch of the graded search, both in the minor gathers of
@@ -515,24 +508,37 @@ def _candidate_gammas(positives, klabels, n, inverses=None):
 def residual_points(datum: RootDatum, labels: LabelFunction):
     """All residual points up to W0, as canonical orbit representatives.
     Candidates with equal graded roots and graded labels share one graded
-    search."""
-    solved, found = {}, []
+    search.  W(R_s0) fixes s: alpha(s) = 1, or alpha(s) = -1 with
+    alpha^vee in 2Y.  So of the points found at s whose r walk to one
+    dominant r (`_graded_dominant`), only the first is canonicalised.
+    Keeping the found points whose r is already dominant would lose
+    orbits: the search solves alpha(r) = k_alpha on positive roots, which
+    a dominant r cannot meet at a negative k_alpha."""
+    solved, found, spans, n = {}, [], [], datum.rank
     for cand in datum.unitary_candidates:
         klabels = graded_labels(datum, labels, cand)
         # the keys of klabels are the vecs of r_s0, in order
         key = tuple(klabels.items())
-        if key not in solved:
-            solved[key] = graded_residual_points(
+        gammas = solved.get(key)
+        if gammas is None:
+            gammas = solved[key] = graded_residual_points(
                 datum, cand.r_s0, klabels, inverses=cand.subset_inverses)
-        found.extend(TorusPoint(cand.point.u, gamma) for gamma in solved[key])
+        spans.append((cand, len(found), len(gammas)))
+        found.extend(TorusPoint(cand.point.u, gamma) for gamma in gammas)
     # the index of every found point from one product
-    poles, zeros = _threshold_masks(labels, *_point_rows(found, datum.rank),
-                                    datum.roots)
+    rows, den = _point_rows(found, n)
+    poles, zeros = _threshold_masks(labels, rows, den, datum.roots)
     for pt, idx in zip(found, (poles.sum(axis=1) - zeros.sum(axis=1)).tolist()):
-        if idx != datum.rank:
+        if idx != n:
             raise TheoremViolation("graded/affine index mismatch",
                                    {"point": pt, "index": idx})
-    return sorted(set(_canonical_points(datum, found)), key=TorusPoint.key)
+    kept = []
+    for cand, at, k in spans:
+        # a candidate's points share u: keep the first of each dominant r
+        first = _distinct_rows(_graded_dominant(
+            datum, cand.r_s0, rows[at:at + k, n:])) if k > 1 else range(k)
+        kept.extend(found[at + i] for i in first)
+    return sorted(set(_canonical_points(datum, kept)), key=TorusPoint.key)
 
 
 # -- residual cosets -----------------------------------------------------------
@@ -625,14 +631,6 @@ def _translates(rows, den, k_rows):
     return out.reshape(-1, 2 * n)
 
 
-def _k_rows(entry, den):
-    """K_L of a parabolic entry as (k, n) numerators over den, each
-    below den."""
-    import numpy as np
-    return np.array(entry.k_elems, dtype=np.int64 if den < INT64_SAFE
-                    else object) * (den // entry.k_den)
-
-
 def _coset_orbit(datum, support, points):
     """The W0-orbits of the cosets through `points` whose constant roots
     are R_support, for a standard parabolic subset `support`, in standard
@@ -651,7 +649,7 @@ def _coset_orbit(datum, support, points):
         len(g) for g in groups.values()])[order]
     den = lcm(*(p.den for p in points),
               *(datum.parabolics[c].k_den for c in combos))
-    k_rows = np.stack([_k_rows(datum.parabolics[c], den) for c in combos])
+    k_rows = np.stack([datum.parabolics[c].k_rows(den) for c in combos])
     invts = datum.weyl.invts[gs]
     step = max(1, ORBIT_BLOCK // (len(gs) * k_rows.shape[1]))
     parts, owners, kept = [], [], []
@@ -838,15 +836,6 @@ def _nested_coset_violations(datum, members):
     which one contains the other: nested cosets sharing a center must
     coincide."""
     return [(*a, *b) for a, b in _meeting_pairs(datum, members, True)]
-
-
-def _in_graded_system(datum, un, den, roots):
-    """(k, m) booleans from the u numerators over den that `pairings`
-    gives: whether alpha(s) = 1 at the unitary part s, or alpha(s) = -1 on
-    a doubled root."""
-    import numpy as np
-    doubled = np.array([datum.doubled[r.vec] for r in roots], dtype=bool)
-    return np.where(doubled, 2 * un % den == 0, un == 0)
 
 
 # -- scaling -------------------------------------------------------------------

@@ -12,15 +12,16 @@ Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
 parabolic table, the parabolic classes, the unitary candidates with the
-subset inverses of their graded search, and two memos filled on use: the
-reflection subgroups of graded root systems and the standard Weyl images
-of each standard parabolic subset.  The parabolic table has one entry per
-standard parabolic subset P of the simple roots (all 2^n), built in one
-pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
-coordinates `alpha` are supported on P, so no rank is computed; each
-entry also holds the sorted root-index key of R_P, the saturated lattice
-of P, the group K_L of a coset with support R_P, and the standard
-representative of the W0-class of P.
+subset inverses of their graded search, and three memos filled on use:
+the reflection subgroups and the simple roots of graded root systems and
+the standard Weyl images of each standard parabolic subset.  The
+parabolic table has one entry per standard parabolic subset P of the
+simple roots (all 2^n), built in one pass.  A root lies in R_P =
+span(P) cap R0 exactly when its simple-root coordinates `alpha` are
+supported on P, so no rank is computed; each entry also holds the sorted
+root-index key of R_P, the saturated lattice of P, the group K_L of a
+coset with support R_P, and the standard representative of the W0-class
+of P.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from math import lcm
 from operator import mul
 
 from .lattice import (
+    INT64_SAFE,
+    _product_dtype,
     gauss_jordan,
     integer_kernel,
     quotient_dual_numerators,
@@ -445,6 +448,12 @@ class RootDatum:
         return {}
 
     @cached_property
+    def graded_simples(self) -> dict:
+        """Tuple of roots -> the simple roots of their graded system, as
+        `_graded_simples` returns them; filled on use."""
+        return {}
+
+    @cached_property
     def coset_images(self) -> dict:
         """Standard parabolic subset -> its Weyl images that are standard,
         grouped, as `_image_groups` returns them; filled on
@@ -478,6 +487,14 @@ def _distinct_rows(rows):
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return np.sort(order[first])
+
+
+def _least_rows(rows, size):
+    """The index of the lexicographically least row in each consecutive
+    group of `size` rows."""
+    import numpy as np
+    owner = np.repeat(np.arange(len(rows) // size), size)
+    return np.lexsort((*rows.T[::-1], owner))[::size]
 
 
 def _root_mask(key):
@@ -531,6 +548,67 @@ def _graded_action(datum, roots):
         _, invts, _ = reflection_closure(gens, n)
         memo[key] = invts, int(np.abs(invts).sum(axis=2).max(initial=0))
     return memo[key]
+
+
+def _abs_vec(root):
+    return root.vec if root.height > 0 else tuple(-v for v in root.vec)
+
+
+def _in_graded_system(datum, un, den, roots):
+    """(k, m) booleans from the u numerators over den that
+    `residual.pairings` gives: whether alpha(s) = 1 at the unitary part s,
+    or alpha(s) = -1 on a doubled root."""
+    import numpy as np
+    doubled = np.array([datum.doubled[r.vec] for r in roots], dtype=bool)
+    return np.where(doubled, 2 * un % den == 0, un == 0)
+
+
+def _graded_simples(datum, roots):
+    """(simple roots, their coroots, largest root 1-norm) of the graded
+    system `roots`, roots of R0 closed under their own reflections: int64
+    stacks (m, n) of its positive roots that are no sum of two of them.
+    They do not depend on the labels; the datum's `graded_simples` keeps
+    them by the tuple of roots."""
+    import numpy as np
+    key = tuple(roots)
+    memo = datum.graded_simples
+    if key not in memo:
+        positives = [r for r in key if r.height > 0]
+        vecs = {r.vec for r in positives}
+        simple = [r for r in positives if not any(
+            tuple(a - b for a, b in zip(r.vec, p.vec)) in vecs
+            for p in positives)]
+        memo[key] = (*(np.array(v, dtype=np.int64).reshape(-1, datum.rank)
+                       for v in ([r.vec for r in simple],
+                                 [r.coroot for r in simple])),
+                     max((sum(map(abs, v)) for v in vecs), default=0))
+    return memo[key]
+
+
+def _graded_dominant(datum, roots, rows):
+    """Integer split numerators (k, n) walked to the dominant chamber of
+    the graded system `roots`, vectorised over rows: while a simple root
+    pairs negatively with gamma, gamma <- gamma - alpha(gamma) alpha^vee
+    for the most negative alpha(gamma).  Each step lowers the count of
+    positive roots negative on gamma by one.  Every orbit of the graded
+    Weyl group meets the closed chamber once (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.12), so the walked row is a complete invariant
+    of the orbit.  Each step is a W0 image, bounded by the Weyl group's
+    `invt_norm` times the first row, and alpha(gamma) is the value of a
+    graded root at the first row; so the width is that of `_product_dtype`
+    at the larger bound: Python integers past int64."""
+    import numpy as np
+    simple, cors, top = _graded_simples(datum, roots)
+    rows = rows.astype(_product_dtype(max(datum.weyl.invt_norm, top), 1,
+                                      rows))
+    simple = simple.T.astype(rows.dtype)
+    while simple.size:
+        vals = rows @ simple
+        step = np.minimum(vals.min(axis=1), 0)
+        if not step.any():
+            break
+        rows -= step[:, None] * cors[vals.argmin(axis=1)].astype(rows.dtype)
+    return rows
 
 
 def _level_step(gens, level, previous):
@@ -775,6 +853,12 @@ class Parabolic:
     k_den: int                # K_L = T_L cap T^L, as integer u-vectors
     k_elems: list             # over k_den
     rep: tuple                # the standard representative of P's W0-class
+
+    def k_rows(self, den):
+        """K_L as (k, n) numerators over den, each below den."""
+        import numpy as np
+        return np.array(self.k_elems, dtype=np.int64 if den < INT64_SAFE
+                        else object) * (den // self.k_den)
 
 
 @dataclass

@@ -388,6 +388,34 @@ def test_a_config_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys,
         f"error: --config {path} is malformed: ")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("enumerate", "--type", "B3", "--labels", "1/0,1,1,1"), "--labels"),
+    (("tables", "--which", "density", "--type", "B2", "--labels", "1/0",
+      "--q", "2"), "--labels"),
+    (("check", "--suite", "scaling", "--type", "B2", "--eps", "1/0"),
+     "--eps"),
+    (("check", "--suite", "scaling", "--type", "B2", "--eps", "2,3/0"),
+     "--eps")])
+def test_a_zero_denominator_is_a_usage_error(argv, flag, capsys):
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        f"error: {flag} has a zero denominator: ")
+
+
+@pytest.mark.parametrize("labels", [{"node_labels": ["1/0", "1", "1"]},
+                                    {"root_labels": {"1,0": ["1", "2/0"]}}])
+def test_a_config_label_with_a_zero_denominator_is_a_usage_error(
+        tmp_path, capsys, labels):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"datum": {"type": "B2", "lattice": "Q"},
+                                "labels": labels}))
+    code, out = run_cli("enumerate", "--config", str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        f"error: --config {path} is malformed: ")
+
+
 def test_an_out_file_in_a_missing_directory_is_a_usage_error(tmp_path,
                                                              capsys):
     out_path = tmp_path / "absent" / "rows.json"

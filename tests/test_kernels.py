@@ -64,6 +64,8 @@ from heckeplan.rootdata import (
     RootDatum,
     _distinct_rows,
     _graded_action,
+    _graded_dominant,
+    _graded_simples,
     _image_groups,
     parabolic_subsystem_roots,
     random_label_vector,
@@ -666,6 +668,133 @@ def test_residual_points_run_each_graded_search_once(monkeypatch, tag,
             assert got == _residual_points_per_candidate(sub, sub_labels)
             shared += len(pairs) - len(calls)
     assert shared
+
+
+# -- one canonicalised point per graded Weyl orbit ----------------------------
+
+
+def _graded_orbit_dominant(datum, cand, rn):
+    """The r numerators of the member of the W(R_s0)-orbit of (u = 0, r)
+    on which every positive root of R_s0 is >= 0, from the whole orbit."""
+    positives = [r for r in cand.r_s0 if r.height > 0]
+    rows, den = _orbit_rows([TorusPoint.from_numerators(1, [0] * len(rn),
+                                                        rn)],
+                            *_graded_action(datum, positives))
+    vecs = np.array([r.vec for r in positives], dtype=object)
+    dominant = {tuple(rn) for rn in rows[:, datum.rank:].tolist()
+                if min(vecs @ np.array(rn, dtype=object)) >= 0}
+    assert len(dominant) == 1
+    return list(dominant.pop())
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "Q"),
+                                         ("G2", "Q"), ("D4", "P")])
+def test_graded_walk_reaches_the_one_dominant_orbit_member(tag, lattice):
+    # seeded integer r at every candidate, then the same r times a factor
+    # that takes the walk onto Python integers
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(67)
+    walks = 0
+    norm = d.weyl.invt_norm
+    for cand in d.unitary_candidates:
+        rows = np.array([[rng.randint(-9, 9) for _ in range(d.rank)]
+                         for _ in range(6)], dtype=np.int64)
+        big = 2 ** 62 // max(norm, _graded_simples(d, cand.r_s0)[2]) + 1
+        for scale, wide in ((1, False), (big, True)):
+            walked = _graded_dominant(d, cand.r_s0, rows * scale)
+            assert (walked.dtype == object) == wide
+            for row, got in zip((rows * scale).tolist(), walked.tolist()):
+                assert got == _graded_orbit_dominant(d, cand, row)
+                walks += 1
+    assert walks
+
+
+def test_graded_simple_roots_are_the_indecomposable_positive_roots():
+    # every positive root of R_s0 is a nonnegative integer combination of
+    # its simple roots, and there are rank(R_s0) of them
+    for tag, lattice in [("B3", "P"), ("C3", "P"), ("F4", "Q"), ("D5", "Q")]:
+        d = RootDatum.from_type(tag, lattice)
+        for cand in d.unitary_candidates:
+            positives = [r for r in cand.r_s0 if r.height > 0]
+            simple, cors, top = _graded_simples(d, cand.r_s0)
+            assert _graded_simples(d, cand.r_s0) is \
+                d.graded_simples[tuple(cand.r_s0)]
+            assert top == max(sum(map(abs, r.vec)) for r in positives)
+            assert cors.tolist() == [list(d.coroot_by_vec[v]) for v in map(
+                tuple, simple.tolist())]
+            basis = [[Fraction(x) for x in v] for v in simple.tolist()]
+            assert len(basis) == len(_fraction_rref(basis)[1])
+            for r in positives:
+                coeffs = solve_unique(transpose(basis), list(r.vec))
+                assert coeffs is not None and all(
+                    c.denominator == 1 and c >= 0 for c in coeffs)
+
+
+def _dedupe_label_sets(d):
+    """Equal and seeded labels, the same negated, and labels near 10^18 /
+    7 that take the graded search and the walk onto Python integers; on
+    B_n/Q also the affine labels 1, ..., 1, 3/7, whose threshold at -1 is
+    negative."""
+    sets = _label_sets(d, 61)
+    if d.typename[0] == "B" and d.lattice == "Q":
+        sets.append(LabelFunction.from_affine_nodes(
+            d, [1] * d.rank + [Fraction(3, 7)]))
+    return sets + [labels.scaled(-1) for labels in sets] + [
+        labels.scaled(Fraction(10 ** 18 + 3, 7)) for labels in sets[:2]]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "P"),
+                                         ("B3", "Q"), ("B4", "Q"),
+                                         ("C3", "Q"), ("D4", "P"),
+                                         ("G2", "Q"), ("A3", "P")])
+def test_residual_points_match_canonicalising_every_found_point(
+        monkeypatch, tag, lattice):
+    # the first found point of each W(R_s0)-orbit stands for its W0-orbit:
+    # the points equal those of canonicalising every found point, also
+    # where a candidate with u != 0 finds conjugate points and where the
+    # walk runs on Python integers
+    import heckeplan.residual as residual
+    d = RootDatum.from_type(tag, lattice)
+    widths = set()
+    real = residual._graded_dominant
+    monkeypatch.setattr(residual, "_graded_dominant", lambda *a: (
+        lambda out: widths.add(out.dtype == object) or out)(real(*a)))
+    merged_u = 0
+    for labels in _dedupe_label_sets(d):
+        assert residual_points(d, labels) == \
+            _residual_points_per_candidate(d, labels)
+        for cand in d.unitary_candidates:
+            if any(cand.point.un):
+                found = [TorusPoint(cand.point.u, gamma)
+                         for gamma in graded_residual_points(
+                             d, cand.r_s0, graded_labels(d, labels, cand))]
+                merged_u += len(found) - len(set(_canonical_points(d, found)))
+    # on A3/P no candidate finds two points, so nothing is walked
+    assert widths == (set() if tag == "A3" else {False, True})
+    if tag in ("B3", "C3", "B4"):
+        assert merged_u
+
+
+@pytest.mark.parametrize("tag,lattice,seeded,want", [
+    ("D5", "Q", False, 3), ("C3", "P", True, 10)])
+def test_residual_points_canonicalise_one_point_per_graded_orbit(
+        monkeypatch, tag, lattice, seeded, want):
+    # D5/Q at equal labels finds 31 points in 3 orbits, C3/P at seeded
+    # labels 32 points in 10 orbits: only one point per orbit is expanded
+    import heckeplan.residual as residual
+    d = RootDatum.from_type(tag, lattice)
+    labels = LabelFunction.from_affine_nodes(
+        d, random_label_vector(d, random.Random(59))) if seeded \
+        else LabelFunction.equal(d)
+    # the candidates canonicalise their own points: build them first
+    d.unitary_candidates
+    passed = []
+    real = residual._canonical_points
+    monkeypatch.setattr(residual, "_canonical_points",
+                        lambda datum, points, *a: passed.append(len(points))
+                        or real(datum, points, *a))
+    assert len(residual_points(d, labels)) == want
+    assert passed == [want]
 
 
 @pytest.mark.parametrize("tag,lattice", RANK5_DATA)
@@ -1530,7 +1659,9 @@ def test_stabiliser_keys_leave_int64_when_the_bound_requires():
 @lru_cache(maxsize=None)
 def _ref_cyclotomic_poly(n):
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
+    # x^n - 1 over every Phi_d, d | n, d < n; the largest d first keeps
+    # the running quotient sparse
+    for d in range(n - 1, 0, -1):
         if n % d == 0:
             poly = _ref_poly_div_exact(poly, _ref_cyclotomic_poly(d))
     return tuple(poly)
@@ -1538,12 +1669,14 @@ def _ref_cyclotomic_poly(n):
 
 def _ref_poly_div_exact(num, den):
     num = list(num)
+    # the nonzero terms of the divisor: a cyclotomic one is sparse
+    terms = [(j, dc) for j, dc in enumerate(den) if dc]
     out = [Fraction(0)] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1] / den[-1]
         out[i] = c
         if c:
-            for j, dc in enumerate(den):
+            for j, dc in terms:
                 num[i + j] -= c * dc
     return out
 
