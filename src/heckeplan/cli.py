@@ -472,6 +472,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "check":

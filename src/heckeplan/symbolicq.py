@@ -9,19 +9,17 @@ represented here as Laurent dictionaries keyed by rational exponents with
 
 A ``Cyclo`` is stored as its order N, a tuple of integer numerators over
 the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) and one positive
-denominator, in lowest terms.  Phi_N is monic with integer coefficients,
-so a product is an integer convolution reduced by integer steps: first
-x^N = 1, then division by Phi_N, kept in sparse form.  Fractions appear
-only in `Cyclo.coeffs`, built on demand for text output and for rational
-coefficients.
+denominator, in lowest terms.  Fractions appear only in `Cyclo.coeffs`,
+built on demand for text output and for rational coefficients.
 
 The densities and kernels are products of binomials.  `nonzero_product`
 expands such a product at once on integer rows, one per power of q, in
-Z[x]/(x^N - 1), and reduces mod Phi_N once at the end, by the recurrence
-of Phi_N (Bosma, Canonical bases for cyclotomic fields, 1990).
-`QRational` decides equality by expanding a d and c b, each as one such
-product, and `QRational.canonical` reduces a quotient by the gcd of two
-integer polynomials.
+Z[x]/(x^N - 1), and reduces mod Phi_N once at the end, one pass per
+binomial 1 - y^d of the Moebius product of Phi_N (Bosma, Canonical bases
+for cyclotomic fields, 1990), as `Cyclo` does.  `QRational` decides
+equality by expanding a d and c b, each as one such product, and
+`QRational.canonical` reduces a quotient by the gcd of two integer
+polynomials.
 """
 
 from __future__ import annotations
@@ -41,46 +39,32 @@ from .lattice import INT64_SAFE
 def cyclotomic_poly(n: int) -> tuple:
     """The n-th cyclotomic polynomial as sparse (index, coefficient) pairs,
     low to high.  It is monic with integer coefficients."""
-    # Phi_n(x) = Phi_r(x^(n/r)), r the product of the primes of n, and mod
-    # x^(phi(r) + 1) Phi_r is the product over the sets S of those primes
-    # of (1 - x^(r/prod S))^((-1)^|S|), negated at r = 1 (Moebius): one
-    # strided pass multiplies or divides by each binomial
-    primes = sorted({p for _, p in _order_bits(n)})
-    r, size = prod(primes), prod(p - 1 for p in primes) + 1
-    poly = [-1 if r == 1 else 1] + [0] * (size - 1)
-    for k in range(len(primes) + 1):
-        step = 1 if k % 2 else -1
-        for d in (r // prod(s) for s in combinations(primes, k)):
-            for i in range(d, size)[::step]:
-                poly[i] += step * poly[i - d]
+    # Phi_n(x) = Phi_r(x^(n/r)); at r = 1 the passes give 1 - x = -Phi_1
+    import numpy as np
+    r, deg = _radical(n)
+    poly = np.eye(1, deg + 1, dtype=np.int64) * (-1 if r == 1 else 1)
+    poly = _binomial_passes(poly, r, 1)[0].tolist()
     return tuple((i * (n // r), c) for i, c in enumerate(poly) if c)
 
 
-@lru_cache(maxsize=None)
-def _phi_low(n: int):
-    """(deg Phi_n, the pairs of Phi_n below its leading term)."""
-    pairs = cyclotomic_poly(n)
-    return pairs[-1][0], pairs[:-1]
+def _radical(n: int) -> tuple:
+    """(r, phi(r)): r the product of the primes of n."""
+    primes = {p for _, p in _order_bits(n)}
+    return prod(primes), prod(p - 1 for p in primes)
 
 
 def _reduce(p: list, n: int) -> list:
-    """The integer coefficient list p reduced mod Phi_n in place, trailing
-    zeros trimmed."""
-    if len(p) > n:  # x^n = 1 mod Phi_n
-        for k in range(n, len(p)):
-            p[k % n] += p[k]
-        del p[n:]
-    deg, low = _phi_low(n)
-    for i in range(len(p) - 1, deg - 1, -1):
-        c = p[i]
-        if c:
-            off = i - deg
-            for j, a in low:
-                p[off + j] -= c * a
-    del p[deg:]
-    while p and not p[-1]:
-        p.pop()
-    return p
+    """The integer coefficient list p reduced mod Phi_n, trailing zeros
+    trimmed: the one-row case of `_reduce_block`."""
+    import numpy as np
+    folds = -(-len(p) // n)  # x^n = 1 mod Phi_n
+    row = np.zeros(folds * n, np.int64 if max(map(abs, p), default=0) * folds
+                   < INT64_SAFE else object)
+    row[:len(p)] = p
+    num = _reduce_block(row.reshape(-1, n).sum(axis=0)[None], n)[0].tolist()
+    while num and not num[-1]:
+        num.pop()
+    return num
 
 
 def _make(n: int, num, den: int) -> "Cyclo":
@@ -107,9 +91,10 @@ def _trace_weights(n: int) -> tuple:
     its order: phi(d) is the degree of Phi_d and mu(d), the sum of the
     primitive d-th roots of unity, is minus its next coefficient."""
     out = []
-    for k in range(_phi_low(n)[0]):
-        deg, low = _phi_low(n // gcd(n, k))
-        out.append(Fraction(-dict(low).get(deg - 1, 0), deg))
+    for k in range(cyclotomic_poly(n)[-1][0]):
+        phi = dict(cyclotomic_poly(n // gcd(n, k)))
+        deg = max(phi)
+        out.append(Fraction(-phi.get(deg - 1, 0), deg))
     return tuple(out)
 
 
@@ -722,13 +707,13 @@ def nonzero_product(factors):
     it: the lcm of the orders that reach it, where a sum that cancels to
     zero drops out with the orders it held."""
     import numpy as np
-    block, tags, lo, (den, q_den), zeros, bound = _ring_product(factors)
+    block, tags, lo, (den, q_den), zeros = _ring_product(factors)
     n = block.shape[1]
     terms = {}
     for tag in sorted(set(tags.tolist()) - {-1}):
         order = _tag_order(n, tag)
         rows = np.flatnonzero(tags == tag)
-        nums = _reduce_block(block[rows][:, ::n // order], order, bound)
+        nums = _reduce_block(block[rows][:, ::n // order], order)
         for row, num in zip(rows.tolist(), nums.tolist()):
             while num and not num[-1]:
                 num.pop()
@@ -751,7 +736,7 @@ class ExpansionTooLarge(Exception):
 
 
 def _ring_product(factors):
-    """(block, tags, lo, (den, D), zeros, bound) for the product of the
+    """(block, tags, lo, (den, D), zeros) for the product of the
     nonzero factors of `nonzero_product`.
 
     Row i of the integer block holds the coefficient of q^((lo + i)/D),
@@ -800,11 +785,11 @@ def _ring_product(factors):
             f"the expansion needs a block of {rows} x {n} integers, past "
             f"the cap of {EXPANSION_CAP} entries")
     dtype = np.dtype(np.int64 if bound < INT64_SAFE else object)
-    block, tags = _expand(steps, n, dtype, bound)
-    return block, tags, lo, (den, q_den), zeros, bound
+    block, tags = _expand(steps, n, dtype)
+    return block, tags, lo, (den, q_den), zeros
 
 
-def _expand(steps, n, dtype, bound):
+def _expand(steps, n, dtype):
     """(block, tags): the expansion of `_ring_product`.  A row is 0 when
     its integer row is 0 or when its value at zeta_n is 0 (`_vanishing`);
     each step clears the rows of the second kind, so that they drop out
@@ -832,7 +817,7 @@ def _expand(steps, n, dtype, bound):
         live = new.any(axis=1)
         if n > 1:  # at n = 1 an integer row is its value
             at = np.flatnonzero(live)
-            gone = at[_vanishing(new[at], n, bound)]
+            gone = at[_vanishing(new[at], n)]
             new[gone] = 0
             live[gone] = False
         block, tags = new, new_tags
@@ -873,57 +858,60 @@ def _tag_order(n: int, tag: int) -> int:
     return prod(p for b, (_, p) in enumerate(_order_bits(n)) if tag >> b & 1)
 
 
-@lru_cache(maxsize=None)
-def _phi_dense(n: int):
-    """The coefficients a_0, ..., a_(phi(n)-1) of Phi_n below its lead, as
-    an int64 array."""
+def _reduce_block(rows, n: int):
+    """The integer rows (coefficients of x^0..x^(n-1)) reduced mod Phi_n.
+
+    Phi_n(x) = Phi_r(y) for y = x^(n/r), r the product of the primes of n:
+    each residue mod n/r of the columns is an f(y) = Q Phi_r + R.  As Phi_r
+    is palindromic, reversed Q = reversed f / Phi_r mod y^(r - phi(r))
+    (von zur Gathen-Gerhard 9.1), and R = f - Q Phi_r mod y^phi(r)."""
     import numpy as np
-    deg, low = _phi_low(n)
-    out = np.zeros(deg, np.int64)
-    for i, c in low:
-        out[i] = c
-    return out
+    r, deg = _radical(n)
+    s = n // r
+    f = rows.reshape(-1, r, s).transpose(0, 2, 1).reshape(-1, r)
+    quot = _binomial_passes(f[:, :deg - 1:-1].copy(), r, -1)[:, ::-1]
+    part = np.zeros((len(f), deg), quot.dtype)
+    part[:, :r - deg] = quot[:, :deg]
+    part = _binomial_passes(part, r, 1)
+    out = _fit(f[:, :deg], 2) - _fit(part, 2)
+    return out.reshape(-1, s, deg).transpose(0, 2, 1).reshape(-1, s * deg)
 
 
-@lru_cache(maxsize=None)
-def _reduction_norm(n: int) -> int:
-    """The largest 1-norm of x^j mod Phi_n over j < n, by the one-row
-    recurrence x^(j+1) = x x^j."""
+def _binomial_passes(rows, r: int, power: int):
+    """The rows (polynomials in y) times prod_{d | r} (1 - y^d)^(power
+    mu(r/d)) mod y^w, w their width, r squarefree: Phi_r at power 1, r > 1.
+    A product by 1 - y^d is a shifted subtract, in place, and a quotient a
+    cumulative sum per residue mod d, each `_fit` to its growth first."""
     import numpy as np
-    low = _phi_dense(n)
-    row, norm = -low, 1  # x^phi(n) = -(the terms below the lead)
-    for _ in range(len(low), n):
-        norm = max(norm, int(np.abs(row).sum()))
-        row = np.concatenate(([0], row[:-1])) - row[-1] * low
-    return norm
+    primes = [p for _, p in _order_bits(r)]
+    width = rows.shape[1]
+    for k in range(len(primes) + 1):
+        divide = (-1) ** k != power
+        for d in (r // prod(s) for s in combinations(primes, k)):
+            if d >= width:
+                continue
+            spans = -(-width // d)
+            rows = _fit(rows, spans if divide else 2)
+            if divide:
+                pad = np.zeros((len(rows), spans * d - width), rows.dtype)
+                rows = np.hstack((rows, pad)).reshape(-1, spans, d)
+                rows = rows.cumsum(axis=1).reshape(-1, spans * d)[:, :width]
+            else:
+                rows[:, d:] -= rows[:, :-d]
+    return rows
 
 
-def _reduce_block(rows, n: int, bound: int):
-    """The integer rows (coefficients of x^0..x^(n-1), each row's 1-norm
-    within `bound`) reduced mod Phi_n = x^phi(n) + sum_j a_j x^j: on a
-    copy, the columns from the top down, each by
-    x^i = -sum_j a_j x^(i - phi(n) + j), one add per column.
-
-    At every step a row is a sum of shifted x^j mod Phi_n weighted by its
-    entries, so its entries stay within bound times `_reduction_norm(n)`,
-    and a product taken before its add within that times max |a_j|: the
-    sweep runs on int64 while that stays below INT64_SAFE, and on Python
-    integers above it."""
+def _fit(rows, growth: int):
+    """The integer rows, on Python integers once their largest |entry|
+    times `growth` reaches INT64_SAFE."""
     import numpy as np
-    low = _phi_dense(n)
-    deg = len(low)
-    if bound * _reduction_norm(n) * int(np.abs(low).max()) >= INT64_SAFE:
-        low = low.astype(object)
-    work = np.array(rows.T, dtype=low.dtype, order="C")  # a column a row
-    low = low[:, None]
-    for i in range(n - 1, deg - 1, -1):
-        top = work[i]
-        if top.any():
-            work[i - deg:i] -= low * top
-    return work[:deg].T
+    if rows.dtype == object or not rows.size or \
+            int(np.abs(rows).max()) * growth < INT64_SAFE:
+        return rows
+    return rows.astype(object)
 
 
-def _vanishing(rows, n: int, bound: int):
+def _vanishing(rows, n: int):
     """For integer rows of coefficients of x^0..x^(n-1), whether each
     takes the value 0 at zeta_n.  A row with a nonzero value at the
     n-th root of unity w modulo the prime p (`_evaluation_point`) is not
@@ -934,7 +922,7 @@ def _vanishing(rows, n: int, bound: int):
     out = values == 0
     at = np.flatnonzero(out)
     if len(at):
-        out[at] = ~(_reduce_block(rows[at], n, bound) != 0).any(axis=1)
+        out[at] = ~(_reduce_block(rows[at], n) != 0).any(axis=1)
     return out
 
 

@@ -54,6 +54,11 @@ def test_usage_error_exit_2():
     assert code == 2
     code = main(["enumerate", "--type", "B2", "--lattice", "X"])
     assert code == 2
+    # --jobs counts worker processes: at least one
+    for jobs in ("0", "-3"):
+        code, out = run_cli("check", "--suite", "classification", "--type",
+                            "A1", "--jobs", jobs)
+        assert code == 2 and out == ""
 
 
 def test_classification_jobs_output_identical():

@@ -1,8 +1,8 @@
 """Importing the package does no numeric work: numpy is first imported by
-the first call that needs it, and the reduction norms and evaluation points
-of the cyclotomic orders of the density products are computed on first
-use.  Where numpy is first imported moves the start-up time and the peak
-memory of a run.
+the first call that needs it, and the cyclotomic polynomials and
+evaluation points of the cyclotomic orders of the density products are
+computed on first use.  Where numpy is first imported moves the start-up
+time and the peak memory of a run.
 
 Reducing mod Phi_N keeps no matrix: a small block at N = 17017 reduces in
 a process whose peak memory stays far below the 483 MB that the dense
@@ -26,7 +26,7 @@ import heckeplan.cli, heckeplan.plancherel, heckeplan.symbolicq
 import heckeplan.residual, heckeplan.rootdata, heckeplan.lattice
 from heckeplan import symbolicq
 print("numpy" in sys.modules,
-      symbolicq._reduction_norm.cache_info().currsize,
+      symbolicq.cyclotomic_poly.cache_info().currsize,
       symbolicq._evaluation_point.cache_info().currsize)
 """
 
@@ -47,13 +47,13 @@ def test_importing_the_package_loads_no_numpy_and_builds_no_matrix():
 MEMORY_PROBE = """
 import resource
 import numpy as np
-from heckeplan.symbolicq import _phi_low, _reduce_block
+from heckeplan.symbolicq import _reduce_block, cyclotomic_poly
 n = 17017
-deg, low = _phi_low(n)
+*low, (deg, _) = cyclotomic_poly(n)
 rows = np.zeros((4, n), np.int64)
 for i, j in enumerate((0, deg - 1, deg, n - 1)):
     rows[i, j] = 1
-out = _reduce_block(rows, n, 1)
+out = _reduce_block(rows, n)
 top = [0] * deg
 for i, c in low:
     top[i] = -c

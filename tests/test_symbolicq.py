@@ -12,12 +12,11 @@ from heckeplan.symbolicq import (
     Cyclo,
     QLaurent,
     QRational,
-    _phi_low,
-    _reduce,
+    _evaluation_point,
     _reduce_block,
-    _reduction_norm,
     _ring_product,
     c_alpha,
+    cyclotomic_poly,
     nonzero_product,
     omega_kernel,
     weyl_denominator,
@@ -384,18 +383,33 @@ def test_nonzero_product_leaves_int64_when_the_bound_requires():
     assert _ring_product(factors[:1] + factors[2:])[0].dtype == np.int64
 
 
+def _sweep_reduce(p: list, n: int) -> list:
+    """The reference reduction of an integer list mod Phi_n: x^n = 1, then
+    the columns from the top down, each by x^i = -sum_j a_j x^(i-phi+j) for
+    Phi_n = x^phi + sum_j a_j x^j; trailing zeros trimmed."""
+    p = list(p)
+    for k in range(n, len(p)):
+        p[k % n] += p[k]
+    del p[n:]
+    *low, (deg, _) = cyclotomic_poly(n)
+    for i in range(len(p) - 1, deg - 1, -1):
+        c = p[i]
+        if c:
+            for j, a in low:
+                p[i - deg + j] -= c * a
+    del p[deg:]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
 def test_reduce_block_matches_the_row_reduction_on_both_paths():
-    # the sweep runs on int64 while bound * _reduction_norm(n) * max |a_j|
-    # stays below 2^62, for Phi_n = x^phi(n) + sum_j a_j x^j, and on Python
-    # integers above it; on either side of that edge every row reduces as
-    # `_reduce` reduces it, one list of Python integers at a time
+    # on int64 rows and on Python-integer rows, every row reduces as the
+    # column sweep reduces it, one list of Python integers at a time
     rng = random.Random(43)
     for n in (1, 2, 7, 12, 77, 105, 1001):
-        deg, low = _phi_low(n)
-        edge = (INT64_SAFE - 1) // (_reduction_norm(n) *
-                                    max(abs(c) for _, c in low))
-        for bound, wide in ((edge, False), (edge + 1, True),
-                            (10 ** 30, True)):
+        deg = cyclotomic_poly(n)[-1][0]
+        for bound in (2 ** 20, 2 ** 61, 10 ** 30):
             rows = []
             for _ in range(4):
                 # entries of either sign whose absolute values sum to bound
@@ -408,8 +422,36 @@ def test_reduce_block_matches_the_row_reduction_on_both_paths():
             rows.append([0] * (n - 1) + [bound])
             block = np.array(rows, dtype=np.int64 if bound < INT64_SAFE
                              else object)
-            out = _reduce_block(block, n, bound)
-            assert (out.dtype == object) == wide
+            out = _reduce_block(block, n)
+            if bound == 2 ** 20:
+                assert out.dtype == np.int64
             for row, got in zip(rows, out.tolist()):
-                want = _reduce(list(row), n)
+                want = _sweep_reduce(row, n)
                 assert got == want + [0] * (deg - len(want))
+        # the block leaves int64 when a step's largest |entry| times its
+        # growth reaches 2^62.  Rows already reduced (zero from phi(n) up)
+        # have a zero quotient, so their one such step is the subtraction
+        # of the remainder, of growth 2: the edge is at 2^61.
+        for top, wide in ((2 ** 61 - 1, False), (2 ** 61, True)):
+            rows = [[rng.randint(-top, top) for _ in range(deg)]
+                    + [0] * (n - deg) for _ in range(3)]
+            rows.append([-top] + [0] * (n - 1))
+            out = _reduce_block(np.array(rows, np.int64), n)
+            assert (out.dtype == object) == wide
+            assert out.tolist() == [row[:deg] for row in rows]
+    # at o = 17017, entries within 2^30 give 1-norms up to 2^44, past the
+    # 2^41 that a static rule from the 1-norms of x^j mod Phi_o allowed,
+    # and stay on int64; each reduced row takes its input's value at the
+    # root w of order o modulo the prime p
+    n = 17017
+    p, powers = _evaluation_point(n)
+    powers = powers.tolist()
+    rows = [[rng.randint(-2 ** 30, 2 ** 30) for _ in range(n)]
+            for _ in range(3)]
+    rows.append([0] * (n - 1) + [2 ** 30])
+    out = _reduce_block(np.array(rows, np.int64), n)
+    assert out.dtype == np.int64
+    assert out.shape == (4, cyclotomic_poly(n)[-1][0])
+    for row, got in zip(rows, out.tolist()):
+        assert (sum(a * w for a, w in zip(row, powers)) % p
+                == sum(a * w for a, w in zip(got, powers)) % p)
