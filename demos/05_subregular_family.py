@@ -8,14 +8,8 @@ with a closed-form product expression.  Assembling the point density with
 its rational constants reproduces it exactly.
 """
 
-from fractions import Fraction
-
 from heckeplan.plancherel import fdim_subregular_c
-from heckeplan.residual import (
-    dominant_split_representative,
-    kl_real_point_check,
-    residual_points,
-)
+from heckeplan.residual import kl_real_point_check
 from heckeplan.rootdata import LabelFunction, RootDatum
 
 # all real residual points of C3 have dominant simple values in {1, q};

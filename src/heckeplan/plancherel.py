@@ -34,7 +34,6 @@ from .symbolicq import (
     QLaurent,
     QRational,
     binomial,
-    c_alpha,
     is_zero_factor,
     nonzero_product,
     q_power,
@@ -130,25 +129,6 @@ def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
     return _density_product(datum, labels, [
         r for r in datum.r1 if r.vec in constant], coset.point,
         labels.q_exponent(coset.support_roots))
-
-
-def m_upper(datum, labels, coset: ResidualCoset, t: TorusPoint):
-    """Normalized complement density: q(w^L)^{-1} times the inverse of the
-    c-factors over the roots of R1 not constant on the coset.
-
-    Returns (value, singular): value None when some complement c-factor
-    has a pole or zero at t."""
-    constant = datum.parabolics[coset.support].r1_vecs
-    exp = labels.q_w0_exponent() - labels.q_exponent(coset.support_roots)
-    value = QRational(QLaurent.monomial(-exp), ONE)
-    for r in datum.r1:
-        if r.vec in constant:
-            continue
-        cval, order = c_alpha(datum, labels, r, t)
-        if cval is None or order != 0 or cval.is_zero():
-            return None, True
-        value = value * cval.inverse()
-    return value, False
 
 
 # -- reciprocal length sum -------------------------------------------------------

@@ -58,7 +58,6 @@ from .residual import (
     residual_cosets,
 )
 from .rootdata import LabelFunction, RootDatum
-from .symbolicq import omega_factor_descriptors
 
 F = Fraction
 
@@ -77,7 +76,9 @@ def direction(vec):
 
 @dataclass(frozen=True)
 class Divisor:
-    """One factor (1 - d theta_vec) with d = e^{2 pi i u0} q^{r0}."""
+    """One factor (1 - d theta_vec) with d = e^{2 pi i u0} q^{r0}, for a
+    root vec of R0: its locus is vec(t) = 1/d, a zero of the kernel at
+    vec(t) = +-1 and a pole at a label threshold q^a or -q^b."""
     vec: tuple
     u0: Fraction
     r0: Fraction
@@ -93,14 +94,25 @@ class Divisor:
 
 
 def kernel_divisors(datum, labels):
-    """Net pole/zero divisors of dt / (q(w0) c(t) c(t^{-1}))."""
-    num, den = omega_factor_descriptors(datum, labels)
-    out = []
-    for vec, u0, r0 in num:
-        out.append(Divisor(vec, u0, r0, -1))
-    for vec, u0, r0 in den:
-        out.append(Divisor(vec, u0, r0, +1))
-    return out
+    """Net pole/zero divisors of dt / (q(w0) c(t) c(t^{-1})), by the
+    threshold rule of the index: each root alpha of R0 has zeros at
+    alpha(t) = 1 and -1 and poles at alpha(t) = -q^b and q^a, (a, b) its
+    `labels.thresholds`, and a zero and a pole on one locus (a = 0 or
+    b = 0) cancel.  The roots come as -beta, then beta, for each beta of
+    R1,+ (halved when doubled), and all zeros precede all poles."""
+    half_turn = F(1, 2)
+    zeros, poles = [], []
+    for r in datum.r1_positive:
+        half = tuple(v // 2 for v in r.vec)
+        beta = half if not any(v % 2 for v in r.vec) and \
+            datum.doubled.get(half) else r.vec
+        a, b = labels.thresholds[beta]
+        for vec in (tuple(-v for v in beta), beta):
+            zeros += [Divisor(vec, u0, F(0), -1)
+                      for u0, x in ((F(0), a), (half_turn, b)) if x]
+            poles += [Divisor(vec, u0, -x, +1)
+                      for u0, x in ((half_turn, b), (F(0), a)) if x]
+    return zeros + poles
 
 
 def divisors_through(divisors, rows, den):
@@ -115,7 +127,9 @@ def divisors_through(divisors, rows, den):
 
 def net_pole_orders(divisors, points, exclude_ring=None):
     """Vanishing denominator minus numerator factors at each exact point,
-    the ring `exclude_ring` left out."""
+    the ring `exclude_ring` left out; 0 everywhere without divisors."""
+    if not divisors:
+        return [0] * len(points)
     rows, den = _point_rows(points, len(divisors[0].vec))
     return [sum(d.sign for d in through if d.ring != exclude_ring)
             for through in divisors_through(divisors, rows, den)]

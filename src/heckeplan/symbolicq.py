@@ -1,6 +1,7 @@
 """Exact arithmetic in the formal monomial family q^r (r rational) with
-cyclotomic coefficients, plus the standard kernels built from it: rank-one
-c-function factors, the Weyl denominator, and the inverse-square kernel.
+cyclotomic coefficients, and exact products of binomials in it.  Nothing
+here takes a root datum or labels: the densities built on them are in
+`plancherel`, and the kernel's divisors in `residue`.
 
 A value of a character at a torus point is e^{2pi i u} q^r with u in Q/Z
 and r in Q; sums and quotients of such values live in Q(zeta_N)(q^{1/D}),
@@ -12,8 +13,8 @@ the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) and one positive
 denominator, in lowest terms.  Fractions appear only in `Cyclo.coeffs`,
 built on demand for text output and for rational coefficients.
 
-The densities and kernels are products of binomials.  `nonzero_product`
-expands such a product at once on integer rows, one per power of q, in
+The densities are products of binomials.  `nonzero_product` expands
+such a product at once on integer rows, one per power of q, in
 Z[x]/(x^N - 1), and reduces mod Phi_N once at the end, one pass per
 binomial 1 - y^d of the Moebius product of Phi_N (Bosma, Canonical bases
 for cyclotomic fields, 1990), as `Cyclo` does.  `QRational` decides
@@ -947,111 +948,3 @@ def _evaluation_point(n: int):
         powers[j] = powers[j - 1] * w % p
     return p, np.array(powers, dtype=np.int64 if n * p * p < INT64_SAFE
                        else object)
-
-
-# -- kernels built on the datum ----------------------------------------------
-
-
-def c_factor_descriptors(datum, labels, r1_root):
-    """Numerator/denominator factors of c_alpha for a root of R1, with the
-    denominator split into primitive halves on doubled directions and any
-    exactly matching factors cancelled, so evaluation never meets 0/0.
-
-    Each factor is (vec, u0, r0), standing for 1 - e^{2 pi i u0} q^{r0}
-    theta_vec.
-    """
-    vec = r1_root.vec
-    half = tuple(v // 2 for v in vec) if all(v % 2 == 0 for v in vec) else None
-    if half is not None and half in datum.root_by_vec and datum.doubled[half]:
-        beta = half
-        a = labels.pole_exponent(beta)
-        b = labels.minus_pole_exponent(beta)
-        neg = tuple(-x for x in beta)
-        num = [(neg, Fraction(1, 2), -b), (neg, Fraction(0), -a)]
-        den = [(neg, Fraction(0), Fraction(0)), (neg, Fraction(1, 2), Fraction(0))]
-    else:
-        f0 = labels.f0(vec)
-        neg = tuple(-x for x in vec)
-        num = [(neg, Fraction(0), -f0)]
-        den = [(neg, Fraction(0), Fraction(0))]
-    return cancel_factor_lists(num, den)
-
-
-def cancel_factor_lists(num, den):
-    """Remove factors appearing in both multisets."""
-    num = list(num)
-    out_den = []
-    for d in den:
-        if d in num:
-            num.remove(d)
-        else:
-            out_den.append(d)
-    return num, out_den
-
-
-def omega_factor_descriptors(datum, labels):
-    """Net factor lists (numerator, denominator) of the kernel
-    1/(c(t) c(t^{-1})), after exact cancellation.  The numerator factors
-    come from the Weyl-denominator side, the denominator factors carry the
-    label thresholds.  Factors are (vec, u0, r0) as above."""
-    num, den = [], []
-    for r in datum.r1_positive:
-        c_num, c_den = c_factor_descriptors(datum, labels, r)
-        for side_point_sign in (1, -1):
-            for vec, u0, r0 in c_den:
-                num.append((tuple(side_point_sign * v for v in vec), u0, r0))
-            for vec, u0, r0 in c_num:
-                den.append((tuple(side_point_sign * v for v in vec), u0, r0))
-    return cancel_factor_lists(num, den)
-
-
-def descriptor_factors(descs, point) -> list:
-    """1 - d theta_vec(t) at a torus point for each factor (vec, u0, r0),
-    in the term form of `nonzero_product`, from one `pairings` product."""
-    un, rn = point.numerators_of([d[0] for d in descs])
-    return [binomial(u, r, point.den, u0, r0, c=-1, c0=1)
-            for (_, u0, r0), u, r in zip(descs, un, rn)]
-
-
-def c_alpha(datum, labels, r1_root, point):
-    """Value of c_alpha at an exact torus point.
-
-    Returns (value, pole_order): value is a QRational (or None at a
-    genuine pole) and pole_order counts vanishing denominator minus
-    vanishing numerator factors.
-    """
-    (num, num_zero), (den, den_zero) = (
-        nonzero_product(descriptor_factors(descs, point))
-        for descs in c_factor_descriptors(datum, labels, r1_root))
-    order = den_zero - num_zero
-    if den_zero > 0:
-        return None, order
-    return QRational(QLaurent() if num_zero else num, den), order
-
-
-def weyl_denominator(datum, point) -> QLaurent:
-    """Delta(t) = prod over R1,+ of (1 - theta_{-alpha}(t))."""
-    value, zeros = nonzero_product(descriptor_factors(
-        [(tuple(-x for x in r.vec), 0, 0) for r in datum.r1_positive], point))
-    return QLaurent() if zeros else value
-
-
-def omega_kernel(datum, labels, point):
-    """1/(c(t) c(t^{-1})) at an exact point.
-
-    Returns (value, pole_order): pole_order > 0 means the kernel has a
-    pole at the point (value is None); pole_order < 0 means a zero of
-    that order (value 0).  When distinct divisors cross with net order 0
-    no continuous value exists and (None, 0) is returned.
-    """
-    (num, num_zero), (den, den_zero) = (
-        nonzero_product(descriptor_factors(descs, point))
-        for descs in omega_factor_descriptors(datum, labels))
-    order = den_zero - num_zero
-    if order > 0:
-        return None, order
-    if order < 0:
-        return QRational(QLaurent(), ONE), order
-    if den_zero > 0:  # balanced crossing: no continuous value
-        return None, 0
-    return QRational(num, den), 0

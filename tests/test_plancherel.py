@@ -10,7 +10,6 @@ from heckeplan.plancherel import (
     length_count,
     m_on_coset,
     m_point,
-    m_upper,
     plancherel_point_mass,
     poincare_product,
     poincare_tail_bound,
@@ -27,7 +26,15 @@ from heckeplan.rootdata import (
     LabelFunction,
     RootDatum,
 )
-from heckeplan.symbolicq import ONE, QLaurent, QRational
+from heckeplan.residue import kernel_divisors
+from heckeplan.symbolicq import (
+    ONE,
+    QLaurent,
+    QRational,
+    binomial,
+    nonzero_product,
+    q_power,
+)
 
 F = Fraction
 
@@ -296,6 +303,28 @@ def test_point_mass_rejects_other_points():
         plancherel_point_mass(d, labels, other)
 
 
+def m_upper(datum, labels, coset, t):
+    """Normalized complement density, the reference of the density's
+    factorisation: q(w^L) q(w0)^{-1} times the exact product of the kernel
+    divisors (1 - d theta_vec)^(-sign) off R_L at t.
+
+    Returns (value, singular): value None when one of those divisors
+    vanishes at t."""
+    support = {r.vec for r in coset.support_roots}
+    divisors = [x for x in kernel_divisors(datum, labels)
+                if x.vec not in support]
+    un, rn = t.numerators_of([x.vec for x in divisors])
+    exp = labels.q_exponent(coset.support_roots) - labels.q_w0_exponent()
+    (num, num_zero), (den, den_zero) = (nonzero_product(
+        [q_power(exp)] * (sign < 0) +
+        [binomial(u, r, t.den, x.u0, x.r0, c=-1, c0=1)
+         for x, u, r in zip(divisors, un, rn) if x.sign == sign])
+        for sign in (-1, 1))
+    if num_zero or den_zero:
+        return None, True
+    return QRational(num, den), False
+
+
 def test_m_on_coset_factorizes():
     # exact identity on the tempered form: m_L(t) = m_base * m^L(t), where
     # m_base is the point density within the support datum
@@ -363,19 +392,15 @@ def test_m_upper_positive_on_tempered_samples():
 
 
 def test_m_upper_t_is_inverse_kernel():
-    # for L = T the complement product is the full inverse kernel
-    from heckeplan.symbolicq import omega_kernel
+    # for L = T the complement product is the full inverse kernel, which
+    # the density on the whole torus tables
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
     t_coset = next(c for c in residual_cosets(d, labels) if c.dim == 2)
     pt = TorusPoint([F(1, 5), F(1, 3)], [0, 0])
     up, singular = m_upper(d, labels, t_coset, pt)
     assert not singular
-    kernel, order = omega_kernel(d, labels, pt)
-    assert order == 0
-    expected = QRational(QLaurent.monomial(-labels.q_w0_exponent()),
-                         ONE) * kernel
-    assert up == expected
+    assert up == m_on_coset(d, labels, t_coset, pt)
 
 
 def test_m_upper_stabilizer_invariance():

@@ -12,12 +12,16 @@ import pytest
 
 from heckeplan import residue
 from heckeplan.cli import main
+from heckeplan.plancherel import m_on_coset
 from heckeplan.residue import (
     MAX_NODES,
+    Divisor,
     Integrand,
     ResidueEngine,
     RingLines,
+    divisors_through,
     kernel_divisors,
+    net_pole_orders,
     ring_candidates,
     segment_crossings,
     shift_and_collect,
@@ -25,7 +29,14 @@ from heckeplan.residue import (
     torus_integral,
     vanishing_cycle_check,
 )
-from heckeplan.residual import TorusPoint, steinberg_point
+from heckeplan.residual import (
+    TorusPoint,
+    _point_rows,
+    point_index,
+    residual_cosets,
+    residual_points,
+    steinberg_point,
+)
 from heckeplan.rootdata import LabelFunction, RootDatum, random_label_vector
 
 F = Fraction
@@ -257,21 +268,56 @@ def test_small_circles_and_the_unit_integral_enumerate_no_cosets(
     assert unit == global_unit_integral(b2, lb2, 2, engines[2].resolution)
 
 
+def _labels(d, seed):
+    """Equal labels at seed None, else seeded affine-node labels."""
+    return LabelFunction.equal(d) if seed is None else \
+        LabelFunction.from_affine_nodes(
+            d, random_label_vector(d, random.Random(seed)))
+
+
 def test_integrand_matches_exact_kernel():
-    # the compiled numeric kernel agrees with the exact symbolic kernel
-    from heckeplan.symbolicq import omega_kernel
-    d = RootDatum.from_type("B2", "Q")
-    labels = LabelFunction.equal(d)
-    fn = Integrand(d, labels, F(2))
-    pt = TorusPoint([F(1, 3), F(1, 5)], [F(1, 2), F(-3, 2)])
-    z = [complex(np.exp(2j * np.pi * float(pt.u[i])) *
-                 2.0 ** float(pt.r[i])) for i in range(2)]
-    val = fn(np.array([[z[0]]]), np.array([[z[1]]]))[0][0]
-    sym, order = omega_kernel(d, labels, pt)
-    assert order == 0
-    scale = 2.0 ** float(-labels.q_w0_exponent())
-    expected = complex(sym.evaluate(2.0)) * scale
-    assert abs(val - expected) < 1e-10 * abs(expected)
+    # the compiled numeric kernel agrees with the exact density on the
+    # whole torus, q(w0)^{-1} / (c(t) c(t^{-1})), at a point off every
+    # divisor
+    for tag, lattice in (("A1", "Q"), ("A1", "P"), ("B2", "Q"), ("B2", "P"),
+                         ("C2", "P"), ("G2", "Q")):
+        d = RootDatum.from_type(tag, lattice)
+        for seed in (None, 5):
+            labels = _labels(d, seed)
+            torus = next(c for c in residual_cosets(d, labels)
+                         if c.dim == d.rank)
+            fn = Integrand(d, labels, F(2))
+            pt = TorusPoint([F(1, 3), F(1, 5)][:d.rank],
+                            [F(1, 7), F(-3, 11)][:d.rank])
+            assert not divisors_through(
+                fn.divisors, *_point_rows([pt], d.rank))[0]
+            z = [np.exp(2j * np.pi * float(u)) * 2.0 ** float(r)
+                 for u, r in zip(pt.u, pt.r)]
+            val = fn(*(np.array([[x]]) for x in z))[0][0]
+            expected = complex(
+                m_on_coset(d, labels, torus, pt).evaluate(2.0))
+            assert abs(val - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("tag,lattice", [
+    (tag, lattice) for tag in ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                               "C2", "C3", "C4", "D4", "G2", "F4")
+    for lattice in ("Q", "P")])
+def test_kernel_pole_order_is_the_index(tag, lattice):
+    # the kernel's divisors count, at every point, the poles minus the
+    # zeros of the residual index: both read the label thresholds
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(7)
+    for labels in (LabelFunction.equal(d), LabelFunction.equal(d, 0),
+                   LabelFunction.equal(d, F(-3, 2)), _labels(d, 5)):
+        seeded = [TorusPoint([rng.choice((F(0), F(1, 2), F(1, 4)))
+                              for _ in range(d.rank)],
+                             [F(rng.randint(-6, 6), 2)
+                              for _ in range(d.rank)])
+                  for _ in range(40)]
+        points = residual_points(d, labels) + seeded
+        assert net_pole_orders(kernel_divisors(d, labels), points) == \
+            [point_index(d, labels, p) for p in points]
 
 
 def test_report_resolution_and_error_estimate():
@@ -384,12 +430,12 @@ def test_integrand_refuses_a_coefficient_that_is_not_real(monkeypatch):
     # the folded rank-2 sum needs d = e^{2 pi i u0} q^r0 real, u0 in Z/2
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
-    forged = ([], [((1, 0), F(1, 3), F(1))])
-    monkeypatch.setattr(residue, "omega_factor_descriptors",
+    forged = [Divisor((1, 0), F(1, 3), F(1), +1)]
+    monkeypatch.setattr(residue, "kernel_divisors",
                         lambda datum, labels: forged)
     with pytest.raises(ValueError, match="not real"):
         Integrand(d, labels, F(3))
-    forged[1][0] = ((1, 0), F(1, 2), F(1))
+    forged[0] = Divisor((1, 0), F(1, 2), F(1), +1)
     assert Integrand(d, labels, F(3)).directions == {(1, 0): {1: ([], [-3.0])}}
 
 

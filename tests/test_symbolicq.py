@@ -4,9 +4,17 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+import pytest
 
 from heckeplan.lattice import INT64_SAFE
-from heckeplan.residual import TorusPoint, _point_rows, pairings
+from heckeplan.plancherel import m_on_coset
+from heckeplan.residual import (
+    TorusPoint,
+    _point_rows,
+    pairings,
+    residual_cosets,
+)
+from heckeplan.residue import kernel_divisors, net_pole_orders
 from heckeplan.rootdata import LabelFunction, RootDatum
 from heckeplan.symbolicq import (
     Cyclo,
@@ -15,11 +23,8 @@ from heckeplan.symbolicq import (
     _evaluation_point,
     _reduce_block,
     _ring_product,
-    c_alpha,
     cyclotomic_poly,
     nonzero_product,
-    omega_kernel,
-    weyl_denominator,
 )
 
 F = Fraction
@@ -85,35 +90,6 @@ def test_qlaurent_evaluate_exact():
     assert not cmath.isfinite(y)
 
 
-def _a1_datum_point(value_exp, lattice="Q"):
-    d = RootDatum.from_type("A1", lattice)
-    labels = LabelFunction.equal(d)
-    alpha = d.simple_roots[0]
-    # point with alpha(t) = q^value_exp
-    t = TorusPoint([0], [F(value_exp) / alpha[0]])
-    return d, labels, alpha, t
-
-
-def test_c_alpha_values_a1():
-    # alpha(t) = q: c = (1 - q^-2)/(1 - q^-1) = 1 + q^-1
-    d = RootDatum.from_type("A1", "P")
-    labels = LabelFunction.equal(d)
-    t = TorusPoint([0], [F(1, 2)])  # basis is the fundamental weight
-    r1 = d.r1_positive[0]
-    val, order = c_alpha(d, labels, r1, t)
-    assert order == 0
-    assert val == QRational.constant(1) + QLaurent.monomial(-1)
-    # alpha(t) = q^{-1}: numerator zero
-    t = TorusPoint([0], [F(-1, 2)])
-    val, order = c_alpha(d, labels, r1, t)
-    assert order == -1
-    assert val.is_zero() or val == QRational.constant(0)
-    # alpha(t) = 1: pole
-    t = TorusPoint([0], [0])
-    val, order = c_alpha(d, labels, r1, t)
-    assert val is None and order == 1
-
-
 def test_combined_numerator_identity():
     # (1 + c v)(1 - c v) == 1 - c^2 v^2 for c = q^{-f/2}: the two-factor
     # numerator equals the combined single factor identically
@@ -125,33 +101,27 @@ def test_combined_numerator_identity():
         assert two == one
 
 
-def test_weyl_denominator():
-    d = RootDatum.from_type("A1", "P")
-    t = TorusPoint.identity(1)
-    assert weyl_denominator(d, t).is_zero()
-    t = TorusPoint([0], [F(1, 2)])  # alpha(t) = q
-    assert weyl_denominator(d, t) == \
-        QLaurent.constant(1) - QLaurent.monomial(-1)
-    # B2: no vanishing factor off the walls
-    d = RootDatum.from_type("B2", "Q")
-    t = TorusPoint([0, 0], [F(5), F(3)])
-    assert not weyl_denominator(d, t).is_zero()
+def _torus_coset(d, labels):
+    """The residual coset that is the whole torus, on which `m_on_coset`
+    is q(w0)^{-1} times the kernel 1/(c(t) c(t^{-1}))."""
+    return next(c for c in residual_cosets(d, labels) if c.dim == d.rank)
 
 
 def test_omega_kernel_pole_order_a1():
     d = RootDatum.from_type("A1", "Q")
     labels = LabelFunction.equal(d)
-    # residual point alpha(t) = q: pole of order 1
-    t = TorusPoint([0], [1])
-    val, order = omega_kernel(d, labels, t)
-    assert order == 1 and val is None
-    # identity: zero of order 2 (both signs of alpha vanish)
-    val, order = omega_kernel(d, labels, TorusPoint.identity(1))
-    assert order == -2
-    assert val.is_zero()
-    # generic point: regular
-    val, order = omega_kernel(d, labels, TorusPoint([0], [F(7, 3)]))
-    assert order == 0 and not val.is_zero()
+    torus = _torus_coset(d, labels)
+    # the residual point alpha(t) = q is a pole of order 1, the identity a
+    # zero of order 2 (both signs of alpha vanish), and a generic point is
+    # regular
+    pole, one = TorusPoint([0], [1]), TorusPoint.identity(1)
+    generic = TorusPoint([0], [F(7, 3)])
+    assert net_pole_orders(kernel_divisors(d, labels),
+                           [pole, one, generic]) == [1, -2, 0]
+    with pytest.raises(ValueError, match="pole"):
+        m_on_coset(d, labels, torus, pole)
+    assert m_on_coset(d, labels, torus, one).is_zero()
+    assert not m_on_coset(d, labels, torus, generic).is_zero()
 
 
 def test_cyclo_and_qlaurent_hash_agree_with_equality():
@@ -176,26 +146,28 @@ def _transform(point, mat):
 
 
 def test_omega_kernel_w0_invariance():
-    # c(t) c(t^{-1}) is W0-invariant.  Full cross-multiplied equality on a
-    # couple of exact points per type, plus the exact factor-value
-    # multiset comparison at 50 points (the kernel is the product of its
-    # factors, so equal multisets force equal values).
+    # c(t) c(t^{-1}) is W0-invariant.  Full exact equality of the density
+    # on the whole torus on a couple of points per type, plus the exact
+    # factor-value multiset comparison of the kernel's divisors at 50
+    # points (the kernel is the product of its factors, so equal multisets
+    # force equal values).
     from heckeplan.residual import inverse_transpose_matrices
-    from heckeplan.symbolicq import omega_factor_descriptors
     rng = random.Random(19)
     for tag in ("A2", "B2", "B3", "G2"):
         d = RootDatum.from_type(tag, "Q")
         labels = LabelFunction.equal(d)
         mats = inverse_transpose_matrices(d)
-        num_d, den_d = omega_factor_descriptors(d, labels)
+        divisors = kernel_divisors(d, labels)
+        torus = _torus_coset(d, labels)
         # every factor value (u0 + <vec,u> mod 1, r0 + <vec,r>) as integer
-        # numerators over scale = lcm(descriptor denominators, point den);
-        # an image point's den divides its preimage's
-        desc_den = lcm(*(x.denominator for _, u0, r0 in num_d + den_d
-                         for x in (u0, r0)))
-        num_i, den_i = ([(vec, int(u0 * desc_den), int(r0 * desc_den))
-                         for vec, u0, r0 in descs]
-                        for descs in (num_d, den_d))
+        # numerators over scale = lcm(divisor denominators, point den); an
+        # image point's den divides its preimage's
+        desc_den = lcm(*(x.denominator for dv in divisors
+                         for x in (dv.u0, dv.r0)))
+        num_i, den_i = ([(dv.vec, int(dv.u0 * desc_den),
+                          int(dv.r0 * desc_den))
+                         for dv in divisors if dv.sign == sign]
+                        for sign in (-1, 1))
 
         def fingerprint(pt, scale):
             step, lift = scale // pt.den, scale // desc_den
@@ -219,25 +191,29 @@ def test_omega_kernel_w0_invariance():
             for m in mats:
                 assert fingerprint(_transform(t, m), scale) == base_fp
             if k < 2 and d.rank <= 2:
-                base, order = omega_kernel(d, labels, t)
-                if base is None:
+                images = [_transform(t, m) for m in mats[:6]]
+                order, *orders = net_pole_orders(divisors, [t, *images])
+                assert orders == [order] * len(images)
+                try:
+                    base = m_on_coset(d, labels, torus, t)
+                except ValueError:  # a pole or a balanced crossing
                     continue
-                for m in mats[:6]:
-                    img, order2 = omega_kernel(d, labels, _transform(t, m))
-                    assert order2 == order
-                    assert img == base
+                for img in images:
+                    assert m_on_coset(d, labels, torus, img) == base
 
 
 def test_omega_kernel_conjugation_on_unitary_torus():
     # on T_u the kernel equals |c(t)|^{-2}: real and nonnegative
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
+    torus = _torus_coset(d, labels)
     rng = random.Random(23)
     for _ in range(10):
         t = TorusPoint([F(rng.randint(0, 11), 12) for _ in range(2)],
                             [0, 0])
-        val, order = omega_kernel(d, labels, t)
-        if val is None:
+        try:
+            val = m_on_coset(d, labels, torus, t)
+        except ValueError:  # a pole or a balanced crossing
             continue
         num = val.evaluate(F(2))
         if isinstance(num, Fraction):
