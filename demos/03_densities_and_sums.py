@@ -36,6 +36,6 @@ print("orbit mass at q=2:", mass.evaluate(Fraction(2)))
 res = poincare_product(datum, labels)
 print("\nreciprocal-length product:", res.product)
 for cut in (10, 20, 40):
-    total = poincare_truncated(datum, labels, 2, cut)
+    total, _ = poincare_truncated(datum, labels, 2, cut)
     print(f"direct sum up to length {cut}: {float(total):.10f}")
 print("product value at q=2:", float(res.product.evaluate(Fraction(2))))

@@ -420,8 +420,7 @@ def table_poincare(args) -> int:
         emit([{"status": "divergent", "detail": res.detail}],
              base_header(args, datum, labels), args)
         return 1
-    total, layers = poincare_truncated(datum, labels, qval, args.truncate,
-                                       with_layers=True)
+    total, layers = poincare_truncated(datum, labels, qval, args.truncate)
     bound = poincare_tail_bound(datum, labels, qval, args.truncate, layers)
     exact = res.product.evaluate(qval)
     # exact is complex when an exponent of q has no exact root at qval

@@ -17,8 +17,7 @@ from .lattice import INT64_SAFE, _int_width, solve_unique
 from .residual import (
     ResidualCoset,
     TorusPoint,
-    canonical_point,
-    orbit_of_point,
+    _point_rows,
     point_index,
     residual_points,  # noqa: F401 (benchmarks/test_harness.py traces it here)
     steinberg_point,
@@ -26,6 +25,7 @@ from .residual import (
 from .rootdata import (
     LabelFunction,
     RootDatum,
+    _graded_dominant,
     _level_step,
     affine_generator_exponents,
 )
@@ -158,9 +158,10 @@ def poincare_product(datum: RootDatum, labels: LabelFunction) -> PoincareResult:
 
 
 def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
-                       lmax: int, with_layers=False):
+                       lmax: int):
     """Direct sum of q(w)^{-1} over affine elements of length <= lmax,
-    times the number of length-zero elements.
+    times the number of length-zero elements, with the number of elements
+    of each length: (sum, [count at length 0, ..., count at lmax]).
 
     The affine Coxeter group is walked one length at a time
     (`_length_levels`).  An element is the augmented integer matrix
@@ -207,10 +208,7 @@ def poincare_truncated(datum: RootDatum, labels: LabelFunction, qval,
         total = powers[first]
         for e in rest:
             total += powers[e]
-    total = datum.weight_index() * total
-    if with_layers:
-        return total, [len(e) for e in exps]
-    return total
+    return datum.weight_index() * total, [len(e) for e in exps]
 
 
 def _power_sum(counts, s):
@@ -313,18 +311,16 @@ def _q_power(qval: Fraction, e: Fraction):
 
 
 def poincare_tail_bound(datum, labels, qval, lmax: int,
-                        layer_counts=None) -> float:
+                        layer_counts) -> float:
     """Bound on the dropped tail of the reciprocal-length sum: the layer
     sizes of the affine group grow like a polynomial of degree rank-1, so
     c_l <= c_L (l/L)^{rank+1} for l >= L majorizes them; the tail is then
-    a convergent series in q^{-m} with m the smallest generator exponent."""
+    a convergent series in q^{-m} with m the smallest generator exponent.
+    `layer_counts` are the layer sizes that `poincare_truncated` returns."""
     gen_exp = affine_generator_exponents(datum, labels)
     m = min(gen_exp)
     if m <= 0:
         return float("inf")
-    if layer_counts is None:
-        _, layer_counts = poincare_truncated(datum, labels, qval, lmax,
-                                             with_layers=True)
     c_last = max(layer_counts[-1], 1)
     n = datum.rank
     ratio = float(qval) ** (-float(m))
@@ -347,12 +343,22 @@ def plancherel_point_mass(datum: RootDatum, labels: LabelFunction,
                           point: TorusPoint) -> QRational:
     """Total mass of the orbit of the special (regular, real, maximally
     negative) point: (-1)^n m(r_st) / [X:Q].  Rejects any other input,
-    since the rational cycle constants are known only there."""
+    since the rational cycle constants are known only there.
+
+    A point is in the orbit of st exactly when it is real, as st is, and
+    its r walks to the dominant r of st under R0; st is regular exactly
+    when no root vanishes on its r.  Both hold since every orbit meets
+    the closed dominant chamber once, and the stabiliser of a point is
+    generated by the reflections that fix it (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12)."""
+    n = datum.rank
     st = steinberg_point(datum, labels)
-    if canonical_point(datum, point) != canonical_point(datum, st):
+    walked = _graded_dominant(datum, datum.roots,
+                              _point_rows([point, st], n)[0][:, n:]).tolist()
+    if any(point.un) or walked[0] != walked[1]:
         raise ValueError("mass formula implemented for the special point "
                          "orbit only")
-    if len(orbit_of_point(datum, st)) != len(datum.weyl):
+    if 0 in st.numerators_of([r.vec for r in datum.roots])[1]:
         raise ValueError("special point is not regular")
     m = m_point(datum, labels, st)
     sign = 1 if datum.rank % 2 == 0 else -1

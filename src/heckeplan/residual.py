@@ -9,7 +9,9 @@ when a bound allows and on Python integers otherwise.  A point is residual
 when its pole-minus-zero count against the label thresholds equals the
 rank.  Of the points found at a unitary candidate s, one per
 W(R_s0)-orbit is canonicalised: W(R_s0) fixes s, so conjugate found
-points share a W0-orbit.  Cosets are lifted from residual points
+points share a W0-orbit.  Every orbit question whose answer is not
+printed is read off the walk of r to a dominant chamber
+(`rootdata._graded_dominant`).  Cosets are lifted from residual points
 of parabolic quotient data and keyed on the normaliser of R_P; only the
 classification suite expands their W0-orbits.
 """
@@ -36,14 +38,12 @@ from .rootdata import (
     RootDatum,
     _abs_vec,
     _distinct_rows,
-    _graded_action,
     _graded_dominant,
     _in_graded_system,
     _image_groups,
     _inverse_numerators,
     _least_rows,
     parabolic_classes,
-    parabolic_subsystem_roots,
     restrict_labels,
 )
 
@@ -135,11 +135,6 @@ class TorusPoint:
         return TorusPoint.from_numerators(
             self.den, [-x for x in self.un], [-x for x in self.rn])
 
-    def star(self) -> "TorusPoint":
-        """The conjugate-inverse t* (split exponents negated)."""
-        return TorusPoint.from_numerators(self.den, self.un,
-                                          [-x for x in self.rn])
-
     def scale_split(self, eps) -> "TorusPoint":
         eps = Fraction(eps)
         return TorusPoint.from_numerators(
@@ -207,12 +202,6 @@ def _row_to_point(row, den) -> TorusPoint:
     return TorusPoint.from_numerators(den, row[:n], row[n:])
 
 
-def orbit_of_point(datum: RootDatum, point: TorusPoint):
-    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm)
-    return {_row_to_point(row, den)
-            for row in rows[_distinct_rows(rows)].tolist()}
-
-
 def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
     """Deterministic orbit representative: lexicographically minimal
     (u vector, then r vector)."""
@@ -246,14 +235,6 @@ def _canonical_points(datum, points, support=()):
         out.extend(_row_to_point(row, den) for row in
                    rows[_least_rows(rows, size)].tolist())
     return out
-
-
-def dominant_split_representative(datum: RootDatum, point: TorusPoint):
-    """Orbit member whose split exponent vector is dominant (all simple
-    roots pair >= 0); ties broken by the lexicographically minimal u."""
-    rows, den = _orbit_rows([point], datum.weyl.invts, datum.weyl.invt_norm)
-    good = rows[(pairings(rows, den, datum.simple_roots)[1] >= 0).all(axis=1)]
-    return _row_to_point(good[_least_rows(good, len(good))[0]].tolist(), den)
 
 
 # -- pole/zero thresholds and the index ---------------------------------------
@@ -295,13 +276,6 @@ def threshold_hits(datum: RootDatum, labels: LabelFunction, point: TorusPoint,
 def point_index(datum, labels, point, roots=None) -> int:
     poles, zeros = threshold_hits(datum, labels, point, roots)
     return len(poles) - len(zeros)
-
-
-def coset_index(datum, labels, support_indices, point) -> int:
-    """Index i_L of the coset through `point` with parabolic support given
-    by simple-root indices (the roots constant on the coset)."""
-    roots = parabolic_subsystem_roots(datum, support_indices)
-    return point_index(datum, labels, point, roots)
 
 
 # -- unitary parts ------------------------------------------------------------
@@ -703,7 +677,6 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     codimension, nested cosets have distinct centers, conjugate-inverse
     points stay in the graded orbit, split exponents lie in the label
     half-group, and order two on doubled summands."""
-    import numpy as np
     checks = []
     try:
         cosets = residual_cosets(datum, labels)
@@ -725,15 +698,8 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
     un, rn = pairings(rows, den, [r.vec for r in datum.roots])
 
     # conjugate-inverse stays in the orbit of the graded reflection group
-    bad = []
-    for pt, graded in zip(points, _in_graded_system(datum, un, den,
-                                                    datum.roots).tolist()):
-        gens = [r for r, g in zip(datum.roots, graded) if g and r.height > 0]
-        orbit, _ = _orbit_rows([pt], *_graded_action(datum, gens))
-        star = pt.star()
-        if not (orbit == np.array(star.un + star.rn, dtype=orbit.dtype)
-                ).all(axis=1).any():
-            bad.append(pt)
+    bad = [pt for pt, ok in zip(points, _star_in_graded_orbit(
+        datum, rows, den).tolist()) if not ok]
     checks.append(CheckResult("conjugate-inverse-in-graded-orbit", not bad,
                               f"{len(points)} point orbit(s)", bad[:3]))
 
@@ -763,6 +729,25 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
         checks.append(CheckResult("tempered-cosets-disjoint", not bad,
                                   "advisory", bad[:3]))
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
+
+
+def _star_in_graded_orbit(datum, rows, den):
+    """Whether t* = (u, -r) lies in W(R_s0) t, for each point row over den
+    and R_s0 the graded system of its unitary part s.  W(R_s0) fixes s,
+    so it does exactly when r and -r walk to one dominant row: one
+    `_graded_dominant` walk per graded system, on the r numerators of its
+    points stacked over their negatives."""
+    import numpy as np
+    graded = _in_graded_system(datum, pairings(
+        rows, den, [r.vec for r in datum.roots])[0], den, datum.roots)
+    split, same = rows[:, datum.rank:], np.ones(len(rows), dtype=bool)
+    for key in set(map(tuple, graded.tolist())):
+        at = np.flatnonzero((graded == key).all(axis=1))
+        walked = _graded_dominant(
+            datum, [r for r, g in zip(datum.roots, key) if g],
+            np.concatenate([split[at], -split[at]]))
+        same[at] = (walked[:len(at)] == walked[len(at):]).all(axis=1)
+    return same
 
 
 def _coset_members(datum, cosets):
@@ -867,12 +852,14 @@ def kl_real_point_check(datum: RootDatum, labels: LabelFunction):
     f = fvals.pop()
     if f == 0:
         return True, []
-    doms = [dominant_split_representative(datum, p)
-            for p in residual_points(datum, labels) if not any(p.un)]
-    vectors = [tuple(r / f for _, r in dom.values_of(datum.simple_roots))
-               for dom in doms]
-    rows, den = _point_rows(doms, datum.rank)
-    rn = pairings(rows, den, [r.vec for r in datum.roots])[1].tolist()
+    # the dominant member of a real point is its r walked under R0
+    n = datum.rank
+    rows, den = _point_rows([p for p in residual_points(datum, labels)
+                             if not any(p.un)], n)
+    rows[:, n:] = _graded_dominant(datum, datum.roots, rows[:, n:])
+    simple, rn = (pairings(rows, den, vecs)[1].tolist() for vecs in (
+        datum.simple_roots, [r.vec for r in datum.roots]))
+    vectors = [tuple(Fraction(x, den) / f for x in row) for row in simple]
     # every root value is an integral power of q^f
     ok = all(v in (0, 1) for vals in vectors for v in vals) and not any(
         x * f.denominator % (den * f.numerator) for row in rn for x in row)

@@ -12,16 +12,15 @@ Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
 parabolic table, the parabolic classes, the unitary candidates with the
-subset inverses of their graded search, and three memos filled on use:
-the reflection subgroups and the simple roots of graded root systems and
-the standard Weyl images of each standard parabolic subset.  The
-parabolic table has one entry per standard parabolic subset P of the
-simple roots (all 2^n), built in one pass.  A root lies in R_P =
-span(P) cap R0 exactly when its simple-root coordinates `alpha` are
-supported on P, so no rank is computed; each entry also holds the sorted
-root-index key of R_P, the saturated lattice of P, the group K_L of a
-coset with support R_P, and the standard representative of the W0-class
-of P.
+subset inverses of their graded search, and two memos filled on use:
+the simple roots of graded root systems and the standard Weyl images of
+each standard parabolic subset.  The parabolic table has one entry per
+standard parabolic subset P of the simple roots (all 2^n), built in one
+pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
+coordinates `alpha` are supported on P, so no rank is computed; each
+entry also holds the sorted root-index key of R_P, the saturated lattice
+of P, the group K_L of a coset with support R_P, and the standard
+representative of the W0-class of P.
 """
 
 from __future__ import annotations
@@ -442,12 +441,6 @@ class RootDatum:
         return unitary_candidates(self)
 
     @cached_property
-    def graded_actions(self) -> dict:
-        """Tuple of roots -> the reflection subgroup they generate, as
-        `_graded_action` returns it; filled on use."""
-        return {}
-
-    @cached_property
     def graded_simples(self) -> dict:
         """Tuple of roots -> the simple roots of their graded system, as
         `_graded_simples` returns them; filled on use."""
@@ -531,23 +524,6 @@ def _image_groups(datum, support):
         memo[support] = {combo: np.array(gs, dtype=np.intp)
                          for combo, gs in groups.items()}
     return memo[support]
-
-
-def _graded_action(datum, roots):
-    """(inverse transposes, largest row 1-norm) of the subgroup generated
-    by the reflections in the given roots, as `WeylGroup` has them; the
-    datum's `graded_actions` keeps each one by its tuple of roots."""
-    import numpy as np
-    key = tuple(roots)
-    memo = datum.graded_actions
-    if key not in memo:
-        n = datum.rank
-        vecs, cors = (np.array(v, dtype=np.int64).reshape(-1, n) for v in (
-            [r.vec for r in key], [r.coroot for r in key]))
-        gens = np.eye(n, dtype=np.int64) - vecs[:, :, None] * cors[:, None, :]
-        _, invts, _ = reflection_closure(gens, n)
-        memo[key] = invts, int(np.abs(invts).sum(axis=2).max(initial=0))
-    return memo[key]
 
 
 def _abs_vec(root):

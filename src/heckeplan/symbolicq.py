@@ -663,11 +663,11 @@ def _poly_quotient(a: list, b: list) -> list:
 # -- products of binomials --------------------------------------------------
 
 
-def binomial(u, r, den, u0=0, r0=0, c=1, c0=-1) -> tuple:
-    """The factor c e^{2 pi i (u0 + u/den)} q^(r0 + r/den) + c0, for
+def binomial(u, r, den, u0=0, r0=0, c0=-1) -> tuple:
+    """The factor e^{2 pi i (u0 + u/den)} q^(r0 + r/den) + c0, for
     integers u, r over den > 0 and rationals u0, r0, in the term form of
     `nonzero_product`."""
-    return ((c, u0.numerator * den + u * u0.denominator, u0.denominator * den,
+    return ((1, u0.numerator * den + u * u0.denominator, u0.denominator * den,
              r0.numerator * den + r * r0.denominator, r0.denominator * den),
             (c0, 0, 1, 0, 1))
 

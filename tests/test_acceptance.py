@@ -28,7 +28,7 @@ def record(num, name, passed, detail=""):
 
 
 def orbit_root_value_sets(datum, points):
-    from heckeplan.residual import orbit_of_point
+    from test_kernels import orbit_of_point
     out = []
     for p in points:
         out.append({
@@ -138,8 +138,7 @@ def test_criterion_3_poincare_identity():
         d = RootDatum.from_type(tag, "Q")
         labels = LabelFunction.equal(d)
         res = poincare_product(d, labels)
-        total, layers = poincare_truncated(d, labels, 2, 40,
-                                           with_layers=True)
+        total, layers = poincare_truncated(d, labels, 2, 40)
         bound = poincare_tail_bound(d, labels, 2, 40, layers)
         exact = float(res.product.evaluate(F(2)))
         diff = abs(exact - float(total))

@@ -67,3 +67,14 @@ def test_reducing_a_block_at_a_large_order_keeps_memory_small():
     *checks, peak_kb = _run(MEMORY_PROBE)
     assert checks == ["True"] * 5
     assert int(peak_kb) < 150 * 1024
+
+
+# bytes: with PYTHONDONTWRITEBYTECODE=1 every import compiles from source,
+# and the largest source file sets the compile peak of a process's memory
+SOURCE_CAP = 41_400
+
+
+def test_every_package_source_file_stays_at_or_under_the_cap():
+    sizes = {p.name: p.stat().st_size
+             for p in (SRC / "heckeplan").glob("*.py")}
+    assert sizes and max(sizes.values()) <= SOURCE_CAP, sizes

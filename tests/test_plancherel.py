@@ -18,15 +18,17 @@ from heckeplan.plancherel import (
 )
 from heckeplan.residual import (
     TorusPoint,
-    orbit_of_point,
     residual_cosets,
     steinberg_point,
 )
 from heckeplan.rootdata import (
     LabelFunction,
     RootDatum,
+    affine_node_class_keys,
+    random_label_vector,
 )
 from heckeplan.residue import kernel_divisors
+from test_kernels import orbit_of_point
 from heckeplan.symbolicq import (
     ONE,
     QLaurent,
@@ -126,8 +128,7 @@ def test_poincare_truncated_matches_product():
         d = RootDatum.from_type(tag, "Q")
         labels = LabelFunction.equal(d)
         res = poincare_product(d, labels)
-        total, layers = poincare_truncated(d, labels, 2, lmax,
-                                           with_layers=True)
+        total, layers = poincare_truncated(d, labels, 2, lmax)
         exact = res.product.evaluate(F(2))
         bound = poincare_tail_bound(d, labels, 2, lmax, layers)
         assert abs(float(exact) - float(total)) <= max(bound, 1e-6)
@@ -141,7 +142,7 @@ def test_poincare_truncated_a1_is_the_geometric_sum(q):
     cut = 20000
     x = 1 / q
     geometric = x * (1 - x ** cut) / (1 - x)
-    total = poincare_truncated(d, LabelFunction.equal(d), q, cut)
+    total, _ = poincare_truncated(d, LabelFunction.equal(d), q, cut)
     assert isinstance(total, Fraction) and total == 1 + 2 * geometric
 
 
@@ -190,8 +191,7 @@ def _bott_coefficients(exponents, top):
 @pytest.mark.parametrize("tag", sorted(BOTT_EXPONENTS))
 def test_layer_counts_are_bott_series_coefficients(tag):
     d = RootDatum.from_type(tag, "Q")
-    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25,
-                                   with_layers=True)
+    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25)
     assert layers == _bott_coefficients(BOTT_EXPONENTS[tag], 25)
 
 
@@ -204,8 +204,7 @@ def test_length_count_sums_the_bott_series(tag):
         assert length_count(d, cut, 1 << 40) == total
         assert length_count(d, cut, total) == total
         assert length_count(d, cut, total - 1) == total
-    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25,
-                                   with_layers=True)
+    _, layers = poincare_truncated(d, LabelFunction.equal(d), 2, 25)
     assert length_count(d, 25, 1 << 40) == sum(layers)
 
 
@@ -277,7 +276,7 @@ def test_point_mass_a1():
     assert mass == expected
     assert mass.evaluate(F(2)) == F(1, 3)
     # reciprocal of the affine reciprocal-length sum (independent oracle)
-    total = poincare_truncated(d, labels, 2, 45)
+    total, _ = poincare_truncated(d, labels, 2, 45)
     assert abs(1 / float(total) - float(mass.evaluate(F(2)))) < 1e-9
 
 
@@ -286,7 +285,7 @@ def test_point_mass_a2_at_2():
     # A2 with X = Q, so the special orbit mass is 1/7
     d = RootDatum.from_type("A2", "Q")
     labels = LabelFunction.equal(d)
-    total = poincare_truncated(d, labels, 2, 40)
+    total, _ = poincare_truncated(d, labels, 2, 40)
     assert abs(float(total) - 7.0) < 1e-6
     st = steinberg_point(d, labels)
     mass = plancherel_point_mass(d, labels, st)
@@ -303,6 +302,62 @@ def test_point_mass_rejects_other_points():
         plancherel_point_mass(d, labels, other)
 
 
+def test_point_mass_refuses_a_real_point_of_another_orbit():
+    # B2/Q at labels 1,1,2 has two real residual point orbits; every Weyl
+    # image of the special point has its mass
+    from heckeplan.residual import canonical_point, residual_points
+    d = RootDatum.from_type("B2", "Q")
+    labels = LabelFunction.from_affine_nodes(d, [F(1), F(1), F(2)])
+    st = steinberg_point(d, labels)
+    other = [p for p in residual_points(d, labels)
+             if not any(p.un) and p != canonical_point(d, st)]
+    assert len(other) == 1
+    with pytest.raises(ValueError, match="special point orbit only"):
+        plancherel_point_mass(d, labels, other[0])
+    mass = plancherel_point_mass(d, labels, st)
+    assert all(plancherel_point_mass(d, labels, img) == mass
+               for img in orbit_of_point(d, st))
+
+
+@pytest.mark.parametrize("tag,lattice", [("A1", "Q"), ("A2", "Q"),
+                                         ("B2", "Q"), ("C3", "P"),
+                                         ("G2", "Q"), ("B3", "Q")])
+def test_point_mass_accepts_exactly_the_regular_special_orbit(tag, lattice):
+    # against the full W0-orbits: membership by the least orbit row, and
+    # regularity by the orbit size of the special point, on the residual
+    # points and some Weyl images of the special point at equal, seeded,
+    # negated and zero labels, and with the class of the last node at 0.
+    # At labels 0 the special point is the identity, fixed by all of W0
+    import random
+    from heckeplan.residual import canonical_point, residual_points
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(79)
+    keys = affine_node_class_keys(d)
+    vectors = [[F(1)] * len(keys), [F(k != keys[-1]) for k in keys]] + [
+        random_label_vector(d, rng) for _ in range(3)]
+    seen = set()
+    for vec in vectors:
+        for sign in (1, -1, 0):
+            labels = LabelFunction.from_affine_nodes(
+                d, [sign * x for x in vec])
+            st = steinberg_point(d, labels)
+            orbit = orbit_of_point(d, st)
+            images = sorted(orbit, key=TorusPoint.key)[:4]
+            for p in residual_points(d, labels) + images:
+                if canonical_point(d, p) != canonical_point(d, st):
+                    with pytest.raises(ValueError, match="orbit only"):
+                        plancherel_point_mass(d, labels, p)
+                elif len(orbit) != len(d.weyl):
+                    seen.add("not regular")
+                    with pytest.raises(ValueError, match="not regular"):
+                        plancherel_point_mass(d, labels, p)
+                else:
+                    seen.add("mass")
+                    assert plancherel_point_mass(d, labels, p) == \
+                        plancherel_point_mass(d, labels, st)
+    assert seen == {"not regular", "mass"}
+
+
 def m_upper(datum, labels, coset, t):
     """Normalized complement density, the reference of the density's
     factorisation: q(w^L) q(w0)^{-1} times the exact product of the kernel
@@ -315,9 +370,14 @@ def m_upper(datum, labels, coset, t):
                 if x.vec not in support]
     un, rn = t.numerators_of([x.vec for x in divisors])
     exp = labels.q_exponent(coset.support_roots) - labels.q_w0_exponent()
+
+    def one_minus(x, u, r):
+        # 1 - d theta_vec: both terms of the binomial d theta_vec - 1 negated
+        return tuple((-c, *term)
+                     for c, *term in binomial(u, r, t.den, x.u0, x.r0))
     (num, num_zero), (den, den_zero) = (nonzero_product(
         [q_power(exp)] * (sign < 0) +
-        [binomial(u, r, t.den, x.u0, x.r0, c=-1, c0=1)
+        [one_minus(x, u, r)
          for x, u, r in zip(divisors, un, rn) if x.sign == sign])
         for sign in (-1, 1))
     if num_zero or den_zero:

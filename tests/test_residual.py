@@ -14,7 +14,6 @@ from heckeplan.residual import (
     casselman_discrete,
     casselman_tempered,
     classification_suite,
-    coset_index,
     graded_labels,
     graded_residual_points,
     kl_real_point_check,
@@ -26,7 +25,12 @@ from heckeplan.residual import (
     trivial_point,
     unitary_candidates,
 )
-from heckeplan.rootdata import LabelFunction, RootDatum, random_label_vector
+from heckeplan.rootdata import (
+    LabelFunction,
+    RootDatum,
+    parabolic_subsystem_roots,
+    random_label_vector,
+)
 
 F = Fraction
 
@@ -38,7 +42,7 @@ def root_values(datum, point):
 
 
 def orbit_value_sets(datum, points):
-    from heckeplan.residual import orbit_of_point
+    from test_kernels import orbit_of_point
     out = []
     for p in points:
         out.append({root_values(datum, q) for q in orbit_of_point(datum, p)})
@@ -190,13 +194,15 @@ def test_point_index_a1():
     t = TorusPoint([0], [F(1) / alpha[0]])   # alpha(t) = q
     assert point_index(d, labels, t) == 1
     assert point_index(d, labels, TorusPoint.identity(1)) == -2
-    assert coset_index(d, labels, (), TorusPoint.identity(1)) == 0
+    assert point_index(d, labels, TorusPoint.identity(1),
+                       parabolic_subsystem_roots(d, ())) == 0
 
 
 def test_coset_index_t():
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
-    assert coset_index(d, labels, (), TorusPoint.identity(2)) == 0
+    assert point_index(d, labels, TorusPoint.identity(2),
+                       parabolic_subsystem_roots(d, ())) == 0
 
 
 # -- residual cosets -------------------------------------------------------------

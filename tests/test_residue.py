@@ -219,19 +219,21 @@ def test_vanishing_cycle_rank1():
 
 
 def test_vanishing_cycle_rank2():
-    from heckeplan.residual import coset_index
+    from heckeplan.residual import point_index
+    from heckeplan.rootdata import parabolic_subsystem_roots
     d = RootDatum.from_type("B2", "Q")
     labels = LabelFunction.equal(d)
     # the locus alpha_2(t) = -1 is a codimension-1 intersection component
     # with index 0 (pole and zero thresholds cancel): no local mass at a
     # generic sample point on it
     quiet_pt = TorusPoint([0, F(1, 2)], [F(7, 3), 0])
-    assert coset_index(d, labels, (1,), quiet_pt) == 0
+    support = parabolic_subsystem_roots(d, (1,))
+    assert point_index(d, labels, quiet_pt, support) == 0
     quiet = vanishing_cycle_check(d, labels, 2, quiet_pt, direction=(0, 1))
     assert abs(quiet) < 1e-8
     # control: a generic point of the residual coset alpha_2(t) = q
     loud_pt = TorusPoint([0, 0], [F(7, 3), 1])
-    assert coset_index(d, labels, (1,), loud_pt) == 1
+    assert point_index(d, labels, loud_pt, support) == 1
     loud = vanishing_cycle_check(d, labels, 2, loud_pt, direction=(0, 1))
     assert abs(loud) > 1e-4
 
