@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
@@ -161,9 +160,21 @@ class UsageError(Exception):
 
 def emit(rows, header, args):
     """Render rows (list of dicts with common keys) in the chosen format,
-    preceded by a header block recording the configuration."""
-    fmt = args.format
-    out = io.StringIO()
+    preceded by a header block recording the configuration, straight to
+    the --out file or to stdout."""
+    if not args.out:
+        _write_table(rows, header, args.format, sys.stdout)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_table(rows, header, args.format, fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from exc
+
+
+def _write_table(rows, header, fmt, out):
+    """Write the header and then each row to the text stream `out`; the
+    text format pads each cell to the widest of its column, found first."""
     keys = list(rows[0].keys()) if rows else []
     if fmt == "json":
         json.dump({"header": header, "rows": rows}, out, indent=1,
@@ -198,15 +209,6 @@ def emit(rows, header, args):
             for r in rows:
                 out.write("  ".join(str(r[k]).ljust(widths[k])
                                     for k in keys) + "\n")
-    text = out.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out: {exc}") from exc
-    else:
-        sys.stdout.write(text)
 
 
 def base_header(args, datum, labels, columns=None):

@@ -357,16 +357,6 @@ def integer_kernel(m: IntMatrix) -> list[list[int]]:
     return [list(vt[j]) for j in range(rank, cols)]
 
 
-def _lattice_intersection(rows1, rows2, n):
-    """Basis of the intersection of two saturated sublattices of Z^n."""
-    comp1 = integer_kernel(rows1)
-    comp2 = integer_kernel(rows2)
-    combined = comp1 + comp2
-    if not combined:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    return integer_kernel(combined)
-
-
 def saturate(vectors: list[list[int]], ambient_rank: int) -> list[list[int]]:
     """Basis of (Q-span of the vectors) intersect Z^n."""
     if not vectors:

@@ -122,15 +122,6 @@ def m_on_coset(datum, labels, coset: ResidualCoset, t: TorusPoint) -> QRational:
     return QRational(num, den)
 
 
-def m_point_on_support(datum, labels, coset: ResidualCoset) -> QRational:
-    """Point density of the base point within its own support datum
-    (the factor m_L(t) / m^L(t), constant along the tempered form)."""
-    constant = datum.parabolics[coset.support].r1_vecs
-    return _density_product(datum, labels, [
-        r for r in datum.r1 if r.vec in constant], coset.point,
-        labels.q_exponent(coset.support_roots))
-
-
 # -- reciprocal length sum -------------------------------------------------------
 
 
@@ -456,7 +447,7 @@ def generic_tempered_point(datum, coset: ResidualCoset) -> TorusPoint:
     return TorusPoint(tuple(u), coset.point.r)
 
 
-def density_table(datum, labels, qval=None):
+def density_table(datum, labels, qval):
     """Rows (orbit id, parabolic, point, index, symbolic mass, numeric
     mass) for every residual coset orbit; positive-dimensional orbits are
     evaluated at a generic point of their tempered form."""
@@ -482,7 +473,7 @@ def density_table(datum, labels, qval=None):
             "mass_symbolic": str(sym) if sym is not None
             else "singular-base",
         }
-        if qval is not None and sym is not None:
+        if sym is not None:
             val = sym.evaluate(F(qval))
             row["mass_at_q"] = str(val) if isinstance(val, Fraction) \
                 else repr(val)

@@ -27,7 +27,6 @@ from math import gcd, lcm
 from .lattice import (
     INT64_SAFE,
     _int_width,
-    _lattice_intersection,
     _product_dtype,
     solve_unique,
     subset_adjugates,
@@ -40,7 +39,6 @@ from .rootdata import (
     _distinct_rows,
     _graded_dominant,
     _in_graded_system,
-    _image_groups,
     _inverse_numerators,
     _least_rows,
     parabolic_classes,
@@ -214,15 +212,16 @@ ORBIT_BLOCK = 1 << 11
 
 
 def _canonical_points(datum, points, support=()):
-    """`canonical_point` of each point; with a standard parabolic subset
-    `support`, the base point of the coset orbit through it whose constant
-    roots are R_support: its least K_L translate over the Weyl elements
-    that map R_support onto itself.  Per block of up to ORBIT_BLOCK rows,
-    one `_orbit_rows` product and one least-row pick keyed by owner."""
+    """`canonical_point` of each point; with the representative `support`
+    of a class of standard parabolic subsets, the base point of the coset
+    orbit through it whose constant roots are R_support: its least K_L
+    translate over the Weyl elements that map R_support onto itself.  Per
+    block of up to ORBIT_BLOCK rows, one `_orbit_rows` product and one
+    least-row pick keyed by owner."""
     invts, k_den, size = datum.weyl.invts, 1, 1
     if support:
         entry = datum.parabolics[support]
-        invts = invts[_image_groups(datum, support)[support]]
+        invts = invts[entry.images[support]]
         k_den, size = entry.k_den, len(entry.k_elems)
     size *= len(invts)
     step = max(1, ORBIT_BLOCK // size)
@@ -292,13 +291,17 @@ class UnitaryCandidate:
 
 
 def unitary_candidates(datum: RootDatum) -> list:
-    """W0-orbit representatives, sorted by key, of the unitary points s
-    whose roots R1(s) = {alpha in R1 : alpha(s) = 1} have full rank; empty
-    when the roots do not span X.  They are the vertices of the
-    fundamental alcove of the R1 affine arrangement (Bourbaki, Lie VI
-    2.2): per component zero or omega_i^vee / m_i, where R1(s) holds the
-    affine diagram minus node i, summed over the components.  R1's simple
-    roots are R0's, each doubled one times 2, which halves its
+    """The unitary points s whose roots R1(s) = {alpha in R1 : alpha(s) =
+    1} have full rank, up to W0, as the distinct alcove vertex sums mod Y
+    sorted by key; empty when the roots do not span X.  The vertices of
+    the fundamental alcove of the R1 affine arrangement are, per
+    component, zero or omega_i^vee / m_i, where R1(s) holds the affine
+    diagram minus node i; each W_aff(R1)-orbit meets the closed alcove
+    once (Bourbaki, Lie VI 2.2), so two sums are W0-conjugate only
+    through the stabiliser of the alcove.  A few are (C_n/Q from n = 3,
+    D5/Q); each such sum costs one more graded search, whose points
+    `residual_points` canonicalises onto the same representatives.  R1's
+    simple roots are R0's, each doubled one times 2, which halves its
     omega_i^vee and its mark m_i, the coordinate of R1's highest root.
     So vertex i is column i of the inverse of R0's simple-root matrix,
     from one solve, over the i-th coordinate of that root in R0's simple
@@ -320,19 +323,18 @@ def unitary_candidates(datum: RootDatum) -> list:
             vertices.append([(0,) * n] + [
                 tuple(Fraction(row[i], det * r.alpha[i]) for row in num)
                 for i in support])
-    reps = sorted(set(_canonical_points(datum, [
-        TorusPoint([sum(x) % 1 for x in zip(*choice)], (0,) * n)
-        for choice in product(*vertices)])), key=TorusPoint.key)
-    rows, den = _point_rows(reps, n)
+    sums = sorted({TorusPoint([sum(x) for x in zip(*choice)], (0,) * n)
+                   for choice in product(*vertices)}, key=TorusPoint.key)
+    rows, den = _point_rows(sums, n)
     un = pairings(rows, den, [r.vec for r in datum.roots])[0]
     graded = _in_graded_system(datum, un, den, datum.roots).tolist()
     inverses, out = {}, []
-    for rep, in_s0, row in zip(reps, graded, un.tolist()):
+    for point, in_s0, row in zip(sums, graded, un.tolist()):
         r_s0 = [r for r, g in zip(datum.roots, in_s0) if g]
         positives = tuple(r for r in r_s0 if r.height > 0)
         if positives not in inverses:
             inverses[positives] = _subset_inverses(positives, n)
-        out.append(UnitaryCandidate(rep, r_s0, frozenset(
+        out.append(UnitaryCandidate(point, r_s0, frozenset(
             r.vec for r, g, u in zip(datum.roots, in_s0, row) if g and u),
             inverses[positives]))
     return out
@@ -349,19 +351,19 @@ def graded_labels(datum, labels, cand: UnitaryCandidate) -> dict:
             for r in cand.r_s0}
 
 
-def graded_residual_points(datum, subsystem, klabels, rank=None,
-                           inverses=None):
+def graded_residual_points(subsystem, klabels, inverses):
     """Brute-force search: solve alpha(gamma) = k_alpha on all maximal
     independent subsets of positive subsystem roots, keep gamma whose
     pole-minus-zero count reaches the rank, and assert it never exceeds it.
-    `inverses` are the subsets' `SubsetInverses` if already computed.
+    `inverses` are the `SubsetInverses` of the positive roots of the
+    subsystem, whose n-subsets give the rank n.
 
     Returns exact split-exponent vectors (tuples of Fractions), deduped.
     """
     import numpy as np
-    n = rank if rank is not None else datum.rank
+    n = inverses.subsets.shape[1]
     gammas = _candidate_gammas([r for r in subsystem if r.height > 0],
-                               klabels, n, inverses)
+                               klabels, inverses)
     if not len(gammas):
         return []
     # alpha(gamma) = k_alpha as integers, for every root and candidate at
@@ -440,7 +442,7 @@ def _subset_inverses(positives, n) -> SubsetInverses:
         (sum(x * x for x in p.vec) for p in positives), default=0))
 
 
-def _candidate_gammas(positives, klabels, n, inverses=None):
+def _candidate_gammas(positives, klabels, inv):
     """The solutions of n independent equations alpha(gamma) = k_alpha,
     over every n-subset of the positive roots, exactly: an array of the
     distinct integer rows (gamma * den..., den) in lowest terms with
@@ -451,11 +453,10 @@ def _candidate_gammas(positives, klabels, n, inverses=None):
     one integer product per label set.  It runs on int64 while its own
     bound and twice (max |alpha|^2 + max k^2)^n, which bounds the square
     of every minor of [A | k], are below 2^62, and on Python integers
-    (dtype=object) otherwise.  The subsets' inverses are `inverses` when
-    given, and computed here otherwise."""
+    (dtype=object) otherwise.  `inv` holds the `SubsetInverses` of the
+    positive roots, whose n-subsets give n."""
     import numpy as np
-    inv = inverses if inverses is not None else \
-        _subset_inverses(positives, n)
+    n = inv.subsets.shape[1]
     den, kint = _numerators([klabels[p.vec] for p in positives])
     if not len(inv.det):
         return np.zeros((0, n + 1), dtype=np.int64)
@@ -496,7 +497,7 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
         gammas = solved.get(key)
         if gammas is None:
             gammas = solved[key] = graded_residual_points(
-                datum, cand.r_s0, klabels, inverses=cand.subset_inverses)
+                cand.r_s0, klabels, cand.subset_inverses)
         spans.append((cand, len(found), len(gammas)))
         found.extend(TorusPoint(cand.point.u, gamma) for gamma in gammas)
     # the index of every found point from one product
@@ -607,16 +608,16 @@ def _translates(rows, den, k_rows):
 
 def _coset_orbit(datum, support, points):
     """The W0-orbits of the cosets through `points` whose constant roots
-    are R_support, for a standard parabolic subset `support`, in standard
-    form: by point, then in order of first occurrence over the Weyl
-    elements.  An image counts when its support is a standard `combo`; its
-    standard form is its least K_L translate.  Returns (combos, rows, D,
-    owners): each coset's combo, its row u + r over D, the lcm of the
-    points' and every combo's K_L denominators, and its point's index.
-    Per block of up to ORBIT_BLOCK rows, one `_orbit_rows` product and
-    one stack of translates keyed by owner."""
+    are R_support, for the representative `support` of a class of standard
+    parabolic subsets, in standard form: by point, then in order of first
+    occurrence over the Weyl elements.  An image counts when its support
+    is a standard `combo`; its standard form is its least K_L translate.
+    Returns (combos, rows, D, owners): each coset's combo, its row u + r
+    over D, the lcm of the points' and every combo's K_L denominators, and
+    its point's index.  Per block of up to ORBIT_BLOCK rows, one
+    `_orbit_rows` product and one stack of translates keyed by owner."""
     import numpy as np
-    n, groups = datum.rank, _image_groups(datum, support)
+    n, groups = datum.rank, datum.parabolics[support].images
     combos, gs = list(groups), np.concatenate(list(groups.values()))
     order = np.argsort(gs)
     gs, which = gs[order], np.repeat(np.arange(len(combos)), [
@@ -671,8 +672,8 @@ class SuiteReport:
                            for c in self.checks]}
 
 
-def classification_suite(datum: RootDatum, labels: LabelFunction,
-                         check_nonintersection=False) -> SuiteReport:
+def classification_suite(datum: RootDatum,
+                         labels: LabelFunction) -> SuiteReport:
     """Run the structural checks on the full enumeration: index equals
     codimension, nested cosets have distinct centers, conjugate-inverse
     points stay in the graded orbit, split exponents lie in the label
@@ -723,11 +724,6 @@ def classification_suite(datum: RootDatum, labels: LabelFunction,
            for c in comps for k in c if 2 * row[k] % den]
     checks.append(CheckResult("order-two-on-doubled-summands", not bad,
                               "", bad[:3]))
-
-    if check_nonintersection:
-        bad = _meeting_pairs(datum, members, False)
-        checks.append(CheckResult("tempered-cosets-disjoint", not bad,
-                                  "advisory", bad[:3]))
     return SuiteReport(f"{datum.typename}/{datum.lattice}", checks)
 
 
@@ -768,17 +764,16 @@ def _coset_members(datum, cosets):
             den, np.concatenate([owners for *_, owners in parts]))
 
 
-def _meeting_pairs(datum, members, nested):
-    """Pairs ((c1, p1), (c2, p2)) of member cosets with one center whose
-    points agree on the intersection of the saturated lattices spanned by
-    R_c1 and R_c2.  Nested: distinct cosets, one combo holding the other,
-    so one coset holds the other; by center in order of first occurrence,
-    then in member order.  Otherwise: from different orbits, so that their
-    tempered forms meet; in member order.  One stable lexsort groups the
-    members by center, one `pairings` product per pair of combos compares
-    them, and points are built for the pairs found alone."""
+def _meeting_pairs(datum, members):
+    """Pairs ((c1, p1), (c2, p2)) of distinct member cosets with one
+    center, one combo holding the other, whose points agree on the
+    saturated lattice spanned by the smaller combo's roots, so that one
+    coset holds the other; by center in order of first occurrence, then
+    in member order.  One stable lexsort groups the members by center, one
+    `pairings` product per pair of combos compares them, and points are
+    built for the pairs found alone."""
     import numpy as np
-    combos, rows, den, owners = members
+    combos, rows, den, _ = members
     n, shift = datum.rank, datum.n_simple
     mask = {c: sum(1 << i for i in c) for c in set(combos)}
     lattice = {m: datum.parabolics[c].lattice for c, m in mask.items()}
@@ -794,8 +789,7 @@ def _meeting_pairs(datum, members, nested):
         for t in range(1, np.bincount(group).max())], axis=1)
     a, b = masks[first], masks[second]
     keep = (((a & b) == a) | ((a & b) == b)) & (
-        (a != b) | (rows[first] != rows[second]).any(axis=1)) if nested \
-        else owners[first] != owners[second]
+        (a != b) | (rows[first] != rows[second]).any(axis=1))
     first, second = first[keep], second[keep]
     keys = (masks[first] << shift) | masks[second]
     hit = np.zeros(len(keys), dtype=bool)
@@ -803,14 +797,12 @@ def _meeting_pairs(datum, members, nested):
         run = np.flatnonzero(keys == key)
         m1, m2 = divmod(key, 1 << shift)
         # a combo's lattice lies in the lattice of a combo holding it
-        vecs = lattice[m1] if (m1 & m2) == m1 else lattice[m2] if \
-            (m1 & m2) == m2 else _lattice_intersection(lattice[m1],
-                                                       lattice[m2], n)
+        vecs = lattice[m1] if (m1 & m2) == m1 else lattice[m2]
         (u1, r1), (u2, r2) = (pairings(rows[side[run]], den, vecs)
                               for side in (first, second))
         hit[run] = ((u1 == u2) & (r1 == r2)).all(axis=1)
     first, second = first[hit], second[hit]
-    by = np.lexsort((second, first, lead[first]) if nested else (second, first))
+    by = np.lexsort((second, first, lead[first]))
     return [tuple((combos[i], _row_to_point(rows[i].tolist(), den))
                   for i in pair)
             for pair in zip(first[by].tolist(), second[by].tolist())]
@@ -820,7 +812,7 @@ def _nested_coset_violations(datum, members):
     """(c1, p1, c2, p2) for distinct member cosets sharing a center of
     which one contains the other: nested cosets sharing a center must
     coincide."""
-    return [(*a, *b) for a, b in _meeting_pairs(datum, members, True)]
+    return [(*a, *b) for a, b in _meeting_pairs(datum, members)]
 
 
 # -- scaling -------------------------------------------------------------------

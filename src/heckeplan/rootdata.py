@@ -12,21 +12,21 @@ Everything a datum derives from itself is a `functools.cached_property`
 on `RootDatum`, computed on first use: the Weyl group with its int64
 matrix stacks, the W0-orbits of the coroots, the root permutations, the
 parabolic table, the parabolic classes, the unitary candidates with the
-subset inverses of their graded search, and two memos filled on use:
-the simple roots of graded root systems and the standard Weyl images of
-each standard parabolic subset.  The parabolic table has one entry per
-standard parabolic subset P of the simple roots (all 2^n), built in one
-pass.  A root lies in R_P = span(P) cap R0 exactly when its simple-root
-coordinates `alpha` are supported on P, so no rank is computed; each
-entry also holds the sorted root-index key of R_P, the saturated lattice
-of P, the group K_L of a coset with support R_P, and the standard
-representative of the W0-class of P.
+subset inverses of their graded search, and one memo filled on use: the
+simple roots of graded root systems.  The parabolic table has one entry
+per standard parabolic subset P of the simple roots (all 2^n), built in
+one pass.  A root lies in R_P = span(P) cap R0 exactly when its
+simple-root coordinates `alpha` are supported on P, so no rank is
+computed; each entry also holds the sorted root-index key of R_P, the
+saturated lattice of P, the group K_L of a coset with support R_P, and
+the standard representative of the W0-class of P.  The pass that finds
+the classes also groups the standard Weyl images of each representative.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -371,9 +371,12 @@ class RootDatum:
     def parabolics(self) -> dict[tuple, "Parabolic"]:
         """The parabolic table: every standard parabolic subset P (a
         sorted tuple of simple-root indices, by size and then
-        lexicographically) -> its Parabolic entry.  The W0-class of P is
-        found by looking up the bit mask of each Weyl image of R_P among
-        the masks of the standard R_Q."""
+        lexicographically) -> its Parabolic entry.  The first subset of
+        each W0-class is its representative.  Looking up the bit mask of
+        each Weyl image of its R_P among the masks of the standard R_Q
+        finds the members of the class and groups the Weyl elements by the
+        member they carry R_P onto, the representative's `images`."""
+        import numpy as np
         n = self.n_simple
         subsets = [c for size in range(n + 1)
                    for c in combinations(range(n), size)]
@@ -388,18 +391,23 @@ class RootDatum:
                 for c in subsets}
         # W0-classes: the images of R_P that are some R_Q, Q standard
         subset_of_mask = {_root_mask(key): c for c, key in keys.items()}
-        rep = {}
+        rep, images = {}, {}
         for combo in subsets:
             if combo in rep:
                 continue
-            for mask in set(_image_masks(self, keys[combo])):
+            groups = {}
+            for g, mask in enumerate(_image_masks(self, keys[combo])):
                 member = subset_of_mask.get(mask)
                 if member is not None:
-                    rep[member] = combo
+                    groups.setdefault(member, []).append(g)
+            rep.update(dict.fromkeys(groups, combo))
+            images[combo] = {member: np.array(gs, dtype=np.intp)
+                             for member, gs in groups.items()}
         return {c: Parabolic(
             indices=c, roots=roots[c], key=keys[c],
             r1_vecs=frozenset(r.vec for r in self.r1 if supported(r.alpha, c)),
-            rep=rep[c], **self._k_group(c)) for c in subsets}
+            rep=rep[c], images=images.get(c), **self._k_group(c))
+            for c in subsets}
 
     def _k_group(self, combo):
         """The saturated lattice of the simple roots in `combo` and K_L =
@@ -411,12 +419,6 @@ class RootDatum:
         up = integer_kernel([list(self.simple_coroots[i]) for i in combo])
         den, elems = quotient_dual_numerators(transpose(low + up), n)
         return {"lattice": low, "k_den": den, "k_elems": elems}
-
-    @cached_property
-    def parabolic_by_mask(self) -> dict[int, "Parabolic"]:
-        """The parabolic table keyed by the bit mask of R_P
-        (`_root_mask`)."""
-        return {_root_mask(p.key): p for p in self.parabolics.values()}
 
     @cached_property
     def parabolic_classes(self) -> list["ParabolicClass"]:
@@ -444,13 +446,6 @@ class RootDatum:
     def graded_simples(self) -> dict:
         """Tuple of roots -> the simple roots of their graded system, as
         `_graded_simples` returns them; filled on use."""
-        return {}
-
-    @cached_property
-    def coset_images(self) -> dict:
-        """Standard parabolic subset -> its Weyl images that are standard,
-        grouped, as `_image_groups` returns them; filled on
-        use."""
         return {}
 
     # -- serialization ----------------------------------------------------
@@ -504,26 +499,6 @@ def _image_masks(datum, key):
     import numpy as np
     images = datum.root_permutations[:, list(key)].astype(np.int64)
     return (1 << images).sum(axis=1).tolist()
-
-
-def _image_groups(datum, support):
-    """Standard parabolic subset combo -> the ascending indices of the
-    Weyl elements that map R_support onto R_combo, each image looked up
-    by its bit mask in `datum.parabolic_by_mask`.  The groups depend on
-    the datum only; its `coset_images` keeps them by support."""
-    import numpy as np
-    memo = datum.coset_images
-    if support not in memo:
-        by_mask = datum.parabolic_by_mask
-        groups = {}
-        for g, mask in enumerate(_image_masks(datum,
-                                              datum.parabolics[support].key)):
-            image = by_mask.get(mask)
-            if image is not None:
-                groups.setdefault(image.indices, []).append(g)
-        memo[support] = {combo: np.array(gs, dtype=np.intp)
-                         for combo, gs in groups.items()}
-    return memo[support]
 
 
 def _abs_vec(root):
@@ -829,6 +804,10 @@ class Parabolic:
     k_den: int                # K_L = T_L cap T^L, as integer u-vectors
     k_elems: list             # over k_den
     rep: tuple                # the standard representative of P's W0-class
+    # on a class representative: each standard Q conjugate to P -> the
+    # ascending indices of the Weyl elements that map R_P onto R_Q; None
+    # on the other entries
+    images: dict = field(default=None, compare=False, repr=False)
 
     def k_rows(self, den):
         """K_L as (k, n) numerators over den, each below den."""

@@ -140,12 +140,6 @@ class Cyclo:
         x = Fraction(x)
         return _make(1, [x.numerator] if x else [], x.denominator)
 
-    @classmethod
-    def root_of_unity(cls, u: Fraction) -> "Cyclo":
-        """e^{2 pi i u} for rational u."""
-        u = Fraction(u) % 1
-        return _make(u.denominator, _root_num(u.numerator, u.denominator), 1)
-
     def lift(self, m: int) -> "Cyclo":
         if m == self.n:
             return self
@@ -279,13 +273,6 @@ class Cyclo:
             return str(self.rational_value())
         return " + ".join(f"{c}*z{self.n}^{k}"
                           for k, c in enumerate(self.coeffs) if c)
-
-
-@lru_cache(maxsize=None)
-def _root_num(k: int, n: int) -> tuple:
-    """Numerators of zeta_n^k, 0 <= k < n."""
-    p = [0] * k + [1]
-    return tuple(_reduce(p, n))
 
 
 def _poly_mul(a, b):
@@ -663,13 +650,12 @@ def _poly_quotient(a: list, b: list) -> list:
 # -- products of binomials --------------------------------------------------
 
 
-def binomial(u, r, den, u0=0, r0=0, c0=-1) -> tuple:
-    """The factor e^{2 pi i (u0 + u/den)} q^(r0 + r/den) + c0, for
-    integers u, r over den > 0 and rationals u0, r0, in the term form of
+def binomial(u, r, den, r0=0, c0=-1) -> tuple:
+    """The factor e^{2 pi i u/den} q^(r0 + r/den) + c0, for integers u, r
+    over den > 0 and a rational r0, in the term form of
     `nonzero_product`."""
-    return ((1, u0.numerator * den + u * u0.denominator, u0.denominator * den,
-             r0.numerator * den + r * r0.denominator, r0.denominator * den),
-            (c0, 0, 1, 0, 1))
+    return ((1, u, den, r0.numerator * den + r * r0.denominator,
+             r0.denominator * den), (c0, 0, 1, 0, 1))
 
 
 def q_power(e) -> tuple:

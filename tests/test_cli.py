@@ -429,6 +429,16 @@ def test_an_out_file_in_a_missing_directory_is_a_usage_error(tmp_path,
     assert capsys.readouterr().err.startswith("error: cannot write --out")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "tex"])
+def test_an_out_file_holds_the_bytes_written_to_stdout(tmp_path, fmt):
+    argv = ["tables", "--which", "density", "--type", "B2", "--q", "3",
+            "--format", fmt]
+    code, out = run_cli(*argv)
+    path = tmp_path / f"density.{fmt}"
+    assert run_cli(*argv, "--out", str(path)) == (code, "")
+    assert code == 0 and out and path.read_bytes() == out.encode("utf-8")
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heckeplan.cli", "--version"],

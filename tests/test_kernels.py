@@ -33,6 +33,7 @@ from heckeplan.residual import (
     ORBIT_BLOCK,
     TheoremViolation,
     TorusPoint,
+    UnitaryCandidate,
     _abs_vec,
     _candidate_gammas,
     _canonical_points,
@@ -66,7 +67,6 @@ from heckeplan.rootdata import (
     _distinct_rows,
     _graded_dominant,
     _graded_simples,
-    _image_groups,
     parabolic_subsystem_roots,
     random_label_vector,
     reflection_closure,
@@ -406,7 +406,7 @@ def test_candidate_gammas_match_every_subset_solve(tag, lattice):
         positives = [r for r in cand.r_s0 if r.height > 0]
         if len(positives) < d.rank:
             continue
-        got = _candidate_gammas(positives, kl, d.rank)
+        got = _candidate_gammas(positives, kl, cand.subset_inverses)
         assert _rows_to_gammas(got, d.rank) == \
             _brute_gammas(positives, kl, d.rank)
         problems += 1
@@ -421,7 +421,7 @@ def test_candidate_gammas_past_int64_stay_exact():
     positives = [r for r in cand.r_s0 if r.height > 0]
     kl = {r.vec: Fraction(10 ** 18 + 7 * k, 10 ** 6 + 3)
           for k, r in enumerate(positives)}
-    got = _candidate_gammas(positives, kl, d.rank)
+    got = _candidate_gammas(positives, kl, cand.subset_inverses)
     assert got.dtype == object
     assert len(got) and _rows_to_gammas(got, d.rank) == \
         _brute_gammas(positives, kl, d.rank)
@@ -437,9 +437,10 @@ def test_candidate_search_matches_the_cramer_search(tag, lattice, seeded):
         positives = [r for r in cand.r_s0 if r.height > 0]
         if len(positives) < n:
             continue
-        assert _rows_to_gammas(_candidate_gammas(positives, kl, n), n) == \
+        inv = cand.subset_inverses
+        assert _rows_to_gammas(_candidate_gammas(positives, kl, inv), n) == \
             _cramer_gammas(positives, kl, n)
-        assert graded_residual_points(d, cand.r_s0, kl) == \
+        assert graded_residual_points(cand.r_s0, kl, inv) == \
             _cramer_graded_points(cand.r_s0, kl, n)
         problems += 1
         blocks += len(list(combinations(positives, n))) > GRADED_BLOCK
@@ -448,10 +449,10 @@ def test_candidate_search_matches_the_cramer_search(tag, lattice, seeded):
         assert blocks        # D5 runs its search in several blocks
     # labels near 10^18 take every step onto Python integers
     big = {vec: k * (10 ** 18 + 3) / 7 for vec, k in kl.items()}
-    got = _candidate_gammas(positives, big, n)
+    got = _candidate_gammas(positives, big, inv)
     assert got.dtype == object
     assert _rows_to_gammas(got, n) == _cramer_gammas(positives, big, n)
-    assert graded_residual_points(d, cand.r_s0, big) == \
+    assert graded_residual_points(cand.r_s0, big, inv) == \
         _cramer_graded_points(cand.r_s0, big, n)
 
 
@@ -479,9 +480,10 @@ def test_cached_subset_inverses_solve_like_the_uncached_search(tag, lattice):
             # labels near 10^18 take the product onto Python integers
             big = {vec: k * (10 ** 18 + 3) / 7 for vec, k in kl.items()}
             for klabels in (kl, big):
-                got = _candidate_gammas(positives, klabels, n,
+                got = _candidate_gammas(positives, klabels,
                                         cand.subset_inverses)
-                want = _candidate_gammas(positives, klabels, n)
+                want = _candidate_gammas(positives, klabels,
+                                         _subset_inverses(positives, n))
                 assert got.dtype == want.dtype
                 assert got.tolist() == want.tolist()
             assert got.dtype == object or not len(got)
@@ -621,14 +623,15 @@ def test_candidates_with_equal_graded_roots_share_their_inverses(
         assert all(c.subset_inverses is g[0].subset_inverses for c in g)
 
 
-def _residual_points_per_candidate(datum, labels):
-    """`residual_points` with one graded search per unitary candidate, and
-    the index of each found point by `point_index`."""
+def _residual_points_per_candidate(datum, labels, cands=None):
+    """`residual_points` with one graded search per unitary candidate (by
+    default the datum's), and the index of each found point by
+    `point_index`."""
     found = [TorusPoint(cand.point.u, gamma)
-             for cand in datum.unitary_candidates
+             for cand in cands or datum.unitary_candidates
              for gamma in graded_residual_points(
-                 datum, cand.r_s0, graded_labels(datum, labels, cand),
-                 inverses=cand.subset_inverses)]
+                 cand.r_s0, graded_labels(datum, labels, cand),
+                 cand.subset_inverses)]
     assert all(point_index(datum, labels, p) == datum.rank for p in found)
     return sorted(set(_canonical_points(datum, found)), key=TorusPoint.key)
 
@@ -654,10 +657,10 @@ def test_residual_points_run_each_graded_search_once(monkeypatch, tag,
             sub, sub_labels = pc.sub_datum, restrict_labels(labels, pc)
             calls = []
 
-            def recorded(datum, subsystem, klabels, **kwargs):
+            def recorded(subsystem, klabels, inverses):
                 calls.append((tuple(r.vec for r in subsystem),
                               tuple(klabels[r.vec] for r in subsystem)))
-                return real(datum, subsystem, klabels, **kwargs)
+                return real(subsystem, klabels, inverses)
             monkeypatch.setattr(residual, "graded_residual_points", recorded)
             got = residual_points(sub, sub_labels)
             monkeypatch.undo()
@@ -779,7 +782,8 @@ def test_residual_points_match_canonicalising_every_found_point(
             if any(cand.point.un):
                 found = [TorusPoint(cand.point.u, gamma)
                          for gamma in graded_residual_points(
-                             d, cand.r_s0, graded_labels(d, labels, cand))]
+                             cand.r_s0, graded_labels(d, labels, cand),
+                             cand.subset_inverses)]
                 merged_u += len(found) - len(set(_canonical_points(d, found)))
     # on A3/P no candidate finds two points, so nothing is walked
     assert widths == (set() if tag == "A3" else {False, True})
@@ -792,21 +796,30 @@ def test_residual_points_match_canonicalising_every_found_point(
 def test_residual_points_canonicalise_one_point_per_graded_orbit(
         monkeypatch, tag, lattice, seeded, want):
     # D5/Q at equal labels finds 31 points in 3 orbits, C3/P at seeded
-    # labels 32 points in 10 orbits: only one point per orbit is expanded
+    # labels 32 points in 10 orbits: only one point per W(R_s0)-orbit of
+    # each candidate is expanded, counted from the whole graded groups.
+    # Every orbit meets one candidate, except on D5/Q, whose two
+    # W0-conjugate candidates both find one of its orbits
     import heckeplan.residual as residual
     d = RootDatum.from_type(tag, lattice)
     labels = LabelFunction.from_affine_nodes(
         d, random_label_vector(d, random.Random(59))) if seeded \
         else LabelFunction.equal(d)
-    # the candidates canonicalise their own points: build them first
-    d.unitary_candidates
+    graded = 0
+    for cand in d.unitary_candidates:
+        gammas = graded_residual_points(cand.r_s0, graded_labels(
+            d, labels, cand), cand.subset_inverses)
+        den = lcm(1, *(x.denominator for g in gammas for x in g))
+        graded += len({tuple(_graded_orbit_dominant(
+            d, cand, [int(x * den) for x in g])) for g in gammas})
+    assert graded == want + (tag == "D5")
     passed = []
     real = residual._canonical_points
     monkeypatch.setattr(residual, "_canonical_points",
                         lambda datum, points, *a: passed.append(len(points))
                         or real(datum, points, *a))
     assert len(residual_points(d, labels)) == want
-    assert passed == [want]
+    assert passed == [graded]
 
 
 @pytest.mark.parametrize("tag,lattice", RANK5_DATA)
@@ -842,6 +855,86 @@ def test_r1_simple_coords_match_the_indecomposables_and_a_solve(tag,
             un = cand.point.numerators_of([r.vec for r in sub.r1])[0]
             r_s1 = [r.vec for r, u in zip(sub.r1, un) if u == 0]
             assert len(_fraction_rref(r_s1)[1]) == sub.rank
+
+
+def _vertex_sums(datum):
+    """Every sum over the components of zero or one alcove vertex
+    omega_i^vee / m_i, as a unitary point, from Fraction solves against
+    R1's simple roots (R0's, each doubled one times 2); m_i is the
+    coordinate of the component's highest root, the root of R1 of greatest
+    height in those simple roots."""
+    n = datum.rank
+    if not datum.roots or datum.n_simple < n:
+        return []
+    simples = [[(1 + datum.doubled[s]) * x for x in s]
+               for s in datum.simple_roots]
+    coords = [_fraction_solve(transpose(simples), list(r.vec))[1]
+              for r in datum.r1_positive]
+    choices = []
+    for comp in datum.components():
+        marks = max((cs for cs in coords if any(cs[i] for i in comp)),
+                    key=sum)
+        choices.append([(0,) * n] + [tuple(_fraction_solve(simples, [
+            Fraction(int(j == i), marks[i]) for j in range(len(simples))])[1])
+            for i in comp])
+    return [TorusPoint([sum(x) for x in zip(*choice)], (0,) * n)
+            for choice in product(*choices)]
+
+
+# the vertex sums conjugate to an earlier one, on a datum and its quotient
+# data together
+CONJUGATE_SUMS = {("C3", "Q"): 1, ("C4", "Q"): 2, ("C5", "Q"): 4,
+                  ("D5", "Q"): 1}
+
+
+@pytest.mark.parametrize("tag,lattice", RANK5_DATA)
+def test_candidates_are_the_distinct_vertex_sums(tag, lattice):
+    # on the datum and each parabolic quotient datum: the candidates are
+    # the distinct vertex sums mod Y, sorted by key, and their least W0-orbit
+    # members are the candidates of the W0 pick they replaced.  Two sums
+    # are W0-conjugate only through the stabiliser of the alcove
+    d = RootDatum.from_type(tag, lattice)
+    conjugate = 0
+    for sub in [d] + [pc.sub_datum for pc in d.parabolic_classes
+                      if pc.indices and pc.sub_datum is not d]:
+        sums = _vertex_sums(sub)
+        points = [c.point for c in sub.unitary_candidates]
+        assert points == sorted(set(sums), key=TorusPoint.key)
+        picked = sorted({_single_orbit_canonical_point(sub, p) for p in sums},
+                        key=TorusPoint.key)
+        assert sorted(set(_canonical_points(sub, points)),
+                      key=TorusPoint.key) == picked
+        conjugate += len(points) - len(picked)
+    assert conjugate == CONJUGATE_SUMS.get((tag, lattice), 0)
+
+
+def _picked_candidates(datum):
+    """The unitary candidates as the W0 pick built them: one at the least
+    member of each W0-orbit of the vertex sums, with its graded system."""
+    out = []
+    for s in sorted(set(_canonical_points(datum, [
+            c.point for c in datum.unitary_candidates])), key=TorusPoint.key):
+        un = np.array(s.numerators_of([r.vec for r in datum.roots])[0])
+        in_s0 = _in_graded_system(datum, un, s.den, datum.roots).tolist()
+        r_s0 = [r for r, g in zip(datum.roots, in_s0) if g]
+        out.append(UnitaryCandidate(s, r_s0, frozenset(
+            r.vec for r, g, u in zip(datum.roots, in_s0, un.tolist())
+            if g and u), _subset_inverses(
+                [r for r in r_s0 if r.height > 0], datum.rank)))
+    return out
+
+
+@pytest.mark.parametrize("tag", ["C3", "C4", "C5", "D5"])
+def test_residual_points_match_the_w0_picked_candidates(tag):
+    # on the data with W0-conjugate vertex sums, at equal and seeded
+    # labels: each conjugate sum runs its own graded search, and its points
+    # canonicalise onto those of the one candidate the W0 pick kept
+    d = RootDatum.from_type(tag, "Q")
+    picked = _picked_candidates(d)
+    assert len(picked) < len(d.unitary_candidates)
+    for labels in _label_sets(d, 71):
+        assert residual_points(d, labels) == \
+            _residual_points_per_candidate(d, labels, picked)
 
 
 def test_int_width_holds_the_bound():
@@ -988,7 +1081,7 @@ def test_index_violation_names_the_first_candidate_in_sorted_order():
     with pytest.raises(TheoremViolation) as want:
         _cramer_graded_points(subsystem, kl, 1)
     with pytest.raises(TheoremViolation) as got:
-        graded_residual_points(None, subsystem, kl, rank=1)
+        graded_residual_points(subsystem, kl, _subset_inverses(roots, 1))
     assert got.value.witness == want.value.witness == {
         "gamma": (Fraction(1, 3),), "index": 2, "rank": 1}
     assert str(got.value) == str(want.value)
@@ -1602,20 +1695,23 @@ def test_residual_points_past_int64_are_residual():
 @pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("D4", "Q"),
                                          ("G2", "Q"), ("F4", "Q")])
 def test_image_groups_match_the_sorted_image_lookup(tag, lattice):
-    # every Weyl element whose image of R_support is a standard R_combo,
-    # found by sorting the image's root indices and looking the key up
+    # on a class representative, every Weyl element whose image of
+    # R_support is a standard R_combo, found by sorting the image's root
+    # indices and looking the key up; no images on the other entries
     d = RootDatum.from_type(tag, lattice)
     perms = d.root_permutations.tolist()
     by_key = {p.key: p for p in d.parabolics.values()}
     for support, entry in d.parabolics.items():
+        if entry.rep != support:
+            assert entry.images is None
+            continue
         want = {}
         for g, perm in enumerate(perms):
             image = by_key.get(tuple(sorted(perm[i] for i in entry.key)))
             if image is not None:
                 want.setdefault(image.indices, []).append(g)
-        got = _image_groups(d, support)
-        assert {c: gs.tolist() for c, gs in got.items()} == want
-        assert _image_groups(d, support) is got
+        assert {c: gs.tolist() for c, gs in entry.images.items()} == want
+        assert all(gs.dtype == np.intp for gs in entry.images.values())
 
 
 def _per_combo_coset_orbit(datum, support, point):
@@ -1625,7 +1721,7 @@ def _per_combo_coset_orbit(datum, support, point):
     denominator replaced."""
     n, rows = datum.rank, _one_orbit_rows(datum, point)
     found = []
-    for combo, gs in _image_groups(datum, support).items():
+    for combo, gs in datum.parabolics[support].images.items():
         entry = datum.parabolics[combo]
         d = lcm(point.den, entry.k_den)
         own = rows[gs] * (d // point.den)
@@ -1662,9 +1758,11 @@ def _per_combo_form_points(datum, support, point):
 def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
         tag, lattice):
     # the raw points of every parabolic class, as residual_cosets lifts
-    # them, and the first coset of each orbit on each standard support;
-    # each point alone, and all points of one support in one call
+    # them, and the first coset of each orbit on each class
+    # representative, the only supports the package expands; each point
+    # alone, and all points of one support in one call
     d = RootDatum.from_type(tag, lattice)
+    reps = {p.rep for p in d.parabolics.values()}
     supports = set()
     for labels in _label_sets(d, 47, seeded=1):
         pairs = {(pc.indices, _transform(sub_pt, transpose(pc.y_basis))): None
@@ -1680,7 +1778,8 @@ def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
         pairs.update(dict.fromkeys(firsts.values()))
         by_support = {}
         for support, point in pairs:
-            by_support.setdefault(support, []).append(point)
+            if support in reps:
+                by_support.setdefault(support, []).append(point)
         for support, points in by_support.items():
             wants = [_per_combo_form_points(d, support, p) for p in points]
             assert [_form_points(_coset_orbit(d, support, [p]))
@@ -1692,7 +1791,7 @@ def test_coset_orbit_over_one_denominator_matches_the_per_combo_one(
             assert owners == [k for k, want in enumerate(wants)
                               for _ in want]
             supports.add(support)
-    assert supports == set(d.parabolics)
+    assert supports == reps
 
 
 def _a3_wide_point():
@@ -1818,6 +1917,13 @@ def _ref_poly_mod(poly, mod):
     return poly
 
 
+def root_of_unity(u):
+    """e^{2 pi i u} for rational u: zeta_n^k for u = k/n mod 1, reduced
+    by the `Cyclo` constructor."""
+    u = Fraction(u) % 1
+    return Cyclo(u.denominator, [0] * u.numerator + [1])
+
+
 class _RefCyclo:
     """Q(zeta_N) as Fraction coefficients mod Phi_N, reduced by Fraction
     long division: the previous implementation of `Cyclo`."""
@@ -1941,7 +2047,7 @@ def _random_cyclo_pair(rng, n, terms, top=None):
     for _ in range(terms):
         u = Fraction(rng.randrange(top or n), n)
         c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 35)))
-        new = new + c * Cyclo.root_of_unity(u)
+        new = new + c * root_of_unity(u)
         ref = ref + c * _RefCyclo.root_of_unity(u)
     _same_cyclo(new, ref)
     return new, ref
@@ -1999,7 +2105,7 @@ def test_cyclotomic_poly_matches_the_division_reference_below_400():
 def test_cyclo_cancellation_and_rationals_at_higher_order():
     # up to order 77: the reference sums all 1001 roots too slowly
     for n in CYCLO_ORDERS[1:-1]:
-        z, rz = Cyclo.root_of_unity(Fraction(1, n)), \
+        z, rz = root_of_unity(Fraction(1, n)), \
             _RefCyclo.root_of_unity(Fraction(1, n))
         # the sum of all n-th roots of unity cancels to 0 at order n
         total, ref = Cyclo(n, []), _RefCyclo(n, [])
@@ -2018,7 +2124,7 @@ def test_cyclo_cancellation_and_rationals_at_higher_order():
         assert (z * 0).n == n and (z - z).n == n
     # rational values stored at n > 1
     for n, value in ((6, 1), (4, 0), (3, -1), (2, -2)):
-        z = Cyclo.root_of_unity(Fraction(1, n))
+        z = root_of_unity(Fraction(1, n))
         rz = _RefCyclo.root_of_unity(Fraction(1, n))
         x, rx = z + z.conjugate(), rz + rz.conjugate()
         _same_cyclo(x, rx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heckeplan.plancherel import (
+    _density_product,
     _length_levels,
     density_table,
     fdim_subregular_c,
@@ -33,7 +34,6 @@ from heckeplan.symbolicq import (
     ONE,
     QLaurent,
     QRational,
-    binomial,
     nonzero_product,
     q_power,
 )
@@ -372,9 +372,11 @@ def m_upper(datum, labels, coset, t):
     exp = labels.q_exponent(coset.support_roots) - labels.q_w0_exponent()
 
     def one_minus(x, u, r):
-        # 1 - d theta_vec: both terms of the binomial d theta_vec - 1 negated
-        return tuple((-c, *term)
-                     for c, *term in binomial(u, r, t.den, x.u0, x.r0))
+        # 1 - d theta_vec, for d = e^{2 pi i u0} q^r0, in the term form of
+        # nonzero_product
+        j, k = x.u0 + Fraction(u, t.den), x.r0 + Fraction(r, t.den)
+        return ((-1, j.numerator, j.denominator, k.numerator,
+                 k.denominator), (1, 0, 1, 0, 1))
     (num, num_zero), (den, den_zero) = (nonzero_product(
         [q_power(exp)] * (sign < 0) +
         [one_minus(x, u, r)
@@ -385,11 +387,19 @@ def m_upper(datum, labels, coset, t):
     return QRational(num, den), False
 
 
+def m_point_on_support(datum, labels, coset):
+    """Point density of the base point within its own support datum
+    (the factor m_L(t) / m^L(t), constant along the tempered form)."""
+    constant = datum.parabolics[coset.support].r1_vecs
+    return _density_product(datum, labels, [
+        r for r in datum.r1 if r.vec in constant], coset.point,
+        labels.q_exponent(coset.support_roots))
+
+
 def test_m_on_coset_factorizes():
     # exact identity on the tempered form: m_L(t) = m_base * m^L(t), where
     # m_base is the point density within the support datum
-    from heckeplan.plancherel import generic_tempered_point, \
-        m_point_on_support
+    from heckeplan.plancherel import generic_tempered_point
     for tag in ("B2", "A2"):
         d = RootDatum.from_type(tag, "Q")
         labels = LabelFunction.equal(d)

@@ -90,7 +90,7 @@ def test_graded_points_a1():
     labels = LabelFunction.equal(d)
     cand = unitary_candidates(d)[0]
     kl = graded_labels(d, labels, cand)
-    pts = graded_residual_points(d, cand.r_s0, kl)
+    pts = graded_residual_points(cand.r_s0, kl, cand.subset_inverses)
     assert len(pts) == 1
     gamma, = pts
     alpha = d.simple_roots[0]
@@ -103,7 +103,7 @@ def test_graded_points_a2_equal():
     cand = next(c for c in unitary_candidates(d)
                 if all(x == 0 for x in c.point.u))
     kl = graded_labels(d, labels, cand)
-    pts = graded_residual_points(d, cand.r_s0, kl)
+    pts = graded_residual_points(cand.r_s0, kl, cand.subset_inverses)
     # single orbit: alpha_1(g) = alpha_2(g) = 1 and its Weyl images
     doms = [g for g in pts
             if all(sum(F(v) * g[i] for i, v in enumerate(s)) >= 0
@@ -122,7 +122,7 @@ def test_graded_points_b2_minus_plus_empty():
     cand = next(c for c in unitary_candidates(d)
                 if c.point.value_of(d.simple_roots[0])[0] == F(1, 2))
     kl = graded_labels(d, labels, cand)
-    assert graded_residual_points(d, cand.r_s0, kl) == []
+    assert graded_residual_points(cand.r_s0, kl, cand.subset_inverses) == []
 
 
 # -- residual points: the rank-2 worked example ---------------------------------
@@ -252,7 +252,7 @@ def test_trivial_labels_only_t():
 def test_classification_suite_passes(tag, lattice):
     d = RootDatum.from_type(tag, lattice)
     labels = LabelFunction.equal(d)
-    report = classification_suite(d, labels, check_nonintersection=True)
+    report = classification_suite(d, labels)
     assert report.passed, report.to_json()
 
 
@@ -358,15 +358,12 @@ def test_nested_coset_check_reports_contained_member(tag, lattice):
     assert injected >= 3
 
 
-def _pairwise_meets(datum, members, nested):
-    """The nested-coset and tempered-intersection checks as pairwise loops
-    over (combo, point) members with Fraction values, the reference of the
-    row-based `_meeting_pairs`: nested pairs by center in order of first
-    occurrence, tempered pairs in member order."""
+def _pairwise_meets(datum, members):
+    """The nested-coset check as pairwise loops over (combo, point) members
+    with Fraction values, the reference of the row-based `_meeting_pairs`:
+    nested pairs by center in order of first occurrence."""
     from itertools import combinations
-
-    from heckeplan.lattice import _lattice_intersection
-    combos, rows, den, owners = members
+    combos, rows, den, _ = members
     points = [_row_to_point(row, den) for row in rows.tolist()]
 
     def agree(p1, p2, vecs):
@@ -378,26 +375,15 @@ def _pairwise_meets(datum, members, nested):
     def lattice(c):
         return datum.parabolics[c].lattice
 
-    out = []
-    if nested:
-        groups = {}
-        for k, p in enumerate(points):
-            groups.setdefault(p.r, []).append(k)
-        pairs = [pair for group in groups.values()
-                 for pair in combinations(group, 2)]
-    else:
-        pairs = [(i, j) for i, j in combinations(range(len(points)), 2)
-                 if owners[i] != owners[j] and points[i].r == points[j].r]
-    for i, j in pairs:
+    out, groups = [], {}
+    for k, p in enumerate(points):
+        groups.setdefault(p.r, []).append(k)
+    for i, j in (pair for group in groups.values()
+                 for pair in combinations(group, 2)):
         (c1, p1), (c2, p2) = (combos[i], points[i]), (combos[j], points[j])
-        if nested:
-            if (c1, p1) != (c2, p2) and (
-                    set(c2) <= set(c1) and agree(p1, p2, lattice(c2)) or
-                    set(c1) <= set(c2) and agree(p1, p2, lattice(c1))):
-                out.append(((c1, p1), (c2, p2)))
-        elif not lattice(c1) or not lattice(c2) or agree(
-                p1, p2, _lattice_intersection(lattice(c1), lattice(c2),
-                                              datum.rank)):
+        if (c1, p1) != (c2, p2) and (
+                set(c2) <= set(c1) and agree(p1, p2, lattice(c2)) or
+                set(c1) <= set(c2) and agree(p1, p2, lattice(c1))):
             out.append(((c1, p1), (c2, p2)))
     return out
 
@@ -406,8 +392,9 @@ def _pairwise_meets(datum, members, nested):
                                          ("B3", "P")])
 def test_meeting_pairs_match_the_pairwise_loops(tag, lattice):
     # two members i, k at a time, each injected twice: the coset through
-    # its point with a smaller support, and a copy in the next orbit, so
-    # that both checks report pairs from two centers
+    # its point with a smaller support, so that the check reports pairs
+    # from two centers, and a copy in the next orbit, which equals it and
+    # is not reported
     from heckeplan.residual import _coset_members, _meeting_pairs
     d = RootDatum.from_type(tag, lattice)
     cosets = residual_cosets(d, LabelFunction.equal(d))
@@ -421,10 +408,9 @@ def test_meeting_pairs_match_the_pairwise_loops(tag, lattice):
                 np.concatenate([rows, rows[[i, k, i, k]]]), den,
                 np.append(owners, [owners[i], owners[k]] + [
                     (owners[x] + 1) % len(cosets) for x in (i, k)]))
-        for nested in (True, False):
-            got = _meeting_pairs(d, more, nested)
-            assert got == _pairwise_meets(d, more, nested)
-            found += len(got)
+        got = _meeting_pairs(d, more)
+        assert got == _pairwise_meets(d, more)
+        found += len(got)
     assert found
 
 
