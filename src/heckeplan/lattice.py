@@ -143,6 +143,13 @@ def quotient_dual_numerators(generators: IntMatrix, ambient_rank: int):
 INT64_SAFE = 1 << 62        # bound on every int64 intermediate
 
 
+def _numerators(values):
+    """(D, numerators) of a sequence of ints and Fractions over their
+    least common denominator D."""
+    den = lcm(1, *(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _product_dtype(norm, den, rows):
     """int64 when integer rows over den and their product by a matrix of
     row 1-norm at most `norm` stay below INT64_SAFE; object otherwise."""

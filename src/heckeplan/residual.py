@@ -11,22 +11,24 @@ rank.  Of the points found at a unitary candidate s, one per
 W(R_s0)-orbit is canonicalised: W(R_s0) fixes s, so conjugate found
 points share a W0-orbit.  Every orbit question whose answer is not
 printed is read off the walk of r to a dominant chamber
-(`rootdata._graded_dominant`).  Cosets are lifted from residual points
-of parabolic quotient data and keyed on the normaliser of R_P; only the
-classification suite expands their W0-orbits.
+(`rootdata._graded_dominant`).  Cosets are lifted from the found points
+of parabolic quotient data, with no pick in W(R_P), and keyed on the
+normaliser of R_P, which holds W_P.  Only the classification suite
+expands their W0-orbits, from seeds built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import groupby, product
 from math import gcd, lcm
 
 from .lattice import (
     INT64_SAFE,
     _int_width,
+    _numerators,
     _product_dtype,
     solve_unique,
     subset_adjugates,
@@ -41,6 +43,7 @@ from .rootdata import (
     _in_graded_system,
     _inverse_numerators,
     _least_rows,
+    _translates,
     parabolic_classes,
     restrict_labels,
 )
@@ -56,21 +59,16 @@ class TheoremViolation(AssertionError):
         self.witness = witness
 
 
-def _numerators(values):
-    """(D, numerators) of a sequence of ints and Fractions over their
-    least common denominator D."""
-    den = lcm(1, *(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 class TorusPoint:
     """An exact torus point: `den` > 0 and the integer numerator tuples
     `un` (entries in [0, den)) and `rn`, in lowest terms.  `u` and `r`
     are the same coordinates as Fraction tuples, built on first use."""
 
     def __init__(self, u, r):
-        """The point with rational coordinates u (taken mod 1) and r."""
-        self.den, nums = _numerators([Fraction(x) for x in (*u, *r)])
+        """The point with rational coordinates u (taken mod 1) and r; ints
+        and Fractions are read as they are."""
+        self.den, nums = _numerators([x if isinstance(x, (int, Fraction))
+                                      else Fraction(x) for x in (*u, *r)])
         self.un = tuple(x % self.den for x in nums[:len(u)])
         self.rn = tuple(nums[len(u):])
 
@@ -211,24 +209,30 @@ def canonical_point(datum: RootDatum, point: TorusPoint) -> TorusPoint:
 ORBIT_BLOCK = 1 << 11
 
 
-def _canonical_points(datum, points, support=()):
+def _canonical_points(datum, points, support=(), y_basis=None):
     """`canonical_point` of each point; with the representative `support`
     of a class of standard parabolic subsets, the base point of the coset
     orbit through it whose constant roots are R_support: its least K_L
-    translate over the Weyl elements that map R_support onto itself.  Per
-    block of up to ORBIT_BLOCK rows, one `_orbit_rows` product and one
-    least-row pick keyed by owner."""
+    translate over the Weyl elements that map R_support onto itself.
+    With `y_basis`, the basis rows of Y_P, the points lie on the torus of
+    the quotient datum and are keyed as pulled back to T.  Per block of
+    up to ORBIT_BLOCK rows, one `_orbit_rows` product and one least-row
+    pick keyed by owner."""
+    import numpy as np
     invts, k_den, size = datum.weyl.invts, 1, 1
+    norm = datum.weyl.invt_norm
     if support:
         entry = datum.parabolics[support]
         invts = invts[entry.images[support]]
         k_den, size = entry.k_den, len(entry.k_elems)
+    if y_basis is not None:
+        invts = invts @ np.array(y_basis, dtype=np.int64).T
+        norm = int(np.abs(invts).sum(axis=2).max(initial=0))
     size *= len(invts)
     step = max(1, ORBIT_BLOCK // size)
     out = []
     for at in range(0, len(points), step):
-        rows, den = _orbit_rows(points[at:at + step], invts,
-                                datum.weyl.invt_norm, k_den)
+        rows, den = _orbit_rows(points[at:at + step], invts, norm, k_den)
         if support:
             rows = _translates(rows, den, entry.k_rows(den))
         out.extend(_row_to_point(row, den) for row in
@@ -481,14 +485,21 @@ def _candidate_gammas(positives, klabels, inv):
 
 
 def residual_points(datum: RootDatum, labels: LabelFunction):
-    """All residual points up to W0, as canonical orbit representatives.
-    Candidates with equal graded roots and graded labels share one graded
-    search.  W(R_s0) fixes s: alpha(s) = 1, or alpha(s) = -1 with
-    alpha^vee in 2Y.  So of the points found at s whose r walk to one
-    dominant r (`_graded_dominant`), only the first is canonicalised.
-    Keeping the found points whose r is already dominant would lose
-    orbits: the search solves alpha(r) = k_alpha on positive roots, which
-    a dominant r cannot meet at a negative k_alpha."""
+    """All residual points up to W0, as canonical orbit representatives:
+    the `_found_points` canonicalised."""
+    return sorted(set(_canonical_points(datum, _found_points(
+        datum, labels))), key=TorusPoint.key)
+
+
+def _found_points(datum, labels):
+    """The residual points found at the unitary candidates, at least one
+    per W0-orbit, with no W0 pick.  Candidates with equal graded roots
+    and graded labels share one graded search.  W(R_s0) fixes s: alpha(s)
+    = 1, or alpha(s) = -1 with alpha^vee in 2Y.  So of the points found
+    at s whose r walk to one dominant r (`_graded_dominant`), only the
+    first is kept.  Keeping the found points whose r is already dominant
+    would lose orbits: the search solves alpha(r) = k_alpha on positive
+    roots, which a dominant r cannot meet at a negative k_alpha."""
     solved, found, spans, n = {}, [], [], datum.rank
     for cand in datum.unitary_candidates:
         klabels = graded_labels(datum, labels, cand)
@@ -513,7 +524,7 @@ def residual_points(datum: RootDatum, labels: LabelFunction):
         first = _distinct_rows(_graded_dominant(
             datum, cand.r_s0, rows[at:at + k, n:])) if k > 1 else range(k)
         kept.extend(found[at + i] for i in first)
-    return sorted(set(_canonical_points(datum, kept)), key=TorusPoint.key)
+    return kept
 
 
 # -- residual cosets -----------------------------------------------------------
@@ -529,8 +540,14 @@ class ResidualCoset:
     k_l: int                      # |K_L| = |T_L cap T^L|
     pole_roots: list
     zero_roots: list
-    # the orbit's first raw point, which `_coset_members` expands
-    seed: TorusPoint = field(compare=False, repr=False)
+    # the class's `_class_seeds`, built on first call; None where each
+    # base point is its own seed
+    seeds: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def seed(self) -> TorusPoint:
+        """The point whose orbit `_coset_members` expands."""
+        return self.seeds()[self.point] if self.seeds else self.point
 
     @property
     def dim(self):
@@ -550,30 +567,26 @@ class ResidualCoset:
 
 
 def residual_cosets(datum: RootDatum, labels: LabelFunction):
-    """All residual cosets up to W0: lift residual points of each standard
-    parabolic quotient datum and dedupe orbits by their least (combo, row)
-    form.  A raw point's combo `pc.indices` is the least of its W0-class,
-    so that form is the least over the Weyl elements mapping R_P onto
-    itself, the normaliser of W_P (`_canonical_points`).  No orbit is
-    expanded: a coset keeps its orbit's first raw point as `seed`."""
-    orbits = {}
+    """All residual cosets up to W0: lift the found points of each
+    standard parabolic quotient datum and dedupe orbits by their least
+    (combo, row) form.  A raw point's combo `pc.indices` is the least of
+    its W0-class, so that form is the least over the Weyl elements
+    mapping R_P onto itself, the normaliser of W_P (`_canonical_points`),
+    which holds W_P: no quotient datum builds its Weyl group.  No orbit
+    is expanded; a class builds its seeds on first read."""
+    orbits, seeds = {}, {}
     for pc in parabolic_classes(datum):
         # the identity, and canonical points with R_P = R0 and K_L
         # trivial, are their own keys
         if not pc.indices:
-            raw = keys = [TorusPoint.identity(datum.rank)]
+            keys = [TorusPoint.identity(datum.rank)]
         elif pc.sub_datum is datum:
-            raw = keys = residual_points(datum, labels)
+            keys = residual_points(datum, labels)
         else:
-            # pull T_P points back to T along X -> X_P
-            rows, den = _point_rows(residual_points(
-                pc.sub_datum, restrict_labels(labels, pc)), pc.sub_datum.rank)
-            un, rn = pairings(rows, den, transpose(pc.y_basis))
-            raw = [TorusPoint.from_numerators(den, u, r)
-                   for u, r in zip(un.tolist(), rn.tolist())]
-            keys = _canonical_points(datum, raw, pc.indices)
-        for seed, base in zip(raw, keys):
-            orbits.setdefault((pc.indices, base), seed)
+            found = _found_points(pc.sub_datum, restrict_labels(labels, pc))
+            keys = _canonical_points(datum, found, pc.indices, pc.y_basis)
+            seeds[pc.indices] = cache(partial(_class_seeds, pc, found, keys))
+        orbits.update(dict.fromkeys((pc.indices, base) for base in keys))
     # the threshold hits of every new base point from one product
     masks = _threshold_masks(labels, *_point_rows(
         [base for _, base in orbits], datum.rank), datum.roots)
@@ -590,20 +603,23 @@ def residual_cosets(datum: RootDatum, labels: LabelFunction):
         out.append(ResidualCoset(
             support=support, support_roots=std.roots, point=base, index=idx,
             center=base.r, k_l=len(std.k_elems), pole_roots=poles,
-            zero_roots=zeros, seed=orbits[support, base]))
+            zero_roots=zeros, seeds=seeds.get(support)))
     return sorted(out, key=lambda c: (len(c.support), c.support,
                                       c.point.key()))
 
 
-def _translates(rows, den, k_rows):
-    """(m * k, 2n) rows by (row, element): each of m rows over den with
-    its u part moved by the k elements of K_L in k_rows, (k, n) or one
-    (m, k, n) stack keyed by row."""
-    n = rows.shape[1] // 2
-    out = rows.repeat(k_rows.shape[-2], axis=0).reshape(len(rows), -1, 2 * n)
-    out[..., :n] = (out[..., :n] + k_rows.astype(rows.dtype, copy=False)
-                    ) % den
-    return out.reshape(-1, 2 * n)
+def _class_seeds(pc, found, keys):
+    """Base point -> seed, from the found points of a class and their
+    keys: the least W(R_P)-canonical point of each orbit, from one
+    `_canonical_points` call on the quotient datum, pulled back to T."""
+    least = {}
+    for point, base in zip(_canonical_points(pc.sub_datum, found), keys):
+        if base not in least or point.key() < least[base].key():
+            least[base] = point
+    rows, den = _point_rows(list(least.values()), pc.sub_datum.rank)
+    un, rn = pairings(rows, den, transpose(pc.y_basis))
+    return {base: TorusPoint.from_numerators(den, u, r)
+            for base, u, r in zip(least, un.tolist(), rn.tolist())}
 
 
 def _coset_orbit(datum, support, points):

@@ -17,10 +17,12 @@ simple roots of graded root systems.  The parabolic table has one entry
 per standard parabolic subset P of the simple roots (all 2^n), built in
 one pass.  A root lies in R_P = span(P) cap R0 exactly when its
 simple-root coordinates `alpha` are supported on P, so no rank is
-computed; each entry also holds the sorted root-index key of R_P, the
-saturated lattice of P, the group K_L of a coset with support R_P, and
-the standard representative of the W0-class of P.  The pass that finds
-the classes also groups the standard Weyl images of each representative.
+computed; each entry also holds the sorted root-index key of R_P and
+the standard representative of the W0-class of P, and builds the
+saturated lattice of P and the group K_L of a coset with support R_P on
+first read, so an enumeration builds them on class representatives
+alone.  The pass that finds the classes also groups the standard Weyl
+images of each representative.
 """
 
 from __future__ import annotations
@@ -406,19 +408,8 @@ class RootDatum:
         return {c: Parabolic(
             indices=c, roots=roots[c], key=keys[c],
             r1_vecs=frozenset(r.vec for r in self.r1 if supported(r.alpha, c)),
-            rep=rep[c], images=images.get(c), **self._k_group(c))
+            rep=rep[c], rank=self.rank, images=images.get(c))
             for c in subsets}
-
-    def _k_group(self, combo):
-        """The saturated lattice of the simple roots in `combo` and K_L =
-        T_L cap T^L for a coset L with R_L = R_combo, as Parabolic fields."""
-        n = self.rank
-        if not combo:
-            return {"lattice": [], "k_den": 1, "k_elems": [(0,) * n]}
-        low = saturate([list(self.simple_roots[i]) for i in combo], n)
-        up = integer_kernel([list(self.simple_coroots[i]) for i in combo])
-        den, elems = quotient_dual_numerators(transpose(low + up), n)
-        return {"lattice": low, "k_den": den, "k_elems": elems}
 
     @cached_property
     def parabolic_classes(self) -> list["ParabolicClass"]:
@@ -485,6 +476,17 @@ def _least_rows(rows, size):
     return np.lexsort((*rows.T[::-1], owner))[::size]
 
 
+def _translates(rows, den, k_rows):
+    """(m * k, 2n) rows by (row, element): each of m rows over den with
+    its u part moved by the k elements of K_L in k_rows, (k, n) or one
+    (m, k, n) stack keyed by row."""
+    n = rows.shape[1] // 2
+    out = rows.repeat(k_rows.shape[-2], axis=0).reshape(len(rows), -1, 2 * n)
+    out[..., :n] = (out[..., :n] + k_rows.astype(rows.dtype, copy=False)
+                    ) % den
+    return out.reshape(-1, 2 * n)
+
+
 def _root_mask(key):
     """The bit mask of a set of roots: the sum of 2^i over their indices
     i in `RootDatum.roots`."""
@@ -544,14 +546,17 @@ def _graded_dominant(datum, roots, rows):
     positive roots negative on gamma by one.  Every orbit of the graded
     Weyl group meets the closed chamber once (Humphreys, Reflection Groups
     and Coxeter Groups, 1.12), so the walked row is a complete invariant
-    of the orbit.  Each step is a W0 image, bounded by the Weyl group's
-    `invt_norm` times the first row, and alpha(gamma) is the value of a
-    graded root at the first row; so the width is that of `_product_dtype`
-    at the larger bound: Python integers past int64."""
+    of the orbit.  The width needs no Weyl group: the walk takes at most
+    N steps, N = |roots| / 2 the positive graded roots, and on the orbit
+    |alpha(gamma)| <= top |gamma|, top the largest graded root 1-norm.  So
+    every row stays within |gamma| (1 + N top c), c the largest simple
+    coroot 1-norm, and every pairing within top times that: the width of
+    `_product_dtype` at that bound, Python integers past int64."""
     import numpy as np
     simple, cors, top = _graded_simples(datum, roots)
-    rows = rows.astype(_product_dtype(max(datum.weyl.invt_norm, top), 1,
-                                      rows))
+    c = int(np.abs(cors).sum(axis=1).max(initial=0))
+    rows = rows.astype(_product_dtype(
+        top * (1 + len(roots) // 2 * top * c), 1, rows))
     simple = simple.T.astype(rows.dtype)
     while simple.size:
         vals = rows @ simple
@@ -795,19 +800,39 @@ def affine_generator_exponents(datum: RootDatum, labels: LabelFunction):
 @dataclass(frozen=True)
 class Parabolic:
     """One entry of the parabolic table: a standard parabolic subset P of
-    the simple roots and what the cosets L with R_L = R_P are built from."""
+    the simple roots and what the cosets L with R_L = R_P are built from.
+    The lattice of P and K_L are built on first read, from P's simple
+    roots: the roots of R_P of height 1."""
     indices: tuple            # P, sorted simple-root indices
     roots: list               # R_P: the roots with alpha supported on P
     key: tuple                # sorted indices of R_P in datum.roots
     r1_vecs: frozenset        # the roots of R1 with alpha supported on P
-    lattice: list             # basis rows of span(P) cap X
-    k_den: int                # K_L = T_L cap T^L, as integer u-vectors
-    k_elems: list             # over k_den
     rep: tuple                # the standard representative of P's W0-class
+    rank: int                 # the rank of X
     # on a class representative: each standard Q conjugate to P -> the
     # ascending indices of the Weyl elements that map R_P onto R_Q; None
     # on the other entries
     images: dict = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _kl(self) -> tuple:
+        return _k_group(self.rank, sorted(
+            (r for r in self.roots if r.height == 1),
+            key=lambda r: r.alpha.index(1)))
+
+    @cached_property
+    def lattice(self) -> list:
+        """Basis rows of span(P) cap X."""
+        return self._kl[0]
+
+    @cached_property
+    def k_den(self) -> int:
+        """K_L = T_L cap T^L as integer u-vectors `k_elems` over k_den."""
+        return self._kl[1]
+
+    @cached_property
+    def k_elems(self) -> list:
+        return self._kl[2]
 
     def k_rows(self, den):
         """K_L as (k, n) numerators over den, each below den."""
@@ -824,6 +849,18 @@ class ParabolicClass:
     y_basis: list             # rows: basis of Y_P in Y coordinates
     vec_map: dict             # sub root vec -> parent root vec
     orbit_size: int           # number of standard subsets conjugate to this one
+
+
+def _k_group(n, simple):
+    """(lattice, k_den, k_elems) for the simple roots `simple` of a
+    standard parabolic subset P of a datum of rank n: the saturated
+    lattice span(P) cap X, and K_L = T_L cap T^L for a coset L with R_L =
+    R_P as integer u-vectors over k_den."""
+    if not simple:
+        return [], 1, [(0,) * n]
+    low = saturate([list(r.vec) for r in simple], n)
+    up = integer_kernel([list(r.coroot) for r in simple])
+    return (low, *quotient_dual_numerators(transpose(low + up), n))
 
 
 def parabolic_subsystem_roots(datum: RootDatum, indices) -> list:

@@ -868,17 +868,26 @@ def _binomial_passes(rows, r: int, power: int):
     """The rows (polynomials in y) times prod_{d | r} (1 - y^d)^(power
     mu(r/d)) mod y^w, w their width, r squarefree: Phi_r at power 1, r > 1.
     A product by 1 - y^d is a shifted subtract, in place, and a quotient a
-    cumulative sum per residue mod d, each `_fit` to its growth first."""
+    cumulative sum per residue mod d; each multiplies the largest |entry|
+    by at most its growth, 2 or the number of spans.  A pass runs on
+    Python integers once that entry times its growth reaches INT64_SAFE,
+    as `_fit` decides; a running bound on it, times each growth, is
+    measured again only when it would reach INT64_SAFE."""
     import numpy as np
     primes = [p for _, p in _order_bits(r)]
-    width = rows.shape[1]
+    width, bound = rows.shape[1], INT64_SAFE
     for k in range(len(primes) + 1):
         divide = (-1) ** k != power
         for d in (r // prod(s) for s in combinations(primes, k)):
             if d >= width:
                 continue
             spans = -(-width // d)
-            rows = _fit(rows, spans if divide else 2)
+            growth = spans if divide else 2
+            if rows.dtype != object and bound * growth >= INT64_SAFE:
+                bound = int(np.abs(rows).max(initial=0))
+                if bound * growth >= INT64_SAFE:
+                    rows = rows.astype(object)
+            bound *= growth
             if divide:
                 pad = np.zeros((len(rows), spans * d - width), rows.dtype)
                 rows = np.hstack((rows, pad)).reshape(-1, spans, d)

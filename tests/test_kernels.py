@@ -19,6 +19,7 @@ import pytest
 
 from heckeplan import cli
 from heckeplan.lattice import (
+    INT64_SAFE,
     _eliminate_rational,
     _int_width,
     gauss_jordan,
@@ -722,6 +723,62 @@ def test_graded_walk_reaches_the_one_dominant_orbit_member(tag, lattice):
                 assert got == _graded_orbit_dominant(d, cand, row)
                 walks += 1
     assert walks
+
+
+def _walk_with_peak(simple, cors, row):
+    """The dominance walk of one row on Python integers: (the walked row,
+    the largest |entry| and |simple-root value| met on the way)."""
+    peak = 0
+    while True:
+        vals = [sum(map(lambda a, x: a * x, s, row)) for s in simple]
+        peak = max(peak, *map(abs, row), *map(abs, vals))
+        k = min(range(len(vals)), key=vals.__getitem__, default=None)
+        if k is None or vals[k] >= 0:
+            return row, peak
+        row = [x - vals[k] * c for x, c in zip(row, cors[k])]
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("C3", "Q"),
+                                         ("G2", "Q"), ("D4", "P"),
+                                         ("F4", "Q")])
+def test_graded_walk_stays_within_its_bound(tag, lattice):
+    # with N positive graded roots, top their largest 1-norm and c the
+    # largest simple coroot 1-norm, every row of the walk from gamma stays
+    # within |gamma| (1 + N top c) and every root value within top times
+    # that; the walk picks int64 below 2^62 at that product, reads no Weyl
+    # group, and is exact on Python integers past it
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(73)
+    for cand in d.unitary_candidates:
+        simple, cors, top = _graded_simples(d, cand.r_s0)
+        growth = 1 + sum(r.height > 0 for r in cand.r_s0) * top * int(
+            np.abs(cors).sum(axis=1).max(initial=0))
+        rows = np.array([[rng.randint(-40, 40) for _ in range(d.rank)]
+                         for _ in range(8)], dtype=np.int64)
+        walked = _graded_dominant(d, cand.r_s0, rows)
+        assert walked.dtype == np.int64
+        for row, got in zip(rows.tolist(), walked.tolist()):
+            want, peak = _walk_with_peak(simple.tolist(), cors.tolist(), row)
+            assert got == want
+            assert peak <= max(1, top) * max(map(abs, row)) * growth
+        # rows of largest |entry| 1, scaled to either side of the edge
+        unit = np.array([[rng.choice((-1, 1))] + [rng.randint(-1, 1)
+                                                  for _ in range(d.rank - 1)]
+                         for _ in range(4)], dtype=np.int64)
+        small = _graded_dominant(d, cand.r_s0, unit).tolist()
+        last = (INT64_SAFE - 1) // max(1, top * growth)
+        for scale, wide in ((last, False), (last + 1, True),
+                            (2 ** 70 + 3, True)):
+            out = _graded_dominant(d, cand.r_s0, unit.astype(object) * scale)
+            assert (out.dtype == object) == wide
+            assert out.tolist() == [[x * scale for x in row] for row in small]
+        big = [[rng.randint(-2 ** 66, 2 ** 66) for _ in range(d.rank)]
+               for _ in range(3)]
+        out = _graded_dominant(d, cand.r_s0, np.array(big, dtype=object))
+        assert out.tolist() == [
+            _walk_with_peak(simple.tolist(), cors.tolist(), row)[0]
+            for row in big]
+    assert "weyl" not in d.__dict__
 
 
 def test_graded_simple_roots_are_the_indecomposable_positive_roots():

@@ -30,6 +30,7 @@ from heckeplan.rootdata import (
     RootDatum,
     parabolic_subsystem_roots,
     random_label_vector,
+    restrict_labels,
 )
 
 F = Fraction
@@ -573,3 +574,119 @@ def test_generic_labels_on_b_n_count_the_partitions_and_bipartitions(n, k):
     assert sum(not any(p.u) for p in points) == _partitions(n)
     assert len(points) == sum(_partitions(a) * _partitions(n - a)
                               for a in range(n + 1))
+
+
+# -- coset keys from the quotient data's found points --------------------------
+
+
+def _pulled_back(pc, point):
+    """A point of the quotient torus T_P as a point of T, with Fractions:
+    coordinate t is the sum over j of the coordinate j times y_j[t], y_j
+    the basis of Y_P in Y."""
+    return TorusPoint(*([sum((x * y[t] for x, y in zip(coords, pc.y_basis)),
+                             F(0)) for t in range(len(pc.y_basis[0]))]
+                        for coords in (point.u, point.r)))
+
+
+def _reference_cosets(datum, labels):
+    """(support, base point) -> seed of every coset orbit, as the cosets
+    were keyed when each quotient datum canonicalised its residual points
+    in its own Weyl group: the keys of the pulled-back residual points of
+    the quotient data, and as seed the first of them in each orbit, which
+    is the pull-back of the orbit's least W(R_P)-canonical point."""
+    from heckeplan.residual import _canonical_points
+    out = {}
+    for pc in datum.parabolic_classes:
+        if not pc.indices:
+            raw = keys = [TorusPoint.identity(datum.rank)]
+        elif pc.sub_datum is datum:
+            raw = keys = residual_points(datum, labels)
+        else:
+            raw = [_pulled_back(pc, p) for p in residual_points(
+                pc.sub_datum, restrict_labels(labels, pc))]
+            keys = _canonical_points(datum, raw, pc.indices)
+        for seed, base in zip(raw, keys):
+            out.setdefault((pc.indices, base), seed)
+    return out
+
+
+RANK_FOUR_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                   "C4", "D3", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("lattice", ["Q", "P"])
+@pytest.mark.parametrize("tag", RANK_FOUR_TYPES)
+def test_coset_seeds_are_the_least_quotient_points_of_their_orbits(
+        tag, lattice):
+    # the cosets keyed from the found points of the quotient data are the
+    # cosets keyed from their residual points, and each seed, built on its
+    # first read, is the reference's
+    d = RootDatum.from_type(tag, lattice)
+    rng = random.Random(59)
+    for labels in (LabelFunction.equal(d), LabelFunction.from_affine_nodes(
+            d, random_label_vector(d, rng))):
+        want = _reference_cosets(d, labels)
+        cosets = residual_cosets(d, labels)
+        assert [(c.support, c.point) for c in cosets] == sorted(
+            want, key=lambda k: (len(k[0]), k[0], k[1].key()))
+        assert {(c.support, c.point): c.seed for c in cosets} == want
+
+
+@pytest.mark.parametrize("tag,lattice", [("B3", "P"), ("D4", "Q"),
+                                         ("D5", "Q")])
+def test_a_coset_enumeration_builds_no_quotient_weyl_group(
+        monkeypatch, tag, lattice):
+    # one Weyl group, the datum's own, and K_L on class representatives
+    # only, each once; the seeds are built on their first read alone
+    import heckeplan.residual as residual
+    import heckeplan.rootdata as rootdata
+    calls = {"weyl": 0, "k": [], "canonical": 0}
+    real_weyl, real_k = RootDatum.weyl_elements, rootdata._k_group
+    real_canonical = residual._canonical_points
+
+    def weyl(self):
+        calls["weyl"] += 1
+        return real_weyl(self)
+
+    def k_group(n, simple):
+        calls["k"].append(tuple(r.alpha.index(1) for r in simple))
+        return real_k(n, simple)
+
+    def canonical(*args):
+        calls["canonical"] += 1
+        return real_canonical(*args)
+    monkeypatch.setattr(RootDatum, "weyl_elements", weyl)
+    monkeypatch.setattr(rootdata, "_k_group", k_group)
+    monkeypatch.setattr(residual, "_canonical_points", canonical)
+    d = RootDatum.from_type(tag, lattice)
+    cosets = residual_cosets(d, LabelFunction.equal(d))
+    reps = [pc.indices for pc in d.parabolic_classes]
+    assert calls["weyl"] == 1
+    assert len(calls["k"]) == len(set(calls["k"])) and set(calls["k"]) == {
+        c.support for c in cosets} and set(calls["k"]) <= set(reps)
+    # one key block per class with a proper nonempty P, and the datum's
+    # own residual points
+    proper = [pc for pc in d.parabolic_classes
+              if pc.indices and pc.sub_datum is not d]
+    assert calls["canonical"] == len(proper) + 1
+    seeds = [c.seed for c in cosets]
+    assert calls["canonical"] == 2 * len(proper) + 1
+    assert calls["weyl"] == 1 + len(proper)
+    monkeypatch.undo()
+    assert {(c.support, c.point): s for c, s in zip(cosets, seeds)} == \
+        _reference_cosets(d, LabelFunction.equal(d))
+
+
+def test_torus_points_read_ints_and_fractions_as_they_are():
+    # ints and Fractions enter the numerators as they are; strings, floats
+    # and numpy integers become Fractions first, to the same point
+    want = TorusPoint.from_numerators(6, [3, 2], [-2, 12])
+    for u, r in (([F(1, 2), F(1, 3)], [F(-1, 3), 2]),
+                 ([F(3, 2), F(-2, 3)], [F(-2, 6), F(2)]),
+                 (["1/2", F(4, 3)], ["-1/3", np.int64(2)]),
+                 ([0.5, F(1, 3)], [F(-1, 3), 2.0])):
+        got = TorusPoint(u, r)
+        assert got == want and type(got.den) is int
+        assert got.u == (F(1, 2), F(1, 3)) and got.r == (F(-1, 3), F(2))
+    assert TorusPoint([1, True], [0.25, -3]) == \
+        TorusPoint.from_numerators(4, [0, 0], [1, -12])

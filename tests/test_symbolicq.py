@@ -1,7 +1,8 @@
 import cmath
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from heckeplan.symbolicq import (
     Cyclo,
     QLaurent,
     QRational,
+    _binomial_passes,
     _evaluation_point,
+    _fit,
+    _order_bits,
     _reduce_block,
     _ring_product,
     cyclotomic_poly,
@@ -378,6 +382,59 @@ def _sweep_reduce(p: list, n: int) -> list:
     while p and not p[-1]:
         p.pop()
     return p
+
+
+def _passes_scanning_each_pass(rows, r, power):
+    """`_binomial_passes` with a `_fit` scan of the rows before every
+    pass, as it ran before its running bound: (rows, the dtype each pass
+    ran at, the growth of each pass)."""
+    primes = [p for _, p in _order_bits(r)]
+    width, dtypes, growths = rows.shape[1], [], []
+    for k in range(len(primes) + 1):
+        divide = (-1) ** k != power
+        for d in (r // prod(s) for s in combinations(primes, k)):
+            if d >= width:
+                continue
+            spans = -(-width // d)
+            growths.append(spans if divide else 2)
+            rows = _fit(rows, growths[-1])
+            dtypes.append(rows.dtype)
+            if divide:
+                pad = np.zeros((len(rows), spans * d - width), rows.dtype)
+                rows = np.hstack((rows, pad)).reshape(-1, spans, d)
+                rows = rows.cumsum(axis=1).reshape(-1, spans * d)[:, :width]
+            else:
+                rows[:, d:] -= rows[:, :-d]
+    return rows, dtypes, growths
+
+
+def test_binomial_passes_leave_int64_where_a_scan_each_pass_would():
+    # the running bound makes the dtype decisions of a scan before every
+    # pass: rows whose largest |entry| sits at either side of the int64
+    # edge of each pass's accumulated growth, on the product (power 1)
+    # and the quotient (power -1) path, give the same rows at the same
+    # dtype, and Python-integer rows stay on Python integers
+    rng = random.Random(79)
+    for r, width, power in ((6, 5, 1), (30, 9, 1), (30, 22, -1),
+                            (105, 48, 1), (105, 57, -1), (1001, 280, -1)):
+        _, _, growths = _passes_scanning_each_pass(
+            np.zeros((1, width), np.int64), r, power)
+        edges = {INT64_SAFE // prod(growths[:i + 1]) for i in
+                 range(len(growths))}
+        seen = set()
+        for top in sorted({e + k for e in edges for k in (-1, 0, 1)}):
+            rows = np.array([[rng.randint(-top, top) for _ in range(width)]
+                             for _ in range(3)] + [[top] + [0] * (width - 1)],
+                            dtype=np.int64)
+            want, dtypes, _ = _passes_scanning_each_pass(rows.copy(), r,
+                                                         power)
+            got = _binomial_passes(rows.copy(), r, power)
+            assert got.dtype == want.dtype == dtypes[-1]
+            assert got.tolist() == want.tolist()
+            seen.add(got.dtype)
+            wide = _binomial_passes(rows.astype(object), r, power)
+            assert wide.dtype == object and wide.tolist() == want.tolist()
+        assert seen == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_reduce_block_matches_the_row_reduction_on_both_paths():
